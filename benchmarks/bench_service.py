@@ -255,13 +255,14 @@ def measure(scale: str) -> dict:
     # Wire codec throughput.
     blob = encode_segments(stream)
     encode_run = best_of(encode_segments, stream, repeats=3)
-    decode_run = best_of(decode_segments, blob, repeats=3)
+    decode_run = best_of(
+        lambda data: list(decode_segments(data)), blob, repeats=3
+    )
 
-    # Zero-copy column decode: the receive path of the cluster tier
-    # (`decode_encoded(copy=False)`) aliases the payload buffer instead
-    # of copying every column — what a reducer worker pays per shard
-    # before the kernels run.
-    from repro.service.wire import decode_encoded
+    # Zero-copy column decode: the receive path of the cluster tier and
+    # of HTTP pushes (`decode_segments(copy=False)`) aliases the payload
+    # buffer instead of copying every column — what a reducer worker
+    # pays per shard before the kernels run.
 
     # Single decodes are sub-millisecond at smoke scale; amortise the
     # timer jitter over a batch of decodes per repeat.
@@ -269,11 +270,11 @@ def measure(scale: str) -> dict:
 
     def decode_copying():
         for _ in range(decode_batch):
-            decode_encoded(blob)
+            decode_segments(blob)
 
     def decode_zero_copy():
         for _ in range(decode_batch):
-            decode_encoded(blob, copy=False)
+            decode_segments(blob, copy=False)
 
     decode_copy_run = best_of(decode_copying, repeats=5)
     decode_zero_run = best_of(decode_zero_copy, repeats=5)

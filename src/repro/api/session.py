@@ -34,6 +34,7 @@ property-tested against (``tests/test_snapshot_delta.py``).
 
 from __future__ import annotations
 
+from collections import abc
 from typing import Iterable, Optional, Tuple, Union
 
 from ..core.greedy import GreedyResult, OnlineReducer
@@ -121,14 +122,15 @@ class Compressor:
 
         Chunks go through the heap's staged bulk-insert fast path when the
         NumPy backend is active; the result is bit-identical to pushing the
-        same tuples one at a time.
+        same tuples one at a time; :class:`~repro.core.kernels.EncodedSegments`
+        columns are staged as they are.
         """
         self._check_open("push")
         if isinstance(segments, AggregateSegment):
             self._reducer.push(segments)
         else:
             self._reducer.push_chunk(
-                segments if isinstance(segments, (list, tuple))
+                segments if isinstance(segments, abc.Sequence)
                 else list(segments)
             )
         self._generation += 1

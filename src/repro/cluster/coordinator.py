@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -104,15 +104,7 @@ def encode_shard_request(
     rides next to it so the worker can refuse work that would finish
     after the caller has given up.
     """
-    body = wire.encode_segments(
-        EncodedSegments(
-            encoded.starts[lo:hi],
-            encoded.ends[lo:hi],
-            encoded.values[lo:hi],
-            encoded.groups[lo:hi],
-            encoded.group_keys,
-        )
-    )
+    body = wire.encode_segments(encoded[lo:hi])
     meta: dict = {"w2": w2.tolist(), "shard": [lo, hi]}
     if trace_id is not None:
         meta["trace_id"] = trace_id
@@ -122,7 +114,7 @@ def encode_shard_request(
 
 
 def reduce_cluster(
-    segments: Union[Iterable[AggregateSegment], EncodedSegments],
+    segments: Iterable[AggregateSegment],
     size: Optional[int] = None,
     max_error: Optional[float] = None,
     weights: Optional[Weights] = None,
@@ -166,11 +158,7 @@ def reduce_cluster(
             f"retry_backoff must be non-negative, got {retry_backoff}"
         )
 
-    encoded = (
-        segments
-        if isinstance(segments, EncodedSegments)
-        else encode_segments(segments)
-    )
+    encoded = encode_segments(segments)
     if len(encoded) == 0:
         return GreedyResult()
 

@@ -523,7 +523,7 @@ class _StandbyHandler(socketserver.BaseRequestHandler):
 
     def _apply(self, kind: int, key: str, body: bytes) -> None:
         if kind == KIND_PUSH:
-            self.server.store.push(key, decode_segments(body))
+            self.server.store.push(key, decode_segments(body, copy=False))
         elif kind == KIND_FREEZE:
             self.server.store.freeze(key)
         else:

@@ -8,7 +8,7 @@ the shard's complete merge schedule:
    weights ``w2``, followed by the shard's segment columns as verbatim
    ``PTAS`` bytes;
 2. the payload is decoded **zero-copy** —
-   :func:`repro.service.wire.decode_encoded` with ``copy=False`` builds
+   :func:`repro.service.wire.decode_segments` with ``copy=False`` builds
    ``frombuffer`` views straight over the frame buffer, so reduction
    starts without a per-column memcpy;
 3. :func:`repro.parallel.reduce_shard` runs
@@ -40,7 +40,7 @@ from typing import Optional, Tuple
 
 from ..obs import tracing as _tracing
 from ..obs.logs import get_logger
-from ..service.wire import WireError, decode_encoded
+from ..service.wire import WireError, decode_segments
 from ..storage.columns import ColumnCodecError
 from ..util import failpoints
 from ..util.deadline import Deadline, DeadlineExceeded
@@ -77,7 +77,7 @@ def reduce_request(payload: bytes):
     w2_raw = meta.get("w2")
     if not isinstance(w2_raw, list) or not w2_raw:
         raise WireError("shard request envelope is missing the w2 weights")
-    encoded = decode_encoded(body, copy=False)
+    encoded = decode_segments(body, copy=False)
     w2 = np.asarray(w2_raw, dtype=np.float64)
     if w2.shape != (encoded.dimensions,) or not bool(
         np.isfinite(w2).all() & (w2 > 0).all()

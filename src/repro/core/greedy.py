@@ -39,6 +39,7 @@ oracle the delta path is property-tested against.
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -253,75 +254,65 @@ class OnlineReducer:
                 segment.values,
                 key,
             )
-        self._observe(node.id, key, segment)
+        self.consumed += 1
+        if self._tracker is not None:
+            self._tracker.push(segment)
+        if math.isinf(key):
+            self._last_gap_id = node.id
+            self._before_gap += self._after_gap
+            self._after_gap = 1
+        else:
+            self._after_gap += 1
+        if self._size is not None:
+            self._drain_size_bounded()
+        else:
+            self._drain_error_bounded()
         if self._log is not None:
             self._trim_log()
 
     def push_chunk(self, segments: Sequence[AggregateSegment]) -> None:
         """Consume a chunk of tuples through the staged-insert fast path.
 
-        On the array-backed NumPy heap the chunk is bulk-written with its
-        raw merge keys precomputed vectorized (``stage_chunk``) and the
-        whole activation-plus-drain loop runs fused inside the heap
-        (``activate_staged_all``), bulk-activating the spans where the
-        merge policy provably cannot fire and interleaving activations
-        with merges tuple by tuple everywhere else — bit-identical to
-        pushing tuple by tuple, with the per-insert Python overhead
-        amortised per chunk (the batched online merge policy).  Heaps that
-        only expose the staged protocol activate one tuple at a time;
-        plain heaps fall back to per-tuple ``insert``.
+        On the NumPy heap the chunk is staged from its columns
+        (``stage_chunk``; :class:`~repro.core.kernels.EncodedSegments` go
+        straight in, a segment list is encoded once) and activated by the
+        fused loop ``activate_staged_all``, which bulk-activates the spans
+        where the merge policy cannot fire and interleaves merges tuple by
+        tuple elsewhere — bit-identical to pushing tuple by tuple.  Plain
+        heaps fall back to :meth:`push`.
         """
         self._check_open()
-        heap = self.heap
-        activate = getattr(heap, "activate_staged_all", None)
-        if activate is not None:
-            if not segments:
-                return
-            heap.stage_chunk(segments)  # type: ignore[attr-defined]
-            tracker = self._tracker
-            if tracker is not None:
-                for segment in segments:
-                    tracker.push(segment)
-            self.consumed += len(segments)
-            (
-                self._last_gap_id,
-                self._before_gap,
-                self._after_gap,
-                self.total_error,
-                self.merges,
-            ) = activate(
-                size=self._size,
-                step_threshold=self._step_threshold,
-                delta=self._delta,
-                last_gap_id=self._last_gap_id,
-                before_gap=self._before_gap,
-                after_gap=self._after_gap,
-                total_error=self.total_error,
-                merges=self.merges,
-                log=self._log,
-            )
-            if self._log is not None:
-                self._trim_log()
-        elif hasattr(heap, "stage_chunk"):
-            heap.stage_chunk(segments)  # type: ignore[attr-defined]
-            log = self._log
-            for segment in segments:
-                node_id, key = heap.insert_staged()  # type: ignore[attr-defined]
-                if log is not None:
-                    log.record_insert(
-                        node_id,
-                        segment.interval.start,
-                        segment.interval.end,
-                        segment.group,
-                        segment.values,
-                        key,
-                    )
-                self._observe(node_id, key, segment)
-            if log is not None:
-                self._trim_log()
-        else:
+        activate = getattr(self.heap, "activate_staged_all", None)
+        if activate is None:
             for segment in segments:
                 self.push(segment)
+            return
+        if not self.heap.stage_chunk(segments):  # type: ignore[attr-defined]
+            return
+        tracker = self._tracker
+        if tracker is not None:
+            for segment in segments:
+                tracker.push(segment)
+        self.consumed += len(segments)
+        (
+            self._last_gap_id,
+            self._before_gap,
+            self._after_gap,
+            self.total_error,
+            self.merges,
+        ) = activate(
+            size=self._size,
+            step_threshold=self._step_threshold,
+            delta=self._delta,
+            last_gap_id=self._last_gap_id,
+            before_gap=self._before_gap,
+            after_gap=self._after_gap,
+            total_error=self.total_error,
+            merges=self.merges,
+            log=self._log,
+        )
+        if self._log is not None:
+            self._trim_log()
 
     def replay(
         self, chunks: Iterable[Sequence[AggregateSegment]]
@@ -343,7 +334,7 @@ class OnlineReducer:
         count = 0
         for chunk in chunks:
             self.push_chunk(
-                chunk if isinstance(chunk, (list, tuple)) else list(chunk)
+                chunk if isinstance(chunk, abc.Sequence) else list(chunk)
             )
             count += 1
         return count
@@ -351,40 +342,16 @@ class OnlineReducer:
     def extend(self, source: Iterable[AggregateSegment]) -> None:
         """Drive an entire iterable through the reducer.
 
-        Pulls :data:`ONLINE_CHUNK_SIZE` tuples at a time when the heap
-        supports staged chunks, single tuples otherwise.
+        Pulls :data:`ONLINE_CHUNK_SIZE` tuples at a time into
+        :meth:`push_chunk`.
         """
-        if hasattr(self.heap, "stage_chunk"):
-            iterator = iter(source)
-            while True:
-                batch = list(islice(iterator, ONLINE_CHUNK_SIZE))
-                if not batch:
-                    return
-                self.push_chunk(batch)
-        else:
-            for segment in source:
-                self.push(segment)
+        iterator = iter(source)
+        while batch := list(islice(iterator, ONLINE_CHUNK_SIZE)):
+            self.push_chunk(batch)
 
     # ------------------------------------------------------------------
-    # One step of the online policy
+    # The merge policy
     # ------------------------------------------------------------------
-    def _observe(
-        self, node_id: int, key: float, segment: AggregateSegment
-    ) -> None:
-        self.consumed += 1
-        if self._tracker is not None:
-            self._tracker.push(segment)
-        if math.isinf(key):
-            self._last_gap_id = node_id
-            self._before_gap += self._after_gap
-            self._after_gap = 1
-        else:
-            self._after_gap += 1
-        if self._size is not None:
-            self._drain_size_bounded()
-        else:
-            self._drain_error_bounded()
-
     def _drain_size_bounded(self) -> None:
         """Merge while over the size bound and a merge is safe (Fig. 11).
 

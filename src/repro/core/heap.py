@@ -55,8 +55,9 @@ class Heap(Protocol):
     (:class:`repro.core.greedy.OnlineReducer`) and the serving layer are
     written against it, so a third backend only needs to match this
     surface.  The staged-chunk fast path (``stage_chunk`` /
-    ``insert_staged``) is deliberately *not* part of the protocol — it is
-    an optional optimisation the callers probe with ``hasattr``.
+    ``activate_staged_all``, staging from flat columns) is deliberately
+    *not* part of the protocol — it is an optional optimisation
+    :meth:`~repro.core.greedy.OnlineReducer.push_chunk` probes for.
 
     ``peek_entry`` returns ``(handle, node_id, key)`` where ``handle`` is
     whatever the backend accepts back in ``adjacent_successor_count`` (a

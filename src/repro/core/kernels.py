@@ -20,12 +20,14 @@ provides drop-in array-backed counterparts selected with the
   segment objects, dead slots are compacted away so memory tracks the live
   heap size, and :meth:`NumpyMergeHeap.insert_batch` computes the merge keys
   of a whole batch of tuples vectorized (used by the batch GMS helpers);
-* :meth:`NumpyMergeHeap.stage_chunk` / :meth:`NumpyMergeHeap.insert_staged` —
-  the batched *online* insert path: a whole chunk of incoming tuples is
-  bulk-written into reserved slots with their raw pairwise merge keys
-  precomputed vectorized, then made visible to the merge policy one tuple at
-  a time, so the online algorithms keep their exact tuple-at-a-time
-  semantics while the per-insert key computation is amortised per chunk;
+* :class:`EncodedSegments` — a segment stream as flat columns, the unit of
+  ingest (wire bytes decode straight into it) and of sharding;
+* :meth:`NumpyMergeHeap.stage_chunk` /
+  :meth:`NumpyMergeHeap.activate_staged_all` — the batched *online*
+  insert path: a chunk's columns are bulk-written into reserved slots with
+  the raw pairwise merge keys precomputed vectorized, then made visible to
+  the merge policy one tuple at a time, so the online algorithms keep
+  their exact tuple-at-a-time semantics at amortised per-chunk cost;
 * :func:`greedy_merge_trajectory` — the complete greedy merge schedule of an
   array-encoded segment shard (the boundary-removal order and the merge
   error of every step down to ``cmin``), the unit of work executed by the
@@ -40,13 +42,128 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+import sys
+from dataclasses import dataclass
+from itertools import chain
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+    overload,
+)
 
 import numpy as np
 
 from ..temporal import Interval
 from .errors import Weights, resolve_weights
 from .merge import AggregateSegment
+
+
+class ValueWidthError(ValueError):
+    """A chunk whose number of aggregate values does not fit its target."""
+
+
+# ----------------------------------------------------------------------
+# Flat column encoding of a segment stream
+# ----------------------------------------------------------------------
+@dataclass(eq=False)
+class EncodedSegments(Sequence[AggregateSegment]):
+    """A segment stream as flat columns (the unit of ingest and sharding).
+
+    ``starts`` / ``ends`` are ``int64`` interval endpoints, ``values`` is a
+    ``float64`` array of shape ``(n, p)``, ``groups`` holds dense interned
+    group ids and ``group_keys`` maps them back to the original group
+    tuples.  Read as a sequence, the columns build
+    :class:`AggregateSegment` objects only when asked for one, and they
+    compare equal to the segment list they encode.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    values: np.ndarray
+    groups: np.ndarray
+    group_keys: List[tuple]
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    @property
+    def dimensions(self) -> int:
+        return self.values.shape[1]
+
+    @overload
+    def __getitem__(self, index: int) -> AggregateSegment: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> "EncodedSegments": ...
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[AggregateSegment, "EncodedSegments"]:
+        if isinstance(index, slice):
+            return EncodedSegments(
+                self.starts[index], self.ends[index], self.values[index],
+                self.groups[index], self.group_keys,
+            )
+        return AggregateSegment(
+            self.group_keys[self.groups[index]],
+            tuple(self.values[index].tolist()),
+            Interval(int(self.starts[index]), int(self.ends[index])),
+        )
+
+    def __iter__(self) -> Iterator[AggregateSegment]:
+        keys = self.group_keys
+        for group, row, start, end in zip(
+            self.groups.tolist(), self.values.tolist(),
+            self.starts.tolist(), self.ends.tolist(),
+        ):
+            yield AggregateSegment(
+                keys[group], tuple(row), Interval(start, end)
+            )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def encode_segments(
+    segments: Iterable[AggregateSegment],
+) -> EncodedSegments:
+    """Materialise a segment stream into :class:`EncodedSegments` columns.
+
+    Columns pass through unchanged.  Raises :class:`ValueWidthError` when
+    the segments disagree on the number of aggregate values.
+    """
+    if isinstance(segments, EncodedSegments):
+        return segments
+    chunk = segments if isinstance(segments, (list, tuple)) else list(segments)
+    count = len(chunk)
+    group_of = [s.group for s in chunk]
+    ids: Dict[tuple, int] = {}
+    if count and group_of.count(group_of[0]) == count:  # the common case
+        ids[group_of[0]] = 0  # hashes the key, as interning every row does
+        groups = np.zeros(count, np.int64)
+    else:
+        groups = np.asarray(
+            [ids.setdefault(group, len(ids)) for group in group_of], np.int64
+        )
+    group_keys = list(ids)
+    rows = [s.values for s in chunk]
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        raise ValueWidthError(
+            "all segments must have the same number of aggregate values"
+        )
+    width = widths.pop() if count else 0
+    return EncodedSegments(
+        np.fromiter((s.interval.start for s in chunk), np.int64, count),
+        np.fromiter((s.interval.end for s in chunk), np.int64, count),
+        # One flat pass instead of np.array over a list of tuples (~2x faster).
+        np.fromiter(
+            chain.from_iterable(rows), np.float64, count * width
+        ).reshape(count, width),
+        groups,
+        group_keys,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -299,7 +416,7 @@ class NumpyMergeHeap:
     ``p ≤ 16`` even the per-row value arithmetic is faster as a scalar loop
     than as NumPy row expressions (measured ~3× at ``p = 10``).  Bulk
     operations (batch key computation, staged chunks) still run vectorized
-    on arrays built from the incoming segments, with the dimension sums
+    on the incoming columns, with the dimension sums
     accumulated sequentially so batch keys stay bit-identical to scalar
     keys.
 
@@ -512,95 +629,66 @@ class NumpyMergeHeap:
     ) -> List[NumpyHeapNode]:
         """Append a chunk of tuples, computing all merge keys vectorized.
 
-        Equivalent to calling :meth:`insert` once per segment but the
-        pairwise merge errors (Proposition 2) of the whole batch are
-        evaluated with array expressions.  Used by the batch GMS helpers
-        (:func:`repro.core.greedy.gms_reduce_to_size` /
-        ``gms_reduce_to_error``) to build the initial heap vectorized; the
-        *online* algorithms insert tuple by tuple because their merge policy
-        is interleaved with insertion.
+        Equivalent to calling :meth:`insert` once per segment: the chunk is
+        staged and activated under a size budget it cannot reach, so no
+        tuple merges.  Used by the batch GMS helpers to build their
+        initial heap.
         """
         self._check_no_staged()
-        if not segments:
+        if not self.stage_chunk(segments):
             return []
-        if self._dimensions is None:
-            self._allocate(segments[0].dimensions)
-        self._ensure_capacity(len(segments))
-        first = self._count
-        for segment in segments:
-            self._append_slot(segment)
-        last = self._count  # exclusive
-        count = last - first
-
-        starts = np.asarray(self._start[first:last], dtype=np.int64)
-        ends = np.asarray(self._end[first:last], dtype=np.int64)
-        groups = np.asarray(self._group[first:last], dtype=np.int64)
-        values = np.asarray(self._values[first:last], dtype=np.float64)
-
-        # Rows after the first have their predecessor inside the batch; the
-        # first row's predecessor is whatever the tail was before the batch.
-        keys = np.full(count, math.inf)
-        keys[1:] = pairwise_merge_keys(starts, ends, values, groups, self._w2)
-        key_list = keys.tolist()
-        predecessor = self._prev[first]
-        if predecessor >= 0 and self._is_adjacent(predecessor, first):
-            key_list[0] = self._pair_key(predecessor, first)
-        for offset, key in enumerate(key_list):
-            index = first + offset
-            self._key[index] = key
-            self._version[index] += 1
-            if not math.isinf(key):
-                self._push_entry(index)
-        return [NumpyHeapNode(self, index) for index in range(first, last)]
+        first = self._staged_base
+        self.activate_staged_all(size=sys.maxsize)
+        return [NumpyHeapNode(self, index) for index in range(first, self._count)]
 
     # ------------------------------------------------------------------
     # Batched online insertion (staged chunks)
     # ------------------------------------------------------------------
-    def stage_chunk(self, segments: Sequence[AggregateSegment]) -> int:
+    def stage_chunk(self, chunk: Sequence[AggregateSegment]) -> int:
         """Bulk-write a chunk of incoming tuples without making them visible.
 
-        The whole chunk is written into reserved slots in one pass — interval
-        endpoints, aggregate values, interned groups, node ids — and the raw
-        pairwise merge keys *within* the chunk are precomputed vectorized.
-        Tuples then enter the heap one at a time via :meth:`insert_staged`,
-        which reuses the precomputed key whenever the tuple's chronological
-        predecessor is still the untouched raw tuple staged right before it
-        (the overwhelmingly common case) and falls back to a full key
-        recomputation otherwise.  The observable heap state after each
-        ``insert_staged`` is identical to calling :meth:`insert` tuple by
-        tuple; only the per-insert Python overhead is amortised.
+        The chunk is staged from its :class:`EncodedSegments` columns (a
+        segment sequence is encoded once on entry): endpoints, values,
+        interned groups and node ids are written into reserved slots in one
+        pass, and the raw pairwise merge keys *within* the chunk are
+        precomputed vectorized.  :meth:`activate_staged_all` then makes the
+        tuples visible, reusing a precomputed key whenever the tuple's
+        chronological predecessor is still the untouched raw tuple staged
+        right before it, so the observable heap state is identical to
+        calling :meth:`insert` tuple by tuple.
 
-        Every staged tuple must be activated before the next ``stage_chunk``
-        / ``insert`` / ``insert_batch`` call.
+        A chunk of another value width than the heap's raises
+        :class:`ValueWidthError` before anything is written.  Every staged
+        tuple must be activated before the next ``stage_chunk`` /
+        ``insert`` / ``insert_batch`` call.
         """
         if self._count < self._staged_end:
             raise RuntimeError(
                 "cannot stage a new chunk while staged tuples are pending; "
-                "activate them with insert_staged() first"
+                "activate them with activate_staged_all() first"
             )
-        count = len(segments)
+        encoded = encode_segments(chunk)
+        count = len(encoded)
         if count == 0:
             return 0
         if self._dimensions is None:
-            self._allocate(segments[0].dimensions)
+            self._allocate(encoded.dimensions)
+        elif encoded.dimensions != self._dimensions:
+            raise ValueWidthError(
+                f"chunk has {encoded.dimensions} aggregate values per tuple, "
+                f"the heap holds {self._dimensions}"
+            )
         self._ensure_capacity(count)
         base = self._count
-        starts = np.fromiter(
-            (s.interval.start for s in segments), np.int64, count
-        )
-        ends = np.fromiter((s.interval.end for s in segments), np.int64, count)
-        rows = [s.values for s in segments]
+        starts = encoded.starts
+        ends = encoded.ends
+        values = encoded.values
+        groups = self._intern_groups(encoded)
         self._start.extend(starts.tolist())
         self._end.extend(ends.tolist())
         self._length.extend((ends - starts + 1).astype(np.float64).tolist())
-        self._values.extend(rows)
-        last_group: tuple | None = None
-        last_group_id = -1
-        for segment in segments:
-            if segment.group != last_group:
-                last_group = segment.group
-                last_group_id = self._intern_group(last_group)
-            self._group.append(last_group_id)
+        self._values.extend(map(tuple, values.tolist()))
+        self._group.extend(groups.tolist())
         self._node_id.extend(
             range(self._next_node_id, self._next_node_id + count)
         )
@@ -616,66 +704,31 @@ class NumpyMergeHeap:
         # activation time, so its key is always recomputed (NaN sentinel).
         keys = np.full(count, np.nan)
         if count > 1:
-            groups = np.asarray(self._group[base : base + count], np.int64)
             keys[1:] = pairwise_merge_keys(
-                starts, ends,
-                np.asarray(rows, dtype=np.float64),
-                groups, self._w2,
+                starts, ends, values, groups, self._w2
             )
         self._staged_base = base
         self._staged_end = base + count
         self._staged_keys = keys
         return count
 
-    def insert_staged(self) -> Tuple[int, float]:
-        """Make the next staged tuple visible; returns ``(node_id, key)``.
-
-        Links the tuple at the end of the chronological list and indexes it
-        in the priority queue, exactly like :meth:`insert`, but reuses the
-        merge key precomputed by :meth:`stage_chunk` when it is still valid.
-        """
-        index = self._count
-        if index >= self._staged_end:
-            raise RuntimeError(
-                "no staged tuples pending; call stage_chunk() first"
-            )
-        self._count = index + 1
-        previous = self._tail
-        self._prev[index] = previous
-        self._next[index] = -1
-        if previous >= 0:
-            self._next[previous] = index
-        else:
-            self._head = index
-        self._tail = index
-        self._alive[index] = True
-        self._size += 1
-        self.max_size = max(self.max_size, self._size)
-        node_id = self._node_id[index]
-        staged_key = float(self._staged_keys[index - self._staged_base])
-        # The precomputed key assumed the predecessor is the raw tuple staged
-        # right before this one.  A live tail with node id one less is
-        # necessarily that tuple, untouched: it cannot have absorbed a
-        # successor (none was live yet) and being merged away would have
-        # killed it.
-        if (
-            not math.isnan(staged_key)
-            and previous >= 0
-            and self._node_id[previous] == node_id - 1
-        ):
-            self._key[index] = staged_key
-            self._version[index] += 1
-            if not math.isinf(staged_key):
-                self._push_entry(index)
-            return node_id, staged_key
-        self._refresh_key(index)
-        return node_id, self._key[index]
+    def _intern_groups(self, encoded: EncodedSegments) -> np.ndarray:
+        """Heap group ids of every row, interned in order of appearance."""
+        row_groups = encoded.groups
+        keys = encoded.group_keys
+        if len(keys) == 1:
+            return np.full(len(row_groups), self._intern_group(keys[0]))
+        used, first_rows = np.unique(row_groups, return_index=True)
+        table = np.zeros(len(keys), dtype=np.int64)
+        for group in used[np.argsort(first_rows)].tolist():
+            table[group] = self._intern_group(keys[group])
+        return table[row_groups]
 
     def _check_no_staged(self) -> None:
         if self._count < self._staged_end:
             raise RuntimeError(
                 "staged tuples are pending; activate them with "
-                "insert_staged() before inserting directly"
+                "activate_staged_all() before inserting directly"
             )
 
     def activate_staged_all(
@@ -697,14 +750,14 @@ class NumpyMergeHeap:
         tuple by tuple and runs the merge policy of the paper's Fig. 11
         (``size`` given, gPTAc) or Fig. 13 (``step_threshold``, gPTAε)
         after each activation, exactly as
-        :class:`repro.core.greedy.OnlineReducer` does through the
-        ``insert_staged`` / ``peek_entry`` / ``merge_top`` protocol — but
-        with every column aliased to a local and the per-dimension
-        arithmetic inlined, which removes the per-tuple method-dispatch and
-        row-view overhead that dominated the staged path.  The observable
-        heap state, the gap bookkeeping and the accumulated error are
-        bit-identical to the per-tuple protocol (asserted by the session
-        and kernel parity suites); the policy logic here and in
+        :class:`repro.core.greedy.OnlineReducer` does for a plain heap
+        through ``insert`` / ``peek_entry`` / ``merge_top`` — but with
+        every column aliased to a local and the per-dimension arithmetic
+        inlined, which removes the per-tuple method-dispatch and row-view
+        overhead.  The observable heap state, the gap bookkeeping and the
+        accumulated error are bit-identical to the per-tuple protocol
+        (asserted by the session and kernel parity suites); the policy
+        logic here and in
         ``OnlineReducer._drain_size_bounded`` / ``_drain_error_bounded``
         must be kept in lockstep.
 
@@ -1480,28 +1533,11 @@ class SnapshotColumns:
         cls, segments: Sequence[AggregateSegment]
     ) -> "SnapshotColumns":
         """Column form of an already-materialised segment list."""
-        count = len(segments)
-        starts = np.fromiter(
-            (s.interval.start for s in segments), np.int64, count
+        encoded = encode_segments(segments)
+        return cls(
+            encoded.starts, encoded.ends, encoded.values, encoded.groups,
+            encoded.group_keys,
         )
-        ends = np.fromiter(
-            (s.interval.end for s in segments), np.int64, count
-        )
-        dimensions = segments[0].dimensions if count else 0
-        values = np.array(
-            [s.values for s in segments], dtype=np.float64
-        ).reshape(count, dimensions)
-        group_keys: List[tuple] = []
-        interned: Dict[tuple, int] = {}
-        group_ids = np.zeros(count, dtype=np.int64)
-        for index, segment in enumerate(segments):
-            group_id = interned.get(segment.group)
-            if group_id is None:
-                group_id = len(group_keys)
-                interned[segment.group] = group_id
-                group_keys.append(segment.group)
-            group_ids[index] = group_id
-        return cls(starts, ends, values, group_ids, group_keys)
 
     @classmethod
     def concatenate(
@@ -2114,6 +2150,7 @@ def range_weighted_sum(
 
 __all__ = [
     "DeltaLog",
+    "EncodedSegments",
     "NumpyHeapNode",
     "NumpyMergeHeap",
     "NumpyPrefixSums",
@@ -2122,6 +2159,7 @@ __all__ = [
     "adjacent_pair_mask",
     "dp_best_split",
     "dp_first_row",
+    "encode_segments",
     "finalize_mirror",
     "greedy_merge_trajectory",
     "instant_index",
@@ -2129,4 +2167,5 @@ __all__ = [
     "range_weighted_sum",
     "shard_sse_max",
     "time_weighted_prefix",
+    "ValueWidthError",
 ]

@@ -53,7 +53,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,7 +60,9 @@ import numpy as np
 from .core.errors import Weights, resolve_weights
 from .core.greedy import GreedyResult
 from .core.kernels import (
+    EncodedSegments,
     adjacent_pair_mask,
+    encode_segments,
     greedy_merge_trajectory,
     shard_sse_max,
 )
@@ -87,80 +88,6 @@ SHARD_RETRIES = 2
 #: Base of the exponential backoff between pool rebuilds, in seconds
 #: (decorrelated jitter, shared ladder: :class:`repro.util.backoff.Backoff`).
 RETRY_BACKOFF_S = 0.05
-
-
-@dataclass
-class EncodedSegments:
-    """A segment stream as flat columns (the engine's wire format).
-
-    ``starts`` / ``ends`` are ``int64`` interval endpoints, ``values`` is a
-    ``float64`` array of shape ``(n, p)``, ``groups`` holds dense interned
-    group ids and ``group_keys`` maps them back to the original group
-    tuples.
-    """
-
-    starts: np.ndarray
-    ends: np.ndarray
-    values: np.ndarray
-    groups: np.ndarray
-    group_keys: List[tuple]
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    @property
-    def dimensions(self) -> int:
-        return self.values.shape[1]
-
-
-def encode_segments(
-    segments: Iterable[AggregateSegment],
-) -> EncodedSegments:
-    """Materialise a segment stream into :class:`EncodedSegments` columns."""
-    starts: List[int] = []
-    ends: List[int] = []
-    values: List[tuple] = []
-    groups: List[int] = []
-    group_keys: List[tuple] = []
-    group_ids: dict = {}
-    last_group: tuple | None = None
-    last_group_id = -1
-    for segment in segments:
-        interval = segment.interval
-        starts.append(interval.start)
-        ends.append(interval.end)
-        values.append(segment.values)
-        group = segment.group
-        if group != last_group:
-            last_group = group
-            last_group_id = group_ids.get(group, -1)
-            if last_group_id < 0:
-                last_group_id = len(group_keys)
-                group_ids[group] = last_group_id
-                group_keys.append(group)
-        groups.append(last_group_id)
-    count = len(starts)
-    try:
-        value_array = (
-            np.asarray(values, dtype=np.float64)
-            if count
-            else np.zeros((0, 0), dtype=np.float64)
-        )
-    except ValueError as error:
-        raise ValueError(
-            "all segments must have the same number of aggregate values"
-        ) from error
-    if value_array.ndim != 2:
-        raise ValueError(
-            "all segments must have the same number of aggregate values"
-        )
-    return EncodedSegments(
-        np.asarray(starts, dtype=np.int64),
-        np.asarray(ends, dtype=np.int64),
-        value_array,
-        np.asarray(groups, dtype=np.int64),
-        group_keys,
-    )
 
 
 def plan_shards(
@@ -350,7 +277,7 @@ def _reduce_shards_pooled(
 
 
 def reduce_segments_parallel(
-    segments: Iterable[AggregateSegment] | EncodedSegments,
+    segments: Iterable[AggregateSegment],
     size: int | None = None,
     max_error: float | None = None,
     weights: Weights | None = None,
@@ -394,7 +321,7 @@ def reduce_segments_parallel(
 
 
 def run_sharded(
-    segments: Iterable[AggregateSegment] | EncodedSegments,
+    segments: Iterable[AggregateSegment],
     size: int | None = None,
     max_error: float | None = None,
     weights: Weights | None = None,
@@ -437,11 +364,7 @@ def run_sharded(
             f"retry_backoff must be non-negative, got {retry_backoff}"
         )
 
-    encoded = (
-        segments
-        if isinstance(segments, EncodedSegments)
-        else encode_segments(segments)
-    )
+    encoded = encode_segments(segments)
     count = len(encoded)
     if count == 0:
         return GreedyResult()

@@ -59,7 +59,6 @@ from .wire import (
     SEGMENTS_MAGIC,
     WIRE_VERSION,
     WireError,
-    decode_encoded,
     decode_result,
     decode_segments,
     encode_result,
@@ -90,7 +89,6 @@ __all__ = [
     "WIRE_VERSION",
     "WindowBucket",
     "WireError",
-    "decode_encoded",
     "decode_result",
     "decode_segments",
     "encode_result",

@@ -57,14 +57,13 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 from urllib.parse import quote, unquote
 
 import numpy as np
 
 from ..api.result import Result
-from ..core.kernels import SnapshotColumns
-from ..core.merge import AggregateSegment
+from ..core.kernels import EncodedSegments, SnapshotColumns
 from ..obs.tracing import span
 from ..util import failpoints
 from ..storage.wal import (
@@ -82,7 +81,7 @@ from .wire import (
 )
 
 #: One live chunk as recovered from a WAL frame.
-Chunk = List[AggregateSegment]
+Chunk = EncodedSegments
 
 _EPOCH_FILE = re.compile(r"^epoch-(\d{8})\.(wal|ckpt)$")
 
@@ -637,13 +636,6 @@ class Durability:
         return record
 
 
-def replayable_chunks(
-    frames: Sequence[bytes],
-) -> List[Chunk]:
-    """Decode WAL frame payloads into push chunks (test/tooling helper)."""
-    return [decode_segments(frame) for frame in frames]
-
-
 __all__ = [
     "Chunk",
     "Durability",
@@ -653,5 +645,4 @@ __all__ = [
     "RecoveredKey",
     "decode_key",
     "encode_key",
-    "replayable_chunks",
 ]

@@ -83,6 +83,7 @@ from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
+from ..core.kernels import EncodedSegments
 from ..core.merge import AggregateSegment
 from ..api.plan import Budget, ExecutionPolicy
 from ..api.result import Result
@@ -105,8 +106,9 @@ from .wire import (
     WireError,
     decode_segments,
     encode_result,
-    segment_from_obj,
     segment_to_obj,
+    segments_from_jsonl,
+    segments_from_objs,
 )
 
 #: Content type of binary wire payloads on the HTTP surface.
@@ -587,7 +589,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self.headers.get("Content-Type") or ""
             ).split(";")[0]
             if content_type == WIRE_CONTENT_TYPE:
-                segments = decode_segments(body)
+                segments = decode_segments(body, copy=False)
             else:
                 segments = _segments_from_json_body(body)
             self._send_json(200, self.server.service.push(key, segments))
@@ -767,20 +769,18 @@ def _group(query: Dict[str, List[str]]) -> Optional[List[Any]]:
     return parsed
 
 
-def _segments_from_json_body(body: bytes) -> List[AggregateSegment]:
+def _segments_from_json_body(body: bytes) -> EncodedSegments:
     text = body.decode("utf-8")
     try:
         parsed = json.loads(text)
     except json.JSONDecodeError:
         # Not one JSON document: treat it as JSON lines (which reports
         # per-line errors when it is not that either).
-        from .wire import segments_from_jsonl
-
         return segments_from_jsonl(text)
-    if isinstance(parsed, list):
-        return [segment_from_obj(obj) for obj in parsed]
-    if isinstance(parsed, dict):
-        return [segment_from_obj(parsed)]
+    if isinstance(parsed, (list, dict)):
+        return segments_from_objs(
+            parsed if isinstance(parsed, list) else [parsed]
+        )
     raise ServiceError(
         "push body must be a segment object, a JSON array of them, or "
         "JSON lines"

@@ -56,7 +56,7 @@ from typing import (
     Union,
 )
 
-from ..core.kernels import SnapshotColumns
+from ..core.kernels import EncodedSegments, SnapshotColumns, ValueWidthError
 from ..core.merge import AggregateSegment
 from ..api.plan import Budget, ExecutionPolicy
 from ..api.result import Result
@@ -66,7 +66,7 @@ from ..obs.tracing import span
 from ..storage.wal import iter_wal_frames
 from ..util.deadline import current_deadline
 from .durability import Durability, DurabilityError, FrozenEpoch, PushToken
-from .wire import encode_result, encode_segments
+from .wire import checked_segments, encode_result, encode_segments
 
 #: Stream keys are ordinary hashable identifiers (strings in the HTTP
 #: front end, but any hashable works in process).
@@ -276,6 +276,9 @@ class _KeyState:
     #: (degraded mode); re-attach demotes dirty keys so disk catches
     #: back up with memory.
     dirty: bool = False
+    #: Aggregate values per tuple, pinned by the key's first tuples
+    #: (``None`` until known); a push of another width is refused.
+    width: Optional[int] = None
 
 
 #: Distinguishes store instances in the shared metrics registry.
@@ -543,9 +546,11 @@ class SessionStore:
         previous session was frozen), then runs the eviction policy over
         the live sessions.  Returns the number of segments consumed.
 
-        In durable mode the push is **atomic with respect to disk
-        faults**: the chunk is encoded (validating it), appended to the
-        key's write-ahead log as one frame *first*, and only then
+        The chunk is validated as columns first (the checks of a decoded
+        wire payload, plus the key's value width), so a malformed push
+        changes nothing.  In durable mode the push is **atomic with
+        respect to disk faults**: the chunk is appended to the key's
+        write-ahead log as one frame *first*, and only then
         applied in memory — a disk fault raises
         :class:`~repro.service.durability.DurabilityError` with the
         in-memory state untouched (safe to retry), and a failed
@@ -577,7 +582,10 @@ class SessionStore:
                     f"durable stores require non-empty string keys, "
                     f"got {key!r}"
                 )
+            chunk = checked_segments(segments)
             state = self._states.get(key)
+            if state is not None and len(chunk):
+                self._check_width(key, state, chunk)
             created = state is None
             opened = created or state.session is None
             if opened:
@@ -590,18 +598,13 @@ class SessionStore:
                     self._states[key] = state
                 state.session = session
             assert state.session is not None
-            chunk: List[AggregateSegment] = (
-                [segments]
-                if isinstance(segments, AggregateSegment)
-                else list(segments)
-            )
             logging = self._durability is not None and not self._degraded
             replicating = bool(self._sinks)
             quorum = self.sync_replicas if replicating else 0
             token: Optional[PushToken] = None
             payload: Optional[bytes] = None
             if logging or replicating:
-                payload = encode_segments(chunk)  # validates before any I/O
+                payload = encode_segments(chunk)  # a plain pack
             if logging:
                 assert self._durability is not None
                 assert payload is not None
@@ -660,6 +663,8 @@ class SessionStore:
                         self._note_disk_error(key, state)
                 raise
             consumed = state.session.pushed - before
+            if consumed:
+                state.width = chunk.dimensions
             state.pushed += consumed
             state.generation += 1
             state.last_access = self._clock()
@@ -1534,6 +1539,22 @@ class SessionStore:
         return Compressor(
             budget, size=size, max_error=max_error, policy=self._policy
         )
+
+    def _check_width(
+        self, key: Key, state: _KeyState, chunk: EncodedSegments
+    ) -> None:
+        """Refuse a chunk whose value width differs from the key's."""
+        if state.width is None:  # recovered or installed: read the data
+            parts = [epoch.columns() for epoch in state.frozen]
+            if state.session is not None:
+                parts.append(state.session.summary_columns())
+            widths = [part.values.shape[1] for part in parts if len(part)]
+            state.width = widths[0] if widths else None
+        if state.width not in (None, chunk.dimensions):
+            raise ValueWidthError(
+                f"key {key!r} holds {state.width} aggregate values per "
+                f"tuple; the pushed chunk has {chunk.dimensions}"
+            )
 
     def _require(self, key: Key) -> _KeyState:
         state = self._states.get(key)

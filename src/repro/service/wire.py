@@ -7,7 +7,7 @@ streams and :class:`~repro.api.result.Result` payloads a compact, versioned
 binary representation:
 
 * the column layout is exactly the flat-array encoding the sharded engine
-  already uses internally (:class:`repro.parallel.EncodedSegments` —
+  already uses internally (:class:`repro.core.kernels.EncodedSegments` —
   ``int64`` interval endpoints, a ``float64`` value matrix, dense interned
   group ids), so a wire payload *is* a valid unit of work for the shard
   planner, byte-layout included;
@@ -24,11 +24,13 @@ binary representation:
   rejects them with :class:`WireError` instead of letting them poison a
   remote heap.
 
-Decoding restores dtypes and exact float bits, so
-``decode_segments(encode_segments(s)) == s`` holds with exact equality.
-A JSON-lines debug encoding (:func:`segments_to_jsonl` /
-:func:`segments_from_jsonl`) mirrors the binary format one object per line
-for logs and curl-ability; it is also float-exact (``repr`` roundtrip).
+Decoding is the write path's one bytes-to-columns conversion:
+:func:`decode_segments` returns validated :class:`EncodedSegments`
+columns, which read as a segment sequence with exact dtypes and float
+bits, so ``decode_segments(encode_segments(s)) == s`` holds with exact
+equality.  JSON bodies (:func:`segments_from_objs`) and the JSON-lines
+debug encoding (:func:`segments_to_jsonl` / :func:`segments_from_jsonl`,
+float-exact through the ``repr`` roundtrip) parse into the same columns.
 """
 
 from __future__ import annotations
@@ -39,10 +41,9 @@ from typing import Any, Dict, Iterable, List, Mapping, Union
 import numpy as np
 
 from ..core.merge import AggregateSegment
-from ..parallel import EncodedSegments
-from ..parallel import encode_segments as _to_columns
+from ..core.kernels import EncodedSegments
+from ..core.kernels import encode_segments as _to_columns
 from ..storage.columns import ColumnCodecError, pack_columns, unpack_columns
-from ..temporal import Interval
 
 #: Magic tags of the two payload kinds.
 SEGMENTS_MAGIC = b"PTAS"
@@ -62,15 +63,9 @@ class WireError(ValueError):
 # ----------------------------------------------------------------------
 # Segment streams
 # ----------------------------------------------------------------------
-def encode_segments(
-    segments: Union[Iterable[AggregateSegment], EncodedSegments],
-) -> bytes:
-    """Encode a segment stream (or pre-encoded columns) into wire bytes."""
-    encoded = (
-        segments
-        if isinstance(segments, EncodedSegments)
-        else _to_columns(segments)
-    )
+def encode_segments(segments: Iterable[AggregateSegment]) -> bytes:
+    """Encode a segment stream (columns are packed as they are)."""
+    encoded = _to_columns(segments)
     _require_finite(encoded.values)
     return pack_columns(
         {
@@ -78,29 +73,42 @@ def encode_segments(
             "ends": np.asarray(encoded.ends, dtype=np.int64),
             "values": np.asarray(encoded.values, dtype=np.float64),
             "groups": np.asarray(encoded.groups, dtype=np.int64),
-            "group_keys": _json_column(
-                [list(key) for key in encoded.group_keys], "group values"
-            ),
+            "group_keys": _group_key_column(encoded.group_keys),
         },
         SEGMENTS_MAGIC,
         WIRE_VERSION,
     )
 
 
-def decode_encoded(data: bytes, copy: bool = True) -> EncodedSegments:
-    """Decode wire bytes into :class:`EncodedSegments` flat columns.
+def checked_segments(
+    segments: Union[AggregateSegment, Iterable[AggregateSegment]],
+) -> EncodedSegments:
+    """A push chunk as validated columns, whatever form it arrived in.
 
-    The returned columns are exactly what :mod:`repro.parallel` shards, so
-    a decoded payload can enter the reduction engine without ever being
-    materialised into segment objects.
+    Columns pass through: they come from a decoder, which has already
+    checked them.  Segment objects are encoded once and get the checks of
+    a decoded payload, so every push path rejects the same inputs with
+    the same :class:`WireError`.
+    """
+    if isinstance(segments, EncodedSegments):
+        return segments
+    if isinstance(segments, AggregateSegment):
+        segments = [segments]
+    try:
+        encoded = _to_columns(segments)
+    except TypeError as error:
+        raise WireError(f"segment groups must be hashable: {error}") from error
+    return _validated(encoded)
 
+
+def decode_segments(data: bytes, copy: bool = True) -> EncodedSegments:
+    """Decode wire bytes into validated :class:`EncodedSegments` columns.
+
+    The columns are what the merge heap stages and :mod:`repro.parallel`
+    shards, so a payload enters either engine without segment objects.
     With ``copy=False`` the numeric columns are zero-copy **views** over
-    ``data`` (``np.frombuffer``): nothing is memcpy'd on the receive
-    path, which is what lets a remote reducer worker start computing the
-    moment a shard frame arrives (ROADMAP 4a: decode used to cost ~9x
-    its encode).  The views are read-only whenever the buffer is and
-    keep ``data`` alive; every reduction kernel treats its inputs as
-    immutable, so they enter the engine unchanged.
+    ``data`` (``np.frombuffer``), read-only when the buffer is; every
+    consumer treats its inputs as immutable.
     """
     return _columns_to_encoded(_unpack(data, SEGMENTS_MAGIC, copy=copy))
 
@@ -108,7 +116,7 @@ def decode_encoded(data: bytes, copy: bool = True) -> EncodedSegments:
 def _columns_to_encoded(columns: Dict[str, np.ndarray]) -> EncodedSegments:
     """Validate unpacked segment columns and assemble the flat encoding.
 
-    Shared by :func:`decode_encoded` and :func:`decode_result`; every
+    Shared by :func:`decode_segments` and :func:`decode_result`; every
     malformed shape/dtype surfaces as :class:`WireError` (never a raw
     TypeError from downstream array arithmetic on untrusted bytes).
     """
@@ -126,34 +134,49 @@ def _columns_to_encoded(columns: Dict[str, np.ndarray]) -> EncodedSegments:
                 f"{'integer' if kind == 'i' else 'float'} array, got "
                 f"{column.dtype} with shape {column.shape}"
             )
-    values = columns["values"]
-    _require_finite(values)
-    group_keys_raw = _json_value(columns["group_keys"], "group_keys")
-    if not isinstance(group_keys_raw, list):
-        raise WireError("group_keys column must decode to a JSON array")
-    group_keys = [tuple(key) for key in group_keys_raw]
-    starts = columns["starts"]
-    groups = columns["groups"]
-    count = len(starts)
-    if not (len(columns["ends"]) == len(groups) == len(values) == count):
+    group_keys = _json_value(columns["group_keys"], "group_keys")
+    if not isinstance(group_keys, list) or not all(
+        isinstance(key, list) for key in group_keys
+    ):
         raise WireError(
-            "segment payload columns disagree on the number of rows"
+            "group_keys column must decode to a JSON array of arrays"
         )
-    if count and groups.size:
-        lo, hi = int(groups.min()), int(groups.max())
-        if lo < 0 or hi >= len(group_keys):
-            raise WireError(
-                f"group id {hi if hi >= len(group_keys) else lo} outside "
-                f"the {len(group_keys)} interned group keys"
-            )
-    return EncodedSegments(
-        starts, columns["ends"], values, groups, group_keys
+    _require_scalar_groups(group_keys)
+    return _validated(
+        EncodedSegments(
+            columns["starts"], columns["ends"], columns["values"],
+            columns["groups"], [tuple(key) for key in group_keys],
+        )
     )
 
 
-def decode_segments(data: bytes) -> List[AggregateSegment]:
-    """Decode wire bytes back into a list of segments, float-exact."""
-    return _materialise(decode_encoded(data))
+def _validated(encoded: EncodedSegments) -> EncodedSegments:
+    """The row checks every push path shares: finite values, ``end >=
+    start``, row counts that agree and group ids inside the key table."""
+    starts, ends, groups = encoded.starts, encoded.ends, encoded.groups
+    if encoded.values.ndim != 2:
+        raise WireError("segment values must be arrays of numbers")
+    _require_finite(encoded.values)
+    count = len(starts)
+    if not (len(ends) == len(groups) == len(encoded.values) == count):
+        raise WireError(
+            "segment payload columns disagree on the number of rows"
+        )
+    if count:
+        reversed_rows = np.flatnonzero(ends < starts)
+        if reversed_rows.size:
+            row = int(reversed_rows[0])
+            raise WireError(
+                f"segment {row} ends before it starts "
+                f"([{starts[row]}, {ends[row]}])"
+            )
+        lo, hi = int(groups.min()), int(groups.max())
+        if lo < 0 or hi >= len(encoded.group_keys):
+            raise WireError(
+                f"group id {hi if hi >= len(encoded.group_keys) else lo} "
+                f"outside the {len(encoded.group_keys)} interned group keys"
+            )
+    return encoded
 
 
 # ----------------------------------------------------------------------
@@ -191,9 +214,7 @@ def result_columns(result: Any) -> Dict[str, np.ndarray]:
         "ends": np.asarray(encoded.ends, dtype=np.int64),
         "values": np.asarray(encoded.values, dtype=np.float64),
         "groups": np.asarray(encoded.groups, dtype=np.int64),
-        "group_keys": _json_column(
-            [list(key) for key in encoded.group_keys], "group values"
-        ),
+        "group_keys": _group_key_column(encoded.group_keys),
         "meta": _json_column(meta, "result metadata"),
     }
 
@@ -218,7 +239,7 @@ def result_from_columns(columns: Dict[str, np.ndarray]) -> Any:
     from ..api.result import Result
 
     meta = result_meta(columns)
-    segments = _materialise(_columns_to_encoded(columns))
+    segments = list(_columns_to_encoded(columns))
     try:
         return Result(
             segments=segments,
@@ -252,14 +273,45 @@ def segment_to_obj(segment: AggregateSegment) -> Dict[str, Any]:
 
 def segment_from_obj(obj: Mapping[str, Any]) -> AggregateSegment:
     """Rebuild a segment from the mapping shape of :func:`segment_to_obj`."""
+    return segments_from_objs([obj])[0]
+
+
+def segments_from_objs(objs: Iterable[Any]) -> EncodedSegments:
+    """Parse segment objects (the :func:`segment_to_obj` shape) into columns.
+
+    The JSON push body's one conversion: the fields go straight into flat
+    arrays and through the checks of a decoded wire payload, with no
+    segment object per tuple.
+    """
+    starts: List[Any] = []
+    ends: List[Any] = []
+    rows: List[Any] = []
+    groups: List[int] = []
+    group_ids: Dict[tuple, int] = {}
+    obj: Any = None
     try:
-        return AggregateSegment(
-            tuple(obj.get("group", ())),
-            tuple(float(v) for v in obj["values"]),
-            Interval(int(obj["start"]), int(obj["end"])),
+        for obj in objs:
+            starts.append(obj["start"])
+            ends.append(obj["end"])
+            rows.append(obj["values"])
+            group = tuple(obj.get("group", ()))
+            groups.append(group_ids.setdefault(group, len(group_ids)))
+    except (AttributeError, KeyError, TypeError) as error:
+        raise WireError(
+            f"malformed segment object {obj!r}: {error}"
+        ) from error
+    try:
+        values = np.array(rows, np.float64) if rows else np.zeros((0, 0))
+    except (TypeError, ValueError) as error:
+        raise WireError(
+            f"segment values must be equal-length arrays of numbers: {error}"
+        ) from error
+    return _validated(
+        EncodedSegments(
+            _int_column(starts, "start"), _int_column(ends, "end"), values,
+            np.asarray(groups, dtype=np.int64), list(group_ids),
         )
-    except (KeyError, TypeError, ValueError) as error:
-        raise WireError(f"malformed segment object {obj!r}: {error}") from error
+    )
 
 
 def segments_to_jsonl(segments: Iterable[AggregateSegment]) -> str:
@@ -282,9 +334,9 @@ def segments_to_jsonl(segments: Iterable[AggregateSegment]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def segments_from_jsonl(text: str) -> List[AggregateSegment]:
+def segments_from_jsonl(text: str) -> EncodedSegments:
     """Decode the JSON-lines encoding of :func:`segments_to_jsonl`."""
-    segments: List[AggregateSegment] = []
+    objs: List[Any] = []
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -296,8 +348,8 @@ def segments_from_jsonl(text: str) -> List[AggregateSegment]:
             ) from error
         if not isinstance(obj, dict):
             raise WireError(f"line {number} must be a JSON object")
-        segments.append(segment_from_obj(obj))
-    return segments
+        objs.append(obj)
+    return segments_from_objs(objs)
 
 
 # ----------------------------------------------------------------------
@@ -311,6 +363,24 @@ def _require_finite(values: np.ndarray) -> None:
             f"(NaN/inf cannot be wire-encoded: the merge operator's "
             f"length-weighted means are undefined for it)"
         )
+
+
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def _require_scalar_groups(group_keys: Iterable[Iterable[Any]]) -> None:
+    """Group members must be JSON scalars, so a key decodes hashable."""
+    for key in group_keys:
+        if not all(isinstance(member, _SCALARS) for member in key):
+            raise WireError(
+                f"group values must be JSON-encodable scalars "
+                f"(str/int/float/bool/None), got {list(key)!r}"
+            )
+
+
+def _group_key_column(group_keys: List[tuple]) -> np.ndarray:
+    _require_scalar_groups(group_keys)
+    return _json_column([list(key) for key in group_keys], "group values")
 
 
 def _json_column(payload: Any, what: str) -> np.ndarray:
@@ -331,6 +401,13 @@ def _json_value(column: np.ndarray, what: str) -> Any:
         raise WireError(f"malformed JSON in {what} column: {error}") from error
 
 
+def _int_column(items: List[Any], what: str) -> np.ndarray:
+    column = np.array(items) if items else np.zeros(0, dtype=np.int64)
+    if column.dtype.kind != "i":
+        raise WireError(f"segment {what} points must be integers")
+    return column
+
+
 def _unpack(
     data: bytes, magic: bytes, copy: bool = True
 ) -> Dict[str, np.ndarray]:
@@ -340,28 +417,12 @@ def _unpack(
         raise WireError(str(error)) from error
 
 
-def _materialise(encoded: EncodedSegments) -> List[AggregateSegment]:
-    starts = encoded.starts
-    ends = encoded.ends
-    values = encoded.values
-    groups = encoded.groups
-    group_keys = encoded.group_keys
-    return [
-        AggregateSegment(
-            group_keys[int(groups[index])],
-            tuple(float(v) for v in values[index]),
-            Interval(int(starts[index]), int(ends[index])),
-        )
-        for index in range(len(encoded))
-    ]
-
-
 __all__ = [
     "RESULT_MAGIC",
     "SEGMENTS_MAGIC",
     "WIRE_VERSION",
     "WireError",
-    "decode_encoded",
+    "checked_segments",
     "decode_result",
     "decode_segments",
     "encode_result",
@@ -371,6 +432,7 @@ __all__ = [
     "result_meta",
     "segment_from_obj",
     "segment_to_obj",
+    "segments_from_objs",
     "segments_from_jsonl",
     "segments_to_jsonl",
 ]

@@ -566,6 +566,18 @@ class TestClusterDeadlines:
             )
         assert excinfo.value.code == "deadline_exceeded"
 
+    def test_reversed_interval_is_a_bad_request(self, workers):
+        (address,) = workers(1)
+        encoded = encode_segments(_stream(10))
+        encoded.ends[3] = encoded.starts[3] - 1
+        payload = encode_shard_request(
+            encoded, 0, len(encoded), np.ones(encoded.dimensions)
+        )
+        with Connection(address) as connection:
+            with pytest.raises(RemoteError, match="ends before") as excinfo:
+                connection.request(KIND_REDUCE, payload)
+        assert excinfo.value.code == "bad_request"
+
     def test_non_numeric_budget_is_a_bad_request(self, workers):
         (address,) = workers(1)
         with Connection(address) as connection:

@@ -300,8 +300,7 @@ class TestGreedyParity:
         segments = synthetic_sequential_segments(4000, dimensions=1, seed=84)
         heap = NumpyMergeHeap()
         heap.stage_chunk(segments[:256])
-        for _ in range(256):
-            heap.insert_staged()
+        heap.activate_staged_all(size=256)  # activates without merging
         for segment in segments[256:]:
             heap.insert(segment)  # must not raise across compactions
             while len(heap) > 10:

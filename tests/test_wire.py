@@ -20,15 +20,20 @@ from repro import Interval, compress
 from repro.core import AggregateSegment
 from repro.parallel import EncodedSegments, encode_segments as to_columns
 from repro.service import (
+    SEGMENTS_MAGIC,
     WIRE_VERSION,
     WireError,
-    decode_encoded,
     decode_result,
     decode_segments,
     encode_result,
     encode_segments,
     segments_from_jsonl,
     segments_to_jsonl,
+)
+from repro.service.wire import (
+    checked_segments,
+    segment_from_obj,
+    segments_from_objs,
 )
 from repro.storage import ColumnCodecError, pack_columns, unpack_columns
 
@@ -63,7 +68,7 @@ class TestSegmentRoundtrip:
     def test_empty_stream(self):
         blob = encode_segments([])
         assert decode_segments(blob) == []
-        encoded = decode_encoded(blob)
+        encoded = decode_segments(blob)
         assert len(encoded) == 0
         assert encoded.group_keys == []
 
@@ -111,7 +116,7 @@ class TestSegmentRoundtrip:
 
     def test_decoded_columns_feed_the_sharded_engine(self):
         stream = random_segments(80, seed=5, groups=2)
-        decoded = decode_encoded(encode_segments(stream))
+        decoded = decode_segments(encode_segments(stream))
         assert isinstance(decoded, EncodedSegments)
         via_wire = compress(decoded, size=10, workers=1)
         direct = compress(stream, size=10, workers=1)
@@ -233,6 +238,86 @@ class TestRejection:
             blob = pack_columns(columns, SEGMENTS_MAGIC, WIRE_VERSION)
             with pytest.raises(WireError, match=f"{name} column"):
                 decode_segments(blob)
+
+    def test_reversed_interval_rejected(self):
+        # end < start passes neither the PTAS decoder (the cluster
+        # worker's REDUCE path) nor the JSON body parser.
+        blob = pack_columns(
+            {
+                "starts": np.array([0, 5], np.int64),
+                "ends": np.array([0, 4], np.int64),
+                "values": np.zeros((2, 1)),
+                "groups": np.zeros(2, np.int64),
+                "group_keys": np.frombuffer(b"[[]]", np.uint8),
+            },
+            SEGMENTS_MAGIC,
+            WIRE_VERSION,
+        )
+        for copy in (True, False):
+            with pytest.raises(WireError, match="segment 1 ends before"):
+                decode_segments(blob, copy=copy)
+        with pytest.raises(WireError, match="segment 0 ends before"):
+            segments_from_objs([{"start": 3, "end": 2, "values": [1.0]}])
+
+    @pytest.mark.parametrize(
+        "obj, needle",
+        [
+            ({"start": 0.5, "end": 1, "values": [1.0]}, "integers"),
+            ({"start": 0, "end": "1", "values": [1.0]}, "integers"),
+            ({"start": 0, "end": 1, "values": [math.inf]}, "non-finite"),
+            ({"start": 0, "end": 1, "values": 1.0}, "arrays of numbers"),
+            ({"start": 0, "values": [1.0]}, "malformed segment"),
+            ({"start": 0, "end": 1, "values": [1.0], "group": 7},
+             "malformed segment"),
+        ],
+    )
+    def test_json_objects_get_the_column_checks(self, obj, needle):
+        with pytest.raises(WireError, match=needle):
+            segments_from_objs([obj])
+        with pytest.raises(WireError, match=needle):
+            segment_from_obj(obj)  # the single-object door, same rules
+
+    def test_nested_group_keys_rejected(self):
+        # A list member would decode to an unhashable group tuple that
+        # breaks every later read of the key.
+        blob = pack_columns(
+            {
+                "starts": np.array([0], np.int64),
+                "ends": np.array([0], np.int64),
+                "values": np.zeros((1, 1)),
+                "groups": np.zeros(1, np.int64),
+                "group_keys": np.frombuffer(b"[[[1]]]", np.uint8),
+            },
+            SEGMENTS_MAGIC,
+            WIRE_VERSION,
+        )
+        with pytest.raises(WireError, match="JSON-encodable scalars"):
+            decode_segments(blob)
+        with pytest.raises(WireError, match="malformed segment"):
+            segments_from_objs([{"start": 0, "end": 0, "values": [1.0],
+                                 "group": [[1]]}])
+        # Hashable in process, but it would come back from disk as a list.
+        nested = [AggregateSegment(((1, 2),), (1.0,), Interval(0, 0))]
+        with pytest.raises(WireError, match="JSON-encodable scalars"):
+            encode_segments(nested)
+
+    @pytest.mark.parametrize("rows", [1, 2], ids=["one-group", "two-groups"])
+    def test_unhashable_object_groups_rejected(self, rows):
+        chunk = [
+            AggregateSegment(([t],), (1.0,), Interval(t, t))
+            for t in range(rows)
+        ]
+        with pytest.raises(WireError, match="hashable"):
+            checked_segments(chunk)
+
+    def test_json_rows_of_different_widths_rejected(self):
+        with pytest.raises(WireError, match="equal-length"):
+            segments_from_objs(
+                [
+                    {"start": 0, "end": 0, "values": [1.0]},
+                    {"start": 1, "end": 1, "values": [1.0, 2.0]},
+                ]
+            )
 
     def test_unencodable_group_values_rejected(self):
         stream = [
