@@ -15,8 +15,9 @@ nothing beyond the standard library on the wire:
 5. TTL eviction: an idle sensor's session is frozen into a summary that
    stays queryable — no pushed tuple is ever dropped;
 6. a ``GET /metrics`` scrape: the key Prometheus series of every tier
-   (HTTP latency histograms, store push counters, query cache counters)
-   are present and every sample line parses.
+   (HTTP latency histograms, store push counters, query cache counters,
+   the delta-snapshot fallback and mirror-rebuild counters) are present
+   and every sample line parses.
 
 Run with::
 
@@ -196,6 +197,8 @@ def main() -> int:
         "repro_store_evictions_total",
         "repro_query_cache_hits_total",
         "repro_query_cache_misses_total",
+        "repro_snapshot_oracle_fallbacks_total",
+        "repro_snapshot_mirror_rebuilds_total",
     ):
         assert needle in exposition, f"missing from /metrics: {needle}"
     sample_re = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [^ ]+$")

@@ -24,8 +24,9 @@ disturbed.
 
 Snapshots are **delta-based**: the reducer keeps a merge delta log of every
 committed insert/merge and patches a materialised mirror of the live
-relation, so a snapshot costs amortised O(changes since the last snapshot)
-plus the summary size — not O(live heap), let alone O(stream).  Snapshots
+relation, so a snapshot costs O(changes since the last snapshot + tail
+merges) Python work over vectorised O(live heap) NumPy work — never
+O(stream).  Snapshots
 are additionally cached per :attr:`Compressor.generation`, so repeated
 reads between pushes are free.  The clone-and-finalize path is retained as
 :meth:`Compressor.summary_oracle` — the reference the delta path is
@@ -162,8 +163,8 @@ class Compressor:
         consumed prefix with the same parameters, but computed on the
         *delta path*: the reducer's merge delta log is replayed into a
         materialised mirror of the live relation and the end-of-input phase
-        runs on the mirror, so the cost is amortised O(changes since the
-        last snapshot) plus the summary size.  Repeated calls at the same
+        runs on the mirror, so the Python work is O(changes since the last
+        snapshot + tail merges).  Repeated calls at the same
         :attr:`generation` return the cached result.  After
         :meth:`finalize` this returns the final result.
         """
@@ -171,9 +172,7 @@ class Compressor:
             return self._final
         generation, columns, stats, result = self._delta_snapshot()
         if result is None:
-            if not stats.segments:
-                # Already populated on the tie-fallback oracle path.
-                stats.segments = columns.segments()
+            stats.segments = columns.segments()
             result = self._wrap(stats)
             self._snapshot = (generation, columns, stats, result)
         return result

@@ -30,8 +30,9 @@ additionally maintains a **merge delta log**: every committed insert and
 merge since the last snapshot is recorded in a compact column-oriented
 :class:`~repro.core.kernels.DeltaLog`, and :meth:`OnlineReducer.snapshot`
 patches a materialised :class:`~repro.core.kernels.SnapshotMirror` of the
-live relation with the log — amortised O(changes) per snapshot — before
-running the end-of-input phase on the mirror.  The clone-and-finalise path
+live relation with the log — O(changes) Python work per snapshot — before
+running the end-of-input phase on the mirror (vectorised O(live) work plus
+O(tail merges) Python work).  The clone-and-finalise path
 (:meth:`OnlineReducer.clone` + :meth:`OnlineReducer.finalize`) remains the
 oracle the delta path is property-tested against.
 """
@@ -44,6 +45,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ..obs import metrics as _metrics
 from .errors import Weights, max_error, resolve_weights
 from .heap import Heap, make_merge_heap
 from .kernels import (
@@ -55,6 +57,21 @@ from .kernels import (
 from .merge import AggregateSegment, adjacent
 
 Delta = float  # non-negative int or math.inf
+
+#: The two rare snapshot paths, counted on ``/metrics``.  Registered at
+#: import so both series read 0 until the path first fires.
+_MIRROR_REBUILDS = (
+    "repro_snapshot_mirror_rebuilds_total",
+    "Snapshot mirrors built from the live heap: a session's first "
+    "snapshot, or the first after the delta log overflowed.",
+)
+_ORACLE_FALLBACKS = (
+    "repro_snapshot_oracle_fallbacks_total",
+    "Delta snapshots that hit an exact merge-key tie and were served by "
+    "clone() + finalize() instead.",
+)
+_metrics.counter(*_MIRROR_REBUILDS)
+_metrics.counter(*_ORACLE_FALLBACKS)
 
 #: Read-ahead value meaning "never merge ahead of a confirmed gap".
 DELTA_INFINITY: Delta = math.inf
@@ -172,8 +189,9 @@ class OnlineReducer:
 
     With ``track_deltas=True`` the reducer supports **delta-based
     snapshots**: :meth:`snapshot` returns the summary of everything pushed
-    so far without consuming the reducer, in time amortised proportional to
-    the number of committed operations since the previous snapshot.  The
+    so far without consuming the reducer, with Python work proportional to
+    the number of committed operations since the previous snapshot plus
+    the tail merges, over vectorised O(live) NumPy work.  The
     first snapshot materialises a :class:`~repro.core.kernels.SnapshotMirror`
     of the live relation; from then on every committed insert/merge is also
     appended to a :class:`~repro.core.kernels.DeltaLog` which the next
@@ -181,8 +199,8 @@ class OnlineReducer:
     heap (a long snapshot-free stretch), it is discarded and the mirror is
     rebuilt from the heap, which bounds both memory and patch time.
     :meth:`clone` + :meth:`finalize` remain the reference snapshot path —
-    bit-identical to :meth:`snapshot` up to the ordering of exactly equal
-    merge keys — and is what the delta path is property-tested against.
+    bit-identical to :meth:`snapshot`, which defers to it on an exact
+    merge-key tie — and is what the delta path is property-tested against.
     """
 
     def __init__(
@@ -465,6 +483,11 @@ class OnlineReducer:
         self._finalized = True
         self._log = None
         self._mirror = None
+        self._merge_to_bound()
+        return _result(self.heap, self.total_error, self.merges, self.consumed)
+
+    def _merge_to_bound(self) -> None:
+        """The end-of-input merges of :meth:`finalize`, on the live heap."""
         heap = self.heap
         if self._size is not None:
             while len(heap) > self._size:
@@ -487,7 +510,6 @@ class OnlineReducer:
                 self.total_error += top[2]
                 heap.merge_top()
                 self.merges += 1
-        return _result(heap, self.total_error, self.merges, self.consumed)
 
     def snapshot(
         self, materialize: bool = True
@@ -496,11 +518,13 @@ class OnlineReducer:
 
         The delta path: the first call materialises a mirror of the live
         intermediate relation (O(heap)); every later call replays the
-        delta log into the mirror (amortised O(changes since the last
-        snapshot)) and runs the end-of-input phase on the mirror —
-        bit-identical to ``clone().finalize()`` (the oracle path) up to
-        the ordering of exactly equal merge keys, at a cost proportional
-        to the delta plus the summary size instead of the whole heap.
+        delta log into the mirror (O(changes since the last snapshot))
+        and runs the end-of-input phase on the mirror (vectorised O(live)
+        plus O(tail merges) Python work) — bit-identical to
+        ``clone().finalize()`` (the oracle path).  On an exact merge-key
+        tie the tail defers to that oracle, read back as heap columns;
+        ``repro_snapshot_oracle_fallbacks_total`` counts those snapshots
+        and ``repro_snapshot_mirror_rebuilds_total`` the mirror builds.
 
         Returns both the :class:`GreedyResult` and the snapshot in flat
         column form (what the serving layer's query index consumes).
@@ -514,13 +538,13 @@ class OnlineReducer:
                 "snapshot() requires an OnlineReducer created with "
                 "track_deltas=True; use clone().finalize() otherwise"
             )
-        heap = self.heap
         mirror = self._mirror
         log = self._log
         if mirror is None or log is None or self._log_overflown(log):
             # First snapshot, or the log outgrew the live relation (a long
             # snapshot-free stretch): rebuilding is cheaper than patching.
-            self._mirror = mirror = SnapshotMirror.from_heap(heap)
+            _metrics.counter(*_MIRROR_REBUILDS).inc()
+            self._mirror = mirror = SnapshotMirror.from_heap(self.heap)
             self._log = DeltaLog()
         else:
             mirror.apply(log)
@@ -542,15 +566,20 @@ class OnlineReducer:
             # chronological tie-breaking could diverge from the oracle's
             # historical counters: take the oracle path for this snapshot
             # (the mirror and the emptied log remain valid for the next).
-            oracle = self.clone().finalize()
-            return oracle, SnapshotColumns.from_segments(oracle.segments)
-        columns, error, tail_merges = tail
+            _metrics.counter(*_ORACLE_FALLBACKS).inc()
+            oracle = self.clone()
+            oracle._merge_to_bound()
+            columns = oracle.heap.columns()
+            error, merges = oracle.total_error, oracle.merges
+        else:
+            columns, error, tail_merges = tail
+            merges = self.merges + tail_merges
         result = GreedyResult(
             segments=columns.segments() if materialize else [],
             error=error,
             size=len(columns),
             max_heap_size=self.heap.max_size,
-            merges=self.merges + tail_merges,
+            merges=merges,
             input_size=self.consumed,
         )
         return result, columns

@@ -23,10 +23,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Iterator, List, Optional, Protocol, Sequence, Tuple,
+)
 
 from .errors import Weights, pairwise_merge_error
 from .merge import AggregateSegment, adjacent, merge
+
+if TYPE_CHECKING:
+    from .kernels import SnapshotColumns
 
 
 class HeapNodeView(Protocol):
@@ -85,6 +90,8 @@ class Heap(Protocol):
     def values_entry(self, node: Any) -> Sequence[float]: ...
 
     def segments(self) -> List[AggregateSegment]: ...
+
+    def columns(self) -> "SnapshotColumns": ...
 
     def clone(self) -> "Heap": ...
 
@@ -320,6 +327,12 @@ class MergeHeap:
     def segments(self) -> List[AggregateSegment]:
         """Return the current intermediate relation in list order."""
         return [node.segment for node in self]
+
+    def columns(self) -> "SnapshotColumns":
+        """The current intermediate relation as columns, in list order."""
+        from .kernels import SnapshotColumns
+
+        return SnapshotColumns.from_segments(self.segments())
 
 
 def make_merge_heap(

@@ -125,6 +125,16 @@ class EncodedSegments(Sequence[AggregateSegment]):
         return list(self) == list(other)
 
 
+def _flat_rows(rows: Sequence[Sequence[float]], width: int) -> np.ndarray:
+    """Stack equal-width value rows into a ``(len(rows), width)`` block.
+
+    One flat pass instead of ``np.array`` over a list of rows (~2x faster).
+    """
+    return np.fromiter(
+        chain.from_iterable(rows), np.float64, len(rows) * width
+    ).reshape(len(rows), width)
+
+
 def encode_segments(
     segments: Iterable[AggregateSegment],
 ) -> EncodedSegments:
@@ -157,10 +167,7 @@ def encode_segments(
     return EncodedSegments(
         np.fromiter((s.interval.start for s in chunk), np.int64, count),
         np.fromiter((s.interval.end for s in chunk), np.int64, count),
-        # One flat pass instead of np.array over a list of tuples (~2x faster).
-        np.fromiter(
-            chain.from_iterable(rows), np.float64, count * width
-        ).reshape(count, width),
+        _flat_rows(rows, width),
         groups,
         group_keys,
     )
@@ -1325,6 +1332,29 @@ class NumpyMergeHeap:
         """Materialise the current intermediate relation in list order."""
         return [self._segment_at(node.index) for node in self]
 
+    def columns(self) -> "SnapshotColumns":
+        """The current intermediate relation as columns, in list order.
+
+        Read straight off the heap's columns: no per-tuple segment object
+        is built.
+        """
+        order: List[int] = []
+        index = self._head
+        while index >= 0:
+            order.append(index)
+            index = self._next[index]
+        if not order:
+            return SnapshotColumns.concatenate([])
+        rows = np.asarray(order, dtype=np.intp)
+        values = self._values
+        return SnapshotColumns(
+            np.asarray(self._start, np.int64)[rows],
+            np.asarray(self._end, np.int64)[rows],
+            _flat_rows([values[i] for i in order], self._dimensions),
+            np.asarray(self._group, np.int64)[rows],
+            list(self._group_keys),
+        )
+
     def clone(self) -> "NumpyMergeHeap":
         """Return an independent copy with identical observable behaviour.
 
@@ -1384,27 +1414,22 @@ class DeltaLog:
     relation up to date in time proportional to the number of operations
     since the last snapshot, instead of re-reading the whole heap.
 
-    Entries are stored as parallel columns per operation kind, with a
-    ``kinds`` sequence preserving the interleaving.  Merged value rows are
-    recorded *by reference*: both heap backends rebind a fresh immutable
-    row on every merge, so no copying is needed.
+    Entries are stored as parallel columns per operation kind.  The
+    interleaving of the two kinds is not kept: inserts only ever append at
+    the chronological tail and a merge only touches tuples that exist when
+    it commits, so a consumer may apply every insert first and then replay
+    the merges in order.  Merged value rows are recorded *by reference*:
+    both heap backends rebind a fresh immutable row on every merge, so no
+    copying is needed.
 
-    This same record is what makes the durability tier's write-ahead
-    logging sound (:mod:`repro.service.durability`): because the log
-    captures every committed operation deterministically, re-feeding the
-    logged input chunks through
-    :meth:`~repro.core.greedy.OnlineReducer.replay` reproduces the exact
-    operation sequence — the **replay invariant**: *WAL replay composed
-    over the last checkpoint equals the live reducer state,
-    bit-identically*, so a recovered store serves the same summary bytes
-    the uncrashed process would have.
+    The log is a read-side cache only, recorded while a
+    :class:`SnapshotMirror` exists.  Crash recovery does not read it: the
+    durability tier (:mod:`repro.service.durability`) re-feeds the logged
+    input chunks through :meth:`~repro.core.greedy.OnlineReducer.replay`,
+    whose soundness rests on ``push_chunk`` being deterministic.
     """
 
-    INSERT = 0
-    MERGE = 1
-
     __slots__ = (
-        "kinds",
         "insert_ids",
         "insert_starts",
         "insert_ends",
@@ -1420,7 +1445,6 @@ class DeltaLog:
     )
 
     def __init__(self) -> None:
-        self.kinds: List[int] = []
         self.insert_ids: List[int] = []
         self.insert_starts: List[int] = []
         self.insert_ends: List[int] = []
@@ -1435,7 +1459,7 @@ class DeltaLog:
         self.merge_successor_keys: List[float] = []
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return len(self.insert_ids) + len(self.merge_absorbed)
 
     def record_insert(
         self,
@@ -1447,7 +1471,6 @@ class DeltaLog:
         key: float,
     ) -> None:
         """One tuple appended at the tail with its activation merge key."""
-        self.kinds.append(DeltaLog.INSERT)
         self.insert_ids.append(node_id)
         self.insert_starts.append(start)
         self.insert_ends.append(end)
@@ -1472,7 +1495,6 @@ class DeltaLog:
         has none) — everything a mirror needs to replay the merge without
         redoing any floating-point work.
         """
-        self.kinds.append(DeltaLog.MERGE)
         self.merge_absorbed.append(absorbed_id)
         self.merge_survivors.append(survivor_id)
         self.merge_values.append(values)
@@ -1580,124 +1602,179 @@ class SnapshotColumns:
 class SnapshotMirror:
     """Patchable column image of a live heap's intermediate relation.
 
-    Holds the same information as the merge heap's columns — ids, interval
-    endpoints, value rows, groups and the merge-with-predecessor keys — in
-    chronological row order, and stays in sync by replaying a
-    :class:`DeltaLog` (:meth:`apply`) instead of re-reading the heap.
-    Value rows and keys are *copied* from the log, never recomputed, so the
-    mirror is bit-exact with respect to the heap on either backend.
+    NumPy columns in chronological row order — node ``ids``, interval
+    ``starts`` / ``ends``, an ``(n, p)`` ``values`` block, ``group_ids``,
+    the merge-with-predecessor ``keys`` and ``alive`` — of which the first
+    ``count`` rows are in use; capacity doubles as rows are appended.  The
+    mirror stays in sync by replaying a :class:`DeltaLog` (:meth:`apply`)
+    instead of re-reading the heap.  Value rows and keys are *copied* from
+    the log, never recomputed, so the mirror is bit-exact with respect to
+    the heap on either backend.
 
     Merged-away rows become tombstones; the storage is compacted once dead
     rows outnumber live ones, which keeps every operation amortised O(1)
-    and memory proportional to the live relation.
+    per logged operation and memory proportional to the live relation.
     """
 
     _COMPACT_FLOOR = 1024
+    _INITIAL_CAPACITY = 1024
 
     def __init__(self) -> None:
-        self.starts: List[int] = []
-        self.ends: List[int] = []
-        self.values: List[Sequence[float]] = []
-        self.group_ids: List[int] = []
-        self.keys: List[float] = []
-        self.alive: List[bool] = []
+        self.ids = np.zeros(0, np.int64)
+        self.starts = np.zeros(0, np.int64)
+        self.ends = np.zeros(0, np.int64)
+        self.values = np.zeros((0, 0), np.float64)
+        self.group_ids = np.zeros(0, np.int64)
+        self.keys = np.zeros(0, np.float64)
+        self.alive = np.zeros(0, np.bool_)
+        self.count = 0
+        self.live = 0
         self.group_keys: List[tuple] = []
         self._interned: Dict[tuple, int] = {}
         self._position: Dict[int, int] = {}
-        self.live = 0
 
     @classmethod
     def from_heap(cls, heap: Any) -> "SnapshotMirror":
-        """Build the initial mirror from a heap's live nodes (O(heap)).
+        """Build the initial mirror from a heap's live columns (O(heap)).
 
-        Called once per session — every later snapshot patches this image
-        with the delta log instead.
+        Called on a session's first snapshot and after the delta log
+        outgrew the heap — every other snapshot patches this image with
+        the delta log instead.
         """
+        columns = heap.columns()
+        nodes = list(heap)
         mirror = cls()
-        for node in heap:
-            segment = node.segment
-            mirror._append(
-                node.id,
-                segment.interval.start,
-                segment.interval.end,
-                segment.group,
-                segment.values,
-                node.key,
-            )
+        mirror.group_keys = list(columns.group_keys)
+        mirror._interned = {
+            group: group_id for group_id, group in enumerate(mirror.group_keys)
+        }
+        mirror._append(
+            [node.id for node in nodes], columns.starts, columns.ends,
+            columns.group_ids, columns.values, [node.key for node in nodes],
+        )
         return mirror
 
     def _append(
         self,
-        node_id: int,
-        start: int,
-        end: int,
-        group: tuple,
-        values: Sequence[float],
-        key: float,
+        ids: List[int],
+        starts: Any,
+        ends: Any,
+        group_ids: Any,
+        values: np.ndarray,
+        keys: Any,
     ) -> None:
-        group_id = self._interned.get(group)
-        if group_id is None:
-            group_id = len(self.group_keys)
-            self._interned[group] = group_id
-            self.group_keys.append(group)
-        self._position[node_id] = len(self.starts)
-        self.starts.append(start)
-        self.ends.append(end)
-        self.values.append(values)
-        self.group_ids.append(group_id)
-        self.keys.append(key)
-        self.alive.append(True)
-        self.live += 1
+        """Append one block of rows at the chronological tail."""
+        first = self.count
+        stop = first + len(ids)
+        if stop > len(self.ids) or (
+            not first and values.shape[1] != self.values.shape[1]
+        ):
+            self._reserve(stop, values.shape[1])
+        self.ids[first:stop] = ids
+        self.starts[first:stop] = starts
+        self.ends[first:stop] = ends
+        self.values[first:stop] = values
+        self.group_ids[first:stop] = group_ids
+        self.keys[first:stop] = keys
+        self.alive[first:stop] = True
+        self._position.update(zip(ids, range(first, stop)))
+        self.count = stop
+        self.live += stop - first
+
+    def _reserve(self, needed: int, width: int) -> None:
+        capacity = max(len(self.ids), self._INITIAL_CAPACITY)
+        while capacity < needed:
+            capacity *= 2
+        count = self.count
+        for name in ("ids", "starts", "ends", "group_ids", "keys", "alive"):
+            column = getattr(self, name)
+            grown = np.zeros(capacity, column.dtype)
+            grown[:count] = column[:count]
+            setattr(self, name, grown)
+        values = np.zeros((capacity, width), np.float64)
+        if count:
+            values[:count] = self.values[:count]
+        self.values = values
 
     def apply(self, log: DeltaLog) -> None:
-        """Replay a delta log, bringing the mirror up to the heap's state."""
-        position = self._position
-        insert_cursor = 0
-        merge_cursor = 0
-        for kind in log.kinds:
-            if kind == DeltaLog.INSERT:
-                self._append(
-                    log.insert_ids[insert_cursor],
-                    log.insert_starts[insert_cursor],
-                    log.insert_ends[insert_cursor],
-                    log.insert_groups[insert_cursor],
-                    log.insert_values[insert_cursor],
-                    log.insert_keys[insert_cursor],
-                )
-                insert_cursor += 1
-            else:
-                absorbed = position.pop(log.merge_absorbed[merge_cursor])
-                survivor = position[log.merge_survivors[merge_cursor]]
-                self.ends[survivor] = self.ends[absorbed]
-                self.values[survivor] = log.merge_values[merge_cursor]
-                self.keys[survivor] = log.merge_survivor_keys[merge_cursor]
-                successor_id = log.merge_successors[merge_cursor]
+        """Replay a delta log, bringing the mirror up to the heap's state.
+
+        The inserts are appended as one block, then the merges are
+        replayed in log order.  The merges' writes are collected in per-row
+        dicts, so a row written by several merges keeps the last value, and
+        land in the columns as one fancy-index assignment per column.
+        """
+        if log.insert_ids:
+            interned = self._interned
+            group_keys = self.group_keys
+            group_ids = []
+            for group in log.insert_groups:
+                group_id = interned.get(group)
+                if group_id is None:
+                    group_id = interned[group] = len(group_keys)
+                    group_keys.append(group)
+                group_ids.append(group_id)
+            self._append(
+                log.insert_ids,
+                log.insert_starts,
+                log.insert_ends,
+                group_ids,
+                _flat_rows(log.insert_values, len(log.insert_values[0])),
+                log.insert_keys,
+            )
+        if log.merge_absorbed:
+            position = self._position
+            ends = self.ends
+            end_patch: Dict[int, int] = {}
+            value_patch: Dict[int, Sequence[float]] = {}
+            key_patch: Dict[int, float] = {}
+            absorbed_rows = []
+            for (
+                absorbed_id, survivor_id, row, survivor_key, successor_id,
+                successor_key,
+            ) in zip(
+                log.merge_absorbed,
+                log.merge_survivors,
+                log.merge_values,
+                log.merge_survivor_keys,
+                log.merge_successors,
+                log.merge_successor_keys,
+            ):
+                absorbed = position.pop(absorbed_id)
+                survivor = position[survivor_id]
+                end = end_patch.get(absorbed)
+                end_patch[survivor] = ends.item(absorbed) if end is None else end
+                value_patch[survivor] = row
+                key_patch[survivor] = survivor_key
                 if successor_id >= 0:
-                    self.keys[position[successor_id]] = (
-                        log.merge_successor_keys[merge_cursor]
-                    )
-                self.alive[absorbed] = False
-                self.live -= 1
-                merge_cursor += 1
-        if (
-            len(self.starts) >= self._COMPACT_FLOOR
-            and len(self.starts) >= 2 * self.live
-        ):
+                    key_patch[position[successor_id]] = successor_key
+                absorbed_rows.append(absorbed)
+            self.alive[absorbed_rows] = False
+            self.live -= len(absorbed_rows)
+            ends[list(end_patch)] = list(end_patch.values())
+            self.values[list(value_patch)] = _flat_rows(
+                list(value_patch.values()), self.values.shape[1]
+            )
+            self.keys[list(key_patch)] = list(key_patch.values())
+        if self.count >= self._COMPACT_FLOOR and self.count >= 2 * self.live:
             self._compact()
 
     def _compact(self) -> None:
-        alive = self.alive
-        order = [i for i in range(len(alive)) if alive[i]]
-        self.starts = [self.starts[i] for i in order]
-        self.ends = [self.ends[i] for i in order]
-        self.values = [self.values[i] for i in order]
-        self.group_ids = [self.group_ids[i] for i in order]
-        self.keys = [self.keys[i] for i in order]
-        self.alive = [True] * len(order)
-        ids = {pos: node_id for node_id, pos in self._position.items()}
-        self._position = {
-            ids[old]: new for new, old in enumerate(order)
-        }
+        keep = np.flatnonzero(self.alive[: self.count])
+        live = len(keep)
+        for name in (
+            "ids", "starts", "ends", "values", "group_ids", "keys", "alive",
+        ):
+            column = getattr(self, name)
+            column[:live] = column[keep]
+        self.count = live
+        self._position = dict(zip(self.ids[:live].tolist(), range(live)))
+
+
+#: Number of smallest finite keys the end-of-input tail first moves into
+#: its heap; the window doubles whenever the heap's top reaches the first
+#: key left outside it.
+_TAIL_WINDOW = 64
 
 
 def finalize_mirror(
@@ -1712,12 +1789,20 @@ def finalize_mirror(
     """Run the end-of-input merge phase on a mirror, without touching it.
 
     The delta-snapshot twin of ``OnlineReducer.finalize``: gathers the
-    mirror's live rows into working columns, replays the paper's
-    end-of-input greedy phase — size-bounded down to ``size``, or
-    error-bounded while ``total_error`` stays within ``error_threshold``
-    (with the same ``1e-9`` slack as the oracle) — and returns the final
-    snapshot as :class:`SnapshotColumns` together with the accumulated
-    error and the number of tail merges.
+    mirror's live rows, replays the paper's end-of-input greedy phase —
+    size-bounded down to ``size``, or error-bounded while ``total_error``
+    stays within ``error_threshold`` (with the same ``1e-9`` slack as the
+    oracle) — and returns the final snapshot as :class:`SnapshotColumns`
+    together with the accumulated error and the number of tail merges.
+
+    The cost is O(live) vectorised work plus O(tail) Python work.  The
+    live rows are gathered with one fancy index and the finite keys
+    ordered with one stable ``argsort``; the tail's priority queue only
+    holds a window of the smallest keys (:data:`_TAIL_WINDOW`, doubled
+    whenever the queue's top reaches the first key left outside it), and
+    the few rows a tail merge touches are held in per-row dict overlays.
+    The output is the gathered columns with the touched rows patched and
+    the merged rows masked out.
 
     Starting keys are the mirror's (copied from the heap via the delta
     log); refreshed keys and merged value rows are computed with exactly
@@ -1732,36 +1817,31 @@ def finalize_mirror(
     moment a committed merge's key ties with any other queued key and
     returns ``None``; the caller then falls back to the clone+finalize
     oracle for that snapshot, keeping the bit-for-bit contract
-    unconditional.
+    unconditional.  Whether the second-smallest queued key equals the top
+    key does not depend on how much of the queue the window holds, since
+    every key outside it is strictly larger than the top.
     """
-    alive = mirror.alive
-    live = [i for i in range(len(alive)) if alive[i]]
-    starts = [mirror.starts[i] for i in live]
-    ends = [mirror.ends[i] for i in live]
-    values = [mirror.values[i] for i in live]
-    group_ids = [mirror.group_ids[i] for i in live]
-    keys = [mirror.keys[i] for i in live]
-    count = len(live)
-    prev_ = list(range(-1, count - 1))
-    next_ = list(range(1, count + 1))
-    if count:
-        next_[-1] = -1
-    row_alive = [True] * count
-    version = [0] * count
+    rows = np.flatnonzero(mirror.alive[: mirror.count])
+    starts = mirror.starts[rows]
+    ends = mirror.ends[rows]
+    values = mirror.values[rows]
+    group_ids = mirror.group_ids[rows]
+    keys = mirror.keys[rows]
+    count = len(rows)
+    dimensions = values.shape[1]
     inf = math.inf
 
-    entries = [
-        (keys[i], i, i, 0) for i in range(count) if keys[i] != inf
-    ]
-    heapq.heapify(entries)
-    counter = count  # refresh counters sort after every initial entry
+    # Queue entries are ``(key, counter, row, version)``; the initial
+    # entries' counter is their row, so the stable sort is the queue order.
+    finite = np.flatnonzero(keys != inf)
+    order = finite[np.argsort(keys[finite], kind="stable")]
+    ordered_keys = keys[order]
+    entries: List[Tuple[float, int, int, int]] = []
+    queued = 0
+    bound = inf  # smallest key left out of ``entries``; set on widening
     push = heapq.heappush
     pop = heapq.heappop
 
-    if count:
-        dimensions = len(values[0])
-    else:
-        dimensions = 0
     python_backend = backend == "python"
     resolved = resolve_weights(weights, dimensions)
     # Derive w² exactly as the corresponding heap does (`**` on Python
@@ -1772,17 +1852,54 @@ def finalize_mirror(
     else:
         w2l = (np.asarray(resolved, dtype=np.float64) ** 2).tolist()
 
+    # Overlays over the gathered columns: a row absent from a dict still
+    # has its gathered value (and ``prev`` / ``next`` of row ``i`` are
+    # ``i - 1`` / ``i + 1``).  Every key change bumps the row's version,
+    # so the version stamp alone tells a stale queue entry.
+    prev_: Dict[int, int] = {}
+    next_: Dict[int, int] = {}
+    end_of: Dict[int, int] = {}
+    row_of: Dict[int, List[float]] = {}
+    version: Dict[int, int] = {}
+    merged: set = set()
+
+    def end_at(row: int) -> int:
+        end = end_of.get(row)
+        return ends.item(row) if end is None else end
+
+    def length_at(row: int) -> Union[int, float]:
+        # The reference merge operator works on integer lengths.
+        length = end_at(row) - starts.item(row) + 1
+        return length if python_backend else float(length)
+
+    def row_at(row: int) -> List[float]:
+        found = row_of.get(row)
+        return values[row].tolist() if found is None else found
+
+    counter = count  # refresh counters sort after every initial entry
     merges = 0
     remaining = count
-    while entries:
+    while True:
         if size is not None and remaining <= size:
             break
+        if not entries or entries[0][0] >= bound:
+            # The top may not be the queue's minimum: widen the window.
+            if queued == len(order):
+                break
+            stop = min(len(order), max(2 * queued, _TAIL_WINDOW))
+            entries.extend(
+                (key, row, row, 0)
+                for key, row in zip(
+                    ordered_keys[queued:stop].tolist(),
+                    order[queued:stop].tolist(),
+                )
+            )
+            heapq.heapify(entries)
+            queued = stop
+            bound = ordered_keys.item(stop) if stop < len(order) else inf
+            continue
         top_key, _, top, top_version = entries[0]
-        if (
-            not row_alive[top]
-            or version[top] != top_version
-            or keys[top] != top_key
-        ):
+        if top in merged or version.get(top, 0) != top_version:
             pop(entries)
             continue
         if error_threshold is not None:
@@ -1800,68 +1917,64 @@ def finalize_mirror(
         total_error += top_key
         merges += 1
 
-        predecessor = prev_[top]
-        if python_backend:
-            # The reference merge operator works on integer lengths.
-            left_length = ends[predecessor] - starts[predecessor] + 1
-            right_length = ends[top] - starts[top] + 1
-        else:
-            left_length = float(ends[predecessor] - starts[predecessor] + 1)
-            right_length = float(ends[top] - starts[top] + 1)
+        predecessor = prev_.get(top, top - 1)
+        left_length = length_at(predecessor)
+        right_length = length_at(top)
         length_sum = left_length + right_length
-        values[predecessor] = [
+        row_of[predecessor] = [
             (left_length * a + right_length * b) / length_sum
-            for a, b in zip(values[predecessor], values[top])
+            for a, b in zip(row_at(predecessor), row_at(top))
         ]
-        ends[predecessor] = ends[top]
-        successor = next_[top]
+        end_of[predecessor] = end_at(top)
+        successor = next_.get(top, top + 1)
+        if successor == count:
+            successor = -1
         next_[predecessor] = successor
         if successor >= 0:
             prev_[successor] = predecessor
-        row_alive[top] = False
+        merged.add(top)
         remaining -= 1
 
         for target in (predecessor, successor):
             if target < 0:
                 continue
-            before = prev_[target]
+            before = prev_.get(target, target - 1)
             if (
                 before < 0
-                or group_ids[before] != group_ids[target]
-                or ends[before] + 1 != starts[target]
+                or group_ids.item(before) != group_ids.item(target)
+                or end_at(before) + 1 != starts.item(target)
             ):
                 refreshed = inf
-            elif python_backend:
-                left2 = ends[before] - starts[before] + 1
-                right2 = ends[target] - starts[target] + 1
-                factor = left2 * right2 / (left2 + right2)
-                refreshed = 0.0
-                for w2, a, b in zip(w2l, values[before], values[target]):
-                    diff = a - b
-                    refreshed += w2 * factor * diff ** 2
             else:
-                left2 = float(ends[before] - starts[before] + 1)
-                right2 = float(ends[target] - starts[target] + 1)
+                left2 = length_at(before)
+                right2 = length_at(target)
                 factor = left2 * right2 / (left2 + right2)
                 refreshed = 0.0
-                for w2, a, b in zip(w2l, values[before], values[target]):
-                    diff = a - b
-                    refreshed += (w2 * factor) * diff * diff
-            keys[target] = refreshed
-            version[target] += 1
+                if python_backend:
+                    for w2, a, b in zip(w2l, row_at(before), row_at(target)):
+                        diff = a - b
+                        refreshed += w2 * factor * diff ** 2
+                else:
+                    for w2, a, b in zip(w2l, row_at(before), row_at(target)):
+                        diff = a - b
+                        refreshed += (w2 * factor) * diff * diff
+            target_version = version.get(target, 0) + 1
+            version[target] = target_version
             if refreshed != inf:
                 counter += 1
-                push(entries, (refreshed, counter, target, version[target]))
+                push(entries, (refreshed, counter, target, target_version))
 
-    survivors = [i for i in range(count) if row_alive[i]]
+    if end_of:
+        ends[list(end_of)] = list(end_of.values())
+    if row_of:
+        values[list(row_of)] = _flat_rows(list(row_of.values()), dimensions)
+    if merged:
+        keep = np.ones(count, dtype=np.bool_)
+        keep[list(merged)] = False
+        starts, ends = starts[keep], ends[keep]
+        values, group_ids = values[keep], group_ids[keep]
     columns = SnapshotColumns(
-        np.asarray([starts[i] for i in survivors], dtype=np.int64),
-        np.asarray([ends[i] for i in survivors], dtype=np.int64),
-        np.asarray(
-            [values[i] for i in survivors], dtype=np.float64
-        ).reshape(len(survivors), dimensions),
-        np.asarray([group_ids[i] for i in survivors], dtype=np.int64),
-        list(mirror.group_keys),
+        starts, ends, values, group_ids, list(mirror.group_keys)
     )
     return columns, total_error, merges
 

@@ -23,7 +23,7 @@ Snapshots are cached per key and invalidated by the store's push
 *snapshot columns* — the session's delta-patched, generation-cached column
 snapshot — and builds the index with one stable ``lexsort``
 (:meth:`SnapshotIndex.from_columns`), so even a cold read after ``k``
-pushes costs amortised O(k + summary) rather than O(live heap), and no
+pushes costs O(k + tail merges) Python work rather than O(live heap), and no
 per-segment objects are materialised on the way.  Keys that serve several
 aggregation groups expose them via the ``group=`` parameter.
 

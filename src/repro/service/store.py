@@ -764,8 +764,8 @@ class SessionStore:
         Frozen epochs contribute a column image cached per eviction; the
         live part rides the session's delta-based, generation-cached
         :meth:`~repro.api.Compressor.summary_columns`.  Between pushes this
-        is O(1); after ``k`` pushes it costs amortised O(k) plus the
-        summary size — the serving-layer face of the delta snapshot path.
+        is O(1); after ``k`` pushes it costs O(k + tail merges) Python
+        work — the serving-layer face of the delta snapshot path.
         """
         with self._lock, span("snapshot_delta"):
             state = self._require(key)

@@ -231,6 +231,45 @@ class TestHTTPEndpoints:
                 assert line_re.match(line), line
 
 
+class TestSnapshotCounters:
+    def test_tie_fallback_counts_on_metrics(self):
+        """An integer-valued stream ties merge keys exactly; the snapshot
+        that meets the tie is served by the oracle and counted."""
+        service = Service(size=2)
+        http_server, _ = start_in_background(service)
+        try:
+            def unit(values, start):
+                return segments_to_jsonl([
+                    AggregateSegment(
+                        (), (float(v),), Interval(start + i, start + i)
+                    )
+                    for i, v in enumerate(values)
+                ]).encode()
+
+            def counter(name):
+                request = urllib.request.Request(
+                    f"http://127.0.0.1:{http_server.port}/metrics"
+                )
+                with urllib.request.urlopen(request) as response:
+                    text = response.read().decode("utf-8")
+                return float(next(
+                    line.split()[1] for line in text.splitlines()
+                    if line.startswith(name + " ")
+                ))
+
+            fallbacks = counter("repro_snapshot_oracle_fallbacks_total")
+            rebuilds = counter("repro_snapshot_mirror_rebuilds_total")
+            post(http_server, "/push/t", unit([1, 1, 2, 2, 1, 1, 0, 0], 0))
+            get_json(http_server, "/value_at?key=t&t=0")
+            post(http_server, "/push/t", unit([2], 8))
+            get_json(http_server, "/value_at?key=t&t=0")
+            assert counter("repro_snapshot_oracle_fallbacks_total") > fallbacks
+            assert counter("repro_snapshot_mirror_rebuilds_total") == rebuilds + 1
+        finally:
+            http_server.shutdown()
+            http_server.server_close()
+
+
 class TestHTTPErrors:
     def expect_error(self, server, path: str, status: int, needle: str):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

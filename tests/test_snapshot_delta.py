@@ -10,7 +10,9 @@ and per-tuple pushes, and across the serving layer's eviction/freeze
 boundaries.
 
 The randomized prefix sweeps are marked ``slow`` so the CI matrix runs them
-on one Python leg only; the edge-case tests stay in the default selection.
+on one Python leg only; the edge-case tests and the hypothesis property
+(``TestDeltaSnapshotProperty``, capped at a few seconds) stay in the default
+selection.
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Interval
 from repro.api import Compressor, ErrorBudget, ExecutionPolicy, Result, SizeBudget
 from repro.core import AggregateSegment, max_error
 from repro.core.greedy import OnlineReducer
-from repro.core.kernels import SnapshotColumns
+from repro.core.kernels import _TAIL_WINDOW, SnapshotColumns, finalize_mirror
+from repro.obs import metrics
 from repro.service import QueryEngine, SessionStore
 
 BACKENDS = ["python", "numpy"]
@@ -157,6 +161,148 @@ class TestRandomizedPrefixParity:
         for start in range(0, len(stream), 9):
             session.push(stream[start : start + 9])
             assert_bit_identical(session.summary(), session.summary_oracle())
+
+
+# ----------------------------------------------------------------------
+# Hypothesis property: delta summary() == summary_oracle(), bit for bit
+# ----------------------------------------------------------------------
+@st.composite
+def delta_scenarios(draw):
+    """A stream, a budget and a push plan with random snapshot points.
+
+    Integer-valued streams produce exact merge-key ties (the oracle
+    fallback); an error budget without estimates leaves every merge to
+    the snapshot tail, so its window widens repeatedly; and a stretch of
+    several hundred tuples without a snapshot overflows the delta log.
+    """
+    backend = draw(st.sampled_from(BACKENDS))
+    integer = draw(st.booleans())
+    budget = draw(st.sampled_from(["size", "error", "error_estimates"]))
+    long_stretch = draw(st.booleans())
+    count = draw(st.integers(600, 900) if long_stretch else st.integers(1, 160))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    groups = draw(st.integers(1, 2))
+    stream = []
+    for g in range(groups):
+        time = 0
+        for _ in range(count // groups or 1):
+            length = rng.randrange(1, 3)
+            values = tuple(
+                float(rng.randrange(4)) if integer else rng.uniform(0.0, 50.0)
+                for _ in range(2)
+            )
+            stream.append(AggregateSegment(
+                (f"g{g}",), values, Interval(time, time + length - 1)
+            ))
+            time += length + (rng.random() < 0.1)
+    policy = {"backend": backend, "delta": draw(st.sampled_from([0, 1, 3, math.inf]))}
+    if budget == "size":
+        kwargs = {"size": draw(st.integers(1, 24))}
+    else:
+        kwargs = {"max_error": draw(st.sampled_from([0.05, 0.3, 0.8]))}
+        if budget == "error_estimates":
+            policy["input_size_estimate"] = len(stream)
+            policy["max_error_estimate"] = max_error(stream)
+    plan = []
+    if long_stretch:
+        # Snapshot once so a mirror exists and the log records, then push
+        # a stretch long enough to overflow the log before the next read.
+        plan = [(20, True), (len(stream) - 60, draw(st.booleans()))]
+    position = sum(width for width, _ in plan)
+    while position < len(stream):
+        width = draw(st.integers(1, 40))
+        plan.append((width, draw(st.booleans())))
+        position += width
+    return stream, kwargs, ExecutionPolicy(**policy), plan
+
+
+class TestDeltaSnapshotProperty:
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(delta_scenarios())
+    def test_delta_summary_is_the_oracle(self, scenario):
+        stream, kwargs, policy, plan = scenario
+        session = Compressor(policy=policy, **kwargs)
+        position = 0
+        for width, read in plan:
+            chunk = stream[position : position + width]
+            position += width
+            session.push(chunk if len(chunk) > 1 else chunk[0])
+            if read or position >= len(stream):
+                snapshot = session.summary()
+                assert_bit_identical(snapshot, session.summary_oracle())
+                assert_columns_match(session.summary_columns(), snapshot)
+
+
+class TestTailWindow:
+    """The end-of-input tail heapifies only the smallest keys first."""
+
+    @staticmethod
+    def paired_session(backend, gaps):
+        # Pairs (1000 i, 1000 i + gaps[i]) of unit tuples: each pair's
+        # merge key is gaps[i] ** 2 / 2 and stays valid until that pair
+        # merges, since merging it only refreshes the large keys across
+        # pairs.  With no gap in time and delta = inf, the online phase
+        # merges nothing, so the snapshot tail performs every merge.
+        stream = []
+        for i, gap in enumerate(gaps):
+            for offset, value in enumerate((1000.0 * i, 1000.0 * i + gap)):
+                time = 2 * i + offset
+                stream.append(
+                    AggregateSegment((), (value,), Interval(time, time))
+                )
+        session = Compressor(
+            size=len(gaps),
+            policy=ExecutionPolicy(backend=backend, delta=math.inf),
+        )
+        session.push(stream)
+        return session
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_top_key_equal_to_window_bound(self, backend):
+        """Regression: the top reaches the first key left outside the
+        window with an equal key.  Widening brings that key in, the tie
+        guard sees it, and the snapshot is served by the oracle."""
+        gaps = [float(i + 1) for i in range(_TAIL_WINDOW + 8)]
+        gaps[_TAIL_WINDOW] = gaps[_TAIL_WINDOW - 1]
+        session = self.paired_session(backend, gaps)
+        before = metrics.value("repro_snapshot_oracle_fallbacks_total")
+        snapshot = session.summary()
+        assert metrics.value("repro_snapshot_oracle_fallbacks_total") == before + 1
+        assert_bit_identical(snapshot, session.summary_oracle())
+        reducer = session._reducer
+        assert finalize_mirror(
+            reducer._mirror, size=len(gaps), backend=backend
+        ) is None
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_window_widens_without_a_tie(self, backend):
+        gaps = [float(i + 1) for i in range(3 * _TAIL_WINDOW)]
+        session = self.paired_session(backend, gaps)
+        before = metrics.value("repro_snapshot_oracle_fallbacks_total")
+        snapshot = session.summary()
+        assert metrics.value("repro_snapshot_oracle_fallbacks_total") == before
+        assert snapshot.merges == len(gaps)
+        assert_bit_identical(snapshot, session.summary_oracle())
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_error_bounded_tail_of_thousands_of_merges(self, backend):
+        # No estimates: the step threshold is 0, so the heap holds every
+        # tuple and the tail merges down to the error budget on its own.
+        stream = random_stream(3000, seed=41, gap_probability=0.01)
+        session = Compressor(
+            max_error=0.5, policy=ExecutionPolicy(backend=backend)
+        )
+        session.push(stream[:2000])
+        session.summary()
+        session.push(stream[2000:])
+        snapshot = session.summary()
+        assert snapshot.merges > 1000
+        assert_bit_identical(snapshot, session.summary_oracle())
 
 
 # ----------------------------------------------------------------------
