@@ -173,6 +173,24 @@ def encode_segments(
     )
 
 
+def require_finite(
+    values: np.ndarray, error: type = ValueError
+) -> None:
+    """Raise ``error`` naming the first segment row with a NaN or ±inf value.
+
+    The merge operator's length-weighted means (and with them every merge
+    key) are undefined for such a value, so each entry point that would
+    otherwise reduce it into a wrong-sized summary refuses it up front.
+    """
+    if values.size and not bool(np.isfinite(values).all()):
+        bad = np.argwhere(~np.isfinite(np.atleast_2d(values)))[0]
+        raise error(
+            f"segment {int(bad[0])} has a non-finite aggregate value "
+            f"(NaN/inf: the merge operator's length-weighted means are "
+            f"undefined for it)"
+        )
+
+
 # ----------------------------------------------------------------------
 # Prefix sums and the vectorized DP inner loop (Sections 5.1 / 5.2)
 # ----------------------------------------------------------------------
@@ -2001,11 +2019,7 @@ def greedy_merge_trajectory(
     GMS reduction of a sharded input is exactly "each shard follows its own
     local schedule"; the only cross-shard coordination is *how many* steps of
     each schedule are taken, which :mod:`repro.parallel` decides with a
-    k-way merge over the shard frontiers.  The schedule matches the merges
-    the sequential heaps would perform inside this shard, with the same
-    lazy-deletion tie-breaking (initial keys in insertion order, refreshed
-    keys in merge order, predecessor before successor); only exact key ties
-    are sensitive to floating-point formulation differences.
+    k-way merge over the shard frontiers.
 
     Instead of maintaining merged aggregate values, the kernel exploits
     Proposition 2: a node is a contiguous block of original positions and
@@ -2015,10 +2029,43 @@ def greedy_merge_trajectory(
     is a couple of scalar updates and each key refresh is one prefix-row
     difference plus a dot product (pure scalar arithmetic for ``p = 1``).
 
+    **The queue.**  Every entry is ordered by ``(key, counter)``: the
+    initial keys take counters in position order, and each refresh takes
+    the next counter, so exact ties go to the older entry.  Two sources
+    feed the queue:
+
+    * the *initial frontier* — all finite initial keys, consumed in the
+      order of one stable ``argsort``, which is exactly their
+      ``(key, counter)`` order;
+    * a :mod:`heapq` of refreshed keys only.  A refreshed counter is
+      larger than every initial one, so on an exact key tie the initial
+      entry is taken first.
+
+    ``stamp[node]`` is the counter of the node's current entry (``1`` for
+    its initial entry, ``-1`` once the node is merged away, ``0`` if it
+    can never merge), so an entry is valid iff its counter equals the
+    stamp.  A refresh is *lazy*: while the node already has an entry in
+    the queue that sorts no later than the refreshed key, the new entry is
+    not pushed; it goes in, with its own counter, when that queued entry
+    pops stale.  A deferred entry therefore joins the queue before it
+    could be the minimum, and every valid entry pops at the same
+    ``(key, counter)`` position as in a queue holding every entry ever
+    created — the schedule is that of the sequential heaps' lazy-deletion
+    queue, step for step and bit for bit.  Schedules are defined for
+    finite keys (finite values whose squared prefix sums do not
+    overflow); the engine rejects NaN and ±inf values before sharding.
+
     All inputs are plain arrays (``int64`` endpoints and group ids,
     ``float64`` values of shape ``(n, p)`` and squared weights ``w2``), so a
     shard travels to a worker process as a handful of array buffers instead
     of ``n`` segment objects.
+
+    >>> starts = np.arange(4)
+    >>> boundaries, keys = greedy_merge_trajectory(
+    ...     starts, starts, np.array([[1.0], [1.0], [5.0], [6.0]]),
+    ...     np.zeros(4, dtype=np.int64), np.ones(1))
+    >>> boundaries.tolist(), keys.tolist()
+    ([1, 3, 2], [0.0, 0.5, 20.25])
     """
     n = len(starts)
     if n < 2:
@@ -2051,20 +2098,6 @@ def greedy_merge_trajectory(
         weighted_rows.tolist() if 1 < dimensions <= 16 else None
     )
 
-    # Node i is the block starting at original position i; ``last`` is the
-    # exclusive end of the block and ``sse`` its cached internal error.
-    # ``can_merge[i]`` never changes: a node's left boundary is fixed.
-    can_merge = [False]
-    can_merge.extend(adjacent.tolist())
-    last = list(range(1, n + 1))
-    sse = [0.0] * n
-    key: List[float] = [math.inf] * n
-    prev_ = list(range(-1, n - 1))
-    next_ = list(range(1, n + 1))
-    next_[-1] = -1
-    alive = [True] * n
-    version = [0] * n
-
     # Initial keys, vectorized: singleton blocks have zero internal SSE, so
     # the key of position i is just SSE of the pair block [i-1, i+1).
     pair_length = lengths_arr[:-1] + lengths_arr[1:]
@@ -2077,59 +2110,56 @@ def greedy_merge_trajectory(
         0.0,
     )
     initial = np.where(adjacent, pair_sse, math.inf)
-    key[1:] = initial.tolist()
+    order = np.argsort(initial, kind="stable")
+    order = order[: int(np.count_nonzero(initial < math.inf))]
+    frontier_keys = initial[order].tolist()
+    frontier_nodes = (order + 1).tolist()
 
-    counter = 0
-    entries: List[tuple] = []
-    for index in range(1, n):
-        if key[index] != math.inf:
-            counter += 1
-            entries.append((key[index], counter, index, 0))
-    heapq.heapify(entries)
+    # Node i is the block starting at original position i; ``last`` is the
+    # exclusive end of the block and ``sse`` its cached internal error.
+    # ``key`` is the current key, ``queued`` / ``queued_key`` the counter
+    # and key of the node's entry still in the queue.
+    last = list(range(1, n + 1))
+    sse = [0.0] * n
+    prev_ = list(range(-1, n - 1))
+    next_ = list(range(1, n + 1))
+    next_[-1] = -1
+    stamp = [0]
+    stamp.extend(adjacent.astype(np.int64).tolist())
+    queued = list(stamp)
+    key = [math.inf] * n
+    queued_key = [math.inf]
+    queued_key.extend(initial.tolist())
 
     boundaries: List[int] = []
     merge_keys: List[float] = []
-
-    def refresh(index: int) -> None:
-        nonlocal counter
-        if not can_merge[index]:
-            key[index] = math.inf
-            version[index] += 1
-            return
-        predecessor = prev_[index]
-        lo = predecessor
-        hi = last[index]
-        union_length = length_prefix[hi] - length_prefix[lo]
-        if scalar_weighted is not None:
-            delta = scalar_weighted[hi] - scalar_weighted[lo]
-            cross = delta * delta
-        elif list_weighted is not None:
-            cross = 0.0
-            for high, low in zip(list_weighted[hi], list_weighted[lo]):
-                delta = high - low
-                cross += delta * delta
+    heap: List[Tuple[float, int, int]] = []
+    heappush, heappop = heapq.heappush, heapq.heappop
+    counter = 1
+    position = 0
+    frontier_size = len(frontier_keys)
+    while True:
+        if position < frontier_size:
+            top_key = frontier_keys[position]
+            if heap and heap[0][0] < top_key:
+                top_key, top_stamp, index = heappop(heap)
+            else:
+                index = frontier_nodes[position]
+                top_stamp = 1  # every initial entry's counter
+                position += 1
+        elif heap:
+            top_key, top_stamp, index = heappop(heap)
         else:
-            delta = weighted_rows[hi] - weighted_rows[lo]
-            cross = float(delta @ delta)
-        union_sse = (
-            square_prefix[hi] - square_prefix[lo] - cross / union_length
-        )
-        refreshed = union_sse - sse[predecessor] - sse[index]
-        if refreshed < 0.0:
-            refreshed = 0.0
-        key[index] = refreshed
-        version[index] += 1
-        counter += 1
-        heapq.heappush(entries, (refreshed, counter, index, version[index]))
-
-    heappop = heapq.heappop
-    while entries:
-        top_key, _, index, top_version = heappop(entries)
-        if (
-            not alive[index]
-            or version[index] != top_version
-            or key[index] != top_key
-        ):
+            break
+        current = stamp[index]
+        if current != top_stamp:
+            # Stale.  If it was the node's queued entry, the node's
+            # current entry was deferred behind it and goes in now.
+            if current > 0 and queued[index] == top_stamp:
+                deferred = key[index]
+                heappush(heap, (deferred, current, index))
+                queued[index] = current
+                queued_key[index] = deferred
             continue
         predecessor = prev_[index]
         # The union SSE was already evaluated when this key was computed.
@@ -2139,12 +2169,42 @@ def greedy_merge_trajectory(
         next_[predecessor] = successor
         if successor >= 0:
             prev_[successor] = predecessor
-        alive[index] = False
+        stamp[index] = -1
         boundaries.append(index)
         merge_keys.append(top_key)
-        refresh(predecessor)
-        if successor >= 0:
-            refresh(successor)
+
+        # Refresh the predecessor's key, then the successor's.
+        for node in (predecessor, successor):
+            if node < 0 or not stamp[node]:
+                continue
+            lo = prev_[node]
+            hi = last[node]
+            union_length = length_prefix[hi] - length_prefix[lo]
+            if scalar_weighted is not None:
+                delta = scalar_weighted[hi] - scalar_weighted[lo]
+                cross = delta * delta
+            elif list_weighted is not None:
+                cross = 0.0
+                for high, low in zip(list_weighted[hi], list_weighted[lo]):
+                    delta = high - low
+                    cross += delta * delta
+            else:
+                delta = weighted_rows[hi] - weighted_rows[lo]
+                cross = float(delta @ delta)
+            union_sse = (
+                square_prefix[hi] - square_prefix[lo] - cross / union_length
+            )
+            refreshed = union_sse - sse[lo] - sse[node]
+            if refreshed < 0.0:
+                refreshed = 0.0
+            counter += 1
+            stamp[node] = counter
+            key[node] = refreshed
+            if refreshed >= queued_key[node]:
+                continue  # deferred: the queued entry's stale pop pushes it
+            heappush(heap, (refreshed, counter, node))
+            queued[node] = counter
+            queued_key[node] = refreshed
 
     return (
         np.asarray(boundaries, dtype=np.int64),
@@ -2278,6 +2338,7 @@ __all__ = [
     "instant_index",
     "pairwise_merge_keys",
     "range_weighted_sum",
+    "require_finite",
     "shard_sse_max",
     "time_weighted_prefix",
     "ValueWidthError",

@@ -64,6 +64,7 @@ from .core.kernels import (
     adjacent_pair_mask,
     encode_segments,
     greedy_merge_trajectory,
+    require_finite,
     shard_sse_max,
 )
 from .core.merge import AggregateSegment
@@ -368,6 +369,7 @@ def run_sharded(
     count = len(encoded)
     if count == 0:
         return GreedyResult()
+    require_finite(encoded.values)
 
     w2 = (
         np.asarray(
@@ -413,18 +415,22 @@ def _reconcile(
     counts = [0] * len(trajectories)
     total_error = 0.0
     merges = 0
+    # Advancing a shard replaces the consumed top in place (one sift).
+    heapreplace, heappop = heapq.heapreplace, heapq.heappop
 
     if size is not None:
         live = input_size
         while live > size and frontier:
-            key, shard, step = heapq.heappop(frontier)
+            key, shard, step = frontier[0]
             counts[shard] += 1
             total_error += key
             merges += 1
             live -= 1
             keys = key_lists[shard]
             if step + 1 < len(keys):
-                heapq.heappush(frontier, (keys[step + 1], shard, step + 1))
+                heapreplace(frontier, (keys[step + 1], shard, step + 1))
+            else:
+                heappop(frontier)
         return counts, total_error, merges
 
     # Error-bounded: SSE_max is additive across shards, so the global budget
@@ -440,13 +446,14 @@ def _reconcile(
         key, shard, step = frontier[0]
         if total_error + key > budget:
             break
-        heapq.heappop(frontier)
         counts[shard] += 1
         total_error += key
         merges += 1
         keys = key_lists[shard]
         if step + 1 < len(keys):
-            heapq.heappush(frontier, (keys[step + 1], shard, step + 1))
+            heapreplace(frontier, (keys[step + 1], shard, step + 1))
+        else:
+            heappop(frontier)
     return counts, total_error, merges
 
 

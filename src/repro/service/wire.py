@@ -41,7 +41,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Union
 import numpy as np
 
 from ..core.merge import AggregateSegment
-from ..core.kernels import EncodedSegments
+from ..core.kernels import EncodedSegments, require_finite
 from ..core.kernels import encode_segments as _to_columns
 from ..storage.columns import ColumnCodecError, pack_columns, unpack_columns
 
@@ -66,7 +66,7 @@ class WireError(ValueError):
 def encode_segments(segments: Iterable[AggregateSegment]) -> bytes:
     """Encode a segment stream (columns are packed as they are)."""
     encoded = _to_columns(segments)
-    _require_finite(encoded.values)
+    require_finite(encoded.values, WireError)
     return pack_columns(
         {
             "starts": np.asarray(encoded.starts, dtype=np.int64),
@@ -156,7 +156,7 @@ def _validated(encoded: EncodedSegments) -> EncodedSegments:
     starts, ends, groups = encoded.starts, encoded.ends, encoded.groups
     if encoded.values.ndim != 2:
         raise WireError("segment values must be arrays of numbers")
-    _require_finite(encoded.values)
+    require_finite(encoded.values, WireError)
     count = len(starts)
     if not (len(ends) == len(groups) == len(encoded.values) == count):
         raise WireError(
@@ -196,7 +196,7 @@ def result_columns(result: Any) -> Dict[str, np.ndarray]:
     files (:mod:`repro.storage.wal`) pack; they differ only in magic tag.
     """
     encoded = _to_columns(result.segments)
-    _require_finite(encoded.values)
+    require_finite(encoded.values, WireError)
     meta = {
         "error": result.error,
         "size": result.size,
@@ -355,16 +355,6 @@ def segments_from_jsonl(text: str) -> EncodedSegments:
 # ----------------------------------------------------------------------
 # Internals
 # ----------------------------------------------------------------------
-def _require_finite(values: np.ndarray) -> None:
-    if values.size and not bool(np.isfinite(values).all()):
-        bad = np.argwhere(~np.isfinite(np.atleast_2d(values)))[0]
-        raise WireError(
-            f"segment {int(bad[0])} has a non-finite aggregate value "
-            f"(NaN/inf cannot be wire-encoded: the merge operator's "
-            f"length-weighted means are undefined for it)"
-        )
-
-
 _SCALARS = (str, int, float, bool, type(None))
 
 
