@@ -39,7 +39,7 @@ from collections import abc
 from typing import Iterable, Optional, Tuple, Union
 
 from ..core.greedy import GreedyResult, OnlineReducer
-from ..core.kernels import SnapshotColumns
+from ..core.kernels import EncodedSegments, encode_segments
 from ..core.merge import AggregateSegment
 from .plan import (
     Budget,
@@ -109,7 +109,7 @@ class Compressor:
         #: if summary() itself is called (the column-consuming serving
         #: path never pays for them).
         self._snapshot: Optional[
-            Tuple[int, SnapshotColumns, GreedyResult, Optional[Result]]
+            Tuple[int, EncodedSegments, GreedyResult, Optional[Result]]
         ] = None
 
     # ------------------------------------------------------------------
@@ -172,16 +172,16 @@ class Compressor:
             return self._final
         generation, columns, stats, result = self._delta_snapshot()
         if result is None:
-            stats.segments = columns.segments()
+            stats.segments = list(columns)
             result = self._wrap(stats)
             self._snapshot = (generation, columns, stats, result)
         return result
 
-    def summary_columns(self) -> SnapshotColumns:
+    def summary_columns(self) -> EncodedSegments:
         """The current summary in flat column form (the serving fast path).
 
         Same snapshot as :meth:`summary` — same generation cache — but as
-        :class:`~repro.core.kernels.SnapshotColumns`, which the query layer
+        :class:`~repro.core.kernels.EncodedSegments`, which the query layer
         indexes directly; the per-segment objects of :meth:`summary` are
         never materialised on this path.
         """
@@ -203,7 +203,7 @@ class Compressor:
 
     def _delta_snapshot(
         self,
-    ) -> Tuple[int, SnapshotColumns, GreedyResult, Optional[Result]]:
+    ) -> Tuple[int, EncodedSegments, GreedyResult, Optional[Result]]:
         cached = self._snapshot
         if cached is not None and cached[0] == self._generation:
             return cached
@@ -212,12 +212,12 @@ class Compressor:
         self._snapshot = snapshot
         return snapshot
 
-    def _final_columns(self) -> SnapshotColumns:
+    def _final_columns(self) -> EncodedSegments:
         assert self._final is not None
         cached = self._snapshot
         if cached is not None and cached[0] == self._generation:
             return cached[1]
-        columns = SnapshotColumns.from_segments(self._final.segments)
+        columns = encode_segments(self._final.segments)
         self._snapshot = (
             self._generation,
             columns,

@@ -47,6 +47,7 @@ import numpy as np
 
 from ..core.errors import Weights, resolve_weights
 from ..core.greedy import GreedyResult
+from ..core.kernels import require_finite
 from ..core.merge import AggregateSegment
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
@@ -161,6 +162,7 @@ def reduce_cluster(
     encoded = encode_segments(segments)
     if len(encoded) == 0:
         return GreedyResult()
+    require_finite(encoded.values)
 
     w2 = (
         np.asarray(

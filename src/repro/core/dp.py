@@ -34,8 +34,11 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
+import numpy as np
+
 from ..temporal import Interval
 from .errors import PrefixSums, Weights, max_error, resolve_weights
+from .kernels import require_finite
 from .merge import AggregateSegment, cmin, gap_positions
 
 
@@ -292,7 +295,10 @@ def reduce_to_size(
     segments = list(segments)
     if size < 1:
         raise ValueError(f"size bound must be at least 1, got {size}")
-    if not segments or size >= len(segments):
+    if not segments:
+        return DPResult(segments, 0.0, 0, DPStats())
+    _check_values(segments)
+    if size >= len(segments):
         return DPResult(segments, 0.0, len(segments), DPStats())
     minimum = cmin(segments)
     if size < minimum:
@@ -300,7 +306,6 @@ def reduce_to_size(
             f"size bound {size} is below cmin={minimum}; tuples separated by "
             f"gaps or belonging to different groups cannot be merged"
         )
-    _check_dimensions(segments)
 
     matrix = _ErrorMatrix(segments, weights, optimized, backend)
     for _ in range(size):
@@ -335,7 +340,7 @@ def reduce_to_error(
     segments = list(segments)
     if not segments:
         return DPResult([], 0.0, 0, DPStats())
-    _check_dimensions(segments)
+    _check_values(segments)
 
     threshold = epsilon * max_error(segments, weights)
     matrix = _ErrorMatrix(segments, weights, optimized, backend)
@@ -368,7 +373,7 @@ def optimal_error_curve(
     segments = list(segments)
     if not segments:
         return {}
-    _check_dimensions(segments)
+    _check_values(segments)
     n = len(segments)
     if sizes is None:
         sizes = range(1, n + 1)
@@ -385,7 +390,8 @@ def optimal_error_curve(
     return curve
 
 
-def _check_dimensions(segments: Sequence[AggregateSegment]) -> None:
+def _check_values(segments: Sequence[AggregateSegment]) -> None:
+    """Equal value widths and finite values (NaN/±inf have no SSE)."""
     dimensions = segments[0].dimensions
     for segment in segments:
         if segment.dimensions != dimensions:
@@ -393,3 +399,4 @@ def _check_dimensions(segments: Sequence[AggregateSegment]) -> None:
                 "all segments must have the same number of aggregate values"
             )
     resolve_weights(None, dimensions)
+    require_finite(np.array([segment.values for segment in segments]))

@@ -45,14 +45,18 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..obs import metrics as _metrics
 from .errors import Weights, max_error, resolve_weights
 from .heap import Heap, make_merge_heap
 from .kernels import (
     DeltaLog,
-    SnapshotColumns,
+    EncodedSegments,
     SnapshotMirror,
+    encode_segments,
     finalize_mirror,
+    require_finite,
 )
 from .merge import AggregateSegment, adjacent
 
@@ -259,8 +263,15 @@ class OnlineReducer:
     # Feeding the stream
     # ------------------------------------------------------------------
     def push(self, segment: AggregateSegment) -> None:
-        """Consume one ITA tuple: insert it and drain eligible merges."""
+        """Consume one ITA tuple: insert it and drain eligible merges.
+
+        A NaN or ±inf value raises :class:`ValueError` (see
+        :func:`~repro.core.kernels.require_finite`) before the tuple
+        reaches the heap, as in :meth:`push_chunk`.
+        """
         self._check_open()
+        if not all(map(math.isfinite, segment.values)):
+            require_finite(np.atleast_2d(segment.values), first=self.consumed)
         node = self.heap.insert(segment)
         key = node.key
         if self._log is not None:
@@ -297,7 +308,8 @@ class OnlineReducer:
         fused loop ``activate_staged_all``, which bulk-activates the spans
         where the merge policy cannot fire and interleaves merges tuple by
         tuple elsewhere — bit-identical to pushing tuple by tuple.  Plain
-        heaps fall back to :meth:`push`.
+        heaps fall back to :meth:`push`.  A chunk with a NaN or ±inf value
+        is refused whole, before anything is staged.
         """
         self._check_open()
         activate = getattr(self.heap, "activate_staged_all", None)
@@ -305,7 +317,9 @@ class OnlineReducer:
             for segment in segments:
                 self.push(segment)
             return
-        if not self.heap.stage_chunk(segments):  # type: ignore[attr-defined]
+        encoded = encode_segments(segments)
+        require_finite(encoded.values, first=self.consumed)
+        if not self.heap.stage_chunk(encoded):  # type: ignore[attr-defined]
             return
         tracker = self._tracker
         if tracker is not None:
@@ -513,7 +527,7 @@ class OnlineReducer:
 
     def snapshot(
         self, materialize: bool = True
-    ) -> Tuple[GreedyResult, SnapshotColumns]:
+    ) -> Tuple[GreedyResult, EncodedSegments]:
         """Summary of everything pushed so far, without consuming the state.
 
         The delta path: the first call materialises a mirror of the live
@@ -575,7 +589,7 @@ class OnlineReducer:
             columns, error, tail_merges = tail
             merges = self.merges + tail_merges
         result = GreedyResult(
-            segments=columns.segments() if materialize else [],
+            segments=list(columns) if materialize else [],
             error=error,
             size=len(columns),
             max_heap_size=self.heap.max_size,

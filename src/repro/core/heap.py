@@ -31,7 +31,7 @@ from .errors import Weights, pairwise_merge_error
 from .merge import AggregateSegment, adjacent, merge
 
 if TYPE_CHECKING:
-    from .kernels import SnapshotColumns
+    from .kernels import EncodedSegments
 
 
 class HeapNodeView(Protocol):
@@ -91,7 +91,7 @@ class Heap(Protocol):
 
     def segments(self) -> List[AggregateSegment]: ...
 
-    def columns(self) -> "SnapshotColumns": ...
+    def columns(self) -> "EncodedSegments": ...
 
     def clone(self) -> "Heap": ...
 
@@ -328,11 +328,11 @@ class MergeHeap:
         """Return the current intermediate relation in list order."""
         return [node.segment for node in self]
 
-    def columns(self) -> "SnapshotColumns":
+    def columns(self) -> "EncodedSegments":
         """The current intermediate relation as columns, in list order."""
-        from .kernels import SnapshotColumns
+        from .kernels import encode_segments
 
-        return SnapshotColumns.from_segments(self.segments())
+        return encode_segments(self.segments())
 
 
 def make_merge_heap(

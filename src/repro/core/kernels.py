@@ -21,7 +21,8 @@ provides drop-in array-backed counterparts selected with the
   heap size, and :meth:`NumpyMergeHeap.insert_batch` computes the merge keys
   of a whole batch of tuples vectorized (used by the batch GMS helpers);
 * :class:`EncodedSegments` — a segment stream as flat columns, the unit of
-  ingest (wire bytes decode straight into it) and of sharding;
+  ingest (wire bytes decode straight into it), of sharding and of the
+  snapshots the query index is built from;
 * :meth:`NumpyMergeHeap.stage_chunk` /
   :meth:`NumpyMergeHeap.activate_staged_all` — the batched *online*
   insert path: a chunk's columns are bulk-written into reserved slots with
@@ -66,7 +67,8 @@ class ValueWidthError(ValueError):
 # ----------------------------------------------------------------------
 @dataclass(eq=False)
 class EncodedSegments(Sequence[AggregateSegment]):
-    """A segment stream as flat columns (the unit of ingest and sharding).
+    """A segment stream as flat columns (the unit of ingest, sharding and
+    query snapshots).
 
     ``starts`` / ``ends`` are ``int64`` interval endpoints, ``values`` is a
     ``float64`` array of shape ``(n, p)``, ``groups`` holds dense interned
@@ -124,6 +126,43 @@ class EncodedSegments(Sequence[AggregateSegment]):
             return NotImplemented
         return list(self) == list(other)
 
+    @classmethod
+    def concatenate(
+        cls, parts: Sequence["EncodedSegments"]
+    ) -> "EncodedSegments":
+        """Row-wise concatenation, re-interning group ids across parts."""
+        parts = [part for part in parts if len(part)]
+        if not parts:
+            return cls(
+                np.zeros(0, np.int64),
+                np.zeros(0, np.int64),
+                np.zeros((0, 0), np.float64),
+                np.zeros(0, np.int64),
+                [],
+            )
+        if len(parts) == 1:
+            return parts[0]
+        group_keys: List[tuple] = []
+        interned: Dict[tuple, int] = {}
+        remapped: List[np.ndarray] = []
+        for part in parts:
+            mapping = np.zeros(len(part.group_keys), dtype=np.int64)
+            for local_id, group in enumerate(part.group_keys):
+                global_id = interned.get(group)
+                if global_id is None:
+                    global_id = len(group_keys)
+                    interned[group] = global_id
+                    group_keys.append(group)
+                mapping[local_id] = global_id
+            remapped.append(mapping[part.groups])
+        return cls(
+            np.concatenate([p.starts for p in parts]),
+            np.concatenate([p.ends for p in parts]),
+            np.concatenate([p.values for p in parts]),
+            np.concatenate(remapped),
+            group_keys,
+        )
+
 
 def _flat_rows(rows: Sequence[Sequence[float]], width: int) -> np.ndarray:
     """Stack equal-width value rows into a ``(len(rows), width)`` block.
@@ -174,18 +213,20 @@ def encode_segments(
 
 
 def require_finite(
-    values: np.ndarray, error: type = ValueError
+    values: np.ndarray, error: type = ValueError, first: int = 0
 ) -> None:
     """Raise ``error`` naming the first segment row with a NaN or ±inf value.
 
     The merge operator's length-weighted means (and with them every merge
     key) are undefined for such a value, so each entry point that would
     otherwise reduce it into a wrong-sized summary refuses it up front.
+    Rows are numbered from ``first``, the position of the block's first
+    row in its stream.
     """
     if values.size and not bool(np.isfinite(values).all()):
         bad = np.argwhere(~np.isfinite(np.atleast_2d(values)))[0]
         raise error(
-            f"segment {int(bad[0])} has a non-finite aggregate value "
+            f"segment {first + int(bad[0])} has a non-finite aggregate value "
             f"(NaN/inf: the merge operator's length-weighted means are "
             f"undefined for it)"
         )
@@ -1350,7 +1391,7 @@ class NumpyMergeHeap:
         """Materialise the current intermediate relation in list order."""
         return [self._segment_at(node.index) for node in self]
 
-    def columns(self) -> "SnapshotColumns":
+    def columns(self) -> EncodedSegments:
         """The current intermediate relation as columns, in list order.
 
         Read straight off the heap's columns: no per-tuple segment object
@@ -1362,10 +1403,10 @@ class NumpyMergeHeap:
             order.append(index)
             index = self._next[index]
         if not order:
-            return SnapshotColumns.concatenate([])
+            return EncodedSegments.concatenate([])
         rows = np.asarray(order, dtype=np.intp)
         values = self._values
-        return SnapshotColumns(
+        return EncodedSegments(
             np.asarray(self._start, np.int64)[rows],
             np.asarray(self._end, np.int64)[rows],
             _flat_rows([values[i] for i in order], self._dimensions),
@@ -1525,98 +1566,6 @@ class DeltaLog:
             getattr(self, column).clear()
 
 
-class SnapshotColumns:
-    """A summary snapshot as flat, query-ready columns.
-
-    The column twin of a segment list: time-ordered interval endpoints,
-    a dense ``(n, p)`` value matrix, interned group ids and the group-key
-    table.  This is what the serving layer's query index consumes directly,
-    skipping the per-segment object materialisation on the cold path.
-    """
-
-    __slots__ = ("starts", "ends", "values", "group_ids", "group_keys")
-
-    def __init__(
-        self,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        values: np.ndarray,
-        group_ids: np.ndarray,
-        group_keys: List[tuple],
-    ) -> None:
-        self.starts = starts
-        self.ends = ends
-        self.values = values
-        self.group_ids = group_ids
-        self.group_keys = group_keys
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    def segments(self) -> List[AggregateSegment]:
-        """Materialise the snapshot as a segment list (row order)."""
-        group_keys = self.group_keys
-        group_ids = self.group_ids.tolist()
-        starts = self.starts.tolist()
-        ends = self.ends.tolist()
-        return [
-            AggregateSegment(
-                group_keys[group_ids[i]],
-                tuple(row),
-                Interval(starts[i], ends[i]),
-            )
-            for i, row in enumerate(self.values.tolist())
-        ]
-
-    @classmethod
-    def from_segments(
-        cls, segments: Sequence[AggregateSegment]
-    ) -> "SnapshotColumns":
-        """Column form of an already-materialised segment list."""
-        encoded = encode_segments(segments)
-        return cls(
-            encoded.starts, encoded.ends, encoded.values, encoded.groups,
-            encoded.group_keys,
-        )
-
-    @classmethod
-    def concatenate(
-        cls, parts: Sequence["SnapshotColumns"]
-    ) -> "SnapshotColumns":
-        """Row-wise concatenation, re-interning group ids across parts."""
-        parts = [part for part in parts if len(part)]
-        if not parts:
-            return cls(
-                np.zeros(0, np.int64),
-                np.zeros(0, np.int64),
-                np.zeros((0, 0), np.float64),
-                np.zeros(0, np.int64),
-                [],
-            )
-        if len(parts) == 1:
-            return parts[0]
-        group_keys: List[tuple] = []
-        interned: Dict[tuple, int] = {}
-        remapped: List[np.ndarray] = []
-        for part in parts:
-            mapping = np.zeros(len(part.group_keys), dtype=np.int64)
-            for local_id, group in enumerate(part.group_keys):
-                global_id = interned.get(group)
-                if global_id is None:
-                    global_id = len(group_keys)
-                    interned[group] = global_id
-                    group_keys.append(group)
-                mapping[local_id] = global_id
-            remapped.append(mapping[part.group_ids])
-        return cls(
-            np.concatenate([p.starts for p in parts]),
-            np.concatenate([p.ends for p in parts]),
-            np.concatenate([p.values for p in parts]),
-            np.concatenate(remapped),
-            group_keys,
-        )
-
-
 class SnapshotMirror:
     """Patchable column image of a live heap's intermediate relation.
 
@@ -1668,7 +1617,7 @@ class SnapshotMirror:
         }
         mirror._append(
             [node.id for node in nodes], columns.starts, columns.ends,
-            columns.group_ids, columns.values, [node.key for node in nodes],
+            columns.groups, columns.values, [node.key for node in nodes],
         )
         return mirror
 
@@ -1803,14 +1752,14 @@ def finalize_mirror(
     total_error: float = 0.0,
     backend: str = "numpy",
     weights: Weights | None = None,
-) -> Optional[Tuple[SnapshotColumns, float, int]]:
+) -> Optional[Tuple[EncodedSegments, float, int]]:
     """Run the end-of-input merge phase on a mirror, without touching it.
 
     The delta-snapshot twin of ``OnlineReducer.finalize``: gathers the
     mirror's live rows, replays the paper's end-of-input greedy phase —
     size-bounded down to ``size``, or error-bounded while ``total_error``
     stays within ``error_threshold`` (with the same ``1e-9`` slack as the
-    oracle) — and returns the final snapshot as :class:`SnapshotColumns`
+    oracle) — and returns the final snapshot as :class:`EncodedSegments`
     together with the accumulated error and the number of tail merges.
 
     The cost is O(live) vectorised work plus O(tail) Python work.  The
@@ -1991,7 +1940,7 @@ def finalize_mirror(
         keep[list(merged)] = False
         starts, ends = starts[keep], ends[keep]
         values, group_ids = values[keep], group_ids[keep]
-    columns = SnapshotColumns(
+    columns = EncodedSegments(
         starts, ends, values, group_ids, list(mirror.group_keys)
     )
     return columns, total_error, merges
@@ -2327,7 +2276,6 @@ __all__ = [
     "NumpyHeapNode",
     "NumpyMergeHeap",
     "NumpyPrefixSums",
-    "SnapshotColumns",
     "SnapshotMirror",
     "adjacent_pair_mask",
     "dp_best_split",

@@ -63,7 +63,7 @@ from urllib.parse import quote, unquote
 import numpy as np
 
 from ..api.result import Result
-from ..core.kernels import EncodedSegments, SnapshotColumns
+from ..core.kernels import EncodedSegments, encode_segments
 from ..obs.tracing import span
 from ..util import failpoints
 from ..storage.wal import (
@@ -74,14 +74,13 @@ from ..storage.wal import (
     write_checkpoint,
 )
 from .wire import (
+    WireError,
     decode_segments,
     result_columns,
     result_from_columns,
     result_meta,
+    segments_from_columns,
 )
-
-#: One live chunk as recovered from a WAL frame.
-Chunk = EncodedSegments
 
 _EPOCH_FILE = re.compile(r"^epoch-(\d{8})\.(wal|ckpt)$")
 
@@ -150,7 +149,7 @@ class FrozenEpoch:
         self._path = path
         self._raw: Optional[Dict[str, np.ndarray]] = None
         self._meta: Optional[Dict[str, object]] = None
-        self._snapshot: Optional[SnapshotColumns] = None
+        self._snapshot: Optional[EncodedSegments] = None
 
     @classmethod
     def from_result(cls, result: Result) -> "FrozenEpoch":
@@ -202,28 +201,27 @@ class FrozenEpoch:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def columns(self) -> SnapshotColumns:
+    def columns(self) -> EncodedSegments:
         """The epoch's summary as flat snapshot columns.
 
         Disk-backed epochs return read-only zero-copy views over the
-        checkpoint's memory map — built once, then cached; the OS pages
-        the data in on demand.
+        checkpoint's memory map — validated by the ``PTAS`` row checks,
+        built once, then cached; the OS pages the data in on demand.  A
+        checkpoint that fails to load or validate raises
+        :class:`DurabilityError`.
         """
         if self._snapshot is None:
             if self._result is not None:
-                self._snapshot = SnapshotColumns.from_segments(
-                    self._result.segments
-                )
+                self._snapshot = encode_segments(self._result.segments)
             else:
-                raw = self._load_raw()
-                self._meta = result_meta(raw)  # validates the side column
-                self._snapshot = SnapshotColumns(
-                    raw["starts"],
-                    raw["ends"],
-                    raw["values"],
-                    raw["groups"],
-                    _group_keys(raw),
-                )
+                try:
+                    raw = self._load_raw()
+                    self._meta = result_meta(raw)  # validates the side column
+                    self._snapshot = segments_from_columns(raw)
+                except (WalError, WireError) as error:
+                    raise DurabilityError(
+                        f"checkpoint {self._path} cannot be served: {error}"
+                    ) from error
         return self._snapshot
 
     def result(self) -> Result:
@@ -253,15 +251,6 @@ class FrozenEpoch:
         return self._meta
 
 
-def _group_keys(raw: Dict[str, np.ndarray]) -> List[tuple]:
-    from .wire import _json_value  # shared JSON side-column decoding
-
-    keys = _json_value(raw["group_keys"], "group_keys")
-    if not isinstance(keys, list):
-        raise WalError("group_keys column must decode to a JSON array")
-    return [tuple(key) for key in keys]
-
-
 @dataclass
 class RecoveredKey:
     """Everything recovery found on disk for one stream key.
@@ -276,8 +265,10 @@ class RecoveredKey:
 
     key: str
     frozen: List[Tuple[int, FrozenEpoch]] = field(default_factory=list)
-    orphans: List[Tuple[int, List[Chunk]]] = field(default_factory=list)
-    live: Optional[Tuple[int, List[Chunk]]] = None
+    orphans: List[Tuple[int, List[EncodedSegments]]] = field(
+        default_factory=list
+    )
+    live: Optional[Tuple[int, List[EncodedSegments]]] = None
     live_epoch: int = 0
 
 
@@ -637,7 +628,6 @@ class Durability:
 
 
 __all__ = [
-    "Chunk",
     "Durability",
     "DurabilityError",
     "FrozenEpoch",

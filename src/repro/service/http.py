@@ -62,7 +62,8 @@ status    code                   meaning
 413       ``payload_too_large``  ``Content-Length`` above ``max_body``
 429       ``backpressure``       too many in-flight pushes (``Retry-After``)
 500       ``internal``           unexpected handler exception (logged)
-503       ``durability``         durable push failed; safe to retry
+503       ``durability``         durable push failed (safe to retry), or
+                                 a demoted checkpoint cannot be served
 503       ``degraded``           ``/healthz`` while the store is degraded
                                  or the replication lag exceeds the
                                  configured threshold
@@ -78,14 +79,12 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from ..core.kernels import EncodedSegments
 from ..core.merge import AggregateSegment
-from ..api.plan import Budget, ExecutionPolicy
 from ..api.result import Result
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
@@ -94,9 +93,7 @@ from ..util.deadline import DEADLINE_HEADER, DeadlineExceeded, deadline_scope
 from .durability import DurabilityError
 from .query import QueryEngine, WindowBucket
 from .store import (
-    DEFAULT_RESYNC_JOURNAL_BYTES,
     Key,
-    LRUTTLEviction,
     ReplicationError,
     ServiceError,
     SessionStore,
@@ -148,8 +145,9 @@ class Service:
     """The serving layer as one embeddable object: store + query engine.
 
     Either wrap an existing configured store
-    (``Service(store=my_store)``) or let the facade build one from the
-    same keyword surface as :class:`SessionStore`.
+    (``Service(store=my_store)``) or pass :class:`SessionStore` keywords,
+    which are forwarded to it; a keyword given as ``None`` keeps the
+    store's default.
 
     ``max_replication_lag`` is a *serving* knob (allowed alongside a
     prebuilt store): when set, ``/healthz`` answers 503 ``degraded`` as
@@ -162,23 +160,8 @@ class Service:
         self,
         store: Optional[SessionStore] = None,
         *,
-        budget: Optional[Budget] = None,
-        size: Optional[int] = None,
-        max_error: Optional[float] = None,
-        policy: Optional[ExecutionPolicy] = None,
-        eviction: Optional[LRUTTLEviction] = None,
-        max_sessions: Optional[int] = None,
-        ttl: Optional[float] = None,
-        session_factory: Optional[Callable[[Key], Any]] = None,
-        data_dir: Optional[Union[str, "Path"]] = None,
-        fsync_every: Optional[int] = None,
-        checkpoint_every: Optional[int] = None,
-        degrade_after: Optional[int] = None,
-        reprobe_every: Optional[int] = None,
-        wal_compact_factor: Optional[float] = None,
-        sync_replicas: Optional[int] = None,
-        resync_journal_bytes: Optional[int] = None,
         max_replication_lag: Optional[int] = None,
+        **store_options: Any,
     ) -> None:
         if max_replication_lag is not None and max_replication_lag < 0:
             raise ServiceError(
@@ -186,40 +169,21 @@ class Service:
                 f"{max_replication_lag}"
             )
         self.max_replication_lag = max_replication_lag
+        # A keyword left at None takes SessionStore's own default.
+        options = {
+            name: value
+            for name, value in store_options.items()
+            if value is not None
+        }
         if store is not None:
-            if (budget, size, max_error, policy, eviction, max_sessions,
-                    ttl, session_factory, data_dir, fsync_every,
-                    checkpoint_every, degrade_after, reprobe_every,
-                    wal_compact_factor, sync_replicas,
-                    resync_journal_bytes) != (None,) * 16:
+            if options:
                 raise ServiceError(
                     "pass either a prebuilt store or store-construction "
                     "keywords, not both"
                 )
             self.store = store
         else:
-            self.store = SessionStore(
-                budget,
-                size=size,
-                max_error=max_error,
-                policy=policy,
-                eviction=eviction,
-                max_sessions=max_sessions,
-                ttl=ttl,
-                session_factory=session_factory,
-                data_dir=data_dir,
-                fsync_every=1 if fsync_every is None else fsync_every,
-                checkpoint_every=checkpoint_every,
-                degrade_after=3 if degrade_after is None else degrade_after,
-                reprobe_every=8 if reprobe_every is None else reprobe_every,
-                wal_compact_factor=wal_compact_factor,
-                sync_replicas=0 if sync_replicas is None else sync_replicas,
-                resync_journal_bytes=(
-                    DEFAULT_RESYNC_JOURNAL_BYTES
-                    if resync_journal_bytes is None
-                    else resync_journal_bytes
-                ),
-            )
+            self.store = SessionStore(**options)
         self.engine = QueryEngine(self.store)
 
     def close(self) -> None:

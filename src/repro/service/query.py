@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.kernels import (
-    SnapshotColumns,
+    EncodedSegments,
     instant_index,
     range_weighted_sum,
     time_weighted_prefix,
@@ -176,7 +176,7 @@ class SnapshotIndex:
         }
 
     @classmethod
-    def from_columns(cls, columns: SnapshotColumns) -> "SnapshotIndex":
+    def from_columns(cls, columns: EncodedSegments) -> "SnapshotIndex":
         """Build the index straight from snapshot columns, vectorized.
 
         The column twin of the segment constructor: rows are partitioned
@@ -187,11 +187,11 @@ class SnapshotIndex:
         index = cls.__new__(cls)
         index._groups = {}
         if len(columns):
-            order = np.lexsort((columns.starts, columns.group_ids))
-            ordered_ids = columns.group_ids[order]
+            order = np.lexsort((columns.starts, columns.groups))
+            ordered_ids = columns.groups[order]
             boundaries = np.flatnonzero(np.diff(ordered_ids)) + 1
             for rows in np.split(order, boundaries):
-                group = columns.group_keys[int(columns.group_ids[rows[0]])]
+                group = columns.group_keys[int(columns.groups[rows[0]])]
                 index._groups[group] = _GroupIndex.from_arrays(
                     columns.starts[rows],
                     columns.ends[rows],

@@ -56,7 +56,7 @@ from typing import (
     Union,
 )
 
-from ..core.kernels import EncodedSegments, SnapshotColumns, ValueWidthError
+from ..core.kernels import EncodedSegments, ValueWidthError
 from ..core.merge import AggregateSegment
 from ..api.plan import Budget, ExecutionPolicy
 from ..api.result import Result
@@ -266,7 +266,7 @@ class _KeyState:
     #: Concatenated column form of the frozen epochs, built lazily and
     #: invalidated whenever a new epoch freezes.  Frozen summaries never
     #: change, so this is computed once per eviction, not per query.
-    frozen_columns: Optional[SnapshotColumns] = None
+    frozen_columns: Optional[EncodedSegments] = None
     #: Consecutive durable-write failures for this key alone; at the
     #: ``degrade_after`` threshold (or immediately on a torn WAL tail)
     #: the store rotates the key's epoch so a single poisoned segment
@@ -758,7 +758,7 @@ class SessionStore:
         """The combined snapshot's segments (materialised form)."""
         return self.snapshot(key).segments
 
-    def snapshot_columns(self, key: Key) -> SnapshotColumns:
+    def snapshot_columns(self, key: Key) -> EncodedSegments:
         """The combined snapshot in flat column form (the query fast path).
 
         Frozen epochs contribute a column image cached per eviction; the
@@ -769,13 +769,13 @@ class SessionStore:
         """
         with self._lock, span("snapshot_delta"):
             state = self._require(key)
-            parts: List[SnapshotColumns] = []
+            parts: List[EncodedSegments] = []
             if state.frozen:
                 if state.frozen_columns is None:
                     # Demoted epochs contribute zero-copy views over their
                     # mmap'd checkpoints here; resident epochs a one-time
                     # column image of their segments.
-                    state.frozen_columns = SnapshotColumns.concatenate(
+                    state.frozen_columns = EncodedSegments.concatenate(
                         [epoch.columns() for epoch in state.frozen]
                     )
                 parts.append(state.frozen_columns)
@@ -783,7 +783,7 @@ class SessionStore:
                 parts.append(state.session.summary_columns())
                 state.last_access = self._clock()
                 self._states.move_to_end(key)
-            return SnapshotColumns.concatenate(parts)
+            return EncodedSegments.concatenate(parts)
 
     def generation(self, key: Key) -> int:
         """Cache-invalidation token: bumped by every push and eviction."""

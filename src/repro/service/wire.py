@@ -65,19 +65,24 @@ class WireError(ValueError):
 # ----------------------------------------------------------------------
 def encode_segments(segments: Iterable[AggregateSegment]) -> bytes:
     """Encode a segment stream (columns are packed as they are)."""
+    return pack_columns(
+        _segment_image(segments), SEGMENTS_MAGIC, WIRE_VERSION
+    )
+
+
+def _segment_image(
+    segments: Iterable[AggregateSegment],
+) -> Dict[str, np.ndarray]:
+    """The five ``PTAS`` columns of a segment stream, finite values only."""
     encoded = _to_columns(segments)
     require_finite(encoded.values, WireError)
-    return pack_columns(
-        {
-            "starts": np.asarray(encoded.starts, dtype=np.int64),
-            "ends": np.asarray(encoded.ends, dtype=np.int64),
-            "values": np.asarray(encoded.values, dtype=np.float64),
-            "groups": np.asarray(encoded.groups, dtype=np.int64),
-            "group_keys": _group_key_column(encoded.group_keys),
-        },
-        SEGMENTS_MAGIC,
-        WIRE_VERSION,
-    )
+    return {
+        "starts": np.asarray(encoded.starts, dtype=np.int64),
+        "ends": np.asarray(encoded.ends, dtype=np.int64),
+        "values": np.asarray(encoded.values, dtype=np.float64),
+        "groups": np.asarray(encoded.groups, dtype=np.int64),
+        "group_keys": _group_key_column(encoded.group_keys),
+    }
 
 
 def checked_segments(
@@ -110,15 +115,21 @@ def decode_segments(data: bytes, copy: bool = True) -> EncodedSegments:
     ``data`` (``np.frombuffer``), read-only when the buffer is; every
     consumer treats its inputs as immutable.
     """
-    return _columns_to_encoded(_unpack(data, SEGMENTS_MAGIC, copy=copy))
+    return segments_from_columns(_unpack(data, SEGMENTS_MAGIC, copy=copy))
 
 
-def _columns_to_encoded(columns: Dict[str, np.ndarray]) -> EncodedSegments:
+def segments_from_columns(
+    columns: Mapping[str, np.ndarray],
+) -> EncodedSegments:
     """Validate unpacked segment columns and assemble the flat encoding.
 
-    Shared by :func:`decode_segments` and :func:`decode_result`; every
-    malformed shape/dtype surfaces as :class:`WireError` (never a raw
-    TypeError from downstream array arithmetic on untrusted bytes).
+    The one way raw columns become :class:`EncodedSegments`: shared by
+    :func:`decode_segments`, :func:`decode_result` and the serving read
+    of ``PTAC`` checkpoints
+    (:meth:`repro.service.durability.FrozenEpoch.columns`).  Every
+    malformed shape, dtype or row surfaces as :class:`WireError` (never
+    a raw TypeError or IndexError from downstream array arithmetic on
+    untrusted bytes).
     """
     missing = [name for name in _SEGMENT_COLUMNS if name not in columns]
     if missing:
@@ -195,8 +206,6 @@ def result_columns(result: Any) -> Dict[str, np.ndarray]:
     ``PTAR`` wire format and the durability tier's ``PTAC`` checkpoint
     files (:mod:`repro.storage.wal`) pack; they differ only in magic tag.
     """
-    encoded = _to_columns(result.segments)
-    require_finite(encoded.values, WireError)
     meta = {
         "error": result.error,
         "size": result.size,
@@ -210,11 +219,7 @@ def result_columns(result: Any) -> Dict[str, np.ndarray]:
         "timestamp_name": result.timestamp_name,
     }
     return {
-        "starts": np.asarray(encoded.starts, dtype=np.int64),
-        "ends": np.asarray(encoded.ends, dtype=np.int64),
-        "values": np.asarray(encoded.values, dtype=np.float64),
-        "groups": np.asarray(encoded.groups, dtype=np.int64),
-        "group_keys": _group_key_column(encoded.group_keys),
+        **_segment_image(result.segments),
         "meta": _json_column(meta, "result metadata"),
     }
 
@@ -239,7 +244,7 @@ def result_from_columns(columns: Dict[str, np.ndarray]) -> Any:
     from ..api.result import Result
 
     meta = result_meta(columns)
-    segments = list(_columns_to_encoded(columns))
+    segments = list(segments_from_columns(columns))
     try:
         return Result(
             segments=segments,
@@ -422,6 +427,7 @@ __all__ = [
     "result_meta",
     "segment_from_obj",
     "segment_to_obj",
+    "segments_from_columns",
     "segments_from_objs",
     "segments_from_jsonl",
     "segments_to_jsonl",

@@ -12,9 +12,12 @@ killed process leaves behind.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import struct
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from repro.service import (
     ServiceError,
     SessionStore,
     encode_result,
+    start_in_background,
 )
 from repro.service.durability import decode_key, encode_key
 from repro.service.wire import result_columns
@@ -240,7 +244,7 @@ class TestKeysAndEpochs:
         assert demoted.error == resident.error == result.error
         assert demoted.input_size == result.input_size
         assert demoted.result() == result
-        for attr in ("starts", "ends", "values", "group_ids"):
+        for attr in ("starts", "ends", "values", "groups"):
             assert (
                 getattr(demoted.columns(), attr)
                 == getattr(resident.columns(), attr)
@@ -249,6 +253,65 @@ class TestKeysAndEpochs:
     def test_epoch_requires_exactly_one_source(self, tmp_path):
         with pytest.raises(DurabilityError):
             FrozenEpoch()
+
+
+def corrupt_checkpoint(path, kind: str) -> None:
+    """Write a ``PTAC`` file whose segment rows break one row check."""
+    session = Compressor(SizeBudget(10))
+    session.push(stream(60, seed=3))
+    columns = result_columns(session.finalize())
+    if kind == "group_out_of_range":
+        columns["groups"] = columns["groups"] + 5
+    elif kind == "one_dimensional_values":
+        columns["values"] = columns["values"][:, 0]
+    elif kind == "row_counts_disagree":
+        columns["ends"] = columns["ends"][:-1]
+    else:
+        assert kind == "nan_values"
+        columns["values"] = np.full_like(columns["values"], np.nan)
+    write_checkpoint(path, columns)
+
+
+CORRUPTIONS = [
+    "group_out_of_range",
+    "one_dimensional_values",
+    "row_counts_disagree",
+    "nan_values",
+]
+
+
+class TestCorruptCheckpointReads:
+    """A demoted epoch's columns get the ``PTAS`` row checks on the
+    serving path: garbage is a :class:`DurabilityError`, never an
+    IndexError or a NaN answer."""
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    def test_columns_raise_durability_error(self, tmp_path, kind):
+        path = tmp_path / "epoch-00000000.ckpt"
+        corrupt_checkpoint(path, kind)
+        with pytest.raises(DurabilityError, match="cannot be served"):
+            FrozenEpoch.from_checkpoint(path).columns()
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    def test_range_agg_answers_503_durability(self, tmp_path, kind):
+        service = Service(size=10, data_dir=tmp_path)
+        service.push("k", stream(60, seed=4))
+        service.store.freeze("k")
+        (epoch,) = service.store.frozen_epochs("k")
+        corrupt_checkpoint(epoch.path, kind)
+        server, _ = start_in_background(service)
+        try:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(
+                    f"http://127.0.0.1:{server.port}"
+                    f"/range_agg?key=k&t1=0&t2=100&fn=avg"
+                )
+            assert excinfo.value.code == 503
+            assert json.load(excinfo.value)["code"] == "durability"
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro import Interval
 from repro.api import Compressor, ErrorBudget, ExecutionPolicy, Result, SizeBudget
 from repro.core import AggregateSegment, max_error
 from repro.core.greedy import OnlineReducer
-from repro.core.kernels import _TAIL_WINDOW, SnapshotColumns, finalize_mirror
+from repro.core.kernels import _TAIL_WINDOW, EncodedSegments, finalize_mirror
 from repro.obs import metrics
 from repro.service import QueryEngine, SessionStore
 
@@ -72,9 +72,9 @@ def assert_bit_identical(snapshot: Result, reference: Result) -> None:
         assert left.values == right.values  # exact float equality
 
 
-def assert_columns_match(columns: SnapshotColumns, reference: Result) -> None:
+def assert_columns_match(columns: EncodedSegments, reference: Result) -> None:
     """The column form must carry exactly the reference segments."""
-    materialised = columns.segments()
+    materialised = list(columns)
     assert len(materialised) == reference.size
     for left, right in zip(materialised, reference.segments):
         assert left.group == right.group
@@ -442,23 +442,31 @@ class TestStoreFreezeBoundaries:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_delta_spanning_freeze_boundary(self, backend):
         """Snapshot columns stay identical to the segment path across epochs."""
-        stream = random_stream(90, seed=21, groups=2)
         store = SessionStore(
             size=8, policy=ExecutionPolicy(backend=backend)
         )
-        store.push("k", stream[:40])
-        first = store.snapshot("k")
-        assert_columns_match(store.snapshot_columns("k"), first)
-        store.freeze("k")  # epoch boundary: live session -> frozen summary
-        store.push("k", stream[40:70])
-        mid = store.snapshot("k")
-        assert_columns_match(store.snapshot_columns("k"), mid)
-        store.freeze("k")
-        store.push("k", stream[70:])
-        combined = store.snapshot("k")
-        assert_columns_match(store.snapshot_columns("k"), combined)
-        # Three epochs contributed.
-        assert len(store.frozen("k")) == 2
+        three = random_stream(90, seed=24, groups=3)
+        streams = {
+            "k": random_stream(90, seed=21, groups=2),
+            # Groups g2, g0, g1 in that order: the three epochs intern the
+            # tables (g2, g0), (g0, g1) and (g1,), so concatenation has to
+            # re-map every part's group ids.
+            "reinterned": three[60:] + three[:60],
+        }
+        for key, stream in streams.items():
+            store.push(key, stream[:40])
+            first = store.snapshot(key)
+            assert_columns_match(store.snapshot_columns(key), first)
+            store.freeze(key)  # epoch boundary: live session -> frozen summary
+            store.push(key, stream[40:70])
+            mid = store.snapshot(key)
+            assert_columns_match(store.snapshot_columns(key), mid)
+            store.freeze(key)
+            store.push(key, stream[70:])
+            combined = store.snapshot(key)
+            assert_columns_match(store.snapshot_columns(key), combined)
+            # Three epochs contributed.
+            assert len(store.frozen(key)) == 2
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_query_engine_across_freeze_is_oracle_identical(self, backend):

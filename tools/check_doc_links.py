@@ -1,12 +1,15 @@
 #!/usr/bin/env python
-"""Fail CI when docs cite file paths (or test anchors) that don't resolve.
+"""Fail CI when docs cite file paths, test anchors or names that don't resolve.
 
 The docs promise to stay greppable against the tree: every path cited in
-``docs/*.md`` and ``README.md`` must exist, and every
-``path::Class::method`` anchor must name a symbol that actually appears
-in that file.  This script is deliberately grep-grade — no markdown
-parser, no imports of the package — so it can never rot ahead of the
-docs it checks.
+``docs/*.md`` and ``README.md`` must exist, every ``path::Class::method``
+anchor must name a symbol that actually appears in that file, and every
+backticked dotted name ``repro.a.b.Name`` must resolve: the longest
+prefix that is a module (``src/repro/a/b.py`` or a package's
+``__init__.py``) exists, and the module defines, imports or exports
+(``__all__``) the first name after it.  This script is deliberately
+grep-grade — no markdown parser, no imports of the package — so it can
+never rot ahead of the docs it checks.
 
 Usage::
 
@@ -36,6 +39,9 @@ PATH_PATTERN = re.compile(
     r"(?:::[A-Za-z0-9_:]+)?"
 )
 
+#: A backticked dotted name in the package, e.g. `repro.api.Compressor`.
+NAME_PATTERN = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)")
+
 #: Paths the docs legitimately cite but that only exist at runtime
 #: (gitignored benchmark output, etc.).
 GENERATED = {"benchmarks/results/"}
@@ -44,10 +50,50 @@ GENERATED = {"benchmarks/results/"}
 def citations(text: str) -> Iterable[str]:
     for match in PATH_PATTERN.finditer(text):
         yield match.group(0)
+    for match in NAME_PATTERN.finditer(text):
+        yield match.group(1)
+
+
+def _module_file(parts: List[str]) -> Path | None:
+    base = ROOT / "src" / Path(*parts)
+    for candidate in (base.with_suffix(".py"), base / "__init__.py"):
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def check_name(citation: str) -> Tuple[bool, str]:
+    """(ok, message) for one dotted ``repro.module[.Name[.attr]]`` name."""
+    parts = citation.split(".")
+    for split in range(len(parts), 0, -1):
+        module = _module_file(parts[:split])
+        if module is not None:
+            break
+    else:
+        return False, f"{citation}: no module {parts[0]!r} under src/"
+    if split == len(parts):
+        return True, citation
+    name = re.escape(parts[split])
+    source = module.read_text(encoding="utf-8")
+    patterns = (
+        rf"^\s*(?:def|class)\s+{name}\b",  # defined
+        rf"^{name}\s*[:=]",  # module-level assignment
+        rf"^\s*(?:from\s+\S+\s+)?import\s+[^\n]*\b{name}\b",  # one-line import
+        rf"^from\s+\S+\s+import\s+\([^)]*\b{name}\b",  # bracketed import
+        rf"[\"']{name}[\"']",  # exported by name (__all__, lazy exports)
+    )
+    if any(re.search(p, source, re.MULTILINE) for p in patterns):
+        return True, citation
+    rel = module.relative_to(ROOT)
+    return False, (
+        f"{citation}: {rel} neither defines nor imports {parts[split]!r}"
+    )
 
 
 def check_one(citation: str) -> Tuple[bool, str]:
     """(ok, message) for one ``path[::Symbol[::symbol]]`` citation."""
+    if citation.startswith("repro."):
+        return check_name(citation)
     path_part, _, anchor = citation.partition("::")
     if path_part in GENERATED:
         return True, citation
