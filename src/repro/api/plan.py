@@ -251,8 +251,9 @@ class ExecutionPolicy:
     Attributes
     ----------
     backend:
-        Kernel backend for the single-process engines; both backends
-        produce identical reductions.
+        Kernel backend for the single-process engines.  Greedy
+        reductions and ``Compressor`` snapshots are bit-identical on
+        both backends (``tests/test_backend_identity.py``).
     workers:
         ``None`` keeps the single-process online evaluation.  Any integer
         switches to the sharded engine of :mod:`repro.parallel` (``0`` uses

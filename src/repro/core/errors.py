@@ -209,6 +209,36 @@ class PrefixSums:
         return error
 
 
+def squared_weights(
+    weights: Weights | None, dimensions: int
+) -> Tuple[float, ...]:
+    """Per-dimension ``w_d²`` as used by :func:`merge_key`, spelled ``w·w``."""
+    return tuple(w * w for w in resolve_weights(weights, dimensions))
+
+
+def merge_key(
+    left_length: float,
+    right_length: float,
+    left_values: Sequence[float],
+    right_values: Sequence[float],
+    w2: Sequence[float],
+) -> float:
+    """Merge cost ``dsim`` of two adjacent tuples (Proposition 2).
+
+    ``Σ_d (w²_d · factor) · (diff_d · diff_d)`` with
+    ``factor = l·r / (l + r)`` on float lengths, summed from ``0.0`` one
+    dimension at a time.  Every merge key is this function or its vector
+    form :func:`repro.core.kernels.pairwise_merge_keys`, which keeps the
+    same operation order, so both backends compute the same bits.
+    """
+    factor = left_length * right_length / (left_length + right_length)
+    key = 0.0
+    for weight, left, right in zip(w2, left_values, right_values):
+        diff = left - right
+        key += (weight * factor) * (diff * diff)
+    return key
+
+
 def pairwise_merge_error(
     left: AggregateSegment,
     right: AggregateSegment,
@@ -218,17 +248,11 @@ def pairwise_merge_error(
 
     By Proposition 2 the additional error of merging two adjacent segments in
     any intermediate relation equals ``SSE({left, right}, {left ⊕ right})``,
-    which has the closed form
-    ``Σ_d w_d² · |T_l||T_r| / (|T_l| + |T_r|) · (B_d(l) − B_d(r))²``.
+    whose closed form :func:`merge_key` evaluates.
     """
-    dimensions = left.dimensions
-    weights = resolve_weights(weights, dimensions)
-    left_length = left.length
-    right_length = right.length
-    factor = left_length * right_length / (left_length + right_length)
-    return sum(
-        weights[d] ** 2 * factor * (left.values[d] - right.values[d]) ** 2
-        for d in range(dimensions)
+    return merge_key(
+        float(left.length), float(right.length), left.values, right.values,
+        squared_weights(weights, left.dimensions),
     )
 
 
@@ -267,9 +291,11 @@ __all__ = [
     "cmin",
     "error_ratio",
     "max_error",
+    "merge_key",
     "normalized_error",
     "pairwise_merge_error",
     "resolve_weights",
     "sse_between",
     "sse_of_run",
+    "squared_weights",
 ]

@@ -154,8 +154,8 @@ def gms_reduce_to_error(
     """Merge greedily while the accumulated error stays within ``ε·SSE_max``."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be within [0, 1], got {epsilon}")
-    threshold = epsilon * max_error(segments, weights)
     heap = _build_heap(segments, weights, backend)
+    threshold = epsilon * max_error(segments, weights)
     total_error = 0.0
     merges = 0
     while True:
@@ -572,7 +572,6 @@ class OnlineReducer:
             size=self._size,
             error_threshold=threshold,
             total_error=self.total_error,
-            backend=self._backend,
             weights=self._weights,
         )
         if tail is None:
@@ -726,9 +725,11 @@ def _build_heap(
     weights: Weights | None,
     backend: str = "python",
 ) -> Heap:
+    encoded = encode_segments(segments)
+    require_finite(encoded.values)
     heap = make_merge_heap(weights, backend)
     if hasattr(heap, "insert_batch"):
-        heap.insert_batch(list(segments))  # type: ignore[attr-defined]
+        heap.insert_batch(encoded)  # type: ignore[attr-defined]
     else:
         for segment in segments:
             heap.insert(segment)

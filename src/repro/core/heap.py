@@ -15,8 +15,10 @@ size ``h`` without implementing decrease-key.
 
 :func:`make_merge_heap` selects between this reference implementation and
 the array-backed :class:`~repro.core.kernels.NumpyMergeHeap`, which stores
-the intermediate relation in parallel NumPy arrays and merges in place; the
-greedy algorithms expose the choice as their ``backend`` parameter.
+the intermediate relation in parallel columns and merges in place; the
+greedy algorithms expose the choice as their ``backend`` parameter.  Both
+merge through :func:`~repro.core.errors.merge_key` and
+:func:`~repro.core.merge.merged_row` with the same tie-breaking counters.
 """
 
 from __future__ import annotations

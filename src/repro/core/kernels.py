@@ -34,9 +34,10 @@ provides drop-in array-backed counterparts selected with the
   error of every step down to ``cmin``), the unit of work executed by the
   sharded multiprocess engine of :mod:`repro.parallel`.
 
-Both backends implement the same recurrences with the same floating-point
-formulae, so the pure-Python path remains the reference oracle the NumPy path
-is validated against (see ``tests/test_kernels.py``).
+Every greedy merge key and merged row, on either backend, comes from
+:func:`repro.core.errors.merge_key` (vector form :func:`pairwise_merge_keys`)
+and :func:`repro.core.merge.merged_row`, so greedy results are bit-identical
+across backends (``tests/test_backend_identity.py``, ``tests/test_kernels.py``).
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ from typing import (
 import numpy as np
 
 from ..temporal import Interval
-from .errors import Weights, resolve_weights
-from .merge import AggregateSegment
+from .errors import Weights, merge_key, resolve_weights, squared_weights
+from .merge import AggregateSegment, merged_row
 
 
 class ValueWidthError(ValueError):
@@ -380,16 +381,14 @@ def pairwise_merge_keys(
     ends: np.ndarray,
     values: np.ndarray,
     groups: np.ndarray,
-    w2: np.ndarray,
+    w2: Sequence[float],
 ) -> np.ndarray:
     """Merge error of every consecutive pair, ``inf`` where not adjacent.
 
-    The vectorized pairwise form of Proposition 2 —
-    ``l·r/(l+r) · Σ_d w²_d (v_l − v_r)²`` — with exactly the floating-point
-    operation order of the scalar key refresh, so keys computed in batch are
-    bit-identical to keys computed one at a time.  The dimension sum is
-    accumulated sequentially (one fused pass per dimension) to mirror the
-    scalar loop of :meth:`NumpyMergeHeap._refresh_key`; only the rows are
+    The vector form of :func:`repro.core.errors.merge_key`: the same
+    ``(w²_d · factor) · (diff · diff)`` terms on float lengths, summed from
+    ``0.0`` one dimension at a time, so a key computed in batch carries the
+    same bits as the scalar key of the same pair.  Only the rows are
     vectorized.
     """
     if len(starts) < 2:
@@ -401,7 +400,7 @@ def pairwise_merge_keys(
     pair = np.zeros(len(factor), dtype=np.float64)
     for d in range(values.shape[1]):
         diff = values[:-1, d] - values[1:, d]
-        pair += (w2[d] * factor) * diff * diff
+        pair += (w2[d] * factor) * (diff * diff)
     return np.where(adjacent, pair, math.inf)
 
 
@@ -497,15 +496,15 @@ class NumpyMergeHeap:
     arrays while at least half the slots are dead, the storage is compacted
     in place instead of doubled, so memory stays proportional to the *live*
     heap size (``c + β`` for the online algorithms) rather than to the total
-    number of tuples ever streamed.  Node ids survive compaction; the
-    priority queue is rebuilt from the surviving keys.
+    number of tuples ever streamed.  Node ids and queue-entry counters
+    survive compaction, so equal keys keep the reference heap's pop order.
     """
 
     _INITIAL_CAPACITY = 1024
 
     def __init__(self, weights: Weights | None = None) -> None:
         self._weights = weights
-        self._w2: np.ndarray | None = None
+        self._w2: Tuple[float, ...] = ()
         self._dimensions: int | None = None
         self._capacity = 0
         self._count = 0
@@ -527,10 +526,7 @@ class NumpyMergeHeap:
     # ------------------------------------------------------------------
     def _allocate(self, dimensions: int) -> None:
         self._dimensions = dimensions
-        self._w2 = (
-            np.asarray(resolve_weights(self._weights, dimensions)) ** 2
-        )
-        self._w2l: List[float] = self._w2.tolist()
+        self._w2 = squared_weights(self._weights, dimensions)
         self._capacity = self._INITIAL_CAPACITY
         self._values: List[Sequence[float]] = []
         #: Interval lengths as floats (exact — lengths are small integers),
@@ -577,6 +573,19 @@ class NumpyMergeHeap:
             order.append(index)
             index = self._next[index]
         count = len(order)
+        # Keep every valid queue entry with its counter and renumber only
+        # its slot, so equal keys still pop in the reference heap's order.
+        slot = dict(zip(order, range(count)))
+        alive, key, version = self._alive, self._key, self._version
+        entries = [
+            (entry_key, counter, slot[index], entry_version)
+            for entry_key, counter, index, entry_version in self._entries
+            if alive[index]
+            and version[index] == entry_version
+            and key[index] == entry_key
+        ]
+        heapq.heapify(entries)
+        self._entries = entries
         if count:
             self._start = [self._start[i] for i in order]
             self._end = [self._end[i] for i in order]
@@ -626,22 +635,6 @@ class NumpyMergeHeap:
         self._staged_base = count
         self._staged_end = count
         self._staged_keys = None
-        # All queue entries reference pre-compaction slots: rebuild from the
-        # surviving keys.  Re-pushing in chronological order can reorder
-        # *exactly equal* keys relative to the reference heap's push order —
-        # for such ties either merge is a valid greedy step of equal error.
-        counter = self._entry_counter
-        key = self._key
-        version = self._version
-        entries = []
-        for index in range(count):
-            entry_key = key[index]
-            if entry_key != math.inf:
-                counter += 1
-                entries.append((entry_key, counter, index, version[index]))
-        heapq.heapify(entries)
-        self._entry_counter = counter
-        self._entries = entries
 
     def _grow(self, needed: int) -> None:
         # The columns are plain lists, so growing is just raising the
@@ -862,7 +855,7 @@ class NumpyMergeHeap:
         node_id = self._node_id
         values = self._values
         length = self._length
-        w2l = self._w2l
+        w2 = self._w2
         entries = self._entries
         push = heapq.heappush
         pop = heapq.heappop
@@ -1011,7 +1004,10 @@ class NumpyMergeHeap:
                     and group[previous] == group[index]
                     and end[previous] + 1 == start[index]
                 ):
-                    activation_key = self._pair_key(previous, index)
+                    activation_key = merge_key(
+                        length[previous], length[index], values[previous],
+                        values[index], w2,
+                    )
                 else:
                     activation_key = inf
             key[index] = activation_key
@@ -1098,12 +1094,12 @@ class NumpyMergeHeap:
                 predecessor = prev_[top_index]
                 left_length = length[predecessor]
                 right_length = length[top_index]
+                merged = merged_row(
+                    left_length, right_length, values[predecessor],
+                    values[top_index],
+                )
                 length_sum = left_length + right_length
-                merged_row = [
-                    (left_length * a + right_length * b) / length_sum
-                    for a, b in zip(values[predecessor], values[top_index])
-                ]
-                values[predecessor] = merged_row
+                values[predecessor] = merged
                 end[predecessor] = end[top_index]
                 length[predecessor] = length_sum
                 successor = next_[top_index]
@@ -1123,12 +1119,9 @@ class NumpyMergeHeap:
                     and group[before] == group[predecessor]
                     and end[before] + 1 == start[predecessor]
                 ):
-                    left2 = length[before]
-                    factor = left2 * length_sum / (left2 + length_sum)
-                    refreshed = 0.0
-                    for w2, a, b in zip(w2l, values[before], merged_row):
-                        diff = a - b
-                        refreshed += (w2 * factor) * diff * diff
+                    refreshed = merge_key(
+                        length[before], length_sum, values[before], merged, w2
+                    )
                     key[predecessor] = refreshed
                     version[predecessor] += 1
                     counter += 1
@@ -1145,16 +1138,10 @@ class NumpyMergeHeap:
                         group[predecessor] == group[successor]
                         and end[predecessor] + 1 == start[successor]
                     ):
-                        right2 = length[successor]
-                        factor = (
-                            length_sum * right2 / (length_sum + right2)
+                        refreshed = merge_key(
+                            length_sum, length[successor], merged,
+                            values[successor], w2,
                         )
-                        refreshed = 0.0
-                        for w2, a, b in zip(
-                            w2l, merged_row, values[successor]
-                        ):
-                            diff = a - b
-                            refreshed += (w2 * factor) * diff * diff
                         key[successor] = refreshed
                         version[successor] += 1
                         counter += 1
@@ -1170,7 +1157,7 @@ class NumpyMergeHeap:
                     record_merge(
                         node_id[top_index],
                         node_id[predecessor],
-                        merged_row,
+                        merged,
                         key[predecessor],
                         node_id[successor] if successor >= 0 else -1,
                         key[successor] if successor >= 0 else inf,
@@ -1218,15 +1205,14 @@ class NumpyMergeHeap:
         predecessor = self._prev[index]
         left_length = self._length[predecessor]
         right_length = self._length[index]
-        total = left_length + right_length
         # Rebind, never mutate: outstanding row references (delta log) must
         # keep seeing the pre-merge values.
-        self._values[predecessor] = [
-            (left_length * a + right_length * b) / total
-            for a, b in zip(self._values[predecessor], self._values[index])
-        ]
+        values = self._values
+        values[predecessor] = merged_row(
+            left_length, right_length, values[predecessor], values[index]
+        )
         self._end[predecessor] = self._end[index]
-        self._length[predecessor] = total
+        self._length[predecessor] = left_length + right_length
 
         successor = self._next[index]
         self._next[predecessor] = successor
@@ -1284,22 +1270,12 @@ class NumpyMergeHeap:
         )
 
     def _pair_key(self, predecessor: int, index: int) -> float:
-        """Merge error of the (adjacent) pair ``predecessor`` / ``index``.
-
-        The scalar form of :func:`pairwise_merge_keys`: same per-element
-        operation order, dimensions accumulated sequentially, so scalar and
-        batch keys are bit-identical.
-        """
-        left_length = self._length[predecessor]
-        right_length = self._length[index]
-        factor = left_length * right_length / (left_length + right_length)
-        key = 0.0
-        for w2, a, b in zip(
-            self._w2l, self._values[predecessor], self._values[index]
-        ):
-            diff = a - b
-            key += (w2 * factor) * diff * diff
-        return key
+        """Merge error of the (adjacent) pair ``predecessor`` / ``index``."""
+        length, values = self._length, self._values
+        return merge_key(
+            length[predecessor], length[index], values[predecessor],
+            values[index], self._w2,
+        )
 
     def _refresh_key(self, index: int) -> None:
         predecessor = self._prev[index]
@@ -1443,7 +1419,6 @@ class NumpyMergeHeap:
         other._staged_base = self._staged_base
         other._staged_end = self._staged_end
         if self._dimensions is not None:
-            other._w2l = self._w2l
             # Rows are immutable by convention (rebound on merge, never
             # mutated), so a shallow column copy suffices.
             other._values = list(self._values)
@@ -1750,7 +1725,6 @@ def finalize_mirror(
     size: Optional[int] = None,
     error_threshold: Optional[float] = None,
     total_error: float = 0.0,
-    backend: str = "numpy",
     weights: Weights | None = None,
 ) -> Optional[Tuple[EncodedSegments, float, int]]:
     """Run the end-of-input merge phase on a mirror, without touching it.
@@ -1772,11 +1746,12 @@ def finalize_mirror(
     the merged rows masked out.
 
     Starting keys are the mirror's (copied from the heap via the delta
-    log); refreshed keys and merged value rows are computed with exactly
-    the per-``backend`` floating-point formulae of the corresponding heap,
-    so the result is bit-identical to cloning and finalising the live heap
-    itself — with one guarded exception.  Tail entries are tie-broken in
-    chronological order, while the live heap's queue carries historical
+    log); refreshed keys and merged value rows come from the same
+    :func:`~repro.core.errors.merge_key` and
+    :func:`~repro.core.merge.merged_row` that both heap backends call, so
+    the result is bit-identical to cloning and finalising the live heap,
+    on either backend — with one guarded exception.  Tail entries are
+    tie-broken in chronological order, while the live heap's queue carries historical
     insertion counters, so a pair of *exactly equal* winning keys could
     merge in a different order than the oracle would (common on
     integer-valued streams).  Rather than silently returning a different
@@ -1809,15 +1784,7 @@ def finalize_mirror(
     push = heapq.heappush
     pop = heapq.heappop
 
-    python_backend = backend == "python"
-    resolved = resolve_weights(weights, dimensions)
-    # Derive w² exactly as the corresponding heap does (`**` on Python
-    # floats versus NumPy array power) — the two can differ in the last
-    # ulp for non-trivial weights.
-    if python_backend:
-        w2l = [w ** 2 for w in resolved]
-    else:
-        w2l = (np.asarray(resolved, dtype=np.float64) ** 2).tolist()
+    w2 = squared_weights(weights, dimensions)
 
     # Overlays over the gathered columns: a row absent from a dict still
     # has its gathered value (and ``prev`` / ``next`` of row ``i`` are
@@ -1834,10 +1801,8 @@ def finalize_mirror(
         end = end_of.get(row)
         return ends.item(row) if end is None else end
 
-    def length_at(row: int) -> Union[int, float]:
-        # The reference merge operator works on integer lengths.
-        length = end_at(row) - starts.item(row) + 1
-        return length if python_backend else float(length)
+    def length_at(row: int) -> float:
+        return float(end_at(row) - starts.item(row) + 1)
 
     def row_at(row: int) -> List[float]:
         found = row_of.get(row)
@@ -1885,13 +1850,10 @@ def finalize_mirror(
         merges += 1
 
         predecessor = prev_.get(top, top - 1)
-        left_length = length_at(predecessor)
-        right_length = length_at(top)
-        length_sum = left_length + right_length
-        row_of[predecessor] = [
-            (left_length * a + right_length * b) / length_sum
-            for a, b in zip(row_at(predecessor), row_at(top))
-        ]
+        row_of[predecessor] = merged_row(
+            length_at(predecessor), length_at(top),
+            row_at(predecessor), row_at(top),
+        )
         end_of[predecessor] = end_at(top)
         successor = next_.get(top, top + 1)
         if successor == count:
@@ -1913,18 +1875,10 @@ def finalize_mirror(
             ):
                 refreshed = inf
             else:
-                left2 = length_at(before)
-                right2 = length_at(target)
-                factor = left2 * right2 / (left2 + right2)
-                refreshed = 0.0
-                if python_backend:
-                    for w2, a, b in zip(w2l, row_at(before), row_at(target)):
-                        diff = a - b
-                        refreshed += w2 * factor * diff ** 2
-                else:
-                    for w2, a, b in zip(w2l, row_at(before), row_at(target)):
-                        diff = a - b
-                        refreshed += (w2 * factor) * diff * diff
+                refreshed = merge_key(
+                    length_at(before), length_at(target),
+                    row_at(before), row_at(target), w2,
+                )
             target_version = version.get(target, 0) + 1
             version[target] = target_version
             if refreshed != inf:

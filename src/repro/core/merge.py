@@ -64,16 +64,27 @@ def merge(left: AggregateSegment, right: AggregateSegment) -> AggregateSegment:
     """
     if not adjacent(left, right):
         raise ValueError(f"cannot merge non-adjacent segments {left} and {right}")
-    left_length = left.length
-    right_length = right.length
-    total = left_length + right_length
-    values = tuple(
-        (left_length * lv + right_length * rv) / total
-        for lv, rv in zip(left.values, right.values)
+    values = merged_row(
+        float(left.length), float(right.length), left.values, right.values
     )
     return AggregateSegment(
-        left.group, values, left.interval.union(right.interval)
+        left.group, tuple(values), left.interval.union(right.interval)
     )
+
+
+def merged_row(
+    left_length: float,
+    right_length: float,
+    left_values: Sequence[float],
+    right_values: Sequence[float],
+) -> List[float]:
+    """Aggregate values of ``left ⊕ right``: length-weighted means on float
+    lengths.  Every merge on either backend computes its row here."""
+    total = left_length + right_length
+    return [
+        (left_length * a + right_length * b) / total
+        for a, b in zip(left_values, right_values)
+    ]
 
 
 def merge_run(segments: Sequence[AggregateSegment]) -> AggregateSegment:

@@ -3,8 +3,8 @@
 The ``backend="numpy"`` code paths (:mod:`repro.core.kernels`) implement the
 same recurrences with the same floating-point formulae and tie-breaking as
 the loop-based reference, so DP and greedy reductions must come out
-*identical* — same segments, same error (within floating-point tolerance) —
-on the Fig. 1 running example and on randomized inputs.
+*identical* — same segments, same values and error bit for bit — on the
+Fig. 1 running example and on randomized inputs.
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ from repro.datasets import (
 )
 
 def assert_same_reduction(reference, candidate):
-    """Both reductions must agree on structure exactly and on error closely."""
+    """Both reductions must agree exactly: structure, values and error."""
     assert len(reference.segments) == len(candidate.segments)
     for left, right in zip(reference.segments, candidate.segments):
         assert left.group == right.group
         assert left.interval == right.interval
-        assert left.values == pytest.approx(right.values, rel=1e-9, abs=1e-9)
-    assert candidate.error == pytest.approx(reference.error, rel=1e-9, abs=1e-9)
+        assert left.values == right.values
+    assert candidate.error == reference.error
     assert reference.size == candidate.size
 
 

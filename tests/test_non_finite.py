@@ -5,8 +5,8 @@ every reduction path refuses them with the ValueError of
 :func:`repro.core.kernels.require_finite`, naming the stream position of
 the first bad tuple.  Without the rule, the input below came back as a
 3-segment answer to a size-2 query (python greedy), as ``inf`` / ``nan``
-summaries (numpy greedy, both DPs), or as an unrelated merge error
-(numpy session fed one tuple at a time).
+summaries (numpy greedy, both DPs, the batch GMS helpers), or as an
+unrelated merge error (numpy session fed one tuple at a time).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 
 from repro import Interval, compress
 from repro.api import Compressor, ExecutionPolicy
-from repro.core import AggregateSegment
+from repro.core import AggregateSegment, gms_reduce_to_error, gms_reduce_to_size
 
 MESSAGE = "segment 2 has a non-finite aggregate value"
 
@@ -59,3 +59,24 @@ def test_compressor_push_rejects_non_finite_values(backend, mode):
         else:
             for segment in stream():
                 session.push(segment)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+@pytest.mark.parametrize(
+    "reduce",
+    [
+        lambda segments, backend: gms_reduce_to_size(
+            segments, 2, backend=backend
+        ),
+        lambda segments, backend: gms_reduce_to_error(
+            segments, 0.5, backend=backend
+        ),
+    ],
+    ids=["gms-size", "gms-error"],
+)
+def test_batch_gms_helpers_reject_non_finite_values(reduce, backend, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=MESSAGE):
+            reduce(stream(bad), backend)

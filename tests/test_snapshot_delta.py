@@ -275,9 +275,7 @@ class TestTailWindow:
         assert metrics.value("repro_snapshot_oracle_fallbacks_total") == before + 1
         assert_bit_identical(snapshot, session.summary_oracle())
         reducer = session._reducer
-        assert finalize_mirror(
-            reducer._mirror, size=len(gaps), backend=backend
-        ) is None
+        assert finalize_mirror(reducer._mirror, size=len(gaps)) is None
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_window_widens_without_a_tie(self, backend):
