@@ -12,13 +12,12 @@ table:
   honesty);
 * greedy merging (GMS) over a materialised input, where the NumPy heap's
   batched insert computes all initial merge keys vectorized;
-* the online gPTAc loop under the fused batch-activation policy: the array
-  heap stages whole chunks of incoming tuples (bulk column writes plus
-  vectorized raw merge keys) and runs the whole activation-plus-drain loop
-  inside one heap kernel (``activate_staged_all``), bulk-activating the
-  spans where the merge policy provably cannot fire and falling back to
-  per-tuple interleaving only for the interacting remainder — bit-identical
-  to tuple-at-a-time insertion.  This turned the array backend's one-time
+* the online gPTAc loop under fused activation: the array heap stages
+  whole chunks of incoming tuples (bulk column writes plus vectorized raw
+  merge keys) and runs the activation-plus-drain loop inside one heap
+  kernel (``activate_staged_all``), one activate-then-drain step per
+  tuple with every column aliased to a local — bit-identical to
+  tuple-at-a-time insertion.  This turned the array backend's one-time
   ~1.2x online edge into >=2x at n >= 10k (asserted below).
 
 Scale is controlled by ``REPRO_BENCH_SCALE``: the default ``tiny`` already
@@ -125,11 +124,11 @@ def bench_kernels(benchmark):
         f"got {dp_speedup:.1f}x"
     )
 
-    # The fused batch-activation path must keep the online numpy loop at
-    # least twice as fast as the python heap at paper scale — the PR 5
-    # acceptance bar (measured ~2.3x; the old per-tuple activation sat at
-    # ~1.2x).  (The smoke scale is too small for a stable ratio and only
-    # guards against import rot.)
+    # The fused activation loop must keep the online numpy path at least
+    # twice as fast as the python heap at paper scale — the PR 5
+    # acceptance bar (measured ~2.3x; the old unfused per-tuple
+    # activation sat at ~1.2x).  (The smoke scale is too small for a
+    # stable ratio and only guards against import rot.)
     if n >= 10_000:
         assert online_speedup >= 2.0, (
             f"numpy online path fell below 2x the python heap at n={n}: "

@@ -54,6 +54,7 @@ from .kernels import (
     DeltaLog,
     EncodedSegments,
     SnapshotMirror,
+    ValueWidthError,
     encode_segments,
     finalize_mirror,
     require_finite,
@@ -246,6 +247,8 @@ class OnlineReducer:
             )
         else:
             self._step_threshold = 0.0  # disables early merging
+        #: Values per tuple, pinned by the first tuple consumed.
+        self._width: Optional[int] = None
         self._last_gap_id = 0
         self._before_gap = 0
         self._after_gap = 0
@@ -266,12 +269,19 @@ class OnlineReducer:
         """Consume one ITA tuple: insert it and drain eligible merges.
 
         A NaN or ±inf value raises :class:`ValueError` (see
-        :func:`~repro.core.kernels.require_finite`) before the tuple
+        :func:`~repro.core.kernels.require_finite`), and a value width
+        other than the first tuple's raises
+        :class:`~repro.core.kernels.ValueWidthError`, before the tuple
         reaches the heap, as in :meth:`push_chunk`.
         """
         self._check_open()
         if not all(map(math.isfinite, segment.values)):
             require_finite(np.atleast_2d(segment.values), first=self.consumed)
+        self._pin_width(len(segment.values))
+        self._consume(segment)
+
+    def _consume(self, segment: AggregateSegment) -> None:
+        """Insert one validated tuple, then run the online policy."""
         node = self.heap.insert(segment)
         key = node.key
         if self._log is not None:
@@ -292,35 +302,35 @@ class OnlineReducer:
             self._after_gap = 1
         else:
             self._after_gap += 1
-        if self._size is not None:
-            self._drain_size_bounded()
-        else:
-            self._drain_error_bounded()
+        self._drain()
         if self._log is not None:
             self._trim_log()
 
     def push_chunk(self, segments: Sequence[AggregateSegment]) -> None:
         """Consume a chunk of tuples through the staged-insert fast path.
 
-        On the NumPy heap the chunk is staged from its columns
+        A chunk with a NaN or ±inf value, or of another value width than
+        the first tuple's, is refused whole before anything is consumed.
+        On the NumPy heap the chunk is then staged from its columns
         (``stage_chunk``; :class:`~repro.core.kernels.EncodedSegments` go
         straight in, a segment list is encoded once) and activated by the
-        fused loop ``activate_staged_all``, which bulk-activates the spans
-        where the merge policy cannot fire and interleaves merges tuple by
-        tuple elsewhere — bit-identical to pushing tuple by tuple.  Plain
-        heaps fall back to :meth:`push`.  A chunk with a NaN or ±inf value
-        is refused whole, before anything is staged.
+        fused loop ``activate_staged_all``, which runs the same
+        activate-then-drain step as :meth:`push` for every tuple —
+        bit-identical to pushing tuple by tuple.  Plain heaps consume the
+        tuples one by one.
         """
         self._check_open()
+        encoded = encode_segments(segments)
+        if not len(encoded):
+            return
+        require_finite(encoded.values, first=self.consumed)
+        self._pin_width(encoded.dimensions)
         activate = getattr(self.heap, "activate_staged_all", None)
         if activate is None:
             for segment in segments:
-                self.push(segment)
+                self._consume(segment)
             return
-        encoded = encode_segments(segments)
-        require_finite(encoded.values, first=self.consumed)
-        if not self.heap.stage_chunk(encoded):  # type: ignore[attr-defined]
-            return
+        self.heap.stage_chunk(encoded)  # type: ignore[attr-defined]
         tracker = self._tracker
         if tracker is not None:
             for segment in segments:
@@ -345,6 +355,16 @@ class OnlineReducer:
         )
         if self._log is not None:
             self._trim_log()
+
+    def _pin_width(self, width: int) -> None:
+        """Refuse a tuple whose value width differs from the first one's."""
+        if self._width is None:
+            self._width = width
+        elif width != self._width:
+            raise ValueWidthError(
+                f"tuple has {width} aggregate values; the reducer holds "
+                f"{self._width} per tuple"
+            )
 
     def replay(
         self, chunks: Iterable[Sequence[AggregateSegment]]
@@ -384,47 +404,29 @@ class OnlineReducer:
     # ------------------------------------------------------------------
     # The merge policy
     # ------------------------------------------------------------------
-    def _drain_size_bounded(self) -> None:
-        """Merge while over the size bound and a merge is safe (Fig. 11).
+    def _drain(self) -> None:
+        """Merge while the online policy allows it (Fig. 11 / Fig. 13).
 
-        This policy loop and the fused chunk loop in
-        :meth:`repro.core.kernels.NumpyMergeHeap.activate_staged_all` must
-        be kept in lockstep; the parity suites compare the two paths on
-        randomized streams.
+        gPTAc (``size`` given) merges while the heap exceeds the size
+        bound; gPTAε (``size is None``) while the top key stays within the
+        expected-average-error step.  Either way a merge must be safe:
+        left of the last gap only while enough tuples precede it, right of
+        it only with δ adjacent successors read ahead.  The branches and
+        their order are those of the fused drain in
+        :meth:`repro.core.kernels.NumpyMergeHeap.activate_staged_all`.
         """
         heap = self.heap
         size = self._size
-        assert size is not None
-        while len(heap) > size:
+        while size is None or len(heap) > size:
             top = heap.peek_entry()
             if top is None:
                 break
             handle, top_id, top_key = top
-            if top_id < self._last_gap_id and self._before_gap >= size:
-                self._before_gap -= 1
-            elif top_id > self._last_gap_id and _has_read_ahead(
-                heap, handle, self._delta
-            ):
-                self._after_gap -= 1
-            else:
+            if size is None and top_key > self._step_threshold:
                 break
-            self.total_error += top_key
-            self._merge_top_logged(top_id)
-            self.merges += 1
-
-    def _drain_error_bounded(self) -> None:
-        """Merge while under the expected-average-error step (Fig. 13).
-
-        Kept in lockstep with ``activate_staged_all`` exactly like
-        :meth:`_drain_size_bounded`.
-        """
-        heap = self.heap
-        while True:
-            top = heap.peek_entry()
-            if top is None or top[2] > self._step_threshold:
-                break
-            handle, top_id, top_key = top
             if top_id < self._last_gap_id:
+                if size is not None and self._before_gap < size:
+                    break
                 self._before_gap -= 1
             elif top_id > self._last_gap_id and _has_read_ahead(
                 heap, handle, self._delta
@@ -619,6 +621,7 @@ class OnlineReducer:
             self._tracker.clone() if self._tracker is not None else None
         )
         other._step_threshold = self._step_threshold
+        other._width = self._width
         other._last_gap_id = self._last_gap_id
         other._before_gap = self._before_gap
         other._after_gap = self._after_gap

@@ -805,31 +805,21 @@ class NumpyMergeHeap:
     ) -> Tuple[int, int, int, float, int]:
         """Activate every pending staged tuple, draining merges in between.
 
-        The fused form of the online inner loop: activates the staged chunk
-        tuple by tuple and runs the merge policy of the paper's Fig. 11
-        (``size`` given, gPTAc) or Fig. 13 (``step_threshold``, gPTAε)
-        after each activation, exactly as
-        :class:`repro.core.greedy.OnlineReducer` does for a plain heap
-        through ``insert`` / ``peek_entry`` / ``merge_top`` — but with
-        every column aliased to a local and the per-dimension arithmetic
-        inlined, which removes the per-tuple method-dispatch and row-view
-        overhead.  The observable heap state, the gap bookkeeping and the
-        accumulated error are bit-identical to the per-tuple protocol
-        (asserted by the session and kernel parity suites); the policy
-        logic here and in
-        ``OnlineReducer._drain_size_bounded`` / ``_drain_error_bounded``
-        must be kept in lockstep.
-
-        Two *no-interaction* fast paths activate tuples in bulk (slice
-        writes for the linking and liveness columns) because no merge can
-        possibly fire between their activations:
-
-        * size-bounded: the prefix that fits under the size budget — the
-          drain only runs while the heap exceeds ``size``;
-        * error-bounded: the whole chunk, when neither the current frontier
-          (top of the heap) nor any staged merge key can beat the
-          ``step_threshold`` — no key below the threshold can appear
-          without a merge happening first.
+        The fused form of the online inner loop: every staged tuple goes
+        through one activate-then-drain body, which runs the merge policy
+        of the paper's Fig. 11 (``size`` given, gPTAc) or Fig. 13
+        (``step_threshold``, gPTAε) after each activation, exactly as
+        :meth:`repro.core.greedy.OnlineReducer._drain` does for a plain
+        heap through ``insert`` / ``peek_entry`` / ``merge_top``, with the
+        same branches in the same order.  Here every column is aliased to
+        a local and the per-dimension arithmetic is inlined, which removes
+        the per-tuple method-dispatch and row-view overhead.  The
+        observable heap state, the gap bookkeeping and the accumulated
+        error are bit-identical to the per-tuple protocol (asserted by the
+        session, kernel and backend-identity suites).  A tuple reuses its
+        staged key while its predecessor is still the raw tuple staged
+        right before it; otherwise the key is recomputed against the live
+        tail.
 
         Returns the updated ``(last_gap_id, before_gap, after_gap,
         total_error, merges)`` bookkeeping.  When ``log`` is given, every
@@ -879,112 +869,8 @@ class NumpyMergeHeap:
         alive[first:stop] = [True] * (stop - first)
         version[first:stop] = [1] * (stop - first)
 
-        # One-shot no-interaction detection for the error-bounded policy:
-        # when neither the current frontier nor any staged key can beat the
-        # step threshold, no merge can fire anywhere in this chunk (keys
-        # only change through merges), so the whole chunk bulk-activates.
-        error_bulk = False
-        if not size_bounded:
-            top_key = None
-            while entries:
-                entry_key, _, entry_index, entry_version = entries[0]
-                if (
-                    alive[entry_index]
-                    and version[entry_index] == entry_version
-                    and key[entry_index] == entry_key
-                ):
-                    top_key = entry_key
-                    break
-                pop(entries)
-            chunk_min = inf
-            for position in range(first, stop):
-                staged = skeys[position - offset]
-                if staged != staged:  # NaN = resolve against the predecessor
-                    predecessor = tail if position == first else position - 1
-                    if (
-                        predecessor >= 0
-                        and group[predecessor] == group[position]
-                        and end[predecessor] + 1 == start[position]
-                    ):
-                        staged = self._pair_key(predecessor, position)
-                    else:
-                        staged = inf
-                    skeys[position - offset] = staged
-                if staged < chunk_min:
-                    chunk_min = staged
-            error_bulk = (
-                top_key is None or top_key > step_threshold
-            ) and chunk_min > step_threshold
-
-        index = first
-        while index < stop:
-            # ----------------------------------------------------------
-            # Bulk-activate the no-interaction span starting here.
-            # ----------------------------------------------------------
-            if size_bounded:
-                bulk = min(stop - index, size - live) if live < size else 0
-            else:
-                bulk = stop - index if error_bulk else 0
-            if bulk:
-                span = range(index, index + bulk)
-                prev_[index : index + bulk] = range(
-                    index - 1, index + bulk - 1
-                )
-                previous_tail = tail
-                prev_[index] = previous_tail
-                next_[index : index + bulk] = range(index + 1, index + bulk + 1)
-                next_[index + bulk - 1] = -1
-                if previous_tail >= 0:
-                    next_[previous_tail] = index
-                else:
-                    head = index
-                tail = index + bulk - 1
-                live += bulk
-                if live > max_size:
-                    max_size = live
-                for position in span:
-                    activation_key = skeys[position - offset]
-                    if activation_key != activation_key:
-                        predecessor = (
-                            previous_tail if position == index else position - 1
-                        )
-                        if (
-                            predecessor >= 0
-                            and group[predecessor] == group[position]
-                            and end[predecessor] + 1 == start[position]
-                        ):
-                            activation_key = self._pair_key(
-                                predecessor, position
-                            )
-                        else:
-                            activation_key = inf
-                    key[position] = activation_key
-                    if activation_key != inf:
-                        counter += 1
-                        push(
-                            entries,
-                            (activation_key, counter, position, 1),
-                        )
-                        after_gap += 1
-                    else:
-                        last_gap_id = node_id[position]
-                        before_gap += after_gap
-                        after_gap = 1
-                    if record_insert is not None:
-                        record_insert(
-                            node_id[position],
-                            start[position],
-                            end[position],
-                            group_keys[group[position]],
-                            values[position],
-                            activation_key,
-                        )
-                index += bulk
-                continue
-
-            # ----------------------------------------------------------
-            # Interacting tuple: activate it, then drain eligible merges.
-            # ----------------------------------------------------------
+        for index in range(first, stop):
+            # Activate the tuple, then drain the merges it makes eligible.
             previous = tail
             prev_[index] = previous
             if previous >= 0:
@@ -1162,7 +1048,6 @@ class NumpyMergeHeap:
                         node_id[successor] if successor >= 0 else -1,
                         key[successor] if successor >= 0 else inf,
                     )
-            index += 1
 
         # Write the aliased scalars back.
         self._count = stop

@@ -15,7 +15,9 @@ used to disagree:
 
 The same holds for every :meth:`Compressor.summary` along a chunked push,
 which runs the delta-snapshot tail on the numpy side, and across the numpy
-heap's slot compaction on a long tie-heavy stream.
+heap's slot compaction on a long tie-heavy stream.  Every read-ahead δ
+is drawn too, and identity covers the heap statistics (live and peak heap
+size, merge count) as well as the summary itself.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro import Interval, compress
+from repro import DELTA_INFINITY, Interval, compress
 from repro.api import Compressor, ExecutionPolicy
 from repro.core import AggregateSegment
 
@@ -76,44 +78,60 @@ def scenarios(draw):
     ]
     size = draw(st.integers(min_value=1, max_value=count))
     max_error = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
-    return segments, weights, chunks, size, max_error
+    delta = draw(st.sampled_from([0, 1, 2, 3, DELTA_INFINITY]))
+    return segments, weights, chunks, size, max_error, delta
 
 
 def bounds(size, max_error):
     return ({"size": size}, {"max_error": max_error})
 
 
+def stats(result):
+    """Everything a result reports, except which backend made it."""
+    return (
+        result.segments,
+        result.error,
+        result.size,
+        result.input_size,
+        result.max_heap_size,
+        result.merges,
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(scenarios())
 def test_greedy_compress_is_identical_on_both_backends(scenario):
-    segments, weights, _, size, max_error = scenario
+    segments, weights, _, size, max_error, delta = scenario
     for bound in bounds(size, max_error):
         python, numpy = (
-            compress(segments, backend=backend, weights=weights, **bound)
+            compress(
+                segments, backend=backend, weights=weights, delta=delta,
+                **bound,
+            )
             for backend in BACKENDS
         )
-        assert numpy.segments == python.segments
-        assert numpy.error == python.error
+        assert stats(numpy) == stats(python)
 
 
 @settings(max_examples=40, deadline=None)
 @given(scenarios())
 def test_compressor_summaries_are_identical_on_both_backends(scenario):
-    segments, weights, chunks, size, max_error = scenario
+    segments, weights, chunks, size, max_error, delta = scenario
     for bound in bounds(size, max_error):
         python, numpy = (
             Compressor(
                 **bound,
-                policy=ExecutionPolicy(backend=backend, weights=weights),
+                policy=ExecutionPolicy(
+                    backend=backend, weights=weights, delta=delta
+                ),
             )
             for backend in BACKENDS
         )
         for chunk in chunks:
             python.push(chunk)
             numpy.push(chunk)
-            left, right = python.summary(), numpy.summary()
-            assert right.segments == left.segments
-            assert right.error == left.error
+            assert numpy.heap_size == python.heap_size
+            assert stats(numpy.summary()) == stats(python.summary())
 
 
 def test_equal_keys_keep_their_order_across_heap_compaction():

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import Interval
-from repro.api import ExecutionPolicy
+from repro import Interval, compress
+from repro.api import Compressor, ExecutionPolicy
 from repro.core import AggregateSegment
 from repro.core.kernels import EncodedSegments, NumpyMergeHeap, ValueWidthError
 from repro.service import (
@@ -292,6 +292,43 @@ def test_heap_refuses_a_chunk_of_another_width_before_staging():
     heap.stage_chunk(_unit_chunk(8, 8, width=2))
     heap.activate_staged_all(size=100)
     assert len(heap) == 16
+
+
+# ----------------------------------------------------------------------
+# The online reducer pins the value width on its first tuple
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("form", ["single", "chunk"])
+@pytest.mark.parametrize("size", [1, 5])
+def test_session_refuses_another_width_and_keeps_its_state(
+    backend, form, size
+):
+    session = Compressor(size=size, policy=ExecutionPolicy(backend=backend))
+    session.push(_unit_chunk(0, 8, width=1))
+    before = session.summary()
+    wrong = _unit_chunk(8, 3, width=2)
+    with pytest.raises(ValueWidthError, match="holds 1 per tuple"):
+        session.push(wrong[0] if form == "single" else wrong)
+    assert session.summary() == before
+    right = _unit_chunk(8, 3, width=1)
+    session.push(right[0] if form == "single" else right)
+    expected = compress(
+        _unit_chunk(0, 9 if form == "single" else 11, width=1),
+        size=size,
+        backend=backend,
+    )
+    assert session.summary().segments == expected.segments
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("size", [1, 5])
+def test_compress_refuses_a_stream_of_mixed_widths(backend, size):
+    stream = [
+        AggregateSegment((), (1.0,), Interval(0, 0)),
+        AggregateSegment((), (2.0, 3.0), Interval(1, 1)),
+    ]
+    with pytest.raises(ValueWidthError):
+        compress(stream, size=size, backend=backend)
 
 
 # ----------------------------------------------------------------------
