@@ -125,10 +125,11 @@ def bench_kernels(benchmark):
     )
 
     # The fused activation loop must keep the online numpy path at least
-    # twice as fast as the python heap at paper scale — the PR 5
-    # acceptance bar (measured ~2.3x; the old unfused per-tuple
-    # activation sat at ~1.2x).  (The smoke scale is too small for a
-    # stable ratio and only guards against import rot.)
+    # twice as fast as the python heap at paper scale (the old unfused
+    # per-tuple activation sat at ~1.2x).  The ratio sits close to this
+    # bar, so a loaded machine can fail it on timing noise alone.  (The
+    # smoke scale is too small for a stable ratio and only guards against
+    # import rot.)
     if n >= 10_000:
         assert online_speedup >= 2.0, (
             f"numpy online path fell below 2x the python heap at n={n}: "

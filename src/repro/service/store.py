@@ -1061,7 +1061,14 @@ class SessionStore:
                             "replication sink disconnected during "
                             "catch-up"
                         )
-        sink.on_catch_up(self._replication_seq)
+        # The marker names the newest *committed* sequence number: the
+        # aborted ones above it were never history, and a standby
+        # claiming one as its frontier would be refused by resync as
+        # diverged.
+        frontier = self._replication_seq
+        while frontier in self._aborted_seqs:
+            frontier -= 1
+        sink.on_catch_up(frontier)
         if not sink.connected:
             raise ConnectionError(
                 "replication sink disconnected before acknowledging "

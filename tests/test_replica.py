@@ -1021,6 +1021,31 @@ class TestCatchUpCursor:
         assert end[-1] == sink.acked_seq >= 0
         store.close()
 
+    def test_catch_up_frontier_skips_aborted_sequence_numbers(
+        self, tmp_path
+    ):
+        # A quorum push that failed while the only sink was down aborts
+        # its sequence number.  An empty standby caught up afterwards
+        # must not report that number as its frontier, or the next
+        # resync would refuse it as diverged.
+        store = SessionStore(size=80, sync_replicas=1, data_dir=tmp_path)
+        chunks = _chunks(n=120, chunk=40)
+        dropped = _RecordingSink()
+        store.replicate_to(dropped)
+        store.push("k", chunks[0])
+        dropped.connected = False
+        with pytest.raises(ReplicationError):
+            store.push("k", chunks[1])
+        fresh = _RecordingSink()
+        store.resync(fresh, applied_seq=-1)
+        frontier = fresh.events[-1][-1]
+        assert fresh.events[-1][0] == "catch_up"
+        assert frontier == dropped.acked_seq  # the last committed push
+        store.resync(fresh, applied_seq=frontier)  # not "diverged"
+        store.push("k", chunks[2])
+        assert store.pushed("k") == 80
+        store.close()
+
     def test_severed_catch_up_commits_nothing(self, tmp_path):
         store = SessionStore(size=80, data_dir=tmp_path)
         chunks = _chunks(n=240, chunk=40)
