@@ -60,9 +60,7 @@ def execute(plan: Plan, policy: ExecutionPolicy | None = None) -> Result:
     size = budget.size if isinstance(budget, SizeBudget) else None
     epsilon = budget.epsilon if isinstance(budget, ErrorBudget) else None
 
-    if policy.cluster is not None:
-        return _run_cluster(plan, policy, size, epsilon)
-    if policy.workers is not None:
+    if policy.cluster is not None or policy.workers is not None:
         return _run_sharded(plan, policy, size, epsilon)
     if plan.method is Method.DP:
         return _run_dp(plan, policy, size, epsilon)
@@ -78,58 +76,36 @@ def _run_sharded(
     size: Optional[int],
     epsilon: Optional[float],
 ) -> Result:
-    from ..parallel import run_sharded
+    """The sharded engine on a process pool, or on remote reducers.
 
-    source: Any = plan.source
-    if isinstance(source, TemporalRelation):
-        _require_aggregates(plan)
-        source = iter_ita_segments(
-            source, plan.group_columns, plan.aggregates
-        )
-    assert policy.workers is not None  # execute() dispatches here only then
-    greedy_result = run_sharded(
-        source,
-        size=size,
-        max_error=epsilon,
-        weights=policy.weights,
-        workers=policy.workers,
-        shard_size=policy.shard_size,
-    )
-    # The sharded engine always runs on the array kernels.
-    return _wrap(plan, greedy_result, backend="numpy")
-
-
-def _run_cluster(
-    plan: Plan,
-    policy: ExecutionPolicy,
-    size: Optional[int],
-    epsilon: Optional[float],
-) -> Result:
-    """The distributed engine: same shard plan, remote reducers.
-
-    Workers that die, time out or garble answers are retried across the
-    cluster and finally reduced in-process, so the result is always the
-    bit-identical plain-GMS reduction (``docs/ARCHITECTURE.md``,
-    Cluster tier).
+    Both reduce the same shard plan to the bit-identical plain-GMS result
+    (``docs/ARCHITECTURE.md``, Cluster tier).
     """
-    from ..cluster import reduce_cluster
+    source = _segment_stream(plan)
+    if policy.cluster is not None:
+        from ..cluster import reduce_cluster
 
-    source: Any = plan.source
-    if isinstance(source, TemporalRelation):
-        _require_aggregates(plan)
-        source = iter_ita_segments(
-            source, plan.group_columns, plan.aggregates
+        greedy_result = reduce_cluster(
+            source,
+            size=size,
+            max_error=epsilon,
+            weights=policy.weights,
+            cluster=policy.cluster,
+            shard_size=policy.shard_size,
         )
-    assert policy.cluster is not None  # execute() dispatches here only then
-    greedy_result = reduce_cluster(
-        source,
-        size=size,
-        max_error=epsilon,
-        weights=policy.weights,
-        cluster=policy.cluster,
-        shard_size=policy.shard_size,
-    )
-    # Remote reducers run the same array kernels as the pool engine.
+    else:
+        from ..parallel import run_sharded
+
+        assert policy.workers is not None  # execute() dispatches only then
+        greedy_result = run_sharded(
+            source,
+            size=size,
+            max_error=epsilon,
+            weights=policy.weights,
+            workers=policy.workers,
+            shard_size=policy.shard_size,
+        )
+    # Pool and cluster workers run the same array kernels.
     return _wrap(plan, greedy_result, backend="numpy")
 
 
@@ -217,10 +193,7 @@ def _open_source(
     input_size_estimate = policy.input_size_estimate
     max_error_estimate = policy.max_error_estimate
     if isinstance(source, TemporalRelation):
-        _require_aggregates(plan)
-        stream: Iterable[AggregateSegment] = iter_ita_segments(
-            source, plan.group_columns, plan.aggregates
-        )
+        stream = _segment_stream(plan)
         if need_estimates:
             if input_size_estimate is None:
                 input_size_estimate = max(2 * len(source) - 1, 1)
@@ -254,12 +227,17 @@ def _is_encoded(source: Any) -> bool:
     return isinstance(source, EncodedSegments)
 
 
-def _require_aggregates(plan: Plan) -> None:
+def _segment_stream(plan: Plan) -> Any:
+    """The plan's source, a relation aggregated lazily with ITA."""
+    source = plan.source
+    if not isinstance(source, TemporalRelation):
+        return source
     if not plan.aggregates:
         raise PlanError(
             "at least one aggregate function is required to evaluate ITA "
             "over a TemporalRelation; call Plan.aggregate(...)"
         )
+    return iter_ita_segments(source, plan.group_columns, plan.aggregates)
 
 
 def _timestamp_name(plan: Plan) -> str:

@@ -5,10 +5,11 @@ with the process pool swapped for sockets — every determinism property
 carries over because the *plan* and the *reconciliation* are byte-for-byte
 the same code:
 
-1. **Encode + shard** — :func:`repro.parallel.encode_segments` and
-   :func:`repro.parallel.plan_shards`.  The shard plan depends only on
-   the input and ``shard_size``, never on the cluster membership, so the
-   same cuts are made whether the job runs on one worker, five, or none.
+1. **Encode + shard** — :func:`repro.parallel.plan_job`, which
+   :func:`repro.parallel.run_sharded` starts with too.  The shard plan
+   depends only on the input and ``shard_size``, never on the cluster
+   membership, so the same cuts are made whether the job runs on one
+   worker, five, or none.
 2. **Ship** — each shard travels as a ``KIND_REDUCE`` frame: a JSON
    envelope with the squared weights, then the shard columns as verbatim
    ``PTAS`` bytes (:func:`repro.service.wire.encode_segments` over an
@@ -45,24 +46,18 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.errors import Weights, resolve_weights
+from ..core.errors import Weights
 from ..core.greedy import GreedyResult
-from ..core.kernels import require_finite
 from ..core.merge import AggregateSegment
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
 from ..parallel import (
-    DEFAULT_SHARD_SIZE,
-    RETRY_BACKOFF_S,
-    SHARD_RETRIES,
     EncodedSegments,
     ShardTrajectory,
     assemble_result,
-    encode_segments,
-    plan_shards,
+    plan_job,
     reduce_shard,
     shard_payloads,
-    validate_budget,
 )
 from ..service import wire
 from ..util import deadline as _deadline
@@ -136,41 +131,18 @@ def reduce_cluster(
     every address up to ``1 + shard_retries`` rounds before falling back
     to an in-process reduction of that shard.
     """
-    validate_budget(size, max_error)
     addresses = list(cluster)
     if not addresses:
         raise ValueError("cluster must name at least one worker address")
     for address in addresses:
         parse_address(address)  # fail fast on malformed addresses
-    if shard_size is None:
-        shard_size = DEFAULT_SHARD_SIZE
-    elif shard_size < 1:
-        raise ValueError(f"shard_size must be at least 1, got {shard_size}")
-    if shard_retries is None:
-        shard_retries = SHARD_RETRIES
-    elif shard_retries < 0:
-        raise ValueError(
-            f"shard_retries must be non-negative, got {shard_retries}"
-        )
-    if retry_backoff is None:
-        retry_backoff = RETRY_BACKOFF_S
-    elif retry_backoff < 0:
-        raise ValueError(
-            f"retry_backoff must be non-negative, got {retry_backoff}"
-        )
-
-    encoded = encode_segments(segments)
-    if len(encoded) == 0:
-        return GreedyResult()
-    require_finite(encoded.values)
-
-    w2 = (
-        np.asarray(
-            resolve_weights(weights, encoded.dimensions), dtype=np.float64
-        )
-        ** 2
+    job = plan_job(
+        segments, size, max_error, weights, shard_size, shard_retries,
+        retry_backoff,
     )
-    shards = plan_shards(encoded, shard_size)
+    if job is None:
+        return GreedyResult()
+    encoded, shards, w2, retries, backoff = job
 
     # Capture the caller's trace id *before* the thread fan-out: plain
     # ThreadPoolExecutor threads do not inherit ContextVars, so each
@@ -210,8 +182,8 @@ def reduce_cluster(
                     KIND_REDUCE,
                     payload,
                     expect=KIND_TRAJECTORY,
-                    retries=shard_retries,
-                    backoff=retry_backoff,
+                    retries=retries,
+                    backoff=backoff,
                     connect_timeout=connect_timeout,
                     read_timeout=read_timeout,
                     deadline=deadline,

@@ -12,8 +12,9 @@ the shard's complete merge schedule:
    ``frombuffer`` views straight over the frame buffer, so reduction
    starts without a per-column memcpy;
 3. :func:`repro.parallel.reduce_shard` runs
-   :func:`repro.core.kernels.greedy_merge_trajectory` plus the shard's
-   ``SSE_max`` — exactly the computation a process-pool worker performs;
+   :func:`repro.core.kernels.greedy_merge_trajectory` and sums its keys
+   into the shard's ``SSE_max`` — exactly the computation a process-pool
+   worker performs;
 4. the trajectory frontier returns as a ``PTAT`` payload
    (``KIND_TRAJECTORY``).
 

@@ -37,7 +37,10 @@ from typing import List, Sequence
 import numpy as np
 
 from ..temporal import Interval
-from .errors import PrefixSums, Weights, max_error, resolve_weights
+from .errors import (
+    PrefixSums, Weights, error_budget, max_error, resolve_weights,
+    validate_budget,
+)
 from .kernels import require_finite
 from .merge import AggregateSegment, cmin, gap_positions
 
@@ -292,9 +295,8 @@ def reduce_to_size(
         for the vectorized split-point search of :mod:`repro.core.kernels`.
         Both produce identical reductions.
     """
+    validate_budget(size, None)
     segments = list(segments)
-    if size < 1:
-        raise ValueError(f"size bound must be at least 1, got {size}")
     if not segments:
         return DPResult(segments, 0.0, 0, DPStats())
     _check_values(segments)
@@ -335,19 +337,18 @@ def reduce_to_error(
     backend:
         ``"python"`` or ``"numpy"`` (see :func:`reduce_to_size`).
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be within [0, 1], got {epsilon}")
+    validate_budget(None, epsilon)
     segments = list(segments)
     if not segments:
         return DPResult([], 0.0, 0, DPStats())
     _check_values(segments)
 
-    threshold = epsilon * max_error(segments, weights)
+    budget = error_budget(epsilon, max_error(segments, weights))
     matrix = _ErrorMatrix(segments, weights, optimized, backend)
     n = len(segments)
     for k in range(1, n + 1):
         row = matrix.fill_next_row()
-        if row[n] <= threshold + 1e-9:
+        if row[n] <= budget:
             output = matrix.build_output(k)
             return DPResult(output, float(row[n]), len(output), matrix.stats)
     # epsilon == 0 with unavoidable error never happens: k == n gives error 0.

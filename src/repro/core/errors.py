@@ -128,6 +128,50 @@ def max_error(
     )
 
 
+def validate_budget(size: int | None, epsilon: float | None) -> None:
+    """The one-budget rule of every reduction entry point.
+
+    Exactly one of ``size`` (at least 1) and ``epsilon`` (within
+    ``[0, 1]``) is given; anything else raises :class:`ValueError`.
+    """
+    if (size is None) == (epsilon is None):
+        raise ValueError("provide exactly one of 'size' and 'max_error'")
+    if size is not None and size < 1:
+        raise ValueError(f"size bound must be at least 1, got {size}")
+    if epsilon is not None and not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must be within [0, 1], got {epsilon}")
+
+
+def error_budget(epsilon: float, sse_max: float) -> float:
+    """Total merge error an ``ε``-bounded reduction may spend (Definition 7).
+
+    ``ε · SSE_max`` plus an absolute and a relative slack of ``1e-9``.  By
+    Proposition 2 the merge keys of a reduction to ``cmin`` add up to
+    exactly ``SSE_max``, but in another float summation order, so the
+    slack must scale with the values: with an absolute slack alone,
+    ``ε = 1`` stops short of ``cmin`` on large or offset values.  Every
+    error-bounded engine stops at the first merge that would take its
+    accumulated error past this number.
+
+    On a run offset by ``1e6`` the keys of its ``cmin`` reduction overshoot
+    ``SSE_max`` by more than ``1e-9``, and ``ε = 1`` still admits them:
+
+    >>> from repro.temporal import Interval
+    >>> from repro.core import AggregateSegment, gms_reduce_to_size
+    >>> run = [
+    ...     AggregateSegment((), (1e6 + v,), Interval(t, t))
+    ...     for t, v in enumerate((300, 400, 100, 600, 700, 200))
+    ... ]
+    >>> spent = gms_reduce_to_size(run, 1).error
+    >>> spent <= max_error(run) + 1e-9
+    False
+    >>> spent <= error_budget(1.0, max_error(run))
+    True
+    """
+    threshold = epsilon * sse_max
+    return threshold + 1e-9 + 1e-9 * threshold
+
+
 class PrefixSums:
     """Constant-time SSE of contiguous runs via prefix sums (Proposition 1).
 
@@ -289,6 +333,7 @@ __all__ = [
     "PrefixSums",
     "Weights",
     "cmin",
+    "error_budget",
     "error_ratio",
     "max_error",
     "merge_key",
@@ -298,4 +343,5 @@ __all__ = [
     "sse_between",
     "sse_of_run",
     "squared_weights",
+    "validate_budget",
 ]

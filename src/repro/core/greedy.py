@@ -39,6 +39,7 @@ oracle the delta path is property-tested against.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import abc
 from dataclasses import dataclass, field
@@ -48,7 +49,10 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import metrics as _metrics
-from .errors import Weights, max_error, resolve_weights
+from .errors import (
+    Weights, error_budget, max_error, merge_key, squared_weights,
+    validate_budget,
+)
 from .heap import Heap, make_merge_heap
 from .kernels import (
     DeltaLog,
@@ -59,7 +63,7 @@ from .kernels import (
     finalize_mirror,
     require_finite,
 )
-from .merge import AggregateSegment, adjacent
+from .merge import AggregateSegment, adjacent, merged_row
 
 Delta = float  # non-negative int or math.inf
 
@@ -131,18 +135,9 @@ def gms_reduce_to_size(
     backend: str = "python",
 ) -> GreedyResult:
     """Reduce to at most ``size`` tuples with the greedy merging strategy."""
-    if size < 1:
-        raise ValueError(f"size bound must be at least 1, got {size}")
+    validate_budget(size, None)
     heap = _build_heap(segments, weights, backend)
-    total_error = 0.0
-    merges = 0
-    while len(heap) > size:
-        top = heap.peek_entry()
-        if top is None or math.isinf(top[2]):
-            break  # reached cmin: only non-adjacent pairs remain
-        total_error += top[2]
-        heap.merge_top()
-        merges += 1
+    total_error, merges = _merge_down(heap, size, None, 0.0, 0)
     return _result(heap, total_error, merges, len(segments))
 
 
@@ -153,21 +148,10 @@ def gms_reduce_to_error(
     backend: str = "python",
 ) -> GreedyResult:
     """Merge greedily while the accumulated error stays within ``ε·SSE_max``."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be within [0, 1], got {epsilon}")
+    validate_budget(None, epsilon)
     heap = _build_heap(segments, weights, backend)
-    threshold = epsilon * max_error(segments, weights)
-    total_error = 0.0
-    merges = 0
-    while True:
-        top = heap.peek_entry()
-        if top is None or math.isinf(top[2]):
-            break
-        if total_error + top[2] > threshold + 1e-9:
-            break
-        total_error += top[2]
-        heap.merge_top()
-        merges += 1
+    budget = error_budget(epsilon, max_error(segments, weights))
+    total_error, merges = _merge_down(heap, None, budget, 0.0, 0)
     return _result(heap, total_error, merges, len(segments))
 
 
@@ -204,8 +188,9 @@ class OnlineReducer:
     heap (a long snapshot-free stretch), it is discarded and the mirror is
     rebuilt from the heap, which bounds both memory and patch time.
     :meth:`clone` + :meth:`finalize` remain the reference snapshot path —
-    bit-identical to :meth:`snapshot`, which defers to it on an exact
-    merge-key tie — and is what the delta path is property-tested against.
+    bit-identical to :meth:`snapshot`, which runs the same end-of-input
+    loop on a cloned heap on an exact merge-key tie — and is what the
+    delta path is property-tested against.
     """
 
     def __init__(
@@ -219,14 +204,7 @@ class OnlineReducer:
         backend: str = "python",
         track_deltas: bool = False,
     ) -> None:
-        if (size is None) == (max_error is None):
-            raise ValueError("provide exactly one of 'size' and 'max_error'")
-        if size is not None and size < 1:
-            raise ValueError(f"size bound must be at least 1, got {size}")
-        if max_error is not None and not 0.0 <= max_error <= 1.0:
-            raise ValueError(
-                f"epsilon must be within [0, 1], got {max_error}"
-            )
+        validate_budget(size, max_error)
         _check_delta(delta)
         self._size = size
         self._epsilon = max_error
@@ -491,7 +469,7 @@ class OnlineReducer:
         For gPTAc: plain greedy merging down to the size bound.  For gPTAε:
         the exact ``SSE_max`` of the consumed input is now known, so plain
         greedy merging continues while the accumulated error stays within
-        ``ε · SSE_max``.  The reducer is consumed — further ``push`` calls
+        :func:`~repro.core.errors.error_budget`.  The reducer is consumed — further ``push`` calls
         raise :class:`RuntimeError`; take a :meth:`clone` first (or use
         :meth:`snapshot`) to keep the live state.
         """
@@ -499,33 +477,18 @@ class OnlineReducer:
         self._finalized = True
         self._log = None
         self._mirror = None
-        self._merge_to_bound()
+        self.total_error, self.merges = _merge_down(
+            self.heap, self._size, self._budget(), self.total_error,
+            self.merges,
+        )
         return _result(self.heap, self.total_error, self.merges, self.consumed)
 
-    def _merge_to_bound(self) -> None:
-        """The end-of-input merges of :meth:`finalize`, on the live heap."""
-        heap = self.heap
-        if self._size is not None:
-            while len(heap) > self._size:
-                top = heap.peek_entry()
-                if top is None or math.isinf(top[2]):
-                    break
-                self.total_error += top[2]
-                heap.merge_top()
-                self.merges += 1
-        else:
-            assert self._tracker is not None
-            assert self._epsilon is not None
-            threshold = self._epsilon * self._tracker.total()
-            while True:
-                top = heap.peek_entry()
-                if top is None or math.isinf(top[2]):
-                    break
-                if self.total_error + top[2] > threshold + 1e-9:
-                    break
-                self.total_error += top[2]
-                heap.merge_top()
-                self.merges += 1
+    def _budget(self) -> Optional[float]:
+        """The end-of-input error budget; ``None`` for gPTAc."""
+        if self._tracker is None:
+            return None
+        assert self._epsilon is not None
+        return error_budget(self._epsilon, self._tracker.total())
 
     def snapshot(
         self, materialize: bool = True
@@ -565,14 +528,11 @@ class OnlineReducer:
         else:
             mirror.apply(log)
             log.clear()
-        threshold: Optional[float] = None
-        if self._epsilon is not None:
-            assert self._tracker is not None
-            threshold = self._epsilon * self._tracker.clone().total()
+        budget = self._budget()
         tail = finalize_mirror(
             mirror,
             size=self._size,
-            error_threshold=threshold,
+            budget=budget,
             total_error=self.total_error,
             weights=self._weights,
         )
@@ -582,10 +542,11 @@ class OnlineReducer:
             # historical counters: take the oracle path for this snapshot
             # (the mirror and the emptied log remain valid for the next).
             _metrics.counter(*_ORACLE_FALLBACKS).inc()
-            oracle = self.clone()
-            oracle._merge_to_bound()
-            columns = oracle.heap.columns()
-            error, merges = oracle.total_error, oracle.merges
+            heap = self.heap.clone()
+            error, merges = _merge_down(
+                heap, self._size, budget, self.total_error, self.merges
+            )
+            columns = heap.columns()
         else:
             columns, error, tail_merges = tail
             merges = self.merges + tail_merges
@@ -617,9 +578,7 @@ class OnlineReducer:
         other._weights = self._weights
         other._backend = self._backend
         other.heap = self.heap.clone()
-        other._tracker = (
-            self._tracker.clone() if self._tracker is not None else None
-        )
+        other._tracker = copy.copy(self._tracker)
         other._step_threshold = self._step_threshold
         other._width = self._width
         other._last_gap_id = self._last_gap_id
@@ -723,6 +682,32 @@ def greedy_reduce_to_error(
 # ----------------------------------------------------------------------
 
 
+def _merge_down(
+    heap: Heap,
+    size: Optional[int],
+    budget: Optional[float],
+    total_error: float,
+    merges: int,
+) -> Tuple[float, int]:
+    """The end-of-input phase: plain GMS until the bound is met.
+
+    Merges the cheapest pair while the heap exceeds ``size`` (gPTAc), or
+    while the accumulated error stays within ``budget``
+    (:func:`~repro.core.errors.error_budget`, gPTAε), and always stops at
+    ``cmin``.  Returns the new accumulated error and merge count.
+    """
+    while size is None or len(heap) > size:
+        top = heap.peek_entry()
+        if top is None or math.isinf(top[2]):
+            break  # reached cmin: only non-adjacent pairs remain
+        if budget is not None and total_error + top[2] > budget:
+            break
+        total_error += top[2]
+        heap.merge_top()
+        merges += 1
+    return total_error, merges
+
+
 def _build_heap(
     segments: Sequence[AggregateSegment],
     weights: Weights | None,
@@ -776,60 +761,41 @@ def _has_read_ahead(heap: Heap, handle: Any, delta: Delta) -> bool:
 
 
 class _MaxErrorTracker:
-    """Incrementally accumulate the exact ``SSE_max`` of the streamed input.
+    """The exact ``SSE_max`` of the streamed input, folded as it arrives.
 
-    ``SSE_max`` is the error of collapsing every maximal adjacent run into a
-    single tuple; it is accumulated run by run as ITA tuples arrive so the
-    error-bounded algorithm knows the exact threshold at finalisation time
-    without a second pass.
+    ``SSE_max`` is the error of collapsing every maximal adjacent run into
+    one tuple.  The tracker folds each run left to right with
+    :func:`~repro.core.errors.merge_key` and
+    :func:`~repro.core.merge.merged_row`: by Proposition 2 the keys of
+    those merges add up to the run's collapse error, and unlike prefix
+    sums of squares they do not cancel on offset values.
     """
 
     def __init__(self, weights: Weights | None) -> None:
         self._weights = weights
+        self._w2: Sequence[float] = ()
         self._previous: Optional[AggregateSegment] = None
+        #: Length and values of the current run folded into one tuple.
         self._length = 0.0
-        self._sums: List[float] = []
-        self._square_sums: List[float] = []
+        self._row: Sequence[float] = ()
         self._total = 0.0
 
     def push(self, segment: AggregateSegment) -> None:
-        if self._previous is not None and not adjacent(self._previous, segment):
-            self._close_run()
-        if not self._sums:
-            self._sums = [0.0] * segment.dimensions
-            self._square_sums = [0.0] * segment.dimensions
         length = float(segment.length)
-        self._length += length
-        for d, value in enumerate(segment.values):
-            self._sums[d] += length * value
-            self._square_sums[d] += length * value * value
+        if self._previous is not None and adjacent(self._previous, segment):
+            values = segment.values
+            self._total += merge_key(
+                self._length, length, self._row, values, self._w2
+            )
+            self._row = merged_row(self._length, length, self._row, values)
+            self._length += length
+        else:
+            if not self._w2:
+                self._w2 = squared_weights(self._weights, segment.dimensions)
+            self._row = segment.values
+            self._length = length
         self._previous = segment
-
-    def _close_run(self) -> None:
-        if self._length > 0:
-            weights = resolve_weights(self._weights, len(self._sums))
-            for d in range(len(self._sums)):
-                deviation = (
-                    self._square_sums[d]
-                    - self._sums[d] * self._sums[d] / self._length
-                )
-                self._total += weights[d] ** 2 * max(deviation, 0.0)
-        self._length = 0.0
-        self._sums = [0.0] * len(self._sums)
-        self._square_sums = [0.0] * len(self._square_sums)
-
-    def clone(self) -> "_MaxErrorTracker":
-        """Copy the accumulator state (used by :meth:`OnlineReducer.clone`)."""
-        other = _MaxErrorTracker(self._weights)
-        other._previous = self._previous
-        other._length = self._length
-        other._sums = list(self._sums)
-        other._square_sums = list(self._square_sums)
-        other._total = self._total
-        return other
 
     def total(self) -> float:
         """Return ``SSE_max`` over everything pushed so far."""
-        self._close_run()
-        self._previous = None
         return self._total

@@ -1608,7 +1608,7 @@ def finalize_mirror(
     mirror: SnapshotMirror,
     *,
     size: Optional[int] = None,
-    error_threshold: Optional[float] = None,
+    budget: Optional[float] = None,
     total_error: float = 0.0,
     weights: Weights | None = None,
 ) -> Optional[Tuple[EncodedSegments, float, int]]:
@@ -1617,9 +1617,10 @@ def finalize_mirror(
     The delta-snapshot twin of ``OnlineReducer.finalize``: gathers the
     mirror's live rows, replays the paper's end-of-input greedy phase —
     size-bounded down to ``size``, or error-bounded while ``total_error``
-    stays within ``error_threshold`` (with the same ``1e-9`` slack as the
-    oracle) — and returns the final snapshot as :class:`EncodedSegments`
-    together with the accumulated error and the number of tail merges.
+    stays within ``budget`` (:func:`~repro.core.errors.error_budget`, the
+    stop rule of every error-bounded engine) — and returns the final
+    snapshot as :class:`EncodedSegments` together with the accumulated
+    error and the number of tail merges.
 
     The cost is O(live) vectorised work plus O(tail) Python work.  The
     live rows are gathered with one fancy index and the finite keys
@@ -1719,9 +1720,8 @@ def finalize_mirror(
         if top in merged or version.get(top, 0) != top_version:
             pop(entries)
             continue
-        if error_threshold is not None:
-            if total_error + top_key > error_threshold + 1e-9:
-                break
+        if budget is not None and total_error + top_key > budget:
+            break
         # Tie guard: the second-smallest key of a binary heap sits in one
         # of the root's children, so an equal key there (valid or stale —
         # conservative either way) means the pop order is counter-
@@ -2000,37 +2000,6 @@ def greedy_merge_trajectory(
     )
 
 
-def shard_sse_max(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    values: np.ndarray,
-    groups: np.ndarray,
-    w2: np.ndarray,
-) -> float:
-    """``SSE_max`` of an array-encoded shard (error of collapsing each run).
-
-    Vectorized equivalent of :func:`repro.core.errors.max_error` for the
-    sharded engine: the shard is split at its maximal-run boundaries and the
-    per-run deviations are evaluated with one ``reduceat`` per statistic.
-    ``SSE_max`` is additive across runs, so summing the per-shard results
-    yields the global error budget of the error-bounded reduction.
-    """
-    n = len(starts)
-    if n == 0:
-        return 0.0
-    lengths = (ends - starts + 1).astype(np.float64)
-    adjacent = adjacent_pair_mask(starts, ends, groups)
-    run_starts = np.flatnonzero(np.concatenate(([True], ~adjacent)))
-    weighted = values * lengths[:, None]
-    run_length = np.add.reduceat(lengths, run_starts)
-    run_sum = np.add.reduceat(weighted, run_starts, axis=0)
-    run_square = np.add.reduceat(weighted * values, run_starts, axis=0)
-    deviation = np.maximum(
-        run_square - run_sum * run_sum / run_length[:, None], 0.0
-    )
-    return float((deviation @ w2).sum())
-
-
 # ----------------------------------------------------------------------
 # Snapshot-query helpers (serving layer, Propositions 1 / 2 reused)
 # ----------------------------------------------------------------------
@@ -2126,7 +2095,6 @@ __all__ = [
     "pairwise_merge_keys",
     "range_weighted_sum",
     "require_finite",
-    "shard_sse_max",
     "time_weighted_prefix",
     "ValueWidthError",
 ]

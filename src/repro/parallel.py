@@ -24,8 +24,10 @@ cores:
    some shard's local schedule*, the global reduction is exactly a k-way
    merge over the shard frontiers: repeatedly consume the smallest next key
    across shards until the size budget is met (global top-k selection) or
-   the error budget ``ε·SSE_max`` is exhausted (``SSE_max`` is additive
-   across shards).
+   the error budget ``ε·SSE_max`` is exhausted
+   (:func:`repro.core.errors.error_budget`).  ``SSE_max`` is additive
+   across shards, and each shard's is the sum of its schedule's keys: the
+   schedule runs to the shard's ``cmin`` (Proposition 2).
 5. **Rebuild** — each shard's output partition is materialised with one
    ``reduceat`` pass over the encoded columns; merged values follow the
    single-pass weighted-mean semantics of
@@ -53,11 +55,13 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core.errors import Weights, resolve_weights
+from .core.errors import (
+    Weights, error_budget, squared_weights, validate_budget,
+)
 from .core.greedy import GreedyResult
 from .core.kernels import (
     EncodedSegments,
@@ -65,7 +69,6 @@ from .core.kernels import (
     encode_segments,
     greedy_merge_trajectory,
     require_finite,
-    shard_sse_max,
 )
 from .core.merge import AggregateSegment
 from .obs import metrics as _metrics
@@ -126,18 +129,59 @@ def plan_shards(
 ShardPayload = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 #: One shard's reduction output: the complete merge schedule (boundary
-#: indices + per-step keys) plus the shard's ``SSE_max``.
+#: indices + per-step keys) plus the shard's ``SSE_max``, the sum of the
+#: keys.
 ShardTrajectory = Tuple[np.ndarray, np.ndarray, float]
 
 
-def validate_budget(size: int | None, max_error: float | None) -> None:
-    """The one-budget rule shared by every sharded entry point."""
-    if (size is None) == (max_error is None):
-        raise ValueError("provide exactly one of 'size' and 'max_error'")
-    if size is not None and size < 1:
-        raise ValueError(f"size bound must be at least 1, got {size}")
-    if max_error is not None and not 0.0 <= max_error <= 1.0:
-        raise ValueError(f"epsilon must be within [0, 1], got {max_error}")
+class ShardJob(NamedTuple):
+    """A checked, encoded and planned sharded reduction (:func:`plan_job`)."""
+
+    encoded: EncodedSegments
+    shards: List[Tuple[int, int]]
+    w2: np.ndarray
+    retries: int
+    backoff: float
+
+
+def plan_job(
+    segments: Iterable[AggregateSegment],
+    size: int | None,
+    max_error: float | None,
+    weights: Weights | None,
+    shard_size: int | None,
+    shard_retries: int | None,
+    retry_backoff: float | None,
+) -> Optional[ShardJob]:
+    """The front half of every sharded engine, up to the shard plan.
+
+    Checks the budget and the knobs (``None`` takes the module default),
+    encodes the input, refuses non-finite values and cuts the shards.
+    Returns ``None`` for an empty input.  :func:`run_sharded` and
+    :func:`repro.cluster.reduce_cluster` both start here, so the pool and
+    the cluster reduce the same shards.
+    """
+    validate_budget(size, max_error)
+    shard_size = DEFAULT_SHARD_SIZE if shard_size is None else shard_size
+    retries = SHARD_RETRIES if shard_retries is None else shard_retries
+    backoff = RETRY_BACKOFF_S if retry_backoff is None else retry_backoff
+    for name, value, floor in (
+        ("shard_size", shard_size, 1),
+        ("shard_retries", retries, 0),
+        ("retry_backoff", backoff, 0),
+    ):
+        if value < floor:
+            wanted = "at least 1" if floor else "non-negative"
+            raise ValueError(f"{name} must be {wanted}, got {value}")
+    encoded = encode_segments(segments)
+    if len(encoded) == 0:
+        return None
+    require_finite(encoded.values)
+    w2 = np.asarray(
+        squared_weights(weights, encoded.dimensions), dtype=np.float64
+    )
+    shards = plan_shards(encoded, shard_size)
+    return ShardJob(encoded, shards, w2, retries, backoff)
 
 
 def shard_payloads(
@@ -161,8 +205,10 @@ def shard_payloads(
 def reduce_shard(payload: ShardPayload) -> ShardTrajectory:
     """Worker task: complete merge schedule plus ``SSE_max`` of one shard.
 
-    This is the unit of remote work for both the process-pool engine and
-    the cluster tier's reducer workers (:mod:`repro.cluster.worker`).
+    The schedule runs down to the shard's ``cmin``, so by Proposition 2
+    its keys add up to the shard's ``SSE_max``: the third element is their
+    sum.  This is the unit of remote work for both the process-pool engine
+    and the cluster tier's reducer workers (:mod:`repro.cluster.worker`).
     """
     failpoints.fail("parallel.worker")
     starts, ends, values, groups, w2 = payload
@@ -170,8 +216,7 @@ def reduce_shard(payload: ShardPayload) -> ShardTrajectory:
         boundaries, keys = greedy_merge_trajectory(
             starts, ends, values, groups, w2
         )
-        sse = shard_sse_max(starts, ends, values, groups, w2)
-    return boundaries, keys, sse
+    return boundaries, keys, float(keys.sum())
 
 
 # Backwards-compatible name (the pool pickles tasks by qualified name).
@@ -345,50 +390,27 @@ def run_sharded(
     shard plan and the reconciliation consume results by shard index,
     never by completion order.
     """
-    validate_budget(size, max_error)
     if workers < 0:
         raise ValueError(f"workers must be non-negative, got {workers}")
-    if shard_size is None:
-        shard_size = DEFAULT_SHARD_SIZE
-    elif shard_size < 1:
-        raise ValueError(f"shard_size must be at least 1, got {shard_size}")
-    if shard_retries is None:
-        shard_retries = SHARD_RETRIES
-    elif shard_retries < 0:
-        raise ValueError(
-            f"shard_retries must be non-negative, got {shard_retries}"
-        )
-    if retry_backoff is None:
-        retry_backoff = RETRY_BACKOFF_S
-    elif retry_backoff < 0:
-        raise ValueError(
-            f"retry_backoff must be non-negative, got {retry_backoff}"
-        )
-
-    encoded = encode_segments(segments)
-    count = len(encoded)
-    if count == 0:
-        return GreedyResult()
-    require_finite(encoded.values)
-
-    w2 = (
-        np.asarray(
-            resolve_weights(weights, encoded.dimensions), dtype=np.float64
-        )
-        ** 2
+    job = plan_job(
+        segments, size, max_error, weights, shard_size, shard_retries,
+        retry_backoff,
     )
-    shards = plan_shards(encoded, shard_size)
-    payloads = shard_payloads(encoded, shards, w2)
+    if job is None:
+        return GreedyResult()
+    payloads = shard_payloads(job.encoded, job.shards, job.w2)
     pool_width = workers if workers else (os.cpu_count() or 1)
     if pool_width > 1 and len(payloads) > 1:
         pool_width = min(pool_width, len(payloads))
         trajectories = _reduce_shards_pooled(
-            payloads, pool_width, shard_retries, retry_backoff
+            payloads, pool_width, job.retries, job.backoff
         )
     else:
         trajectories = [reduce_shard(payload) for payload in payloads]
 
-    return assemble_result(encoded, shards, trajectories, size, max_error)
+    return assemble_result(
+        job.encoded, job.shards, trajectories, size, max_error
+    )
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +427,10 @@ def _reconcile(
     A k-way merge over the shard frontiers: the heap holds each shard's
     *next* merge key, and consuming the global minimum advances that shard's
     schedule by one step — exactly the merge global GMS would perform.  Ties
-    break towards the earlier shard (then the earlier step).
+    break towards the earlier shard (then the earlier step).  It stops once
+    ``size`` tuples remain, or at the first key past the
+    :func:`~repro.core.errors.error_budget` of the summed shard
+    ``SSE_max`` (additive across shards).
     """
     key_lists = [keys.tolist() for _, keys, _ in trajectories]
     frontier = [
@@ -415,36 +440,15 @@ def _reconcile(
     counts = [0] * len(trajectories)
     total_error = 0.0
     merges = 0
+    budget: Optional[float] = None
+    if max_error is not None:
+        sse_max = sum(sse for _, _, sse in trajectories)
+        budget = error_budget(max_error, sse_max)
     # Advancing a shard replaces the consumed top in place (one sift).
     heapreplace, heappop = heapq.heapreplace, heapq.heappop
-
-    if size is not None:
-        live = input_size
-        while live > size and frontier:
-            key, shard, step = frontier[0]
-            counts[shard] += 1
-            total_error += key
-            merges += 1
-            live -= 1
-            keys = key_lists[shard]
-            if step + 1 < len(keys):
-                heapreplace(frontier, (keys[step + 1], shard, step + 1))
-            else:
-                heappop(frontier)
-        return counts, total_error, merges
-
-    # Error-bounded: SSE_max is additive across shards, so the global budget
-    # is the sum of the per-shard budgets; the stop rule mirrors
-    # gms_reduce_to_error's threshold check.  The slack is relative as well
-    # as absolute: the engine's keys and the threshold come from different
-    # float summation orders, so at ``ε = 1`` (where the consumed keys
-    # telescope to exactly ``SSE_max``) an absolute slack alone would stop
-    # one merge short of ``cmin``.
-    threshold = max_error * sum(sse for _, _, sse in trajectories)
-    budget = threshold + 1e-9 + 1e-9 * threshold
-    while frontier:
+    while frontier and (size is None or input_size - merges > size):
         key, shard, step = frontier[0]
-        if total_error + key > budget:
+        if budget is not None and total_error + key > budget:
             break
         counts[shard] += 1
         total_error += key
@@ -508,11 +512,12 @@ __all__ = [
     "ShardPayload",
     "ShardTrajectory",
     "assemble_result",
+    "ShardJob",
     "encode_segments",
+    "plan_job",
     "plan_shards",
     "reduce_segments_parallel",
     "reduce_shard",
     "run_sharded",
     "shard_payloads",
-    "validate_budget",
 ]

@@ -7,12 +7,14 @@ import pytest
 
 from repro.core import (
     DELTA_INFINITY,
+    AggregateSegment,
     cmin,
     gms_reduce_to_error,
     gms_reduce_to_size,
     greedy_reduce_to_error,
     greedy_reduce_to_size,
     max_error,
+    reduce_to_error,
     reduce_to_size,
     sse_between,
 )
@@ -36,7 +38,6 @@ def random_segments(count, seed, groups=1, gap_probability=0.0, dimensions=1):
                 else None
             )
             if dimensions != 1:
-                from repro.core import AggregateSegment
                 from repro import Interval
                 segments[-1] = AggregateSegment(
                     (f"g{group_index}",), values,
@@ -81,8 +82,38 @@ class TestGMS:
             assert result.error <= epsilon * max_error(proj_segments) + 1e-6
 
     def test_error_bounded_epsilon_one_reaches_cmin(self, proj_segments):
-        result = gms_reduce_to_error(proj_segments, 1.0)
-        assert result.size == cmin(proj_segments)
+        # The running example and unit tuples in three groups with gaps,
+        # scaled and offset.  DP's Proposition 1 prefix sums cancel on
+        # offset values, so DP is only held to the rule on unshifted inputs.
+        for scale, offset in ((1.0, 0.0), (1e3, 0.0), (1e6, 0.0),
+                              (1e3, 1e4), (1e3, 1e6)):
+            inputs = [[
+                AggregateSegment(
+                    segment.group,
+                    tuple(offset + scale * v for v in segment.values),
+                    segment.interval,
+                )
+                for segment in proj_segments
+            ]]
+            for seed in range(12):
+                rng = random.Random(seed)
+                inputs.append([
+                    make_segment(t, t, offset + scale * rng.random(),
+                                 group=(f"g{t // 20}",))
+                    for t in range(60) if rng.random() > 0.1
+                ])
+            for segments in inputs:
+                sizes = {
+                    backend: gms_reduce_to_error(
+                        segments, 1.0, backend=backend
+                    ).size
+                    for backend in ("python", "numpy")
+                }
+                if offset == 0.0:
+                    sizes["dp"] = reduce_to_error(segments, 1.0).size
+                assert sizes == dict.fromkeys(sizes, cmin(segments)), (
+                    scale, offset,
+                )
 
     def test_invalid_bounds_rejected(self, proj_segments):
         with pytest.raises(ValueError):

@@ -175,11 +175,9 @@ class TestGMSEquivalence:
 
     @pytest.mark.parametrize("seed", [51, 52])
     def test_epsilon_one_reaches_cmin(self, seed):
-        # At ε = 1 the consumed keys telescope to exactly SSE_max, so the
-        # engine must reach cmin; the sequential reference can stop one
-        # merge short here when its pairwise key sum lands a few ulps above
-        # its prefix-sum threshold, so structural equality is only asserted
-        # away from the budget boundary (see test_error_bounded_matches_gms).
+        # At ε = 1 the consumed keys telescope to exactly SSE_max, so every
+        # greedy engine must reach cmin: they share one error budget.
+        from repro.api import Compressor, ExecutionPolicy
         from repro.core import cmin, max_error
 
         segments = synthetic_grouped_segments(5, 24, dimensions=2, seed=seed)
@@ -188,6 +186,24 @@ class TestGMSEquivalence:
         )
         assert candidate.size == cmin(segments)
         assert candidate.error <= max_error(segments) * (1 + 1e-9) + 1e-9
+        sizes = {
+            "sharded": compress(
+                segments, max_error=1.0, workers=1, shard_size=29
+            ).size,
+        }
+        for backend in ("python", "numpy"):
+            sizes[f"gms {backend}"] = gms_reduce_to_error(
+                segments, 1.0, backend=backend
+            ).size
+            for delta in (1, DELTA_INFINITY):
+                policy = ExecutionPolicy(backend=backend, delta=delta)
+                sizes[f"online {backend} δ={delta}"] = compress(
+                    segments, max_error=1.0, backend=backend, delta=delta
+                ).size
+                session = Compressor(max_error=1.0, policy=policy)
+                session.push(segments)
+                sizes[f"summary {backend} δ={delta}"] = session.summary().size
+        assert sizes == dict.fromkeys(sizes, cmin(segments))
 
     def test_matches_online_with_infinite_delta(self):
         segments = synthetic_grouped_segments(6, 35, dimensions=2, seed=61)
