@@ -4,7 +4,7 @@ Boots the serving layer end to end, all inside one process and with
 nothing beyond the standard library on the wire:
 
 1. a :class:`repro.service.Service` (session store + query engine) fronted
-   by the stdlib ``ThreadingHTTPServer`` on an ephemeral port;
+   by the standard-library HTTP front end on an ephemeral port;
 2. three simulated sensor streams pushed chunk by chunk over HTTP (JSON
    bodies — the binary wire format is exercised for the summary download);
 3. live queries between pushes: ``value_at``, ``range_agg`` and a

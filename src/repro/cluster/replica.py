@@ -66,6 +66,7 @@ from typing import Optional, Tuple, Union
 
 from ..api.plan import Budget, ExecutionPolicy
 from ..obs import metrics as _metrics
+from ..service.http import SERVE_POLL_INTERVAL
 from ..service.store import CATCH_UP_SEQ, ServiceError, SessionStore
 from ..service.wire import WireError, decode_result, decode_segments
 from ..util import failpoints
@@ -633,6 +634,7 @@ def start_standby(
     server = StandbyServer(store, host, port, read_timeout)
     thread = threading.Thread(
         target=server.serve_forever,
+        kwargs={"poll_interval": SERVE_POLL_INTERVAL},
         name=f"pta-standby-{server.port}",
         daemon=True,
     )

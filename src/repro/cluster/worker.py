@@ -41,6 +41,7 @@ from typing import Optional, Tuple
 
 from ..obs import tracing as _tracing
 from ..obs.logs import get_logger
+from ..service.http import SERVE_POLL_INTERVAL
 from ..service.wire import WireError, decode_segments
 from ..storage.columns import ColumnCodecError
 from ..util import failpoints
@@ -212,6 +213,7 @@ def start_worker(
     worker = ReducerWorker(host, port, read_timeout)
     thread = threading.Thread(
         target=worker.serve_forever,
+        kwargs={"poll_interval": SERVE_POLL_INTERVAL},
         name=f"pta-cluster-worker-{worker.port}",
         daemon=True,
     )

@@ -16,7 +16,7 @@ concern:
   via binary search and the Proposition 1/2 prefix-sum identities, with a
   per-key snapshot cache invalidated by push generation;
 * :mod:`~repro.service.http` — the in-process :class:`Service` facade and
-  a dependency-free ``ThreadingHTTPServer`` JSON front end;
+  a dependency-free HTTP/1.0 JSON front end on reused handler threads;
 * :mod:`~repro.service.durability` — the durability tier: per-key
   write-ahead logs, frozen epochs demoted to mmap-backed checkpoint
   files, and bit-identical crash recovery (enable with ``data_dir=``).

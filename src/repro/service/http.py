@@ -3,9 +3,11 @@
 :class:`Service` bundles the write path (:class:`SessionStore`) and the
 read path (:class:`QueryEngine`) into one object embeddable in any Python
 process; :func:`serve` / :func:`start_in_background` put a JSON-over-HTTP
-surface in front of it using only :mod:`http.server` from the standard
-library (``ThreadingHTTPServer`` — one thread per connection, the store's
-internal lock serialises mutations).
+surface in front of it using only the standard library.  The protocol is
+HTTP/1.0 with one request per connection: each accepted connection goes to
+an idle handler thread (a new one starts only when none is idle), which
+reads the request line and the headers the service uses, answers with
+one write and closes; the store's internal lock serialises mutations.
 
 Endpoints::
 
@@ -53,33 +55,46 @@ query parameters take the same JSON array form.
 slug}`` — and the front end is hardened against abuse and faults
 (``docs/ARCHITECTURE.md`` § Operating under failure):
 
-========  =====================  ==========================================
-status    code                   meaning
-========  =====================  ==========================================
-400       ``bad_request``        invalid body, query, or unknown key
-400       ``deadline_exceeded``  the per-request socket deadline expired
-404       ``not_found``          unknown route
-413       ``payload_too_large``  ``Content-Length`` above ``max_body``
-429       ``backpressure``       too many in-flight pushes (``Retry-After``)
-500       ``internal``           unexpected handler exception (logged)
-503       ``durability``         durable push failed (safe to retry), or
-                                 a demoted checkpoint cannot be served
-503       ``degraded``           ``/healthz`` while the store is degraded
-                                 or the replication lag exceeds the
-                                 configured threshold
-503       ``not_primary``        ``POST /push`` on a standby replica
-503       ``replication_quorum`` a push could not reach its
-                                 ``sync_replicas`` quorum; fully rolled
-                                 back, safe to retry
-========  =====================  ==========================================
+========  =========================  ==========================================
+status    code                       meaning
+========  =========================  ==========================================
+400       ``bad_request``            invalid request line, header line, body,
+                                     query or ``X-Repro-Deadline``, or an
+                                     unknown key
+400       ``deadline_exceeded``      the per-request socket deadline expired
+404       ``not_found``              unknown route
+413       ``payload_too_large``      ``Content-Length`` above ``max_body``
+414       ``uri_too_long``           a request line above 65536 bytes
+429       ``backpressure``           too many in-flight pushes (``Retry-After``)
+431       ``headers_too_large``      a header line above 65536 bytes, or more
+                                     than 100 header lines
+500       ``internal``               unexpected handler exception (logged)
+501       ``not_implemented``        a method other than GET and POST
+503       ``durability``             durable push failed (safe to retry), or
+                                     a demoted checkpoint cannot be served
+503       ``degraded``               ``/healthz`` while the store is degraded
+                                     or the replication lag exceeds the
+                                     configured threshold
+503       ``not_primary``            ``POST /push`` on a standby replica
+503       ``replication_quorum``     a push could not reach its
+                                     ``sync_replicas`` quorum; fully rolled
+                                     back, safe to retry
+505       ``version_not_supported``  HTTP/2.0 or later in the request line
+========  =========================  ==========================================
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
+import math
+import queue
+import socketserver
 import threading
+from email.utils import formatdate
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from time import perf_counter
+from time import perf_counter, time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
@@ -122,6 +137,29 @@ DEFAULT_REQUEST_TIMEOUT = 30.0
 
 #: Content type of the Prometheus text exposition served by /metrics.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: How often a serving loop checks for ``shutdown()``, in seconds: each
+#: ``shutdown()`` waits up to this long (socketserver's default is
+#: 0.5 s).  The cluster's standby and worker servers use it too.
+SERVE_POLL_INTERVAL = 0.05
+
+#: Idle handler threads a server keeps for the next connections.  A
+#: burst of more concurrent connections starts more threads; those past
+#: this many exit after their request instead of waiting idle.  The bound
+#: is there for memory: each living thread keeps the malloc arena it
+#: allocated from, which measured up to about 1 MB resident per thread.
+MAX_IDLE_WORKERS = 8
+
+#: The standard library's limits on a request line or header line (in
+#: bytes) and on the number of header lines.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_SERVER_HEADER = (
+    f"Server: {BaseHTTPRequestHandler.server_version} "
+    f"{BaseHTTPRequestHandler.sys_version}"
+)
 
 #: Known GET routes, as the bounded `endpoint` label vocabulary of the
 #: per-endpoint request histogram (unknown paths collapse to "other").
@@ -243,7 +281,14 @@ class Service:
 # HTTP front end
 # ----------------------------------------------------------------------
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`Service` instance.
+    """An HTTP server bound to one :class:`Service` instance.
+
+    Each accepted connection is handed to an idle handler thread, which
+    answers it with ``ThreadingMixIn.process_request_thread``; a new
+    thread starts only when none is idle, so a slow client pins only
+    its own thread.  Handler threads are daemons, at most
+    :data:`MAX_IDLE_WORKERS` of them wait idle, and ``server_close()``
+    releases those.
 
     The front-end protection knobs live here: ``max_body`` bounds the
     accepted ``Content-Length`` (413 above it), ``max_in_flight`` bounds
@@ -252,8 +297,6 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     deadline in seconds (``None`` disables it; slow clients get 400
     ``deadline_exceeded``).
     """
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -282,15 +325,106 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         self.max_body = max_body
         self.request_timeout = request_timeout
         self.push_slots = threading.BoundedSemaphore(max_in_flight)
+        # The inboxes of idle handler threads, the most recently idle
+        # last; a thread waits on its inbox for a connection or None.
+        self._idle: List["queue.SimpleQueue[Optional[Tuple[Any, Any]]]"] = []
+        self._pool_lock = threading.Lock()
+        self._closed = False
+        # Per handler thread: its inbox, and whether it was offered for
+        # the next connection yet (None until then) and kept.
+        self._worker = threading.local()
 
     @property
     def port(self) -> int:
         """The bound port (useful with the ephemeral ``port=0``)."""
         return int(self.server_address[1])
 
+    def process_request(self, request: Any, client_address: Any) -> None:
+        """Hand the connection to an idle handler thread, or a new one."""
+        with self._pool_lock:
+            inbox = self._idle.pop() if self._idle else None
+        if inbox is None:
+            inbox = queue.SimpleQueue()
+            threading.Thread(
+                target=self._work,
+                args=(inbox,),
+                name=f"pta-service-http-{self.port}-worker",
+                daemon=True,
+            ).start()
+        inbox.put((request, client_address))
 
-class _Handler(BaseHTTPRequestHandler):
+    def _work(
+        self, inbox: "queue.SimpleQueue[Optional[Tuple[Any, Any]]]"
+    ) -> None:
+        self._worker.inbox = inbox
+        while True:
+            job = inbox.get()
+            if job is None:
+                return
+            self._worker.kept = None
+            # Looked up per call: a profiler may wrap the attribute.  An
+            # empty context per request, as a thread of its own had.
+            contextvars.Context().run(self.process_request_thread, *job)
+            if not self._release_worker():
+                return
+
+    def _release_worker(self) -> bool:
+        """Offer the calling handler thread for the next connection.
+
+        The handler calls this as soon as its response is written: the
+        client may connect again before this thread has closed the old
+        socket, and a connection handed over meanwhile waits those few
+        microseconds in the inbox instead of starting another thread.
+        Once per request; returns whether the thread stays (not past
+        :data:`MAX_IDLE_WORKERS` idle ones, nor after ``server_close``).
+        """
+        worker = self._worker
+        kept: Optional[bool] = getattr(worker, "kept", True)
+        if kept is not None:
+            return kept
+        with self._pool_lock:
+            kept = not self._closed and len(self._idle) < MAX_IDLE_WORKERS
+            if kept:
+                self._idle.append(worker.inbox)
+        worker.kept = kept
+        return kept
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._pool_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for inbox in idle:
+            inbox.put(None)
+
+
+class _Headers:
+    """A request's header fields by lower-cased name.  The first
+    occurrence of a name wins, as ``email.message.Message.get`` does."""
+
+    __slots__ = ("_fields",)
+
+    def __init__(self) -> None:
+        self._fields: Dict[str, str] = {}
+
+    def add(self, name: str, value: str) -> None:
+        self._fields.setdefault(name.lower(), value)
+
+    def get(self, name: str) -> Optional[str]:
+        return self._fields.get(name.lower())
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One HTTP/1.0 request per connection: parse, route, answer once."""
+
     server: ServiceHTTPServer  # narrowed for the route handlers
+    # Set by parse_request; the defaults serve errors raised before it.
+    requestline = ""
+    command = ""
+    path = ""
+    url_path = ""
+    url_query = ""
+    headers = _Headers()
 
     def setup(self) -> None:
         # StreamRequestHandler applies self.timeout as the socket
@@ -298,6 +432,108 @@ class _Handler(BaseHTTPRequestHandler):
         # bounded, so one slow client cannot pin a handler thread.
         self.timeout = self.server.request_timeout
         super().setup()
+
+    def handle(self) -> None:
+        try:
+            parsed = self.parse_request()
+        except TimeoutError:
+            # Too slow to send its request line and headers.
+            try:
+                self._send_error(
+                    400, "request deadline exceeded", "deadline_exceeded"
+                )
+            except OSError:
+                pass
+            return
+        if not parsed:
+            return
+        if self.command == "GET":
+            self.do_GET()
+        elif self.command == "POST":
+            self.do_POST()
+        else:
+            self._send_error(
+                501, f"unsupported method {self.command!r}", "not_implemented"
+            )
+        # The response is out: this thread can take the next connection.
+        self.server._release_worker()
+
+    def parse_request(self) -> bool:
+        """Read the request line and the header lines.
+
+        The request-line checks are the standard library's, except that
+        the two-word HTTP/0.9 form is refused.  Header lines obey its
+        limits; a line without a colon and an obs-fold continuation line
+        are refused.  Every refusal is answered here (structured, and
+        counted like any error) and returns False; so does a client that
+        closes before sending anything, which gets no answer.
+        """
+        raw = self.rfile.readline(_MAX_LINE + 1)
+        if not raw:
+            return False
+        if len(raw) > _MAX_LINE:
+            return self._refuse(414, "request line too long", "uri_too_long")
+        self.requestline = str(raw, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if len(words) >= 3:
+            version = _version_number(words[-1])
+            if version is None:
+                return self._refuse(
+                    400, f"bad request version {words[-1]!r}", "bad_request"
+                )
+            if version >= (2, 0):
+                return self._refuse(
+                    505,
+                    f"unsupported HTTP version {words[-1]!r}",
+                    "version_not_supported",
+                )
+        if len(words) != 3:
+            return self._refuse(
+                400, f"bad request line {self.requestline!r}", "bad_request"
+            )
+        self.command, path, _ = words
+        if path.startswith("//"):
+            path = "/" + path.lstrip("/")
+        self.path = path
+        try:
+            url = urlsplit(path)
+        except ValueError as error:
+            return self._refuse(
+                400, f"bad request target {path!r}: {error}", "bad_request"
+            )
+        self.url_path, self.url_query = url.path, url.query
+        headers = _Headers()
+        count = 0
+        while True:
+            raw = self.rfile.readline(_MAX_LINE + 1)
+            if len(raw) > _MAX_LINE:
+                return self._refuse(
+                    431, "header line too long", "headers_too_large"
+                )
+            if raw in (b"\r\n", b"\n", b""):
+                break
+            count += 1
+            if count > _MAX_HEADERS:
+                return self._refuse(
+                    431,
+                    f"more than {_MAX_HEADERS} header lines",
+                    "headers_too_large",
+                )
+            line = str(raw, "iso-8859-1")
+            name, colon, value = line.partition(":")
+            if not colon or line[0] in " \t":
+                return self._refuse(
+                    400,
+                    f"bad header line {line.rstrip()!r}",
+                    "bad_request",
+                )
+            headers.add(name, value.strip(" \t\r\n"))
+        self.headers = headers
+        return True
+
+    def _refuse(self, status: int, message: str, code: str) -> bool:
+        self._send_error(status, message, code)
+        return False
 
     # ------------------------------------------------------------------
     # Routing
@@ -342,7 +578,6 @@ class _Handler(BaseHTTPRequestHandler):
                 except (ServiceError, WireError, ValueError) as error:
                     self._send_error(400, str(error), "bad_request")
                 except TimeoutError:
-                    self.close_connection = True
                     self._send_error(
                         400, "request deadline exceeded", "deadline_exceeded"
                     )
@@ -359,7 +594,7 @@ class _Handler(BaseHTTPRequestHandler):
                             500, "internal server error", "internal"
                         )
                     except OSError:
-                        self.close_connection = True
+                        pass
         finally:
             in_flight.dec()
             if armed:
@@ -372,17 +607,20 @@ class _Handler(BaseHTTPRequestHandler):
     def _deadline_budget(self) -> Optional[float]:
         """The request's remaining end-to-end budget, if the client sent
         one (``X-Repro-Deadline``, seconds).  An already-expired budget
-        fails here — before the route does any work."""
+        fails here — before the route does any work; so does one that
+        is not a finite number, which would run with no deadline."""
         raw = self.headers.get(DEADLINE_HEADER)
         if raw is None:
             return None
         try:
             budget = float(raw)
         except ValueError:
+            budget = math.nan
+        if not math.isfinite(budget):
             raise ServiceError(
                 f"invalid {DEADLINE_HEADER} header {raw!r}: expected the "
                 f"remaining budget in seconds"
-            ) from None
+            )
         if budget <= 0:
             raise DeadlineExceeded(
                 "request deadline exceeded before handling began"
@@ -391,7 +629,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _endpoint(self) -> str:
         """The bounded ``endpoint`` label for this request's path."""
-        path = urlsplit(self.path).path
+        path = self.url_path
         if path.startswith("/push/"):
             return "push"
         if path in _GET_ENDPOINTS:
@@ -399,45 +637,45 @@ class _Handler(BaseHTTPRequestHandler):
         return "other"
 
     def _route_get(self) -> None:
-        url = urlsplit(self.path)
-        query = parse_qs(url.query)
-        if url.path == "/healthz":
+        path = self.url_path
+        query = parse_qs(self.url_query)
+        if path == "/healthz":
             self._handle_healthz()
-        elif url.path == "/stats":
+        elif path == "/stats":
             # The store's counters plus the query engine's cache/cost
             # accounting — additive keys only, the legacy shape of
             # StoreStats.as_dict() is regression-locked.
             payload = self.server.service.stats().as_dict()
             payload["query"] = self.server.service.engine.counters()
             self._send_json(200, payload)
-        elif url.path == "/metrics":
+        elif path == "/metrics":
             self._send_bytes(
                 200,
                 _metrics.render().encode("utf-8"),
                 METRICS_CONTENT_TYPE,
             )
-        elif url.path == "/role":
+        elif path == "/role":
             self._handle_role()
-        elif url.path == "/value_at":
+        elif path == "/value_at":
             self._handle_value_at(query)
-        elif url.path == "/range_agg":
+        elif path == "/range_agg":
             self._handle_range_agg(query)
-        elif url.path == "/window":
+        elif path == "/window":
             self._handle_window(query)
-        elif url.path == "/summary":
+        elif path == "/summary":
             self._handle_summary(query)
         else:
-            self._send_error(404, f"unknown route {url.path!r}", "not_found")
+            self._send_error(404, f"unknown route {path!r}", "not_found")
 
     def _route_post(self) -> None:
-        url = urlsplit(self.path)
-        if url.path.startswith("/push/"):
-            key = url.path[len("/push/"):]
+        path = self.url_path
+        if path.startswith("/push/"):
+            key = path[len("/push/"):]
             if not key:
                 raise ServiceError("push requires a non-empty key")
             self._handle_push(key)
         else:
-            self._send_error(404, f"unknown route {url.path!r}", "not_found")
+            self._send_error(404, f"unknown route {path!r}", "not_found")
 
     # ------------------------------------------------------------------
     # Route handlers
@@ -511,7 +749,6 @@ class _Handler(BaseHTTPRequestHandler):
         if length < 0:
             raise ServiceError(f"invalid Content-Length {length}")
         if length > self.server.max_body:
-            self.close_connection = True  # don't drain an oversized body
             self._send_error(
                 413,
                 f"request body of {length} bytes exceeds the limit of "
@@ -673,34 +910,55 @@ class _Handler(BaseHTTPRequestHandler):
         ctype: str,
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(body)))
+        """Write the status line, the headers and the body at once."""
+        head = [
+            f"HTTP/1.0 {status} {_REASONS.get(status, '')}",
+            _SERVER_HEADER,
+            f"Date: {_http_date()}",
+            f"Content-Type: {ctype}",
+            f"Content-Length: {len(body)}",
+        ]
         trace_id = _tracing.current_trace_id()
         if trace_id is not None:
-            self.send_header(_tracing.TRACE_HEADER, trace_id)
+            head.append(f"{_tracing.TRACE_HEADER}: {trace_id}")
         for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: Any) -> None:
+            head.append(f"{name}: {value}")
+        head.append("\r\n")
+        self.wfile.write("\r\n".join(head).encode("latin-1") + body)
         if not self.server.quiet:
             _log.info(
                 "http access",
                 client=self.client_address[0],
-                detail=format % args,
+                detail=f'"{self.requestline}" {status} {len(body)}',
             )
 
-    def log_error(self, format: str, *args: Any) -> None:
-        # Server-side faults are logged (structured, trace-correlated)
-        # even when access logs are quiet — they used to go to bare
-        # stderr prints and vanished without a TTY.
-        _log.error(
-            "http server fault",
-            client=self.client_address[0],
-            detail=format % args,
-        )
+
+_date: Tuple[int, str] = (0, "")
+
+
+def _http_date() -> str:
+    """The ``Date`` header value, formatted at most once a second."""
+    global _date
+    now = int(time())
+    second, text = _date
+    if second != now:
+        text = formatdate(now, usegmt=True)
+        _date = (now, text)
+    return text
+
+
+def _version_number(version: str) -> Optional[Tuple[int, int]]:
+    """``HTTP/major.minor`` as two integers, or None when malformed (the
+    standard library's rules: one dot, at most ten ASCII digits each)."""
+    if not version.startswith("HTTP/"):
+        return None
+    parts = version[len("HTTP/"):].split(".")
+    if len(parts) != 2 or not all(
+        part.isascii() and part.isdigit() and len(part) <= 10
+        for part in parts
+    ):
+        return None
+    return int(parts[0]), int(parts[1])
 
 
 class _Responded(Exception):
@@ -798,7 +1056,10 @@ def start_in_background(
         request_timeout=request_timeout,
     )
     thread = threading.Thread(
-        target=server.serve_forever, name="pta-service-http", daemon=True
+        target=server.serve_forever,
+        kwargs={"poll_interval": SERVE_POLL_INTERVAL},
+        name="pta-service-http",
+        daemon=True,
     )
     thread.start()
     return server, thread

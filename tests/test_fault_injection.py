@@ -20,6 +20,7 @@ import pytest
 
 from repro import Interval, compress
 from repro.core import AggregateSegment
+from repro.obs import metrics
 from repro.api import ExecutionPolicy
 from repro.parallel import run_sharded
 from repro.service import (
@@ -573,20 +574,60 @@ class TestHTTPFaultSurface:
         assert " 400 " in text.splitlines()[0]
         assert "truncated" in text
 
-    def test_slow_client_hits_the_deadline(self, tmp_path):
+    @pytest.mark.parametrize(
+        "raw, status, code",
+        [
+            (b"GET /stats HTTP/2.0\r\n\r\n", 505, "version_not_supported"),
+            (b"GARBAGE\r\n\r\n", 400, "bad_request"),
+            (b"GET /stats\r\n\r\n", 400, "bad_request"),  # HTTP/0.9
+            (b"GET /stats HTTP/1.0\r\n"
+             + b"".join(b"X-H%d: v\r\n" % i for i in range(101))
+             + b"\r\n", 431, "headers_too_large"),
+            (b"GET /" + b"a" * 65537 + b" HTTP/1.0\r\n\r\n",
+             414, "uri_too_long"),
+            (b"PUT /x HTTP/1.0\r\n\r\n", 501, "not_implemented"),
+        ],
+        ids=["http2", "garbage", "http09", "101_headers", "long_line", "put"],
+    )
+    def test_protocol_errors_are_structured_and_counted(
+        self, durable_server, caplog, raw, status, code
+    ):
+        server, _ = durable_server
+        before = metrics.value("repro_http_errors_total", code=code)
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=5
+        ) as sock:
+            sock.sendall(raw)
+            text = recv_all(sock)
+        head, _, body = text.partition("\r\n\r\n")
+        assert head.splitlines()[0].startswith(f"HTTP/1.0 {status} ")
+        assert "Content-Type: application/json" in head
+        payload = json.loads(body)
+        assert payload["code"] == code and payload["error"]
+        assert metrics.value("repro_http_errors_total", code=code) == before + 1
+        # A client's malformed request is not a server fault.
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"POST /push/k HTTP/1.1\r\n"
+            b"Host: x\r\n"
+            b"Content-Length: 100\r\n"
+            b"\r\n"
+            b"partial",
+            b"GET /stats HTTP/1.0\r\nHost: x\r\n",
+        ],
+        ids=["body", "headers"],
+    )
+    def test_slow_client_hits_the_deadline(self, tmp_path, partial):
         service = Service(size=10)
         server, _ = start_in_background(service, request_timeout=0.4)
         try:
             with socket.create_connection(
                 ("127.0.0.1", server.port), timeout=5
             ) as sock:
-                sock.sendall(
-                    b"POST /push/k HTTP/1.1\r\n"
-                    b"Host: x\r\n"
-                    b"Content-Length: 100\r\n"
-                    b"\r\n"
-                    b"partial"  # then stall: never send the rest
-                )
+                sock.sendall(partial)  # then stall: never send the rest
                 text = recv_all(sock)
             assert " 400 " in text.splitlines()[0]
             assert "deadline_exceeded" in text

@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import json
 import random
+import socket
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -310,6 +314,65 @@ class TestHTTPErrors:
         assert excinfo.value.code == 400
 
 
+class TestHandlerThreads:
+    @staticmethod
+    def workers(server) -> list:
+        name = f"pta-service-http-{server.port}-worker"
+        return [t for t in threading.enumerate() if t.name == name]
+
+    def test_sequential_connections_reuse_handler_threads(self, server):
+        for _ in range(20):
+            assert get_json(server, "/healthz") == {"status": "ok"}
+        assert 1 <= len(self.workers(server)) <= 4
+
+    def test_a_stalled_connection_pins_only_its_own_thread(self, server):
+        with socket.create_connection(("127.0.0.1", server.port)):
+            # This connection never sends its request line; the next
+            # one is still answered at once, on another thread.
+            began = time.perf_counter()
+            assert get_json(server, "/healthz") == {"status": "ok"}
+            assert time.perf_counter() - began < 5.0
+            assert len(self.workers(server)) >= 2
+
+    def test_concurrent_clients_are_all_answered(self, server):
+        """More clients than cores with a short switch interval: a
+        connection handed to a thread that then exits would never be
+        answered, and a client would time out."""
+        answers: list = []
+
+        def client() -> None:
+            for _ in range(25):
+                with urllib.request.urlopen(
+                    f"http://127.0.0.1:{server.port}/healthz", timeout=10
+                ) as response:
+                    answers.append(response.status)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(8)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in clients)
+        assert answers == [200] * 200
+
+    def test_server_close_releases_the_idle_threads(self):
+        http_server, _ = start_in_background(Service(size=4))
+        for _ in range(5):
+            get_json(http_server, "/healthz")
+        assert self.workers(http_server)
+        http_server.shutdown()
+        http_server.server_close()
+        deadline = time.monotonic() + 5.0
+        while self.workers(http_server) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not self.workers(http_server)
+
+
 # ----------------------------------------------------------------------
 # End-to-end deadlines: the X-Repro-Deadline header
 # ----------------------------------------------------------------------
@@ -333,10 +396,11 @@ class TestRequestDeadlines:
         assert excinfo.value.code == 400
         assert json.load(excinfo.value)["code"] == "deadline_exceeded"
 
-    def test_a_malformed_budget_is_a_bad_request(self, server):
+    @pytest.mark.parametrize("budget", ["soon", "nan", "inf", "-inf"])
+    def test_a_malformed_budget_is_a_bad_request(self, server, budget):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(
-                server, "/stats", headers={"X-Repro-Deadline": "soon"}
+                server, "/stats", headers={"X-Repro-Deadline": budget}
             )
         assert excinfo.value.code == 400
         body = json.load(excinfo.value)
