@@ -7,9 +7,11 @@ them in ``BENCH_parallel.json`` at the repository root:
 
 * ``dp_inner_numpy_vs_python`` — the vectorized DP split-point scan against
   the loop-based reference (one full row of the plain scheme);
-* ``gms_numpy_vs_python`` / ``online_numpy_vs_python`` — the array heap
-  against the linked-node heap for batch and online greedy reduction (the
-  online row exercises the batched online merge policy);
+* ``gms_numpy_vs_python`` — batch GMS on the numpy backend (the sharded
+  engine's greedy trajectory over one shard) against the linked-node
+  reference heap;
+* ``online_numpy_vs_python`` — the array heap against the linked-node heap
+  for online greedy reduction (the batched online merge policy);
 * ``sharded_w{1,4}_vs_pr1_online_p{1,10}`` — the sharded engine of
   :mod:`repro.parallel` (``compress(workers=N)``) against the PR 1
   single-core NumPy online path (per-tuple ``insert()``, reproduced by

@@ -23,7 +23,10 @@ heap smallest, ``δ = ∞`` makes the output identical to plain GMS
 
 The batch helpers :func:`gms_reduce_to_size` and :func:`gms_reduce_to_error`
 run GMS over a fully materialised segment list and are the reference the
-online algorithms are validated against.
+online algorithms are validated against.  On the python backend they drive
+the reference heap; on the numpy backend they run the sharded engine of
+:mod:`repro.parallel` over one shard, whose trajectory kernel computes the
+heap's schedule bit for bit.
 
 For sessions that snapshot mid-stream (``track_deltas=True``), the reducer
 additionally maintains a **merge delta log**: every committed insert and
@@ -136,6 +139,8 @@ def gms_reduce_to_size(
 ) -> GreedyResult:
     """Reduce to at most ``size`` tuples with the greedy merging strategy."""
     validate_budget(size, None)
+    if backend == "numpy":
+        return _gms_trajectory(segments, size, None, weights)
     heap = _build_heap(segments, weights, backend)
     total_error, merges = _merge_down(heap, size, None, 0.0, 0)
     return _result(heap, total_error, merges, len(segments))
@@ -149,6 +154,8 @@ def gms_reduce_to_error(
 ) -> GreedyResult:
     """Merge greedily while the accumulated error stays within ``ε·SSE_max``."""
     validate_budget(None, epsilon)
+    if backend == "numpy":
+        return _gms_trajectory(segments, None, epsilon, weights)
     heap = _build_heap(segments, weights, backend)
     budget = error_budget(epsilon, max_error(segments, weights))
     total_error, merges = _merge_down(heap, None, budget, 0.0, 0)
@@ -713,15 +720,33 @@ def _build_heap(
     weights: Weights | None,
     backend: str = "python",
 ) -> Heap:
-    encoded = encode_segments(segments)
-    require_finite(encoded.values)
+    require_finite(encode_segments(segments).values)
     heap = make_merge_heap(weights, backend)
-    if hasattr(heap, "insert_batch"):
-        heap.insert_batch(encoded)  # type: ignore[attr-defined]
-    else:
-        for segment in segments:
-            heap.insert(segment)
+    for segment in segments:
+        heap.insert(segment)
     return heap
+
+
+def _gms_trajectory(
+    segments: Sequence[AggregateSegment],
+    size: Optional[int],
+    epsilon: Optional[float],
+    weights: Weights | None,
+) -> GreedyResult:
+    """Batch GMS on the numpy backend: the sharded engine, one shard.
+
+    With a single shard the frontier merge consumes the trajectory in its
+    own order, so ties resolve as in the heap and ``SSE_max`` is the sum
+    of the schedule's keys.  The whole input is materialised, so the peak
+    heap size is the input size.
+    """
+    from ..parallel import run_sharded
+
+    result = run_sharded(
+        segments, size, epsilon, weights, shard_size=max(len(segments), 1)
+    )
+    result.max_heap_size = len(segments)
+    return result
 
 
 def _result(

@@ -18,8 +18,7 @@ provides drop-in array-backed counterparts selected with the
   keys) under a :mod:`heapq` priority queue with lazy-deletion version
   stamps.  Merging updates array slices in place instead of allocating new
   segment objects, dead slots are compacted away so memory tracks the live
-  heap size, and :meth:`NumpyMergeHeap.insert_batch` computes the merge keys
-  of a whole batch of tuples vectorized (used by the batch GMS helpers);
+  heap size;
 * :class:`EncodedSegments` — a segment stream as flat columns, the unit of
   ingest (wire bytes decode straight into it), of sharding and of the
   snapshots the query index is built from;
@@ -32,7 +31,8 @@ provides drop-in array-backed counterparts selected with the
 * :func:`greedy_merge_trajectory` — the complete greedy merge schedule of an
   array-encoded segment shard (the boundary-removal order and the merge
   error of every step down to ``cmin``), the unit of work executed by the
-  sharded multiprocess engine of :mod:`repro.parallel`.
+  sharded multiprocess engine of :mod:`repro.parallel` and by the batch
+  GMS helpers on the numpy backend.
 
 Every greedy merge key and merged row, on either backend, comes from
 :func:`repro.core.errors.merge_key` (vector form :func:`pairwise_merge_keys`)
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import (
@@ -683,23 +682,6 @@ class NumpyMergeHeap:
         self._refresh_key(index)
         return NumpyHeapNode(self, index)
 
-    def insert_batch(
-        self, segments: Sequence[AggregateSegment]
-    ) -> List[NumpyHeapNode]:
-        """Append a chunk of tuples, computing all merge keys vectorized.
-
-        Equivalent to calling :meth:`insert` once per segment: the chunk is
-        staged and activated under a size budget it cannot reach, so no
-        tuple merges.  Used by the batch GMS helpers to build their
-        initial heap.
-        """
-        self._check_no_staged()
-        if not self.stage_chunk(segments):
-            return []
-        first = self._staged_base
-        self.activate_staged_all(size=sys.maxsize)
-        return [NumpyHeapNode(self, index) for index in range(first, self._count)]
-
     # ------------------------------------------------------------------
     # Batched online insertion (staged chunks)
     # ------------------------------------------------------------------
@@ -719,7 +701,7 @@ class NumpyMergeHeap:
         A chunk of another value width than the heap's raises
         :class:`ValueWidthError` before anything is written.  Every staged
         tuple must be activated before the next ``stage_chunk`` /
-        ``insert`` / ``insert_batch`` call.
+        ``insert`` call.
         """
         if self._count < self._staged_end:
             raise RuntimeError(
@@ -1809,13 +1791,13 @@ def greedy_merge_trajectory(
     each schedule are taken, which :mod:`repro.parallel` decides with a
     k-way merge over the shard frontiers.
 
-    Instead of maintaining merged aggregate values, the kernel exploits
-    Proposition 2: a node is a contiguous block of original positions and
-    its merge-with-predecessor key equals ``SSE(union) − SSE(left) −
-    SSE(right)``, evaluated in constant time from weighted prefix sums
-    (Proposition 1).  Each node carries its block's cached SSE, so a merge
-    is a couple of scalar updates and each key refresh is one prefix-row
-    difference plus a dot product (pure scalar arithmetic for ``p = 1``).
+    Each node is a contiguous block of original positions carrying its
+    float length and merged row, exactly like a heap node: the initial keys
+    come from :func:`pairwise_merge_keys`, every merge computes the
+    surviving row with :func:`repro.core.merge.merged_row` and every key
+    refresh is :func:`repro.core.errors.merge_key`.  The schedule is
+    therefore the python :class:`~repro.core.heap.MergeHeap`'s, bit for
+    bit, also on values far from zero.
 
     **The queue.**  Every entry is ordered by ``(key, counter)``: the
     initial keys take counters in position order, and each refresh takes
@@ -1840,8 +1822,7 @@ def greedy_merge_trajectory(
     ``(key, counter)`` position as in a queue holding every entry ever
     created — the schedule is that of the sequential heaps' lazy-deletion
     queue, step for step and bit for bit.  Schedules are defined for
-    finite keys (finite values whose squared prefix sums do not
-    overflow); the engine rejects NaN and ±inf values before sharding.
+    finite keys; the engine rejects NaN and ±inf values before sharding.
 
     All inputs are plain arrays (``int64`` endpoints and group ids,
     ``float64`` values of shape ``(n, p)`` and squared weights ``w2``), so a
@@ -1854,61 +1835,32 @@ def greedy_merge_trajectory(
     ...     np.zeros(4, dtype=np.int64), np.ones(1))
     >>> boundaries.tolist(), keys.tolist()
     ([1, 3, 2], [0.0, 0.5, 20.25])
+
+    The same tuples offset by ``1e8`` keep their keys:
+
+    >>> boundaries, keys = greedy_merge_trajectory(
+    ...     starts, starts, np.array([[1.0], [1.0], [5.0], [6.0]]) + 1e8,
+    ...     np.zeros(4, dtype=np.int64), np.ones(1))
+    >>> boundaries.tolist(), keys.tolist()
+    ([1, 3, 2], [0.0, 0.5, 20.25])
     """
     n = len(starts)
     if n < 2:
         return np.zeros(0, np.int64), np.zeros(0, np.float64)
-    lengths_arr = (ends - starts + 1).astype(np.float64)
     adjacent = adjacent_pair_mask(starts, ends, groups)
-
-    # Prefix sums over original positions (1-based, position 0 = zero):
-    #   lengths[i] = Σ l,   weighted[i] = Σ l·w·v (per dim),
-    #   squares[i] = Σ l·Σ_d w²·v_d²  (collapsed to a scalar).
-    # SSE of block [lo, hi) = squares[hi]−squares[lo]
-    #                         − ‖weighted[hi]−weighted[lo]‖² / (L[hi]−L[lo]).
-    dimensions = values.shape[1]
-    scaled = values * np.sqrt(w2)
-    weighted_rows = np.zeros((n + 1, dimensions), dtype=np.float64)
-    np.cumsum(scaled * lengths_arr[:, None], axis=0, out=weighted_rows[1:])
-    length_prefix = [0.0]
-    length_prefix.extend(np.cumsum(lengths_arr).tolist())
-    square_prefix = [0.0]
-    square_prefix.extend(
-        np.cumsum((scaled * scaled).sum(axis=1) * lengths_arr).tolist()
-    )
-    # Per-refresh cross terms: pure scalar arithmetic for one dimension, a
-    # Python inner product over list rows for small p (beats two array
-    # temporaries plus a dot call), NumPy rows beyond that.
-    scalar_weighted = (
-        weighted_rows[:, 0].tolist() if dimensions == 1 else None
-    )
-    list_weighted = (
-        weighted_rows.tolist() if 1 < dimensions <= 16 else None
-    )
-
-    # Initial keys, vectorized: singleton blocks have zero internal SSE, so
-    # the key of position i is just SSE of the pair block [i-1, i+1).
-    pair_length = lengths_arr[:-1] + lengths_arr[1:]
-    pair_weighted = weighted_rows[2:] - weighted_rows[:-2]
-    pair_square = (
-        np.asarray(square_prefix[2:]) - np.asarray(square_prefix[:-2])
-    )
-    pair_sse = np.maximum(
-        pair_square - (pair_weighted * pair_weighted).sum(axis=1) / pair_length,
-        0.0,
-    )
-    initial = np.where(adjacent, pair_sse, math.inf)
+    initial = pairwise_merge_keys(starts, ends, values, groups, w2)
     order = np.argsort(initial, kind="stable")
     order = order[: int(np.count_nonzero(initial < math.inf))]
     frontier_keys = initial[order].tolist()
     frontier_nodes = (order + 1).tolist()
 
-    # Node i is the block starting at original position i; ``last`` is the
-    # exclusive end of the block and ``sse`` its cached internal error.
-    # ``key`` is the current key, ``queued`` / ``queued_key`` the counter
-    # and key of the node's entry still in the queue.
-    last = list(range(1, n + 1))
-    sse = [0.0] * n
+    # Node i is the block starting at original position i, with its float
+    # length and merged row.  ``key`` is the current key, ``queued`` /
+    # ``queued_key`` the counter and key of the node's entry still in the
+    # queue.
+    length = (ends - starts + 1).astype(np.float64).tolist()
+    row = values.tolist()
+    weights = [float(weight) for weight in w2]
     prev_ = list(range(-1, n - 1))
     next_ = list(range(1, n + 1))
     next_[-1] = -1
@@ -1950,9 +1902,12 @@ def greedy_merge_trajectory(
                 queued_key[index] = deferred
             continue
         predecessor = prev_[index]
-        # The union SSE was already evaluated when this key was computed.
-        sse[predecessor] = top_key + sse[predecessor] + sse[index]
-        last[predecessor] = last[index]
+        left_length = length[predecessor]
+        right_length = length[index]
+        row[predecessor] = merged_row(
+            left_length, right_length, row[predecessor], row[index]
+        )
+        length[predecessor] = left_length + right_length
         successor = next_[index]
         next_[predecessor] = successor
         if successor >= 0:
@@ -1966,25 +1921,9 @@ def greedy_merge_trajectory(
             if node < 0 or not stamp[node]:
                 continue
             lo = prev_[node]
-            hi = last[node]
-            union_length = length_prefix[hi] - length_prefix[lo]
-            if scalar_weighted is not None:
-                delta = scalar_weighted[hi] - scalar_weighted[lo]
-                cross = delta * delta
-            elif list_weighted is not None:
-                cross = 0.0
-                for high, low in zip(list_weighted[hi], list_weighted[lo]):
-                    delta = high - low
-                    cross += delta * delta
-            else:
-                delta = weighted_rows[hi] - weighted_rows[lo]
-                cross = float(delta @ delta)
-            union_sse = (
-                square_prefix[hi] - square_prefix[lo] - cross / union_length
+            refreshed = merge_key(
+                length[lo], length[node], row[lo], row[node], weights
             )
-            refreshed = union_sse - sse[lo] - sse[node]
-            if refreshed < 0.0:
-                refreshed = 0.0
             counter += 1
             stamp[node] = counter
             key[node] = refreshed

@@ -51,6 +51,7 @@ from repro.service import (
     encode_result,
     start_in_background,
 )
+from repro.service.http import SERVE_POLL_INTERVAL
 from repro.service.store import CATCH_UP_SEQ
 from repro.util.failpoints import Exit, Raise, activated
 from repro.util.health import PeerHealth
@@ -295,7 +296,11 @@ class _KillableStandby(StandbyServer):
     def __init__(self, store, port):
         super().__init__(store, port=port)
         self._accepted = []
-        threading.Thread(target=self.serve_forever, daemon=True).start()
+        threading.Thread(
+            target=self.serve_forever,
+            kwargs={"poll_interval": SERVE_POLL_INTERVAL},
+            daemon=True,
+        ).start()
 
     def get_request(self):
         request = super().get_request()

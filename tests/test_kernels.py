@@ -173,17 +173,6 @@ class TestNumpyMergeHeap:
             else:
                 assert right.key == pytest.approx(left.key)
 
-    def test_insert_batch_matches_sequential(self, proj_segments):
-        sequential = NumpyMergeHeap()
-        for segment in proj_segments:
-            sequential.insert(segment)
-        batched = NumpyMergeHeap()
-        batched.insert_batch(proj_segments)
-        assert len(sequential) == len(batched)
-        assert sequential.segments() == batched.segments()
-        for left, right in zip(sequential, batched):
-            assert left.key == pytest.approx(right.key)
-
     def test_merge_sequence_matches(self, proj_segments):
         reference = MergeHeap()
         vectorized = NumpyMergeHeap()

@@ -4,7 +4,8 @@
 presorted initial frontier plus a heap of refreshed keys, and defers a
 refresh that sorts no earlier than the node's queued entry.  Its
 ``(boundaries, keys)`` output must equal, bit for bit, the schedule of
-the plain lazy-deletion heap it replaced (``tests/trajectory_oracle.py``).
+the python reference :class:`~repro.core.heap.MergeHeap` run down to
+``cmin``.
 """
 
 from __future__ import annotations
@@ -15,21 +16,41 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import AggregateSegment
+from repro.core import AggregateSegment, MergeHeap
+from repro.core.errors import squared_weights
 from repro.core.kernels import greedy_merge_trajectory
 from repro.pipeline import compress
 from repro.temporal import Interval
-from trajectory_oracle import greedy_merge_trajectory as oracle_trajectory
 
 
-def _assert_parity(starts, ends, values, groups, w2):
+def _heap_schedule(starts, ends, values, groups, weights):
+    """The python heap's merge order and keys down to ``cmin``."""
+    heap = MergeHeap(weights)
+    first = None
+    for start, end, row, group in zip(
+        starts.tolist(), ends.tolist(), values.tolist(), groups.tolist()
+    ):
+        node = heap.insert(
+            AggregateSegment((group,), tuple(row), Interval(start, end))
+        )
+        first = node.id if first is None else first
+    boundaries, keys = [], []
+    while True:
+        top = heap.peek_entry()
+        if top is None or math.isinf(top[2]):
+            return boundaries, keys
+        boundaries.append(top[1] - first)
+        keys.append(top[2])
+        heap.merge_top()
+
+
+def _assert_parity(starts, ends, values, groups, weights=None):
+    w2 = np.asarray(squared_weights(weights, values.shape[1]))
     boundaries, keys = greedy_merge_trajectory(starts, ends, values, groups, w2)
-    expected_boundaries, expected_keys = oracle_trajectory(
-        starts, ends, values, groups, w2
-    )
-    assert np.array_equal(boundaries, expected_boundaries)
-    assert np.array_equal(keys, expected_keys)
-    return boundaries.tolist(), keys.tolist()
+    expected = _heap_schedule(starts, ends, values, groups, weights)
+    assert (boundaries.tolist(), keys.tolist()) == expected
+    assert boundaries.dtype == np.int64 and keys.dtype == np.float64
+    return expected
 
 
 def _unit_run(column):
@@ -39,15 +60,15 @@ def _unit_run(column):
     return (
         positions,
         positions.copy(),
-        np.asarray(column, dtype=np.float64)[:, None],
+        np.asarray(column, dtype=np.float64).reshape(count, 1),
         np.zeros(count, dtype=np.int64),
-        np.ones(1),
     )
 
 
 @st.composite
 def shards(draw):
-    """Array-encoded shards: groups, gaps, non-unit lengths and weights.
+    """Array-encoded shards: groups, gaps, non-unit lengths, weights and
+    values offset far from zero.
 
     Hypothesis picks the shape and a seed; NumPy fills the columns, so a
     400-row shard costs one draw per knob instead of one per cell.
@@ -58,6 +79,7 @@ def shards(draw):
     group_count = draw(st.integers(min_value=1, max_value=4))
     gap_chance = draw(st.sampled_from([0.0, 0.05, 0.3]))
     weighted = draw(st.booleans())
+    offset = draw(st.sampled_from([0.0, 1e3, 1e6]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lengths = rng.integers(1, 4, count)
     gaps = np.where(rng.random(count) < gap_chance, rng.integers(1, 4, count), 0)
@@ -69,19 +91,21 @@ def shards(draw):
         values = rng.integers(0, 4, (count, dimensions)).astype(np.float64)
     else:
         values = rng.normal(0.0, 10.0, (count, dimensions))
-    w2 = rng.uniform(0.25, 4.0, dimensions) if weighted else np.ones(dimensions)
+    weights = (
+        tuple(rng.uniform(0.5, 2.0, dimensions).tolist()) if weighted else None
+    )
     return (
         starts.astype(np.int64),
         ends.astype(np.int64),
-        values,
+        values + offset,
         groups.astype(np.int64),
-        w2,
+        weights,
     )
 
 
 @settings(max_examples=150, deadline=None)
 @given(shards())
-def test_trajectory_matches_lazy_heap_oracle(shard):
+def test_trajectory_matches_python_heap(shard):
     _assert_parity(*shard)
 
 
@@ -117,7 +141,7 @@ class TestNamedQueuePaths:
         assert _assert_parity(*_unit_run([7])) == ([], [])
         starts = np.array([0, 5, 9], dtype=np.int64)  # gaps everywhere
         assert _assert_parity(
-            starts, starts, np.ones((3, 2)), np.zeros(3, np.int64), np.ones(2)
+            starts, starts, np.ones((3, 2)), np.zeros(3, np.int64)
         ) == ([], [])
 
 
