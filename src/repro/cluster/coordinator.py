@@ -18,14 +18,18 @@ the same code:
 3. **Reduce remotely** — a :class:`repro.cluster.worker.ReducerWorker`
    answers with the shard's complete merge schedule (``KIND_TRAJECTORY``).
    Shards are dispatched concurrently, one thread per cluster address.
-4. **Survive faults** — a shard whose worker dies, times out, or answers
-   garbage is retried across the remaining addresses with
+4. **Survive faults** — a shard whose worker dies, times out, or sends
+   a torn frame is retried across the remaining addresses with
    decorrelated-jitter exponential backoff
    (:func:`repro.cluster.transport.request_with_retries`); peers whose
    circuit breaker is open (:data:`repro.util.health.SHARED`) are
    skipped until a half-open probe readmits them; when every address
    fails, the shard runs **in-process** — the same fallback ladder as
-   the pool engine's ``BrokenProcessPool`` handling.  Requests the
+   the pool engine's ``BrokenProcessPool`` handling.  An answer that
+   arrives intact but does not fit its shard — an undecodable or
+   other-version ``PTAT`` payload, a boundary or head index outside the
+   shard, rows of the wrong width — is a transport fault too: that
+   shard runs in-process (:func:`check_trajectory`).  Requests the
    workers themselves reject as malformed (``bad_request``) or as
    arriving past their end-to-end deadline (``deadline_exceeded``) are
    not retried: resending identical bytes cannot succeed.  When the
@@ -76,7 +80,34 @@ from .transport import (
     request_with_retries,
 )
 
-__all__ = ["encode_shard_request", "reduce_cluster"]
+__all__ = ["check_trajectory", "encode_shard_request", "reduce_cluster"]
+
+
+def check_trajectory(
+    trajectory: ShardTrajectory, count: int, dimensions: int
+) -> ShardTrajectory:
+    """Refuse a decoded worker answer that does not fit its shard.
+
+    Raises :class:`TransportError` unless every boundary lies in
+    ``[1, count)``, every head in ``[0, count)`` and the rows are
+    ``dimensions`` wide, so garbage from a remote worker can neither
+    raise ``IndexError`` in the rebuild nor wrap around as a negative
+    index.
+    """
+    boundaries, _, _, heads, rows = trajectory
+    if len(boundaries) and (
+        boundaries.min() < 1 or boundaries.max() >= count
+        or heads.min() < 0 or heads.max() >= count
+    ):
+        raise TransportError(
+            f"trajectory indices fall outside the {count}-tuple shard"
+        )
+    if rows.shape[1] != dimensions:
+        raise TransportError(
+            f"trajectory rows are {rows.shape[1]} wide, the shard's "
+            f"values {dimensions}"
+        )
+    return trajectory
 
 
 def encode_shard_request(
@@ -189,18 +220,19 @@ def reduce_cluster(
                     deadline=deadline,
                     health=SHARED_HEALTH,
                 )
+                return check_trajectory(
+                    decode_trajectory(answer), hi - lo, encoded.dimensions
+                )
             except RemoteError as error:
                 if error.code in NON_RETRYABLE_CODES:
                     # bad_request: resending identical bytes cannot
                     # succeed.  deadline_exceeded: the budget is spent —
                     # a local fallback would blow it just the same.
                     raise
-                fallbacks.inc()
-                return _reduce_local(index)
             except TransportError:
-                fallbacks.inc()
-                return _reduce_local(index)
-        return decode_trajectory(answer)
+                pass
+            fallbacks.inc()
+            return _reduce_local(index)
 
     local_lock = threading.Lock()
     local_payloads: List[Optional[tuple]] = [None]

@@ -213,10 +213,21 @@ def decode_json(payload: bytes, what: str) -> Dict[str, Any]:
 # Payload envelopes and the trajectory codec
 # ----------------------------------------------------------------------
 #: Magic tag and version of trajectory payloads (a worker's answer to a
-#: shard request): one column container with ``boundaries`` (int64),
-#: ``keys`` (float64) and ``sse_max`` (float64, shape ``(1,)``).
+#: shard request): one column container holding
+#: :data:`TRAJECTORY_COLUMNS` in that order.  Version 2 added ``heads``
+#: and ``rows``.
 TRAJECTORY_MAGIC = b"PTAT"
-TRAJECTORY_VERSION = 1
+TRAJECTORY_VERSION = 2
+
+#: The ``PTAT`` columns: name, dtype and number of dimensions.  Every
+#: column but ``sse_max`` (shape ``(1,)``) has one entry per merge step.
+TRAJECTORY_COLUMNS = (
+    ("boundaries", "<i8", 1),
+    ("keys", "<f8", 1),
+    ("sse_max", "<f8", 1),
+    ("heads", "<i8", 1),
+    ("rows", "<f8", 2),
+)
 
 _ENVELOPE_LEN = struct.Struct("<I")
 
@@ -249,26 +260,38 @@ def unpack_envelope(payload: bytes, what: str) -> Tuple[Dict[str, Any], bytes]:
     return meta, payload[begin + length:]
 
 
-def encode_trajectory(trajectory: Tuple[Any, Any, float]) -> bytes:
-    """Pack one shard's merge schedule into a ``PTAT`` payload."""
+def encode_trajectory(trajectory: Tuple[Any, ...]) -> bytes:
+    """Pack one shard's merge schedule into a ``PTAT`` payload.
+
+    ``trajectory`` is a :data:`repro.parallel.ShardTrajectory`:
+    ``(boundaries, keys, sse_max, heads, rows)``.
+    """
     import numpy as np
 
     from ..storage.columns import pack_columns
 
-    boundaries, keys, sse_max = trajectory
+    boundaries, keys, sse_max, heads, rows = trajectory
+    arrays = (boundaries, keys, [sse_max], heads, rows)
     return pack_columns(
         {
-            "boundaries": np.asarray(boundaries, dtype=np.int64),
-            "keys": np.asarray(keys, dtype=np.float64),
-            "sse_max": np.asarray([sse_max], dtype=np.float64),
+            name: np.asarray(array, dtype=dtype)
+            for (name, dtype, _), array in zip(TRAJECTORY_COLUMNS, arrays)
         },
         TRAJECTORY_MAGIC,
         TRAJECTORY_VERSION,
     )
 
 
-def decode_trajectory(payload: bytes) -> Tuple[Any, Any, float]:
-    """Unpack a ``PTAT`` payload back into ``(boundaries, keys, sse_max)``."""
+def decode_trajectory(payload: bytes) -> Tuple[Any, ...]:
+    """Unpack a ``PTAT`` payload into ``(boundaries, keys, sse_max, heads,
+    rows)``.
+
+    Raises :class:`TransportError` unless the payload holds exactly
+    :data:`TRAJECTORY_COLUMNS`, in order, each with its dtype and number
+    of dimensions, one entry per step (``sse_max`` has shape ``(1,)``).
+    Whether the indices fit the shard is the caller's check: only it
+    knows the shard.
+    """
     from ..storage.columns import ColumnCodecError, unpack_columns
 
     try:
@@ -277,23 +300,31 @@ def decode_trajectory(payload: bytes) -> Tuple[Any, Any, float]:
         )
     except ColumnCodecError as error:
         raise TransportError(str(error)) from error
-    missing = [
-        name for name in ("boundaries", "keys", "sse_max")
-        if name not in columns
-    ]
+    names = [name for name, _, _ in TRAJECTORY_COLUMNS]
+    missing = [name for name in names if name not in columns]
     if missing:
         raise TransportError(
             f"trajectory payload is missing columns {missing}"
         )
-    boundaries = columns["boundaries"]
-    keys = columns["keys"]
-    sse_max = columns["sse_max"]
+    if list(columns) != names:
+        raise TransportError(
+            f"trajectory payload columns are {list(columns)}, "
+            f"expected {names}"
+        )
+    for name, dtype, ndim in TRAJECTORY_COLUMNS:
+        column = columns[name]
+        if column.dtype.str != dtype or column.ndim != ndim:
+            raise TransportError(
+                f"trajectory column {name!r} is {column.ndim}-d "
+                f"{column.dtype.str}, expected {ndim}-d {dtype}"
+            )
+    boundaries, keys, sse_max, heads, rows = (columns[name] for name in names)
     if (
-        boundaries.ndim != 1 or keys.ndim != 1
-        or len(boundaries) != len(keys) or sse_max.shape != (1,)
+        sse_max.shape != (1,)
+        or not len(boundaries) == len(keys) == len(heads) == len(rows)
     ):
         raise TransportError("trajectory payload columns are malformed")
-    return boundaries, keys, float(sse_max[0])
+    return boundaries, keys, float(sse_max[0]), heads, rows
 
 
 # ----------------------------------------------------------------------

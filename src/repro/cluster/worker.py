@@ -15,8 +15,8 @@ the shard's complete merge schedule:
    :func:`repro.core.kernels.greedy_merge_trajectory` and sums its keys
    into the shard's ``SSE_max`` — exactly the computation a process-pool
    worker performs;
-4. the trajectory frontier returns as a ``PTAT`` payload
-   (``KIND_TRAJECTORY``).
+4. the schedule — boundaries, keys, ``SSE_max``, heads and merged rows —
+   returns as a ``PTAT`` version 2 payload (``KIND_TRAJECTORY``).
 
 The worker is stateless between requests: shard placement, budgets and
 reconciliation all live in the coordinator, which is what makes workers
@@ -68,7 +68,7 @@ def reduce_request(payload: bytes):
     """Decode one shard request and run the reduction (the worker body).
 
     Split out of the server plumbing so tests can drive it directly.
-    Returns the ``(boundaries, keys, sse_max)`` trajectory.
+    Returns the shard's :data:`repro.parallel.ShardTrajectory`.
     """
     import numpy as np
 

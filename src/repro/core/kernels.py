@@ -29,8 +29,9 @@ provides drop-in array-backed counterparts selected with the
   the merge policy one tuple at a time, so the online algorithms keep
   their exact tuple-at-a-time semantics at amortised per-chunk cost;
 * :func:`greedy_merge_trajectory` — the complete greedy merge schedule of an
-  array-encoded segment shard (the boundary-removal order and the merge
-  error of every step down to ``cmin``), the unit of work executed by the
+  array-encoded segment shard (the boundary-removal order, the merge
+  error, the surviving block and its merged row of every step down to
+  ``cmin``), the unit of work executed by the
   sharded multiprocess engine of :mod:`repro.parallel` and by the batch
   GMS helpers on the numpy backend.
 
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import (
@@ -1776,14 +1778,18 @@ def greedy_merge_trajectory(
     values: np.ndarray,
     groups: np.ndarray,
     w2: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Complete greedy merge schedule of an array-encoded segment shard.
 
     Runs the greedy merging strategy over the shard all the way down to its
     local ``cmin`` and records every step: element ``t`` of the returned
-    ``(boundaries, keys)`` pair says that the ``t``-th cheapest-first merge
-    removed the boundary between original positions ``boundaries[t] - 1``
-    and ``boundaries[t]`` at a cost of ``keys[t]``.
+    ``(boundaries, keys, heads, rows)`` columns says that the ``t``-th
+    cheapest-first merge folded the block starting at original position
+    ``boundaries[t]`` into the block starting at ``heads[t]`` (its
+    predecessor) at a cost of ``keys[t]``, and that the merged block's
+    row is ``rows[t]`` (shape ``(steps, p)``).  A consumed prefix of the
+    schedule therefore leaves each surviving block with the row of the
+    last step headed at it, or with its input row if no step was.
 
     Because greedy merging never crosses a maximal-run boundary, the global
     GMS reduction of a sharded input is exactly "each shard follows its own
@@ -1830,23 +1836,29 @@ def greedy_merge_trajectory(
     of ``n`` segment objects.
 
     >>> starts = np.arange(4)
-    >>> boundaries, keys = greedy_merge_trajectory(
+    >>> boundaries, keys, heads, rows = greedy_merge_trajectory(
     ...     starts, starts, np.array([[1.0], [1.0], [5.0], [6.0]]),
     ...     np.zeros(4, dtype=np.int64), np.ones(1))
     >>> boundaries.tolist(), keys.tolist()
     ([1, 3, 2], [0.0, 0.5, 20.25])
+    >>> heads.tolist(), rows.tolist()
+    ([0, 2, 0], [[1.0], [5.5], [3.25]])
 
     The same tuples offset by ``1e8`` keep their keys:
 
-    >>> boundaries, keys = greedy_merge_trajectory(
+    >>> boundaries, keys, heads, rows = greedy_merge_trajectory(
     ...     starts, starts, np.array([[1.0], [1.0], [5.0], [6.0]]) + 1e8,
     ...     np.zeros(4, dtype=np.int64), np.ones(1))
     >>> boundaries.tolist(), keys.tolist()
     ([1, 3, 2], [0.0, 0.5, 20.25])
     """
     n = len(starts)
+    p = values.shape[1]
     if n < 2:
-        return np.zeros(0, np.int64), np.zeros(0, np.float64)
+        return (
+            np.zeros(0, np.int64), np.zeros(0, np.float64),
+            np.zeros(0, np.int64), np.zeros((0, p), np.float64),
+        )
     adjacent = adjacent_pair_mask(starts, ends, groups)
     initial = pairwise_merge_keys(starts, ends, values, groups, w2)
     order = np.argsort(initial, kind="stable")
@@ -1871,8 +1883,12 @@ def greedy_merge_trajectory(
     queued_key = [math.inf]
     queued_key.extend(initial.tolist())
 
-    boundaries: List[int] = []
-    merge_keys: List[float] = []
+    # The schedule columns grow as flat machine buffers, not lists of
+    # Python numbers: a shard's rows are ``steps * p`` floats.
+    boundaries = array("q")
+    merge_keys = array("d")
+    heads = array("q")
+    rows = array("d")
     heap: List[Tuple[float, int, int]] = []
     heappush, heappop = heapq.heappush, heapq.heappop
     counter = 1
@@ -1904,7 +1920,7 @@ def greedy_merge_trajectory(
         predecessor = prev_[index]
         left_length = length[predecessor]
         right_length = length[index]
-        row[predecessor] = merged_row(
+        merged = row[predecessor] = merged_row(
             left_length, right_length, row[predecessor], row[index]
         )
         length[predecessor] = left_length + right_length
@@ -1915,6 +1931,8 @@ def greedy_merge_trajectory(
         stamp[index] = -1
         boundaries.append(index)
         merge_keys.append(top_key)
+        heads.append(predecessor)
+        rows.extend(merged)
 
         # Refresh the predecessor's key, then the successor's.
         for node in (predecessor, successor):
@@ -1934,8 +1952,10 @@ def greedy_merge_trajectory(
             queued_key[node] = refreshed
 
     return (
-        np.asarray(boundaries, dtype=np.int64),
-        np.asarray(merge_keys, dtype=np.float64),
+        np.frombuffer(boundaries, dtype=np.int64),
+        np.frombuffer(merge_keys, dtype=np.float64),
+        np.frombuffer(heads, dtype=np.int64),
+        np.frombuffer(rows, dtype=np.float64).reshape(-1, p),
     )
 
 

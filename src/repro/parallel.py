@@ -14,9 +14,9 @@ cores:
    (:func:`plan_shards`).  The shard plan depends only on the input and the
    ``shard_size`` knob — never on the worker count — so the reduction is
    bit-identical for every ``workers`` value.
-3. **Reduce** — each shard's complete greedy merge schedule (the
-   boundary-removal order and per-step merge errors down to the shard's
-   ``cmin``) is computed by
+3. **Reduce** — each shard's complete greedy merge schedule (per step:
+   the removed boundary, the merge error, the surviving block and its
+   merged row, down to the shard's ``cmin``) is computed by
    :func:`repro.core.kernels.greedy_merge_trajectory`, either in-process or
    on a :class:`~concurrent.futures.ProcessPoolExecutor`.  Its keys and
    rows come from :func:`repro.core.errors.merge_key` and
@@ -25,16 +25,22 @@ cores:
 4. **Reconcile** — because the merge performed by global GMS is always the
    globally cheapest one and that merge is necessarily the *next step of
    some shard's local schedule*, the global reduction is exactly a k-way
-   merge over the shard frontiers: repeatedly consume the smallest next key
-   across shards until the size budget is met (global top-k selection) or
-   the error budget ``ε·SSE_max`` is exhausted
-   (:func:`repro.core.errors.error_budget`).  ``SSE_max`` is additive
+   merge over the shard frontiers (the smallest next key across shards,
+   ties to the earlier shard, then the earlier step), cut where ``size``
+   tuples remain (global top-k selection) or before the first key that
+   would exceed the error budget ``ε·SSE_max``
+   (:func:`repro.core.errors.error_budget`).  A shard's next key only
+   reaches the front once every earlier key of that shard has, so the
+   k-way merge is one stable sort of all steps by the running maximum of
+   their shard's keys (:func:`_reconcile`).  ``SSE_max`` is additive
    across shards, and each shard's is the sum of its schedule's keys: the
    schedule runs to the shard's ``cmin`` (Proposition 2).
-5. **Rebuild** — each shard's output partition is materialised by
-   replaying the consumed prefix of its schedule through
-   :func:`repro.core.merge.merged_row`, so every output row is the fold
-   the merge heaps compute.
+5. **Rebuild** — each shard's output partition is gathered from the
+   consumed prefix of its schedule: a surviving block takes the row the
+   kernel recorded at the last step headed at it, or its input row
+   (:func:`_rebuild_shard`).  Those rows were folded by
+   :func:`repro.core.merge.merged_row` in the merge heaps' order, so
+   every output row is the heaps' fold, and no merge is computed twice.
 
 The engine therefore computes the *plain greedy merging strategy* (GMS) —
 equivalently, the online algorithms with read-ahead ``δ = ∞`` — not the
@@ -52,7 +58,6 @@ more than the sequential DP it would replace.
 
 from __future__ import annotations
 
-import heapq
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -72,7 +77,7 @@ from .core.kernels import (
     greedy_merge_trajectory,
     require_finite,
 )
-from .core.merge import AggregateSegment, merged_row
+from .core.merge import AggregateSegment
 from .obs import metrics as _metrics
 from .obs.tracing import span
 from .temporal import Interval
@@ -130,10 +135,12 @@ def plan_shards(
 #: cluster path (:mod:`repro.cluster`).
 ShardPayload = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-#: One shard's reduction output: the complete merge schedule (boundary
-#: indices + per-step keys) plus the shard's ``SSE_max``, the sum of the
-#: keys.
-ShardTrajectory = Tuple[np.ndarray, np.ndarray, float]
+#: One shard's reduction output: ``(boundaries, keys, sse_max, heads,
+#: rows)``, the complete merge schedule of
+#: :func:`~repro.core.kernels.greedy_merge_trajectory` plus the shard's
+#: ``SSE_max``, the sum of the keys.  A plain tuple, so it crosses the
+#: pool's pickling and the cluster's ``PTAT`` codec unchanged.
+ShardTrajectory = Tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]
 
 
 class ShardJob(NamedTuple):
@@ -208,17 +215,18 @@ def reduce_shard(payload: ShardPayload) -> ShardTrajectory:
     """Worker task: complete merge schedule plus ``SSE_max`` of one shard.
 
     The schedule runs down to the shard's ``cmin``, so by Proposition 2
-    its keys add up to the shard's ``SSE_max``: the third element is their
-    sum.  This is the unit of remote work for both the process-pool engine
-    and the cluster tier's reducer workers (:mod:`repro.cluster.worker`).
+    its keys add up to the shard's ``SSE_max``: the third element of the
+    returned :data:`ShardTrajectory` is their sum.  This is the unit of
+    remote work for both the process-pool engine and the cluster tier's
+    reducer workers (:mod:`repro.cluster.worker`).
     """
     failpoints.fail("parallel.worker")
     starts, ends, values, groups, w2 = payload
     with span("shard_reduce"):
-        boundaries, keys = greedy_merge_trajectory(
+        boundaries, keys, heads, rows = greedy_merge_trajectory(
             starts, ends, values, groups, w2
         )
-    return boundaries, keys, float(keys.sum())
+    return boundaries, keys, float(keys.sum()), heads, rows
 
 
 # Backwards-compatible name (the pool pickles tasks by qualified name).
@@ -234,9 +242,11 @@ def assemble_result(
 ) -> GreedyResult:
     """Reconcile shard trajectories under the global budget and rebuild.
 
-    The deterministic back half of every sharded reduction: a k-way merge
-    over the shard frontiers (:func:`_reconcile`) followed by one
-    ``merged_row`` replay per shard (:func:`_rebuild_shard`).  Because it
+    The deterministic back half of every sharded reduction: one sort
+    decides how many schedule steps each shard takes (:func:`_reconcile`),
+    then each shard's output rows are gathered from the rows its schedule
+    recorded (:func:`_rebuild_shard`).  No merge is recomputed, and
+    nothing in it loops over merges in Python.  Because it
     consumes ``trajectories`` by shard index — never by completion order —
     the output is bit-identical no matter where or in what order the shard
     schedules were computed (pool workers, remote cluster workers,
@@ -247,12 +257,8 @@ def assemble_result(
             trajectories, size, max_error, len(encoded)
         )
         output: List[AggregateSegment] = []
-        for (lo, hi), (boundaries, _, _), taken in zip(
-            shards, trajectories, counts
-        ):
-            output.extend(
-                _rebuild_shard(encoded, lo, hi, boundaries[:taken])
-            )
+        for (lo, hi), trajectory, taken in zip(shards, trajectories, counts):
+            output.extend(_rebuild_shard(encoded, lo, hi, trajectory, taken))
     return GreedyResult(
         segments=output,
         error=total_error,
@@ -268,7 +274,7 @@ def _reduce_shards_pooled(
     pool_width: int,
     retries: int,
     backoff: float,
-) -> List[Tuple[np.ndarray, np.ndarray, float]]:
+) -> List[ShardTrajectory]:
     """Run every shard on a process pool, surviving worker deaths.
 
     Shards that completed before a :class:`BrokenProcessPool` keep their
@@ -280,9 +286,7 @@ def _reduce_shards_pooled(
     it the output) is bit-identical to the fault-free run no matter
     which workers died when.
     """
-    results: List[Optional[Tuple[np.ndarray, np.ndarray, float]]] = [
-        None
-    ] * len(payloads)
+    results: List[Optional[ShardTrajectory]] = [None] * len(payloads)
     pending = list(range(len(payloads)))
     rebuilds = 0
     ladder = Backoff(backoff, max(backoff, DEFAULT_BACKOFF_CAP))
@@ -419,97 +423,91 @@ def run_sharded(
 # Internals
 # ----------------------------------------------------------------------
 def _reconcile(
-    trajectories: Sequence[Tuple[np.ndarray, np.ndarray, float]],
+    trajectories: Sequence[ShardTrajectory],
     size: int | None,
     max_error: float | None,
     input_size: int,
 ) -> Tuple[List[int], float, int]:
     """Decide how many schedule steps each shard takes under the budget.
 
-    A k-way merge over the shard frontiers: the heap holds each shard's
-    *next* merge key, and consuming the global minimum advances that shard's
-    schedule by one step — exactly the merge global GMS would perform.  Ties
-    break towards the earlier shard (then the earlier step).  It stops once
-    ``size`` tuples remain, or at the first key past the
-    :func:`~repro.core.errors.error_budget` of the summed shard
-    ``SSE_max`` (additive across shards).
+    Global GMS consumes a k-way merge of the shard schedules: repeatedly
+    the smallest next key across shards, ties to the earlier shard, then
+    the earlier step.  A step cannot come before an earlier step of its
+    own shard, so it reaches the front when the running maximum of its
+    shard's keys up to it does; one stable sort of every step by that
+    running maximum, with the steps laid out shard by shard, is that
+    order.  The size budget takes the prefix that leaves ``size`` tuples;
+    the error budget stops before the first step whose running total
+    exceeds the :func:`~repro.core.errors.error_budget` of the summed
+    shard ``SSE_max`` (additive across shards).  ``np.cumsum`` adds left
+    to right, so the total is the one a loop of ``+=`` would reach.
     """
-    key_lists = [keys.tolist() for _, keys, _ in trajectories]
-    frontier = [
-        (keys[0], shard, 0) for shard, keys in enumerate(key_lists) if keys
-    ]
-    heapq.heapify(frontier)
-    counts = [0] * len(trajectories)
-    total_error = 0.0
-    merges = 0
-    budget: Optional[float] = None
+    keys = [trajectory[1] for trajectory in trajectories]
+    frontier = np.concatenate(
+        [np.maximum.accumulate(shard_keys) for shard_keys in keys]
+    )
+    order = np.argsort(frontier, kind="stable")
+    totals = np.cumsum(np.concatenate(keys)[order])
+    taken = len(order)
+    if size is not None:
+        taken = min(taken, max(input_size - size, 0))
     if max_error is not None:
-        sse_max = sum(sse for _, _, sse in trajectories)
-        budget = error_budget(max_error, sse_max)
-    # Advancing a shard replaces the consumed top in place (one sift).
-    heapreplace, heappop = heapq.heapreplace, heapq.heappop
-    while frontier and (size is None or input_size - merges > size):
-        key, shard, step = frontier[0]
-        if budget is not None and total_error + key > budget:
-            break
-        counts[shard] += 1
-        total_error += key
-        merges += 1
-        keys = key_lists[shard]
-        if step + 1 < len(keys):
-            heapreplace(frontier, (keys[step + 1], shard, step + 1))
-        else:
-            heappop(frontier)
-    return counts, total_error, merges
+        sse_max = sum(trajectory[2] for trajectory in trajectories)
+        over = np.flatnonzero(totals > error_budget(max_error, sse_max))
+        if len(over):
+            taken = min(taken, int(over[0]))
+    steps = [len(shard_keys) for shard_keys in keys]
+    shard_of = np.repeat(np.arange(len(keys)), steps)
+    counts = np.bincount(shard_of[order[:taken]], minlength=len(keys))
+    # ``+ 0.0``: a loop's running total starts at +0.0, never at -0.0.
+    total_error = float(totals[taken - 1]) + 0.0 if taken else 0.0
+    return counts.tolist(), total_error, taken
 
 
 def _rebuild_shard(
-    encoded: EncodedSegments, lo: int, hi: int, removed: np.ndarray
+    encoded: EncodedSegments,
+    lo: int,
+    hi: int,
+    trajectory: ShardTrajectory,
+    taken: int,
 ) -> List[AggregateSegment]:
-    """Materialise one shard's output partition after ``removed`` merges.
+    """Materialise one shard's output partition after ``taken`` merges.
 
-    ``removed`` holds the shard-local boundary indices consumed from the
-    shard's schedule.  Each is replayed by folding the block that starts
-    at the boundary into its predecessor with
-    :func:`repro.core.merge.merged_row`, so every output row is the fold
-    the merge heaps compute.  Output segments are independent, so the
-    replay runs one output segment at a time, each in schedule order:
-    the rows it touches are then adjacent in memory, which about halves
-    the cost of replaying a 50k-tuple shard in plain schedule order.
+    The first ``taken`` steps of the shard's schedule remove their
+    ``boundaries``.  Each surviving block keeps the row recorded at the
+    last of those steps headed at it (``heads``), or its input row if no
+    step was: the kernel folded those rows with
+    :func:`repro.core.merge.merged_row` in schedule order, so this is a
+    gather, not a replay.
     """
+    boundaries, _, _, heads, rows = trajectory
     starts = encoded.starts[lo:hi]
     ends = encoded.ends[lo:hi]
     groups = encoded.groups[lo:hi]
     count = hi - lo
     keep = np.ones(count, dtype=bool)
-    keep[removed] = False
+    keep[boundaries[:taken]] = False
     part_starts = np.flatnonzero(keep)
     part_ends = np.append(part_starts[1:] - 1, count - 1)
-    owner = np.searchsorted(part_starts, removed, side="right")
-    length = (ends - starts + 1).astype(np.float64).tolist()
-    row = encoded.values[lo:hi].tolist()
-    prev_ = list(range(-1, count - 1))
-    next_ = list(range(1, count + 1))
-    for index in removed[np.argsort(owner, kind="stable")].tolist():
-        predecessor = prev_[index]
-        left_length = length[predecessor]
-        right_length = length[index]
-        row[predecessor] = merged_row(
-            left_length, right_length, row[predecessor], row[index]
-        )
-        length[predecessor] = left_length + right_length
-        successor = next_[index]
-        next_[predecessor] = successor
-        if successor < count:
-            prev_[successor] = predecessor
+    # ``last[h]``: the last step headed at ``h``, or -1.  ``maximum.at``
+    # is unbuffered, so repeated heads keep the largest step.
+    last = np.full(count, -1)
+    np.maximum.at(last, heads[:taken], np.arange(taken))
+    steps = last[part_starts]
+    merged = steps >= 0
+    block_rows = encoded.values[lo:hi][part_starts]
+    block_rows[merged] = rows[steps[merged]]
     group_keys = encoded.group_keys
     return [
         AggregateSegment(
-            group_keys[int(groups[first])],
-            tuple(row[first]),
-            Interval(int(starts[first]), int(ends[last])),
+            group_keys[group], tuple(row), Interval(start, end)
         )
-        for first, last in zip(part_starts.tolist(), part_ends.tolist())
+        for group, row, start, end in zip(
+            groups[part_starts].tolist(),
+            block_rows.tolist(),
+            starts[part_starts].tolist(),
+            ends[part_ends].tolist(),
+        )
     ]
 
 

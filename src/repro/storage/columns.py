@@ -33,6 +33,7 @@ of deserialising garbage.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Dict, Mapping
 
@@ -122,25 +123,43 @@ def unpack_columns(
         (nbytes,) = _U64.unpack_from(data, offset - _U64.size)
         offset = _check_room(data, offset, nbytes, "column payload")
         try:
+            text = name.decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise ColumnCodecError(
+                f"column name {name!r} is not UTF-8"
+            ) from error
+        # pack_columns writes ``dtype.str``; another spelling of the same
+        # dtype (``=f8``, ``<d``), a structured one (``f8,i4``) or a
+        # string NumPy cannot parse (``(2,``) is corrupt.
+        try:
             dtype = np.dtype(dtype_str.decode("ascii"))
-        except (TypeError, UnicodeDecodeError) as error:
+        except (TypeError, ValueError, SyntaxError) as error:
             raise ColumnCodecError(
                 f"invalid dtype string {dtype_str!r}"
             ) from error
-        expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        if expected != nbytes:
+        if dtype.str.encode("ascii") != dtype_str:
+            raise ColumnCodecError(f"invalid dtype string {dtype_str!r}")
+        # Python integers: a corrupt u64 extent must not wrap around.
+        elements = math.prod(shape)
+        if dtype.itemsize * elements != nbytes:
             raise ColumnCodecError(
-                f"column {name.decode('utf-8', 'replace')!r}: payload of "
+                f"column {text!r}: payload of "
                 f"{nbytes} bytes does not match dtype {dtype.str} and "
                 f"shape {tuple(shape)}"
             )
-        array = np.frombuffer(
-            data, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)),
-            offset=offset - nbytes,
-        ).reshape(tuple(int(extent) for extent in shape))
+        try:
+            array = np.frombuffer(
+                data, dtype=dtype, count=elements, offset=offset - nbytes,
+            ).reshape(tuple(shape))
+        except (ValueError, OverflowError) as error:
+            # Zero-size or object dtypes, extents past the address space.
+            raise ColumnCodecError(
+                f"column {text!r}: cannot view {nbytes} bytes as "
+                f"{dtype.str} {tuple(shape)}: {error}"
+            ) from error
         if copy:
             array = array.copy()  # writable, owns its data
-        columns[name.decode("utf-8")] = array
+        columns[text] = array
     if offset != len(data):
         raise ColumnCodecError(
             f"{len(data) - offset} trailing bytes after the last column"

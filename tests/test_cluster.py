@@ -45,9 +45,12 @@ from repro.cluster.transport import (
     unpack_envelope,
 )
 from repro.cluster.coordinator import encode_shard_request
-from repro.datasets import synthetic_sequential_segments
+from repro.datasets import (
+    synthetic_grouped_segments,
+    synthetic_sequential_segments,
+)
 from repro.obs import metrics as _metrics
-from repro.parallel import encode_segments, run_sharded
+from repro.parallel import encode_segments, plan_shards, run_sharded
 from repro.pipeline import compress
 from repro.util import failpoints
 from repro.util.deadline import DeadlineExceeded, deadline_scope
@@ -185,38 +188,98 @@ class TestEnvelope:
             unpack_envelope(payload, "test")
 
 
+def _trajectory(steps=3, dims=2):
+    """A well-formed ``(boundaries, keys, sse_max, heads, rows)`` answer."""
+    return (
+        np.arange(1, steps + 1, dtype=np.int64),
+        np.linspace(0.5, 9.75, steps),
+        42.5,
+        np.zeros(steps, dtype=np.int64),
+        np.arange(steps * dims, dtype=np.float64).reshape(steps, dims),
+    )
+
+
+def _ptat(version=None, **columns):
+    """A ``PTAT`` v2 payload with some columns replaced (or dropped: None)."""
+    from repro.cluster.transport import (
+        TRAJECTORY_COLUMNS,
+        TRAJECTORY_MAGIC,
+        TRAJECTORY_VERSION,
+    )
+    from repro.storage.columns import pack_columns
+
+    boundaries, keys, sse_max, heads, rows = _trajectory()
+    arrays = dict(
+        boundaries=boundaries, keys=keys, sse_max=np.array([sse_max]),
+        heads=heads, rows=rows,
+    )
+    arrays.update(columns)
+    return pack_columns(
+        {
+            name: arrays[name] for name, _, _ in TRAJECTORY_COLUMNS
+            if arrays[name] is not None
+        },
+        TRAJECTORY_MAGIC,
+        TRAJECTORY_VERSION if version is None else version,
+    )
+
+
 class TestTrajectoryCodec:
     def test_trajectory_roundtrip(self):
-        boundaries = np.array([3, 7, 11], dtype=np.int64)
-        keys = np.array([0.5, 1.25, 9.75], dtype=np.float64)
-        restored = decode_trajectory(
-            encode_trajectory((boundaries, keys, 42.5))
-        )
-        np.testing.assert_array_equal(restored[0], boundaries)
-        np.testing.assert_array_equal(restored[1], keys)
+        trajectory = _trajectory()
+        blob = encode_trajectory(trajectory)
+        restored = decode_trajectory(blob)
+        for got, want in zip(restored, trajectory):
+            np.testing.assert_array_equal(got, want)
         assert restored[2] == 42.5
+        assert encode_trajectory(restored) == blob
 
     def test_missing_column_raises(self):
-        from repro.cluster.transport import (
-            TRAJECTORY_MAGIC,
-            TRAJECTORY_VERSION,
-        )
-        from repro.storage.columns import pack_columns
-
-        payload = pack_columns(
-            {"boundaries": np.array([1], dtype=np.int64)},
-            TRAJECTORY_MAGIC,
-            TRAJECTORY_VERSION,
-        )
         with pytest.raises(TransportError, match="missing columns"):
-            decode_trajectory(payload)
+            decode_trajectory(_ptat(heads=None))
 
     def test_mismatched_columns_raise(self):
-        blob = encode_trajectory(
-            (np.array([1, 2], dtype=np.int64), np.array([0.5]), 1.0)
-        )
+        boundaries, keys, sse_max, heads, rows = _trajectory()
+        blob = encode_trajectory((boundaries, keys[:2], sse_max, heads, rows))
         with pytest.raises(TransportError, match="malformed"):
             decode_trajectory(blob)
+
+    @pytest.mark.parametrize("column", ["heads", "rows"])
+    def test_new_column_of_another_length_raises(self, column):
+        boundaries, keys, sse_max, heads, rows = _trajectory()
+        short = {"heads": heads[:2], "rows": rows[:2]}
+        blob = _ptat(**{column: short[column]})
+        with pytest.raises(TransportError, match="malformed"):
+            decode_trajectory(blob)
+
+    @pytest.mark.parametrize(
+        "column, array",
+        [
+            ("heads", np.zeros(3, dtype=np.float64)),
+            ("heads", np.zeros(3, dtype=np.int32)),
+            ("rows", np.zeros((3, 2), dtype=np.int64)),
+        ],
+        ids=["heads-float", "heads-int32", "rows-int"],
+    )
+    def test_new_column_of_another_dtype_raises(self, column, array):
+        with pytest.raises(TransportError, match=f"{column}.*expected"):
+            decode_trajectory(_ptat(**{column: array}))
+
+    @pytest.mark.parametrize(
+        "column, array",
+        [
+            ("heads", np.zeros((3, 1), dtype=np.int64)),
+            ("rows", np.zeros(3, dtype=np.float64)),
+        ],
+        ids=["heads-2d", "rows-1d"],
+    )
+    def test_new_column_of_another_ndim_raises(self, column, array):
+        with pytest.raises(TransportError, match=f"{column}.*expected"):
+            decode_trajectory(_ptat(**{column: array}))
+
+    def test_version_one_payload_raises(self):
+        with pytest.raises(TransportError, match="version 1"):
+            decode_trajectory(_ptat(version=1))
 
 
 class TestParseAddress:
@@ -418,6 +481,94 @@ class TestClusterReduction:
     def test_malformed_address_fails_before_any_network_io(self):
         with pytest.raises(TransportError, match="host:port"):
             reduce_cluster(_stream(10), size=5, cluster=["nonsense"])
+
+
+def _corrupt(boundaries, keys, sse_max, heads, rows, rule):
+    """One worker answer broken in exactly one way (``rule``)."""
+    if rule == "boundary_past_end":
+        boundaries = boundaries.copy()
+        boundaries[-1] = 10**6
+    elif rule == "negative_boundary":
+        boundaries = boundaries.copy()
+        boundaries[0] = -1
+    elif rule == "head_past_end":
+        heads = heads.copy()
+        heads[0] = 10**6
+    elif rule == "negative_head":
+        heads = heads.copy()
+        heads[-1] = -2
+    elif rule == "rows_too_narrow":
+        rows = rows[:, :1]
+    elif rule == "rows_too_wide":
+        rows = np.hstack([rows, rows])
+    return encode_trajectory((boundaries, keys, sse_max, heads, rows))
+
+
+class TestGarbageAnswers:
+    """A remote answer that does not fit its shard is a transport fault:
+    the shard runs in-process, counted as a cluster fallback, and the
+    result stays bit-identical (FORMATS.md § 8.3)."""
+
+    SHARD_SIZE = 256
+
+    def _reduce_with_answers(self, workers, monkeypatch, encode):
+        import repro.cluster.worker as worker_module
+
+        monkeypatch.setattr(worker_module, "encode_trajectory", encode)
+        addresses = workers(1)
+        stream = synthetic_grouped_segments(4, 300, dimensions=2, seed=3)
+        oracle = run_sharded(
+            stream, size=90, workers=1, shard_size=self.SHARD_SIZE
+        )
+        before = _metrics.value("repro_shard_fallbacks_total", tier="cluster")
+        result = reduce_cluster(
+            stream, size=90, cluster=addresses, shard_size=self.SHARD_SIZE,
+            shard_retries=0, retry_backoff=0.0,
+        )
+        _assert_same(result, oracle)
+        fallbacks = _metrics.value(
+            "repro_shard_fallbacks_total", tier="cluster"
+        ) - before
+        shards = plan_shards(encode_segments(stream), self.SHARD_SIZE)
+        assert len(shards) == 4
+        assert fallbacks == len(shards)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            "boundary_past_end", "negative_boundary", "head_past_end",
+            "negative_head", "rows_too_narrow", "rows_too_wide",
+        ],
+    )
+    def test_answer_that_does_not_fit_its_shard_falls_back(
+        self, workers, monkeypatch, rule
+    ):
+        self._reduce_with_answers(
+            workers, monkeypatch,
+            lambda trajectory: _corrupt(*trajectory, rule),
+        )
+
+    def test_undecodable_answer_falls_back(self, workers, monkeypatch):
+        self._reduce_with_answers(
+            workers, monkeypatch,
+            lambda trajectory: encode_trajectory(trajectory)[:-3],
+        )
+
+    def test_version_one_worker_falls_back(self, workers, monkeypatch):
+        self._reduce_with_answers(
+            workers, monkeypatch,
+            lambda trajectory: _ptat(version=1, heads=None, rows=None),
+        )
+
+    def test_check_names_the_fault(self):
+        from repro.cluster.coordinator import check_trajectory
+
+        trajectory = _trajectory(steps=3, dims=2)  # boundaries 1, 2, 3
+        assert check_trajectory(trajectory, 4, 2) is trajectory
+        with pytest.raises(TransportError, match="outside the 3-tuple"):
+            check_trajectory(trajectory, 3, 2)
+        with pytest.raises(TransportError, match="rows are 2 wide"):
+            check_trajectory(trajectory, 4, 3)
 
 
 # ----------------------------------------------------------------------

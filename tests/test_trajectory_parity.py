@@ -5,7 +5,8 @@ presorted initial frontier plus a heap of refreshed keys, and defers a
 refresh that sorts no earlier than the node's queued entry.  Its
 ``(boundaries, keys)`` output must equal, bit for bit, the schedule of
 the python reference :class:`~repro.core.heap.MergeHeap` run down to
-``cmin``.
+``cmin``.  So must its ``(heads, rows)``: at every step, the node the
+heap's merge left standing and that node's merged row.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from repro.temporal import Interval
 
 
 def _heap_schedule(starts, ends, values, groups, weights):
-    """The python heap's merge order and keys down to ``cmin``."""
+    """The python heap's merge order, keys, survivors and merged rows
+    down to ``cmin``."""
     heap = MergeHeap(weights)
     first = None
     for start, end, row, group in zip(
@@ -34,23 +36,35 @@ def _heap_schedule(starts, ends, values, groups, weights):
             AggregateSegment((group,), tuple(row), Interval(start, end))
         )
         first = node.id if first is None else first
-    boundaries, keys = [], []
+    boundaries, keys, heads, rows = [], [], [], []
     while True:
         top = heap.peek_entry()
         if top is None or math.isinf(top[2]):
-            return boundaries, keys
+            return boundaries, keys, heads, rows
         boundaries.append(top[1] - first)
         keys.append(top[2])
-        heap.merge_top()
+        survivor = heap.merge_top()
+        heads.append(survivor.id - first)
+        rows.append(list(survivor.segment.values))
 
 
 def _assert_parity(starts, ends, values, groups, weights=None):
+    """Check all four columns bit for bit; return ``(boundaries, keys)``."""
     w2 = np.asarray(squared_weights(weights, values.shape[1]))
-    boundaries, keys = greedy_merge_trajectory(starts, ends, values, groups, w2)
+    boundaries, keys, heads, rows = greedy_merge_trajectory(
+        starts, ends, values, groups, w2
+    )
     expected = _heap_schedule(starts, ends, values, groups, weights)
-    assert (boundaries.tolist(), keys.tolist()) == expected
-    assert boundaries.dtype == np.int64 and keys.dtype == np.float64
-    return expected
+    want_boundaries, want_keys, want_heads, want_rows = expected
+    assert (boundaries.tolist(), heads.tolist()) == (
+        want_boundaries, want_heads,
+    )
+    assert keys.tobytes() == np.array(want_keys, np.float64).tobytes()
+    assert rows.tobytes() == np.array(want_rows, np.float64).tobytes()
+    assert boundaries.dtype == heads.dtype == np.int64
+    assert keys.dtype == rows.dtype == np.float64
+    assert rows.shape == (len(boundaries), values.shape[1])
+    return expected[:2]
 
 
 def _unit_run(column):

@@ -358,6 +358,37 @@ class TestColumnContainer:
         with pytest.raises(ColumnCodecError):
             unpack_columns(bytes(blob), b"TEST", 1)
 
+    @pytest.mark.parametrize(
+        "spelling", ["=f8", "<d", "(2,"], ids=repr
+    )
+    def test_only_the_canonical_dtype_string_is_accepted(self, spelling):
+        # pack_columns writes ``dtype.str`` ("<f8"); another spelling of
+        # the same dtype would decode to bytes that re-encode differently,
+        # and "(2," made NumPy raise SyntaxError instead of a codec error.
+        blob = pack_columns({"a": np.zeros(2)}, b"TEST", 1)
+        field = struct.pack("<H", len(spelling)) + spelling.encode()
+        with pytest.raises(ColumnCodecError, match="dtype"):
+            unpack_columns(
+                blob.replace(b"\x03\x00<f8", field), b"TEST", 1
+            )
+
+    def test_non_utf8_column_name_rejected(self):
+        blob = pack_columns({"a": np.zeros(2)}, b"TEST", 1)
+        with pytest.raises(ColumnCodecError, match="UTF-8"):
+            unpack_columns(blob.replace(b"\x01\x00a", b"\x01\x00\xff"),
+                           b"TEST", 1)
+
+    @pytest.mark.parametrize(
+        "extents", [(2**62, 4), (0, 2**63)], ids=["wraps", "too-big"]
+    )
+    def test_corrupt_shape_extents_rejected(self, extents):
+        # Both used to pass the size check against nbytes = 0 (an int64
+        # product wrapped 2**64 to 0) and then fail to reshape.
+        blob = bytearray(pack_columns({"a": np.zeros((0, 1))}, b"TEST", 1))
+        struct.pack_into("<QQ", blob, len(blob) - 24, *extents)
+        with pytest.raises(ColumnCodecError):
+            unpack_columns(bytes(blob), b"TEST", 1)
+
     def test_decoded_arrays_are_writable(self):
         back = unpack_columns(
             pack_columns({"a": np.arange(3.0)}, b"TEST", 1), b"TEST", 1
