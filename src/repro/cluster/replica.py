@@ -58,7 +58,6 @@ correctly-restricted store.
 from __future__ import annotations
 
 import socket
-import socketserver
 import threading
 import time
 from pathlib import Path
@@ -66,7 +65,6 @@ from typing import Optional, Tuple, Union
 
 from ..api.plan import Budget, ExecutionPolicy
 from ..obs import metrics as _metrics
-from ..service.http import SERVE_POLL_INTERVAL
 from ..service.store import CATCH_UP_SEQ, ServiceError, SessionStore
 from ..service.wire import WireError, decode_result, decode_segments
 from ..util import failpoints
@@ -79,6 +77,7 @@ from .transport import (
     DEFAULT_BACKOFF_S,
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_READ_TIMEOUT,
+    FrameServer,
     KIND_ACK,
     KIND_CATCHUP,
     KIND_ERROR,
@@ -92,7 +91,6 @@ from .transport import (
     decode_json,
     error_payload,
     pack_envelope,
-    recv_frame,
     send_frame,
 )
 
@@ -416,34 +414,74 @@ class ReplicationLink:
         ).set(value)
 
 
-class _StandbyHandler(socketserver.BaseRequestHandler):
-    server: "StandbyServer"
+def _split(kind: int, payload: bytes) -> Tuple[dict, bytes]:
+    from .transport import unpack_envelope
 
-    def handle(self) -> None:
-        sock: socket.socket = self.request
-        sock.settimeout(self.server.read_timeout)
-        while True:
-            try:
-                kind, payload = recv_frame(sock)
-            except (TransportError, OSError):
-                return  # peer gone or torn frame: drop the connection
-            try:
-                self._handle_frame(sock, kind, payload)
-            except OSError:
-                return  # the answer could not be written; drop the peer
-            except (ServiceError, WireError, TransportError) as error:
-                if not self._answer_error(sock, str(error), "bad_request"):
-                    return
-            except Exception as error:  # noqa: BLE001 — the internal arm
-                if not self._answer_error(
-                    sock, f"{type(error).__name__}: {error}", "internal"
-                ):
-                    return
+    what = {
+        KIND_PUSH: "replicated push",
+        KIND_FREEZE: "replicated freeze",
+        KIND_FROZEN: "replicated frozen epoch",
+    }[kind]
+    meta, body = unpack_envelope(payload, what)
+    if kind in (KIND_PUSH, KIND_FROZEN) and not body:
+        raise TransportError(f"{what} frame carries no payload body")
+    return meta, body
 
-    def _handle_frame(
+
+class StandbyServer(FrameServer):
+    """A warm standby: applies replicated frames until promoted.
+
+    Owns (or is handed) a standby-configured :class:`SessionStore` and
+    listens for :class:`ReplicationLink` frames; ``server.address`` is
+    what the link's constructor takes.  Queries may be served from the
+    standby at any time (its store trails the primary by exactly the
+    un-acked frames); pushes must not go to it until :meth:`promote`.
+    """
+
+    error_codes = (
+        ((ServiceError, WireError, TransportError), "bad_request"),
+    )
+
+    def __init__(
+        self,
+        store: SessionStore,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        read_timeout: Optional[float] = DEFAULT_READ_TIMEOUT,
+    ) -> None:
+        super().__init__(host, port, read_timeout)
+        store.role = "standby"
+        self.store = store
+        self.apply_lock = threading.Lock()
+        self.promoted = False
+        #: Highest replication sequence number applied and acked.
+        #: Catch-up frames (``seq == CATCH_UP_SEQ``) never advance it —
+        #: only the end-of-catch-up marker commits the frontier.
+        self.applied_seq = -1
+        #: True while a catch-up stream is in flight (set by its first
+        #: frame, cleared by its end marker).  Reported in the ``HELLO``
+        #: answer: a standby still seeding holds an unknown prefix of
+        #: the history, and the primary refuses to replay onto it.
+        self.seeding = False
+
+    def promote(self) -> SessionStore:
+        """Failover: stop applying frames, serve as primary.
+
+        Every frame acked before this call is applied (acks are sent
+        after application, under the same lock promotion takes), so the
+        returned store answers queries bit-identically to the failed
+        primary at every acknowledged push generation.  The socket
+        server keeps listening only to answer late frames with a
+        ``not_standby`` error; call :meth:`shutdown` to stop it.
+        """
+        with self.apply_lock:
+            self.promoted = True
+            self.store.role = "primary"
+        return self.store
+
+    def handle_frame(
         self, sock: socket.socket, kind: int, payload: bytes
     ) -> None:
-        server = self.server
         if kind == KIND_HELLO:
             # The answer carries the standby's replication frontier —
             # the resume cursor a reconnecting link hands to
@@ -451,9 +489,9 @@ class _StandbyHandler(socketserver.BaseRequestHandler):
             # catch-up) — and its seeding taint: a catch-up severed
             # mid-stream left this store holding an unknown prefix of
             # the history, which the primary must refuse to replay onto.
-            with server.apply_lock:
-                applied = server.applied_seq
-                seeding = server.seeding
+            with self.apply_lock:
+                applied = self.applied_seq
+                seeding = self.seeding
             send_frame(
                 sock,
                 KIND_OK,
@@ -472,23 +510,16 @@ class _StandbyHandler(socketserver.BaseRequestHandler):
                     "end-of-catch-up marker must carry a non-negative "
                     "integer seq"
                 )
-            with server.apply_lock:
-                if server.promoted:
+            with self.apply_lock:
+                if self.promoted:
                     self._answer_promoted(sock)
                     return
-                server.applied_seq = max(server.applied_seq, seq)
-                server.seeding = False
+                self.applied_seq = max(self.applied_seq, seq)
+                self.seeding = False
             send_frame(sock, KIND_ACK, b'{"seq": %d}' % seq)
             return
         if kind not in (KIND_PUSH, KIND_FREEZE, KIND_FROZEN):
-            send_frame(
-                sock,
-                KIND_ERROR,
-                error_payload(
-                    f"unsupported frame kind {kind}", "bad_request"
-                ),
-            )
-            return
+            raise TransportError(f"unsupported frame kind {kind}")
         meta, body = _split(kind, payload)
         key = meta.get("key")
         seq = meta.get("seq")
@@ -501,8 +532,8 @@ class _StandbyHandler(socketserver.BaseRequestHandler):
         # is always durable in the standby's store, and promotion (which
         # takes the same lock) can never interleave with a half-applied
         # frame.
-        with server.apply_lock:
-            if server.promoted:
+        with self.apply_lock:
+            if self.promoted:
                 self._answer_promoted(sock)
                 return
             if seq == CATCH_UP_SEQ:
@@ -511,24 +542,24 @@ class _StandbyHandler(socketserver.BaseRequestHandler):
                 # The taint set here clears with that marker; a severed
                 # catch-up leaves this standby loudly half-seeded
                 # instead of silently claiming the frontier.
-                server.seeding = True
+                self.seeding = True
                 self._apply(kind, key, body)
-            elif seq <= server.applied_seq:
+            elif seq <= self.applied_seq:
                 # Already applied (an ack was lost in transit): ack
                 # again without re-applying.
                 pass
             else:
                 self._apply(kind, key, body)
-                server.applied_seq = seq
+                self.applied_seq = seq
         send_frame(sock, KIND_ACK, b'{"seq": %d}' % seq)
 
     def _apply(self, kind: int, key: str, body: bytes) -> None:
         if kind == KIND_PUSH:
-            self.server.store.push(key, decode_segments(body, copy=False))
+            self.store.push(key, decode_segments(body, copy=False))
         elif kind == KIND_FREEZE:
-            self.server.store.freeze(key)
+            self.store.freeze(key)
         else:
-            self.server.store.install_frozen(key, decode_result(body))
+            self.store.install_frozen(key, decode_result(body))
 
     def _answer_promoted(self, sock: socket.socket) -> None:
         send_frame(
@@ -541,88 +572,6 @@ class _StandbyHandler(socketserver.BaseRequestHandler):
             ),
         )
 
-    @staticmethod
-    def _answer_error(sock: socket.socket, message: str, code: str) -> bool:
-        try:
-            send_frame(sock, KIND_ERROR, error_payload(message, code))
-            return True
-        except OSError:
-            return False
-
-
-def _split(kind: int, payload: bytes) -> Tuple[dict, bytes]:
-    from .transport import unpack_envelope
-
-    what = {
-        KIND_PUSH: "replicated push",
-        KIND_FREEZE: "replicated freeze",
-        KIND_FROZEN: "replicated frozen epoch",
-    }[kind]
-    meta, body = unpack_envelope(payload, what)
-    if kind in (KIND_PUSH, KIND_FROZEN) and not body:
-        raise TransportError(f"{what} frame carries no payload body")
-    return meta, body
-
-
-class StandbyServer(socketserver.ThreadingTCPServer):
-    """A warm standby: applies replicated frames until promoted.
-
-    Owns (or is handed) a standby-configured :class:`SessionStore` and
-    listens for :class:`ReplicationLink` frames; ``server.address`` is
-    what the link's constructor takes.  Queries may be served from the
-    standby at any time (its store trails the primary by exactly the
-    un-acked frames); pushes must not go to it until :meth:`promote`.
-    """
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(
-        self,
-        store: SessionStore,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        read_timeout: Optional[float] = DEFAULT_READ_TIMEOUT,
-    ) -> None:
-        super().__init__((host, port), _StandbyHandler)
-        store.role = "standby"
-        self.store = store
-        self.read_timeout = read_timeout
-        self.apply_lock = threading.Lock()
-        self.promoted = False
-        #: Highest replication sequence number applied and acked.
-        #: Catch-up frames (``seq == CATCH_UP_SEQ``) never advance it —
-        #: only the end-of-catch-up marker commits the frontier.
-        self.applied_seq = -1
-        #: True while a catch-up stream is in flight (set by its first
-        #: frame, cleared by its end marker).  Reported in the ``HELLO``
-        #: answer: a standby still seeding holds an unknown prefix of
-        #: the history, and the primary refuses to replay onto it.
-        self.seeding = False
-
-    @property
-    def port(self) -> int:
-        return int(self.server_address[1])
-
-    @property
-    def address(self) -> str:
-        return f"{self.server_address[0]}:{self.port}"
-
-    def promote(self) -> SessionStore:
-        """Failover: stop applying frames, serve as primary.
-
-        Every frame acked before this call is applied (acks are sent
-        after application, under the same lock promotion takes), so the
-        returned store answers queries bit-identically to the failed
-        primary at every acknowledged push generation.  The socket
-        server keeps listening only to answer late frames with a
-        ``not_standby`` error; call :meth:`shutdown` to stop it.
-        """
-        with self.apply_lock:
-            self.promoted = True
-            self.store.role = "primary"
-        return self.store
-
 
 def start_standby(
     store: SessionStore,
@@ -632,11 +581,4 @@ def start_standby(
 ) -> Tuple[StandbyServer, threading.Thread]:
     """Start a standby server on a daemon thread; returns (server, thread)."""
     server = StandbyServer(store, host, port, read_timeout)
-    thread = threading.Thread(
-        target=server.serve_forever,
-        kwargs={"poll_interval": SERVE_POLL_INTERVAL},
-        name=f"pta-standby-{server.port}",
-        daemon=True,
-    )
-    thread.start()
-    return server, thread
+    return server, server.serve_in_thread("pta-standby")

@@ -47,7 +47,9 @@ from __future__ import annotations
 import json
 import random
 import socket
+import socketserver
 import struct
+import threading
 import time
 import zlib
 from typing import Any, Dict, Optional, Sequence, Tuple
@@ -558,6 +560,100 @@ def request_with_retries(
     raise last
 
 
+# ----------------------------------------------------------------------
+# Server side
+# ----------------------------------------------------------------------
+class FrameServer(socketserver.ThreadingTCPServer):
+    """A threaded server that answers each frame on a connection in turn.
+
+    The base of the reducer worker and the standby server.  Subclasses
+    implement :meth:`handle_frame`; an exception it raises is answered
+    with a structured error frame: the classes in :attr:`error_codes`
+    with their code (matched in order), any other ``OSError`` drops the
+    peer (the answer could not be written), and anything else is
+    answered ``internal`` after :meth:`log_internal`.  A torn or corrupt
+    request frame drops the connection.  ``server.address`` is the
+    ``"host:port"`` string its clients dial.
+    """
+
+    daemon_threads = True
+    allow_reuse_address = True
+    #: ``(exception classes, error code)`` pairs, matched in order.
+    error_codes: Tuple[Tuple[Tuple[type, ...], str], ...] = ()
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        read_timeout: Optional[float] = DEFAULT_READ_TIMEOUT,
+    ) -> None:
+        super().__init__((host, port), _FrameHandler)
+        self.read_timeout = read_timeout
+
+    @property
+    def port(self) -> int:
+        return int(self.server_address[1])
+
+    @property
+    def address(self) -> str:
+        return f"{self.server_address[0]}:{self.port}"
+
+    def handle_frame(
+        self, sock: socket.socket, kind: int, payload: bytes
+    ) -> None:
+        """Answer one request frame on ``sock``."""
+        raise NotImplementedError
+
+    def log_internal(self, error: Exception) -> None:
+        """Called inside the ``except`` block of an ``internal`` answer."""
+
+    def serve_in_thread(self, name: str) -> threading.Thread:
+        """Run :meth:`serve_forever` on a daemon thread named
+        ``name-<port>``; :meth:`shutdown` stops it."""
+        from ..service.http import SERVE_POLL_INTERVAL
+
+        thread = threading.Thread(
+            target=self.serve_forever,
+            kwargs={"poll_interval": SERVE_POLL_INTERVAL},
+            name=f"{name}-{self.port}",
+            daemon=True,
+        )
+        thread.start()
+        return thread
+
+    def _error_answer(self, error: Exception) -> Optional[Tuple[str, str]]:
+        for classes, code in self.error_codes:
+            if isinstance(error, classes):
+                return str(error), code
+        if isinstance(error, OSError):
+            return None
+        self.log_internal(error)
+        return f"{type(error).__name__}: {error}", "internal"
+
+
+class _FrameHandler(socketserver.BaseRequestHandler):
+    server: FrameServer
+
+    def handle(self) -> None:
+        sock: socket.socket = self.request
+        sock.settimeout(self.server.read_timeout)
+        while True:
+            try:
+                kind, payload = recv_frame(sock)
+            except (TransportError, OSError):
+                return  # peer gone or torn frame: drop the connection
+            try:
+                self.server.handle_frame(sock, kind, payload)
+            except Exception as error:  # noqa: BLE001 — answered below
+                answer = self.server._error_answer(error)
+                if answer is None:
+                    return
+                try:
+                    send_frame(sock, KIND_ERROR, error_payload(*answer))
+                except OSError:
+                    return
+
+
 __all__ = [
     "Connection",
     "DEFAULT_BACKOFF_CAP_S",
@@ -567,6 +663,7 @@ __all__ = [
     "DEFAULT_RETRIES",
     "FRAME_MAGIC",
     "FRAME_VERSION",
+    "FrameServer",
     "KIND_ACK",
     "KIND_CATCHUP",
     "KIND_ERROR",

@@ -35,13 +35,11 @@ Run standalone with ``python -m repro.cluster.worker --port 9041``.
 from __future__ import annotations
 
 import socket
-import socketserver
 import threading
 from typing import Optional, Tuple
 
 from ..obs import tracing as _tracing
 from ..obs.logs import get_logger
-from ..service.http import SERVE_POLL_INTERVAL
 from ..service.wire import WireError, decode_segments
 from ..storage.columns import ColumnCodecError
 from ..util import failpoints
@@ -52,11 +50,9 @@ from .transport import (
     KIND_PONG,
     KIND_REDUCE,
     KIND_TRAJECTORY,
-    KIND_ERROR,
+    FrameServer,
     TransportError,
     encode_trajectory,
-    error_payload,
-    recv_frame,
     send_frame,
     unpack_envelope,
 )
@@ -118,64 +114,7 @@ def reduce_request(payload: bytes):
         )
 
 
-class _WorkerHandler(socketserver.BaseRequestHandler):
-    server: "ReducerWorker"
-
-    def handle(self) -> None:
-        sock: socket.socket = self.request
-        sock.settimeout(self.server.read_timeout)
-        while True:
-            try:
-                kind, payload = recv_frame(sock)
-            except (TransportError, OSError):
-                return  # peer gone or torn frame: drop the connection
-            try:
-                if kind == KIND_PING:
-                    send_frame(sock, KIND_PONG)
-                elif kind == KIND_REDUCE:
-                    trajectory = reduce_request(payload)
-                    send_frame(
-                        sock, KIND_TRAJECTORY, encode_trajectory(trajectory)
-                    )
-                else:
-                    send_frame(
-                        sock,
-                        KIND_ERROR,
-                        error_payload(
-                            f"unsupported frame kind {kind}", "bad_request"
-                        ),
-                    )
-            except DeadlineExceeded as error:
-                if not self._answer_error(
-                    sock, str(error), "deadline_exceeded"
-                ):
-                    return
-            except (WireError, ColumnCodecError, TransportError) as error:
-                if not self._answer_error(sock, str(error), "bad_request"):
-                    return
-            except OSError:
-                return  # the answer could not be written; drop the peer
-            except Exception as error:  # noqa: BLE001 — the internal arm
-                _log.exception(
-                    "shard request failed",
-                    code="internal",
-                    error=f"{type(error).__name__}: {error}",
-                )
-                if not self._answer_error(
-                    sock, f"{type(error).__name__}: {error}", "internal"
-                ):
-                    return
-
-    @staticmethod
-    def _answer_error(sock: socket.socket, message: str, code: str) -> bool:
-        try:
-            send_frame(sock, KIND_ERROR, error_payload(message, code))
-            return True
-        except OSError:
-            return False
-
-
-class ReducerWorker(socketserver.ThreadingTCPServer):
+class ReducerWorker(FrameServer):
     """A reducer worker bound to ``host:port`` (``port=0`` = ephemeral).
 
     ``worker.address`` is the ``"host:port"`` string a coordinator's
@@ -183,25 +122,28 @@ class ReducerWorker(socketserver.ThreadingTCPServer):
     (inherited); :func:`start_worker` runs one on a daemon thread.
     """
 
-    daemon_threads = True
-    allow_reuse_address = True
+    error_codes = (
+        ((DeadlineExceeded,), "deadline_exceeded"),
+        ((WireError, ColumnCodecError, TransportError), "bad_request"),
+    )
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        read_timeout: Optional[float] = 30.0,
+    def handle_frame(
+        self, sock: socket.socket, kind: int, payload: bytes
     ) -> None:
-        super().__init__((host, port), _WorkerHandler)
-        self.read_timeout = read_timeout
+        if kind == KIND_PING:
+            send_frame(sock, KIND_PONG)
+        elif kind == KIND_REDUCE:
+            trajectory = reduce_request(payload)
+            send_frame(sock, KIND_TRAJECTORY, encode_trajectory(trajectory))
+        else:
+            raise TransportError(f"unsupported frame kind {kind}")
 
-    @property
-    def port(self) -> int:
-        return int(self.server_address[1])
-
-    @property
-    def address(self) -> str:
-        return f"{self.server_address[0]}:{self.port}"
+    def log_internal(self, error: Exception) -> None:
+        _log.exception(
+            "shard request failed",
+            code="internal",
+            error=f"{type(error).__name__}: {error}",
+        )
 
 
 def start_worker(
@@ -211,14 +153,7 @@ def start_worker(
 ) -> Tuple[ReducerWorker, threading.Thread]:
     """Start a reducer worker on a daemon thread; returns (worker, thread)."""
     worker = ReducerWorker(host, port, read_timeout)
-    thread = threading.Thread(
-        target=worker.serve_forever,
-        kwargs={"poll_interval": SERVE_POLL_INTERVAL},
-        name=f"pta-cluster-worker-{worker.port}",
-        daemon=True,
-    )
-    thread.start()
-    return worker, thread
+    return worker, worker.serve_in_thread("pta-cluster-worker")
 
 
 def main() -> int:

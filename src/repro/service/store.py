@@ -47,6 +47,7 @@ from typing import (
     Deque,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -208,8 +209,7 @@ class LRUTTLEviction:
     are cheap — just the reduced segments — and are not counted);
     ``ttl`` ages out sessions idle for longer than that many seconds.
     Either knob may be ``None`` to disable it.  The policy only *selects*
-    keys; the store performs the freezing, so a custom policy is just an
-    object with this ``select`` signature.
+    keys; the store performs the freezing.
     """
 
     def __init__(
@@ -297,10 +297,9 @@ class SessionStore:
     policy:
         Execution knobs shared by every session (backend, delta, weights);
         ``workers`` must stay ``None`` as for any :class:`Compressor`.
-    eviction:
-        An eviction policy object (``select(now, last_access) -> keys``);
-        defaults to :class:`LRUTTLEviction` built from ``max_sessions`` /
-        ``ttl``.  Eviction runs after every push.
+    max_sessions, ttl:
+        Bounds of the :class:`LRUTTLEviction` policy the store runs
+        after every push (``None`` disables either bound).
     session_factory:
         Optional ``key -> Compressor`` hook for per-key budgets or
         policies; when given, ``budget``/``size``/``max_error`` become the
@@ -373,7 +372,6 @@ class SessionStore:
         size: Optional[int] = None,
         max_error: Optional[float] = None,
         policy: Optional[ExecutionPolicy] = None,
-        eviction: Optional[LRUTTLEviction] = None,
         max_sessions: Optional[int] = None,
         ttl: Optional[float] = None,
         session_factory: Optional[Callable[[Key], Compressor]] = None,
@@ -387,13 +385,6 @@ class SessionStore:
         sync_replicas: int = 0,
         resync_journal_bytes: int = DEFAULT_RESYNC_JOURNAL_BYTES,
     ) -> None:
-        if eviction is not None and (
-            max_sessions is not None or ttl is not None
-        ):
-            raise ServiceError(
-                "pass either an eviction policy object or the "
-                "max_sessions/ttl shorthands, not both"
-            )
         self._policy = policy
         self._factory: Optional[Callable[[Key], Compressor]] = session_factory
         # With a factory, a default budget is optional (pure fallback);
@@ -407,11 +398,7 @@ class SessionStore:
         )
         if session_factory is None:
             self._make_session()
-        self._eviction = (
-            eviction
-            if eviction is not None
-            else LRUTTLEviction(max_sessions=max_sessions, ttl=ttl)
-        )
+        self._eviction = LRUTTLEviction(max_sessions=max_sessions, ttl=ttl)
         self._clock = clock
         self._states: "OrderedDict[Key, _KeyState]" = OrderedDict()
         self._lock = threading.RLock()
@@ -514,10 +501,10 @@ class SessionStore:
         self._sinks: List[ReplicationSink] = []
         self._replication_seq = 0
         #: Journal of recent committed replicated events,
-        #: ``(seq, hook, key, payload)`` oldest first — what
-        #: :meth:`resync` replays to a returning sink.  Trimmed to what
-        #: every registered sink has acked, then to the byte budget.
-        self._journal: Deque[Tuple[int, str, Key, Optional[bytes]]] = deque()
+        #: ``(seq, hook, hook arguments, charged bytes)`` oldest first —
+        #: what :meth:`resync` replays to a returning sink.  Trimmed to
+        #: what every registered sink has acked, then to the byte budget.
+        self._journal: Deque[Tuple[int, str, Tuple[Any, ...], int]] = deque()
         self._journal_bytes = 0
         self._journal_cap = resync_journal_bytes
         #: Highest sequence number trimmed out of the journal: a sink
@@ -553,9 +540,11 @@ class SessionStore:
         write-ahead log as one frame *first*, and only then
         applied in memory — a disk fault raises
         :class:`~repro.service.durability.DurabilityError` with the
-        in-memory state untouched (safe to retry), and a failed
-        in-memory application truncates the frame back off the log, so
-        memory and log never diverge.  After ``degrade_after``
+        in-memory state untouched (safe to retry).  A push that fails
+        at any step (append, quorum, apply) is rolled back one way: the
+        frame is truncated back off the log and a session the push
+        opened is dropped, so memory and log never diverge and no
+        phantom key is left.  After ``degrade_after``
         consecutive disk faults the store drops to **degraded**
         memory-only mode: pushes are acknowledged without logging until
         a periodic re-probe (every ``reprobe_every`` pushes, or a manual
@@ -575,13 +564,7 @@ class SessionStore:
         segments: Union[AggregateSegment, Iterable[AggregateSegment]],
     ) -> int:
         with self._lock:
-            if self._durability is not None and (
-                not isinstance(key, str) or not key
-            ):
-                raise ServiceError(
-                    f"durable stores require non-empty string keys, "
-                    f"got {key!r}"
-                )
+            self._check_key(key)
             chunk = checked_segments(segments)
             state = self._states.get(key)
             if state is not None and len(chunk):
@@ -603,55 +586,31 @@ class SessionStore:
             quorum = self.sync_replicas if replicating else 0
             token: Optional[PushToken] = None
             payload: Optional[bytes] = None
+            seq = 0
             if logging or replicating:
                 payload = encode_segments(chunk)  # a plain pack
-            if logging:
-                assert self._durability is not None
-                assert payload is not None
-                try:
+            before = state.session.pushed
+            try:
+                if logging:
+                    assert self._durability is not None
+                    assert payload is not None
                     token = self._durability.log_push(
                         key, state.epoch, payload
                     )
-                except DurabilityError:
-                    # Not acknowledged, memory untouched — unregister a
-                    # session this very call opened so the failed push
-                    # leaves no phantom key behind.
-                    self._note_disk_error(key, state)
-                    if opened:
-                        state.session = None
-                        if created:
-                            del self._states[key]
-                    raise
-            seq = 0
-            if quorum > 0:
-                # Quorum mode ships *before* the in-memory apply: if the
-                # standbys cannot ack, everything rolls back — WAL frame
-                # truncated, no session state, no journal entry — and
-                # the client's 503 really means "nothing happened".
-                assert payload is not None
-                seq = self._next_seq()
-                try:
-                    self._await_quorum(key, payload, seq, quorum)
-                except Exception:
-                    self._mark_aborted(seq)
-                    if token is not None:
-                        assert self._durability is not None
-                        try:
-                            self._durability.rollback(token)
-                        except DurabilityError:
-                            self._note_disk_error(key, state)
-                    if opened:
-                        state.session = None
-                        if created:
-                            del self._states[key]
-                    raise
-            before = state.session.pushed
-            try:
-                state.session.push(chunk)
-            except Exception:
                 if quorum > 0:
-                    # Standbys already applied this sequence number; the
-                    # primary could not.  Record the divergence.
+                    # Quorum mode ships *before* the in-memory apply, so
+                    # a 503 really means "nothing happened".
+                    assert payload is not None
+                    seq = self._next_seq()
+                    self._await_quorum(key, payload, seq, quorum)
+                state.session.push(chunk)
+            except Exception as error:
+                # One rollback for every step: the push is not
+                # acknowledged and leaves nothing behind.  A consumed
+                # sequence number is recorded as aborted (a standby may
+                # already hold it), the WAL frame is truncated back off
+                # the log, and a session this call opened is dropped.
+                if seq:
                     self._mark_aborted(seq)
                 if token is not None:
                     assert self._durability is not None
@@ -661,6 +620,12 @@ class SessionStore:
                         # The writer marked itself broken; the next push
                         # for this key rotates its epoch.
                         self._note_disk_error(key, state)
+                elif isinstance(error, DurabilityError):
+                    self._note_disk_error(key, state)  # the append failed
+                if opened:
+                    state.session = None
+                    if created:
+                        del self._states[key]
                 raise
             consumed = state.session.pushed - before
             if consumed:
@@ -680,7 +645,7 @@ class SessionStore:
                 # so a returning sink can replay the gap.
                 assert payload is not None
                 if quorum > 0:
-                    self._journal_event("on_push", key, payload, seq)
+                    self._journal_event("on_push", (key, payload, seq))
                 else:
                     self._replicate("on_push", key, payload)
             if token is not None:
@@ -933,27 +898,8 @@ class SessionStore:
         assert state.session is not None
         with span("freeze"):
             frozen = state.session.finalize()
-        epoch: FrozenEpoch
-        if self._durability is not None and not self._degraded:
-            try:
-                epoch = self._durability.demote(key, state.epoch, frozen)
-            except DurabilityError:
-                epoch = FrozenEpoch.from_result(frozen)
-                self._pending_demote.append(
-                    (key, state.epoch, len(state.frozen))
-                )
-                self._note_demote_error()
-        elif self._durability is not None:
-            epoch = FrozenEpoch.from_result(frozen)
-            self._pending_demote.append((key, state.epoch, len(state.frozen)))
-        else:
-            epoch = FrozenEpoch.from_result(frozen)
-        state.frozen.append(epoch)
-        state.frozen_columns = None  # rebuilt lazily on the next read
         state.session = None
-        state.epoch += 1
-        state.generation += 1
-        self._c_evictions.inc()
+        self._close_epoch(key, state, frozen)
         # Freezes are replicated events: a primary that froze at push g
         # serves frozen-summary + fresh-session answers, which differ
         # from one uninterrupted session's — the standby must finalize
@@ -963,6 +909,31 @@ class SessionStore:
         if self._sinks:
             self._replicate("on_freeze", key)
         return frozen
+
+    def _close_epoch(self, key: Key, state: _KeyState, result: Result) -> None:
+        """Keep ``result`` as the key's next frozen epoch; open the next.
+
+        Durable stores demote it to a checkpoint.  If the write fails, or
+        the store is degraded, the epoch stays resident and is queued in
+        :attr:`_pending_demote`.
+        """
+        epoch: Optional[FrozenEpoch] = None
+        if self._durability is not None and not self._degraded:
+            try:
+                epoch = self._durability.demote(key, state.epoch, result)
+            except DurabilityError:
+                self._note_disk_error()
+        if epoch is None:
+            epoch = FrozenEpoch.from_result(result)
+            if self._durability is not None:
+                self._pending_demote.append(
+                    (key, state.epoch, len(state.frozen))
+                )
+        state.frozen.append(epoch)
+        state.frozen_columns = None  # rebuilt lazily on the next read
+        state.epoch += 1
+        state.generation += 1
+        self._c_evictions.inc()
 
     def _maybe_compact(self, key: Key, state: _KeyState) -> None:
         """Checkpoint-then-truncate a live epoch whose WAL outgrew its
@@ -1009,19 +980,17 @@ class SessionStore:
         so it must attach its standby before any live pushes exist;
         likewise a degraded durable primary holds acknowledged pushes
         the WAL never saw (``dirty`` keys) and cannot guarantee a
-        faithful copy.  Both raise :class:`ServiceError`.
+        faithful copy.  Both raise :class:`ServiceError`, as does a sink
+        that drops or raises mid-stream (it is disconnected first).
+        This is :meth:`resync` from an empty standby.
         """
-        with self._lock:
-            try:
-                self._catch_up(sink)
-            except ConnectionError as error:
-                raise ServiceError(str(error)) from error
-            sink.acked_seq = max(sink.acked_seq, self._replication_seq)
-            if sink not in self._sinks:
-                self._sinks.append(sink)
+        try:
+            self.resync(sink, -1)
+        except ConnectionError as error:
+            raise ServiceError(str(error)) from error
 
-    def _catch_up(self, sink: ReplicationSink) -> None:
-        """Stream the full history to ``sink`` (caller holds the lock).
+    def _history(self) -> Iterator[Tuple[str, Tuple[Any, ...]]]:
+        """The full history as catch-up events (caller holds the lock).
 
         Every history frame carries :data:`CATCH_UP_SEQ` — the standby
         applies it without advancing its resume cursor — and the stream
@@ -1030,20 +999,14 @@ class SessionStore:
         the cursor, so a catch-up severed mid-stream leaves the standby
         half-seeded *and saying so* (it reports no progress plus a
         seeding taint), never claiming a frontier it does not hold.
-        Raises :class:`ConnectionError` if the sink drops mid-stream
-        (retryable) and :class:`ServiceError` when the history itself
-        cannot be streamed faithfully (memory-only or degraded primary
-        with live pushes — permanent until fixed).
+        Raises :class:`ServiceError` when the history itself cannot be
+        streamed faithfully (memory-only or degraded primary with live
+        pushes — permanent until fixed).
         """
         for key, state in self._states.items():
             for epoch in state.frozen:
-                sink.on_frozen(
-                    key, encode_result(epoch.result()), CATCH_UP_SEQ
-                )
-                if not sink.connected:
-                    raise ConnectionError(
-                        "replication sink disconnected during catch-up"
-                    )
+                payload = encode_result(epoch.result())
+                yield "on_frozen", (key, payload, CATCH_UP_SEQ)
             if state.session is not None and state.session.pushed > 0:
                 if self._durability is None or state.dirty:
                     raise ServiceError(
@@ -1055,12 +1018,7 @@ class SessionStore:
                     )
                 wal = self._durability.wal_path(key, state.epoch)
                 for _, payload in iter_wal_frames(wal):
-                    sink.on_push(key, payload, CATCH_UP_SEQ)
-                    if not sink.connected:
-                        raise ConnectionError(
-                            "replication sink disconnected during "
-                            "catch-up"
-                        )
+                    yield "on_push", (key, payload, CATCH_UP_SEQ)
         # The marker names the newest *committed* sequence number: the
         # aborted ones above it were never history, and a standby
         # claiming one as its frontier would be refused by resync as
@@ -1068,12 +1026,7 @@ class SessionStore:
         frontier = self._replication_seq
         while frontier in self._aborted_seqs:
             frontier -= 1
-        sink.on_catch_up(frontier)
-        if not sink.connected:
-            raise ConnectionError(
-                "replication sink disconnected before acknowledging "
-                "the end of catch-up"
-            )
+        yield "on_catch_up", (frontier,)
 
     def resync(
         self,
@@ -1128,23 +1081,18 @@ class SessionStore:
             if adopt is not None:
                 adopt()
             if applied_seq < 0:
-                self._catch_up(sink)
+                events, stream = self._history(), "catch-up"
             else:
-                for seq, hook, key, payload in list(self._journal):
-                    if seq <= applied_seq:
-                        continue
-                    try:
-                        if hook == "on_push":
-                            assert payload is not None
-                            sink.on_push(key, payload, seq)
-                        else:
-                            sink.on_freeze(key, seq)
-                    except Exception:  # noqa: BLE001 — sink contract
-                        sink.connected = False
-                    if not sink.connected:
-                        raise ConnectionError(
-                            "replication sink disconnected during resync"
-                        )
+                events, stream = (
+                    (hook, args)
+                    for seq, hook, args, _ in list(self._journal)
+                    if seq > applied_seq
+                ), "resync"
+            for hook, args in events:
+                if not self._deliver(sink, hook, args):
+                    raise ConnectionError(
+                        f"replication sink disconnected during {stream}"
+                    )
             sink.acked_seq = max(sink.acked_seq, self._replication_seq)
             if sink not in self._sinks:
                 self._sinks.append(sink)
@@ -1160,13 +1108,7 @@ class SessionStore:
         frozen epoch is installed, mirroring the primary's history.
         """
         with self._lock:
-            if self._durability is not None and (
-                not isinstance(key, str) or not key
-            ):
-                raise ServiceError(
-                    f"durable stores require non-empty string keys, "
-                    f"got {key!r}"
-                )
+            self._check_key(key)
             state = self._states.get(key)
             if state is None:
                 state = _KeyState()
@@ -1176,67 +1118,41 @@ class SessionStore:
                     f"key {key!r} already has a live session; frozen "
                     f"epochs must be installed before live pushes"
                 )
-            epoch: FrozenEpoch
-            if self._durability is not None and not self._degraded:
-                try:
-                    epoch = self._durability.demote(
-                        key, state.epoch, result
-                    )
-                except DurabilityError:
-                    epoch = FrozenEpoch.from_result(result)
-                    self._pending_demote.append(
-                        (key, state.epoch, len(state.frozen))
-                    )
-                    self._note_demote_error()
-            elif self._durability is not None:
-                epoch = FrozenEpoch.from_result(result)
-                self._pending_demote.append(
-                    (key, state.epoch, len(state.frozen))
-                )
-            else:
-                epoch = FrozenEpoch.from_result(result)
-            state.frozen.append(epoch)
-            state.frozen_columns = None
-            state.epoch += 1
-            state.generation += 1
+            self._close_epoch(key, state, result)
             state.pushed += result.input_size
             state.last_access = self._clock()
             self._states.move_to_end(key)
             self._c_pushed.inc(result.input_size)
-            self._c_evictions.inc()
 
-    def _replicate(
-        self, hook: str, key: Key, payload: Optional[bytes] = None
-    ) -> None:
-        """Stamp the next sequence number, fan one event out, journal it.
-
-        Sinks must not raise (the :class:`ReplicationSink` contract); one
-        that does anyway is disconnected rather than failing the push.
-        """
-        seq = self._next_seq()
-        self._fan_out(hook, key, payload, seq)
-        self._journal_event(hook, key, payload, seq)
+    def _replicate(self, hook: str, *args: Any) -> None:
+        """Stamp the next sequence number, deliver one event to every
+        connected sink and journal it (``args`` are the hook's arguments
+        before the sequence number)."""
+        event = (*args, self._next_seq())
+        with span("replicate_ack"):
+            for sink in self._sinks:
+                if sink.connected:
+                    self._deliver(sink, hook, event)
+        self._journal_event(hook, event)
 
     def _next_seq(self) -> int:
         self._replication_seq += 1
         return self._replication_seq
 
-    def _fan_out(
-        self, hook: str, key: Key, payload: Optional[bytes], seq: int
-    ) -> None:
-        """Ship one event to every connected sink (never raises)."""
-        with span("replicate_ack"):
-            for sink in self._sinks:
-                if not sink.connected:
-                    continue
-                try:
-                    if hook == "on_push":
-                        assert payload is not None
-                        sink.on_push(key, payload, seq)
-                    else:
-                        sink.on_freeze(key, seq)
-                except Exception:  # noqa: BLE001 — protect the push path
-                    sink.connected = False
+    @staticmethod
+    def _deliver(
+        sink: ReplicationSink, hook: str, args: Tuple[Any, ...]
+    ) -> bool:
+        """Call one sink hook; returns whether the sink is still connected.
+
+        Sinks must not raise (the :class:`ReplicationSink` contract); one
+        that does anyway is disconnected rather than failing the caller.
+        """
+        try:
+            getattr(sink, hook)(*args)
+        except Exception:  # noqa: BLE001 — sink contract
+            sink.connected = False
+        return sink.connected
 
     def _await_quorum(
         self, key: Key, payload: bytes, seq: int, quorum: int
@@ -1267,12 +1183,8 @@ class SessionStore:
                 for sink in self._sinks:
                     if deadline is not None:
                         deadline.check("replication quorum")
-                    if not sink.connected:
-                        continue
-                    try:
-                        sink.on_push(key, payload, seq)
-                    except Exception:  # noqa: BLE001 — sink contract
-                        sink.connected = False
+                    if sink.connected:
+                        self._deliver(sink, "on_push", (key, payload, seq))
         finally:
             self._h_quorum.observe(perf_counter() - t0)
         acked = sum(
@@ -1297,14 +1209,13 @@ class SessionStore:
             if sink.connected and sink.acked_seq >= seq:
                 sink.connected = False
 
-    def _journal_event(
-        self, hook: str, key: Key, payload: Optional[bytes], seq: int
-    ) -> None:
+    def _journal_event(self, hook: str, args: Tuple[Any, ...]) -> None:
         """Append one committed event to the resync journal and trim."""
-        self._journal.append((seq, hook, key, payload))
-        self._journal_bytes += (
-            len(payload) if payload is not None else 0
-        ) + _JOURNAL_ENTRY_OVERHEAD
+        size = _JOURNAL_ENTRY_OVERHEAD
+        if hook == "on_push":
+            size += len(args[1])  # the payload
+        self._journal.append((args[-1], hook, args, size))
+        self._journal_bytes += size
         # Drop what every registered sink has already acknowledged.
         horizon = min(
             (sink.acked_seq for sink in self._sinks),
@@ -1319,10 +1230,8 @@ class SessionStore:
             self._drop_oldest()
 
     def _drop_oldest(self) -> None:
-        seq, _, _, payload = self._journal.popleft()
-        self._journal_bytes -= (
-            len(payload) if payload is not None else 0
-        ) + _JOURNAL_ENTRY_OVERHEAD
+        seq, _, _, size = self._journal.popleft()
+        self._journal_bytes -= size
         self._journal_floor = seq
         if self._aborted_seqs:
             self._aborted_seqs = {
@@ -1349,36 +1258,36 @@ class SessionStore:
                 return True
             return self._try_reattach()
 
-    def _note_disk_error(self, key: Key, state: _KeyState) -> None:
-        """Record a failed durable write for ``key`` and react.
+    def _note_disk_error(
+        self, key: Key = None, state: Optional[_KeyState] = None
+    ) -> None:
+        """Record a failed durable write and react.
 
         A store-wide streak of ``degrade_after`` consecutive faults
-        enters degraded mode; a per-key streak (or a torn WAL tail,
+        enters degraded mode.  For a write of ``key``'s live epoch
+        (``state`` given), a per-key streak (or a torn WAL tail,
         immediately) rotates just that key's epoch so one poisoned
         segment file cannot wedge the key while the rest of the store
-        stays healthy.
+        stays healthy; a failed checkpoint write passes no ``state``, as
+        the freeze that wrote it already closed the epoch.
         """
         assert self._durability is not None
         self._c_disk_errors.inc()
         self._error_streak += 1
-        state.disk_streak += 1
+        if state is not None:
+            state.disk_streak += 1
         if self._error_streak >= self._degrade_after:
             self._enter_degraded()
             return
-        if state.disk_streak >= self._degrade_after or (
-            isinstance(key, str)
-            and self._durability.writer_broken(key, state.epoch)
+        if state is not None and (
+            state.disk_streak >= self._degrade_after
+            or (
+                isinstance(key, str)
+                and self._durability.writer_broken(key, state.epoch)
+            )
         ):
             state.disk_streak = 0
             self._rotate_epoch(key, state)
-
-    def _note_demote_error(self) -> None:
-        """A checkpoint write failed (no key rotation — the freeze that
-        triggered it already rotated the epoch)."""
-        self._c_disk_errors.inc()
-        self._error_streak += 1
-        if self._error_streak >= self._degrade_after:
-            self._enter_degraded()
 
     def _rotate_epoch(self, key: Key, state: _KeyState) -> None:
         """Abandon the key's current WAL epoch for a fresh segment file.
@@ -1456,7 +1365,7 @@ class SessionStore:
                 )
             except DurabilityError:
                 kept.append(entry)
-                self._note_demote_error()
+                self._note_disk_error()
             else:
                 state.frozen[position] = demoted
                 state.frozen_columns = None
@@ -1561,6 +1470,15 @@ class SessionStore:
             raise ValueWidthError(
                 f"key {key!r} holds {state.width} aggregate values per "
                 f"tuple; the pushed chunk has {chunk.dimensions}"
+            )
+
+    def _check_key(self, key: Key) -> None:
+        """Durable stores name a directory after each key."""
+        if self._durability is not None and (
+            not isinstance(key, str) or not key
+        ):
+            raise ServiceError(
+                f"durable stores require non-empty string keys, got {key!r}"
             )
 
     def _require(self, key: Key) -> _KeyState:

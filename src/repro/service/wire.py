@@ -55,6 +55,10 @@ WIRE_VERSION = 1
 
 _SEGMENT_COLUMNS = ("starts", "ends", "values", "groups", "group_keys")
 
+#: The numeric column dtypes (``docs/FORMATS.md`` § 2): little-endian.
+_INT64 = np.dtype("<i8")
+_FLOAT64 = np.dtype("<f8")
+
 
 class WireError(ValueError):
     """A payload that cannot be wire-encoded, or malformed wire bytes."""
@@ -134,16 +138,16 @@ def segments_from_columns(
     missing = [name for name in _SEGMENT_COLUMNS if name not in columns]
     if missing:
         raise WireError(f"segment payload is missing columns {missing}")
-    for name, kind, ndim in (
-        ("starts", "i", 1), ("ends", "i", 1), ("groups", "i", 1),
-        ("values", "f", 2),
+    for name, dtype, ndim in (
+        ("starts", _INT64, 1), ("ends", _INT64, 1), ("groups", _INT64, 1),
+        ("values", _FLOAT64, 2),
     ):
         column = columns[name]
-        if column.ndim != ndim or column.dtype.kind != kind:
+        if column.ndim != ndim or column.dtype != dtype:
             raise WireError(
-                f"{name} column must be a {ndim}-dimensional "
-                f"{'integer' if kind == 'i' else 'float'} array, got "
-                f"{column.dtype} with shape {column.shape}"
+                f"{name} column must be a {ndim}-dimensional little-endian "
+                f"{dtype.name} array, got {column.dtype.str} with shape "
+                f"{column.shape}"
             )
     group_keys = _json_value(columns["group_keys"], "group_keys")
     if not isinstance(group_keys, list) or not all(
@@ -206,6 +210,13 @@ def result_columns(result: Any) -> Dict[str, np.ndarray]:
     ``PTAR`` wire format and the durability tier's ``PTAC`` checkpoint
     files (:mod:`repro.storage.wal`) pack; they differ only in magic tag.
     """
+    return {
+        **_segment_image(result.segments),
+        "meta": _meta_column(result),
+    }
+
+
+def _meta_column(result: Any) -> np.ndarray:
     meta = {
         "error": result.error,
         "size": result.size,
@@ -218,10 +229,7 @@ def result_columns(result: Any) -> Dict[str, np.ndarray]:
         "value_columns": list(result.value_columns),
         "timestamp_name": result.timestamp_name,
     }
-    return {
-        **_segment_image(result.segments),
-        "meta": _json_column(meta, "result metadata"),
-    }
+    return _json_column(meta, "result metadata")
 
 
 def decode_result(data: bytes) -> Any:
@@ -230,12 +238,27 @@ def decode_result(data: bytes) -> Any:
 
 
 def result_meta(columns: Mapping[str, np.ndarray]) -> Dict[str, Any]:
-    """Parse and validate the ``meta`` side column of a result payload."""
+    """Parse and validate the ``meta`` side column of a result payload.
+
+    Also holds the one rule result payloads add to the segment columns':
+    a result's segments are a list, which encodes zero rows as a
+    ``(0, 0)`` value matrix.
+    """
     if "meta" not in columns:
         raise WireError("result payload is missing the meta column")
     meta = _json_value(columns["meta"], "meta")
     if not isinstance(meta, dict):
         raise WireError("meta column must decode to a JSON object")
+    values = columns.get("values")
+    if (
+        values is not None
+        and values.shape[:1] == (0,)
+        and values.shape != (0, 0)
+    ):
+        raise WireError(
+            f"a zero-row result payload carries values of shape "
+            f"{values.shape}; the encoder writes (0, 0)"
+        )
     return meta
 
 
@@ -244,9 +267,10 @@ def result_from_columns(columns: Dict[str, np.ndarray]) -> Any:
     from ..api.result import Result
 
     meta = result_meta(columns)
-    segments = list(segments_from_columns(columns))
+    encoded = segments_from_columns(columns)
+    segments = list(encoded)
     try:
-        return Result(
+        result = Result(
             segments=segments,
             error=float(meta["error"]),
             size=int(meta["size"]),
@@ -261,6 +285,23 @@ def result_from_columns(columns: Dict[str, np.ndarray]) -> Any:
         )
     except (KeyError, TypeError, ValueError) as error:
         raise WireError(f"malformed result metadata: {error}") from error
+    # The encoder writes a result from its segment list and statistics:
+    # groups interned in order of first appearance, each key once, and
+    # the meta object of exactly these fields and types.
+    interned = _to_columns(segments)
+    if interned.group_keys != encoded.group_keys or not np.array_equal(
+        interned.groups, encoded.groups
+    ):
+        raise WireError(
+            "result group ids must be interned in order of first "
+            "appearance, each group key once"
+        )
+    if _meta_column(result).tobytes() != columns["meta"].tobytes():
+        raise WireError(
+            "malformed result metadata: a statistic of another type, or "
+            "fields other than the encoder's"
+        )
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -390,10 +431,24 @@ def _json_column(payload: Any, what: str) -> np.ndarray:
 
 
 def _json_value(column: np.ndarray, what: str) -> Any:
+    """Parse a JSON side column, accepting only the encoder's spelling."""
+    if column.ndim != 1 or column.dtype != np.uint8:
+        raise WireError(
+            f"{what} column must be a 1-dimensional uint8 array, got "
+            f"{column.dtype.str} with shape {column.shape}"
+        )
+    blob = column.tobytes()
     try:
-        return json.loads(bytes(np.asarray(column, dtype=np.uint8)))
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        value = json.loads(blob)
+        canonical = json.dumps(value, allow_nan=False).encode("utf-8")
+    except ValueError as error:  # bad JSON or UTF-8, or NaN
         raise WireError(f"malformed JSON in {what} column: {error}") from error
+    if canonical != blob:
+        raise WireError(
+            f"{what} column is not canonical JSON (the encoder would "
+            f"write {canonical[:64]!r})"
+        )
+    return value
 
 
 def _int_column(items: List[Any], what: str) -> np.ndarray:

@@ -254,6 +254,42 @@ class TestCatchUp:
             oracle.push("k", chunk)
         _assert_same_answers(standby.promote(), oracle, hi=599)
 
+    def test_durable_standby_queues_an_install_whose_checkpoint_fails(
+        self, tmp_path
+    ):
+        # install_frozen runs the freeze path's epoch ladder: a failed
+        # checkpoint write keeps the epoch resident and queued, the next
+        # healthy push demotes it, and recovery serves the same bytes.
+        primary = SessionStore(size=80)
+        chunks = _chunks()
+        for chunk in chunks[:8]:
+            primary.push("k", chunk)
+        frozen = primary.freeze("k")
+        standby = standby_store(size=80, data_dir=tmp_path / "s")
+        enospc = OSError(28, "No space left on device")
+        with failpoints.activated(
+            {"checkpoint.write": failpoints.Raise(enospc, times=1)}
+        ):
+            standby.install_frozen("k", frozen)
+        [epoch] = standby.frozen_epochs("k")
+        assert epoch.resident
+        assert standby._pending_demote == [("k", 0, 0)]
+        assert standby.stats().disk_errors == 1
+        assert not standby.degraded
+        for chunk in chunks[8:]:
+            primary.push("k", chunk)
+            standby.push("k", chunk)
+        [epoch] = standby.frozen_epochs("k")
+        assert not epoch.resident
+        assert epoch.path is not None and epoch.path.exists()
+        assert standby._pending_demote == []
+        served = encode_segments(standby.snapshot_columns("k"))
+        assert served == encode_segments(primary.snapshot_columns("k"))
+        standby.close()
+        recovered = standby_store(size=80, data_dir=tmp_path / "s")
+        assert encode_segments(recovered.snapshot_columns("k")) == served
+        recovered.close()
+
 
 # ----------------------------------------------------------------------
 # Failover: the randomized bit-identity suite
@@ -665,6 +701,20 @@ class TestQuorum:
         good.connected = True
         with pytest.raises(ServiceError, match="diverged"):
             store.resync(good, applied_seq=good.acked_seq)
+
+    def test_sink_raising_during_catch_up_is_disconnected(self, tmp_path):
+        # Catch-up delivers through the same path as fan-out, quorum and
+        # resync: a raising sink is cut off, and replicate_to reports it
+        # as a ServiceError instead of leaking the sink's exception.
+        store = SessionStore(size=80, data_dir=tmp_path / "p")
+        for chunk in _chunks(n=120, chunk=40):
+            store.push("k", chunk)
+        broken = _BrokenSink()
+        with pytest.raises(ServiceError, match="during catch-up"):
+            store.replicate_to(broken)
+        assert not broken.connected
+        assert store.stats().sinks == ()
+        store.close()
 
     def test_http_push_answers_503_replication_quorum(self, standbys):
         standby = standbys()

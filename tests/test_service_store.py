@@ -109,11 +109,6 @@ class TestStoreBasics:
             SessionStore()
         with pytest.raises(ValueError, match="exactly one"):
             SessionStore(size=3, max_error=0.5)
-        with pytest.raises(ServiceError, match="not both"):
-            SessionStore(
-                size=3, eviction=LRUTTLEviction(max_sessions=2),
-                max_sessions=2,
-            )
 
     def test_failing_session_factory_leaves_no_phantom_key(self):
         def boom(key: str) -> Compressor:
@@ -130,6 +125,21 @@ class TestStoreBasics:
         with pytest.raises(ServiceError, match="must return a Compressor"):
             bad.push("k", stream_for("k", 3))
         assert "k" not in bad
+
+    def test_failing_apply_leaves_no_phantom_key(self):
+        def finalized(key: str) -> Compressor:
+            session = Compressor(SizeBudget(4))
+            session.finalize()  # every push into it raises
+            return session
+
+        store = SessionStore(session_factory=finalized)
+        with pytest.raises(RuntimeError):
+            store.push("k", stream_for("k", 3))
+        assert store.keys() == []
+        assert not store.is_live("k")
+        assert store.stats().live_sessions == 0
+        with pytest.raises(ServiceError, match="unknown stream key"):
+            store.snapshot("k")
 
     def test_session_factory_per_key_budgets(self):
         def factory(key: str) -> Compressor:
