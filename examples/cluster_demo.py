@@ -22,8 +22,8 @@ distribution contracts the tier makes:
    is killed mid-stream (the quorum is satisfied by the survivor), and
    when an *empty* replacement comes back at the dead standby's address
    the severed link re-seeds it on its own — auto-resync, no manual
-   ``replicate_to`` — until the replacement serves the full history
-   bit-identically.
+   ``replicate_to``, the frozen epoch shipped as its checkpoint image —
+   until the replacement serves the full history bit-identically.
 
 Run with::
 
@@ -179,6 +179,9 @@ def main() -> int:
     half = len(chunks) // 2
     for chunk in chunks[:half]:
         primary.push("sensor", chunk)  # each ack waited for a standby ack
+    # One demoted epoch: the replacement's catch-up below ships its
+    # checkpoint image through the socket as a FROZEN frame.
+    primary.freeze("sensor")
 
     # Kill one standby mid-stream: close its server, then sever the
     # established link with a one-shot socket fault (the in-process

@@ -8,7 +8,8 @@ just *shipping that same delta log over a socket as it is written*:
 * :class:`ReplicationLink` is the primary-side
   :class:`~repro.service.store.ReplicationSink`.  :meth:`attach` catches
   the standby up under the store lock — frozen epochs as ``KIND_FROZEN``
-  frames (``PTAR`` bytes, installed verbatim), the live epochs'
+  frames (each epoch's column image as ``PTAR`` bytes: a demoted
+  epoch's checkpoint, re-tagged), the live epochs'
   acknowledged pushes as ``KIND_PUSH`` frames tailed straight from the
   primary's WAL files, every catch-up frame carrying the
   ``CATCH_UP_SEQ`` sentinel and a final ``KIND_CATCHUP`` marker
@@ -38,7 +39,9 @@ just *shipping that same delta log over a socket as it is written*:
   (the same staged-insert path the primary ran, hence bit-identical
   state), ``FREEZE`` through ``store.freeze`` (finalize is
   deterministic, so the standby's frozen summary equals the primary's),
-  ``FROZEN`` through ``store.install_frozen``.  Acks are sent only
+  ``FROZEN`` through ``store.install_frozen`` (the validated image as
+  shipped, no segment objects, so a durable standby writes checkpoint
+  bytes identical to the primary's).  Acks are sent only
   *after* the frame is applied, so an acknowledged generation is never
   lost by a primary failure.
 * :meth:`StandbyServer.promote` is failover: frame application stops,
@@ -66,7 +69,7 @@ from typing import Optional, Tuple, Union
 from ..api.plan import Budget, ExecutionPolicy
 from ..obs import metrics as _metrics
 from ..service.store import CATCH_UP_SEQ, ServiceError, SessionStore
-from ..service.wire import WireError, decode_result, decode_segments
+from ..service.wire import WireError, decode_image, decode_segments
 from ..util import failpoints
 from ..util.backoff import DEFAULT_CAP_S as DEFAULT_RECONNECT_CAP_S
 from ..util.backoff import Backoff
@@ -559,7 +562,7 @@ class StandbyServer(FrameServer):
         elif kind == KIND_FREEZE:
             self.store.freeze(key)
         else:
-            self.store.install_frozen(key, decode_result(body))
+            self.store.install_frozen(key, decode_image(body))
 
     def _answer_promoted(self, sock: socket.socket) -> None:
         send_frame(

@@ -17,12 +17,12 @@ chunk as ``PTAS`` bytes — to the live epoch's segment file
 (:class:`repro.storage.wal.WalWriter`; length-prefixed, CRC-checked,
 fsynced per the ``fsync_every`` cadence).  When an epoch freezes —
 eviction, a manual ``freeze()``, or the deterministic
-``checkpoint_every`` push-count trigger — the finalized summary is
+``checkpoint_every`` push-count trigger — the epoch's column image is
 written as an atomic ``PTAC`` checkpoint and the epoch's WAL is deleted:
-*demotion*, memory → disk.  A demoted :class:`FrozenEpoch` serves its
-columns as zero-copy views over an ``mmap`` of the checkpoint
-(:func:`repro.storage.wal.load_checkpoint`), so resident memory per key
-is bounded by the live session alone.
+*demotion*, memory → disk.  A demoted :class:`FrozenEpoch` holds the
+same image as zero-copy views over an ``mmap`` of the checkpoint
+(:func:`repro.storage.wal.load_checkpoint`), validated on first use, so
+resident memory per key is bounded by the live session alone.
 
 **The replay invariant.**  Recovery (:meth:`Durability.recover`) loads
 every checkpointed epoch and replays the live epoch's WAL tail through
@@ -57,13 +57,13 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 from urllib.parse import quote, unquote
 
 import numpy as np
 
 from ..api.result import Result
-from ..core.kernels import EncodedSegments, encode_segments
+from ..core.kernels import EncodedSegments
 from ..obs.tracing import span
 from ..util import failpoints
 from ..storage.wal import (
@@ -74,12 +74,11 @@ from ..storage.wal import (
     write_checkpoint,
 )
 from .wire import (
+    Image,
     WireError,
+    checked_image,
     decode_segments,
-    result_columns,
     result_from_columns,
-    result_meta,
-    segments_from_columns,
 )
 
 _EPOCH_FILE = re.compile(r"^epoch-(\d{8})\.(wal|ckpt)$")
@@ -123,132 +122,92 @@ def decode_key(name: str) -> str:
 
 
 class FrozenEpoch:
-    """One finalized epoch of a key: resident in memory or demoted to disk.
+    """One finalized epoch of a key, held as its column image.
 
-    The store's frozen list used to hold full :class:`Result` objects;
-    this wrapper lets an epoch instead live as a ``PTAC`` checkpoint file
-    whose columns are mmap'd in lazily (:meth:`columns`) and whose
-    segment objects are only materialised when :meth:`result` is
-    explicitly asked for — so a demoted key costs file-system pages, not
-    process memory.
+    The image is the dict of :func:`~repro.service.wire.result_columns`:
+    the segment columns plus the ``meta`` column, byte for byte what a
+    ``PTAC`` checkpoint and a ``PTAR`` payload pack.  A resident epoch
+    holds it in memory; a demoted one maps it from its checkpoint on
+    first use (:func:`~repro.storage.wal.load_checkpoint`), so a demoted
+    key costs file-system pages, not process memory.  Either way the
+    image passes :func:`~repro.service.wire.checked_image` once before
+    anything is read from it, and a failure of the file or of that check
+    raises :class:`DurabilityError` naming the file.
     """
 
-    __slots__ = ("_result", "_path", "_raw", "_meta", "_snapshot")
+    __slots__ = ("path", "_image", "_columns", "_meta")
 
     def __init__(
-        self,
-        result: Optional[Result] = None,
-        path: Optional[Path] = None,
+        self, image: Optional[Image] = None, path: Optional[Path] = None
     ) -> None:
-        if (result is None) == (path is None):
+        if (image is None) == (path is None):
             raise DurabilityError(
-                "a FrozenEpoch is either in-memory (result=) or "
-                "disk-backed (path=), exactly one"
+                "a FrozenEpoch holds its image (image=) or names its "
+                "checkpoint (path=), exactly one"
             )
-        self._result = result
-        self._path = path
-        self._raw: Optional[Dict[str, np.ndarray]] = None
-        self._meta: Optional[Dict[str, object]] = None
-        self._snapshot: Optional[EncodedSegments] = None
-
-    @classmethod
-    def from_result(cls, result: Result) -> "FrozenEpoch":
-        """An epoch frozen in RAM (the non-durable store's behaviour)."""
-        return cls(result=result)
+        #: The checkpoint file of a demoted epoch (``None`` if resident).
+        self.path = path
+        self._image = image
+        self._columns: Optional[EncodedSegments] = None
+        self._meta: Dict[str, Any] = {}
 
     @classmethod
     def from_checkpoint(cls, path: Union[str, Path]) -> "FrozenEpoch":
         """An epoch demoted to a checkpoint file, loaded lazily via mmap."""
         return cls(path=Path(path))
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     @property
     def resident(self) -> bool:
-        """Whether the epoch's summary is held in process memory."""
-        return self._result is not None
-
-    @property
-    def path(self) -> Optional[Path]:
-        """The checkpoint file of a demoted epoch (``None`` if resident)."""
-        return self._path
+        """Whether the epoch's image is held in process memory."""
+        return self.path is None
 
     @property
     def error(self) -> float:
-        return (
-            self._result.error
-            if self._result is not None
-            else float(self._load_meta()["error"])  # type: ignore[arg-type]
-        )
+        return self._checked()[1]["error"]
 
     @property
     def size(self) -> int:
-        return (
-            self._result.size
-            if self._result is not None
-            else int(self._load_meta()["size"])  # type: ignore[call-overload]
-        )
+        return self._checked()[1]["size"]
 
     @property
     def input_size(self) -> int:
-        return (
-            self._result.input_size
-            if self._result is not None
-            else int(self._load_meta()["input_size"])  # type: ignore[call-overload]
-        )
+        return self._checked()[1]["input_size"]
 
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
+    def image(self) -> Image:
+        """The validated column image (mmap views for a demoted epoch)."""
+        self._checked()
+        assert self._image is not None
+        return self._image
+
     def columns(self) -> EncodedSegments:
-        """The epoch's summary as flat snapshot columns.
+        """The epoch's summary as flat snapshot columns, built once.
 
-        Disk-backed epochs return read-only zero-copy views over the
-        checkpoint's memory map — validated by the ``PTAS`` row checks,
-        built once, then cached; the OS pages the data in on demand.  A
-        checkpoint that fails to load or validate raises
-        :class:`DurabilityError`.
+        A demoted epoch's are read-only zero-copy views over the
+        checkpoint's memory map, which the OS pages in on demand.
         """
-        if self._snapshot is None:
-            if self._result is not None:
-                self._snapshot = encode_segments(self._result.segments)
-            else:
-                try:
-                    raw = self._load_raw()
-                    self._meta = result_meta(raw)  # validates the side column
-                    self._snapshot = segments_from_columns(raw)
-                except (WalError, WireError) as error:
-                    raise DurabilityError(
-                        f"checkpoint {self._path} cannot be served: {error}"
-                    ) from error
-        return self._snapshot
+        return self._checked()[0]
 
     def result(self) -> Result:
         """The epoch as a full :class:`Result` (materialised segments).
 
-        Resident epochs return the stored object.  Demoted epochs
-        materialise segment objects from the checkpoint *on every call*
-        (deliberately uncached — this is the slow introspection path; the
-        serving path reads :meth:`columns`).
+        Built on every call (deliberately uncached — this is the slow
+        introspection path; serving reads :meth:`columns`).
         """
-        if self._result is not None:
-            return self._result
-        return result_from_columns(dict(self._load_raw()))
+        return result_from_columns(self.image())
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _load_raw(self) -> Dict[str, np.ndarray]:
-        if self._raw is None:
-            assert self._path is not None
-            self._raw = load_checkpoint(self._path)
-        return self._raw
-
-    def _load_meta(self) -> Dict[str, object]:
-        if self._meta is None:
-            self._meta = result_meta(self._load_raw())
-        return self._meta
+    def _checked(self) -> Tuple[EncodedSegments, Dict[str, Any]]:
+        if self._columns is None:
+            try:
+                if self._image is None:
+                    assert self.path is not None
+                    self._image = load_checkpoint(self.path)
+                self._columns, self._meta = checked_image(self._image)
+            except (WalError, WireError) as error:
+                where = "resident" if self.path is None else self.path
+                raise DurabilityError(
+                    f"frozen epoch {where} cannot be served: {error}"
+                ) from error
+        return self._columns, self._meta
 
 
 @dataclass
@@ -506,8 +465,8 @@ class Durability:
         self._dirty.clear()
         self._since_sync = 0
 
-    def demote(self, key: str, epoch: int, result: Result) -> FrozenEpoch:
-        """Persist a finalized epoch and drop its WAL (memory → disk).
+    def demote(self, key: str, epoch: int, image: Image) -> FrozenEpoch:
+        """Persist a frozen epoch's image and drop its WAL (memory → disk).
 
         Writes the ``PTAC`` checkpoint atomically *before* deleting the
         WAL, so a crash anywhere in between leaves a recoverable state
@@ -521,7 +480,7 @@ class Durability:
         try:
             directory.mkdir(parents=True, exist_ok=True)
             target = self.checkpoint_path(key, epoch)
-            write_checkpoint(target, result_columns(result))
+            write_checkpoint(target, image)
         except OSError as error:
             raise DurabilityError(
                 f"checkpoint write failed for key {key!r} epoch "

@@ -67,7 +67,13 @@ from ..obs.tracing import span
 from ..storage.wal import iter_wal_frames
 from ..util.deadline import current_deadline
 from .durability import Durability, DurabilityError, FrozenEpoch, PushToken
-from .wire import checked_segments, encode_result, encode_segments
+from .wire import (
+    Image,
+    checked_segments,
+    encode_image,
+    encode_segments,
+    result_columns,
+)
 
 #: Stream keys are ordinary hashable identifiers (strings in the HTTP
 #: front end, but any hashable works in process).
@@ -139,7 +145,8 @@ class ReplicationSink(Protocol):
         live session at the same point (finalize is deterministic)."""
 
     def on_frozen(self, key: "Key", payload: bytes, seq: int) -> None:
-        """Catch-up only: a pre-existing frozen epoch as ``PTAR`` bytes,
+        """Catch-up only: a pre-existing frozen epoch's column image as
+        ``PTAR`` bytes (a demoted epoch's checkpoint, re-tagged),
         installed verbatim on the standby without replaying its pushes."""
 
     def on_catch_up(self, seq: int) -> None:
@@ -886,7 +893,8 @@ class SessionStore:
     def _freeze_state(self, key: Key, state: _KeyState) -> Result:
         """Finalize the live session into a frozen epoch.
 
-        In durable mode this is *demotion*: the finalized summary is
+        Builds the epoch's column image, once.  In durable mode this is
+        *demotion*: the image is
         written as an atomic checkpoint, the epoch's WAL is deleted, and
         only an mmap-backed :class:`FrozenEpoch` stays behind — the RAM
         copy is dropped, so eviction now bounds memory without bounding
@@ -899,7 +907,7 @@ class SessionStore:
         with span("freeze"):
             frozen = state.session.finalize()
         state.session = None
-        self._close_epoch(key, state, frozen)
+        self._close_epoch(key, state, FrozenEpoch(result_columns(frozen)))
         # Freezes are replicated events: a primary that froze at push g
         # serves frozen-summary + fresh-session answers, which differ
         # from one uninterrupted session's — the standby must finalize
@@ -910,25 +918,20 @@ class SessionStore:
             self._replicate("on_freeze", key)
         return frozen
 
-    def _close_epoch(self, key: Key, state: _KeyState, result: Result) -> None:
-        """Keep ``result`` as the key's next frozen epoch; open the next.
+    def _close_epoch(self, key: Key, state: _KeyState, epoch: FrozenEpoch) -> None:
+        """Keep a resident ``epoch`` as the key's next frozen one; open the next.
 
         Durable stores demote it to a checkpoint.  If the write fails, or
         the store is degraded, the epoch stays resident and is queued in
         :attr:`_pending_demote`.
         """
-        epoch: Optional[FrozenEpoch] = None
         if self._durability is not None and not self._degraded:
             try:
-                epoch = self._durability.demote(key, state.epoch, result)
+                epoch = self._durability.demote(key, state.epoch, epoch.image())
             except DurabilityError:
                 self._note_disk_error()
-        if epoch is None:
-            epoch = FrozenEpoch.from_result(result)
-            if self._durability is not None:
-                self._pending_demote.append(
-                    (key, state.epoch, len(state.frozen))
-                )
+        if epoch.resident and self._durability is not None:
+            self._pending_demote.append((key, state.epoch, len(state.frozen)))
         state.frozen.append(epoch)
         state.frozen_columns = None  # rebuilt lazily on the next read
         state.epoch += 1
@@ -971,8 +974,8 @@ class SessionStore:
         """Atomically catch a sink up on the full history, then register.
 
         Under the store lock — so no push can interleave — every key's
-        frozen epochs stream first (``on_frozen`` with the epoch's
-        ``PTAR`` bytes, installed verbatim on the standby), then the
+        frozen epochs stream first (``on_frozen`` with the epoch's image
+        as ``PTAR`` bytes, installed verbatim on the standby), then the
         live epoch's acknowledged pushes replay from its WAL frames
         (``on_push`` — the standby applies them through its own
         sessions, reproducing the live state bit-identically by the
@@ -1005,8 +1008,8 @@ class SessionStore:
         """
         for key, state in self._states.items():
             for epoch in state.frozen:
-                payload = encode_result(epoch.result())
-                yield "on_frozen", (key, payload, CATCH_UP_SEQ)
+                # A demoted epoch's checkpoint, re-tagged: no segment object.
+                yield "on_frozen", (key, encode_image(epoch.image()), CATCH_UP_SEQ)
             if state.session is not None and state.session.pushed > 0:
                 if self._durability is None or state.dirty:
                     raise ServiceError(
@@ -1097,18 +1100,21 @@ class SessionStore:
             if sink not in self._sinks:
                 self._sinks.append(sink)
 
-    def install_frozen(self, key: Key, result: Result) -> None:
-        """Install a finalized summary as the key's next frozen epoch.
+    def install_frozen(self, key: Key, image: Image) -> None:
+        """Install a frozen epoch's column image as the key's next epoch.
 
         The standby-side counterpart of catch-up ``on_frozen`` frames:
-        the epoch is installed verbatim — the merge policy is **not**
-        re-run — exactly as if this store had frozen it itself (durable
-        stores demote it to a checkpoint).  Only valid while the key has
+        the image is installed verbatim — the merge policy is **not**
+        re-run, no segment object is built — exactly as if this store
+        had frozen it itself (durable stores write it as a checkpoint,
+        byte-identical to the primary's).  Only valid while the key has
         no live session; pushes for the key must arrive after every
         frozen epoch is installed, mirroring the primary's history.
         """
         with self._lock:
             self._check_key(key)
+            epoch = FrozenEpoch(image)
+            tuples = epoch.input_size  # validates the image
             state = self._states.get(key)
             if state is None:
                 state = _KeyState()
@@ -1118,11 +1124,11 @@ class SessionStore:
                     f"key {key!r} already has a live session; frozen "
                     f"epochs must be installed before live pushes"
                 )
-            self._close_epoch(key, state, result)
-            state.pushed += result.input_size
+            self._close_epoch(key, state, epoch)
+            state.pushed += tuples
             state.last_access = self._clock()
             self._states.move_to_end(key)
-            self._c_pushed.inc(result.input_size)
+            self._c_pushed.inc(tuples)
 
     def _replicate(self, hook: str, *args: Any) -> None:
         """Stamp the next sequence number, deliver one event to every
@@ -1360,9 +1366,7 @@ class SessionStore:
             if not epoch.resident:
                 continue
             try:
-                demoted = self._durability.demote(
-                    key, epoch_index, epoch.result()
-                )
+                demoted = self._durability.demote(key, epoch_index, epoch.image())
             except DurabilityError:
                 kept.append(entry)
                 self._note_disk_error()
@@ -1408,7 +1412,9 @@ class SessionStore:
                     (
                         epoch_index,
                         self._durability.demote(
-                            record.key, epoch_index, session.finalize()
+                            record.key,
+                            epoch_index,
+                            result_columns(session.finalize()),
                         ),
                     )
                 )

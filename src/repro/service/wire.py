@@ -31,12 +31,15 @@ bits, so ``decode_segments(encode_segments(s)) == s`` holds with exact
 equality.  JSON bodies (:func:`segments_from_objs`) and the JSON-lines
 debug encoding (:func:`segments_to_jsonl` / :func:`segments_from_jsonl`,
 float-exact through the ``repr`` roundtrip) parse into the same columns.
+A result's column image (:func:`result_columns`) has one check too,
+:func:`checked_image`, whether it comes as ``PTAR`` bytes or from a
+``PTAC`` checkpoint.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Mapping, Union
+from typing import Any, Dict, Iterable, List, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +61,11 @@ _SEGMENT_COLUMNS = ("starts", "ends", "values", "groups", "group_keys")
 #: The numeric column dtypes (``docs/FORMATS.md`` § 2): little-endian.
 _INT64 = np.dtype("<i8")
 _FLOAT64 = np.dtype("<f8")
+
+
+#: A result's column image (:func:`result_columns`): the ``PTAS`` columns
+#: plus ``meta``.  A frozen epoch is held as one from freeze to standby.
+Image = Mapping[str, np.ndarray]
 
 
 class WireError(ValueError):
@@ -96,8 +104,9 @@ def checked_segments(
 
     Columns pass through: they come from a decoder, which has already
     checked them.  Segment objects are encoded once and get the checks of
-    a decoded payload, so every push path rejects the same inputs with
-    the same :class:`WireError`.
+    a decoded payload, group keys the wire cannot encode (a ``date``, a
+    NaN) among them, so every push path, on every store, rejects the same
+    inputs with the same :class:`WireError` before any state exists.
     """
     if isinstance(segments, EncodedSegments):
         return segments
@@ -107,6 +116,7 @@ def checked_segments(
         encoded = _to_columns(segments)
     except TypeError as error:
         raise WireError(f"segment groups must be hashable: {error}") from error
+    _group_key_column(encoded.group_keys)  # what the encoders refuse
     return _validated(encoded)
 
 
@@ -128,9 +138,8 @@ def segments_from_columns(
     """Validate unpacked segment columns and assemble the flat encoding.
 
     The one way raw columns become :class:`EncodedSegments`: shared by
-    :func:`decode_segments`, :func:`decode_result` and the serving read
-    of ``PTAC`` checkpoints
-    (:meth:`repro.service.durability.FrozenEpoch.columns`).  Every
+    :func:`decode_segments` and :func:`checked_image` (``PTAR`` payloads
+    and ``PTAC`` checkpoints).  Every
     malformed shape, dtype or row surfaces as :class:`WireError` (never
     a raw TypeError or IndexError from downstream array arithmetic on
     untrusted bytes).
@@ -197,9 +206,24 @@ def _validated(encoded: EncodedSegments) -> EncodedSegments:
 # ----------------------------------------------------------------------
 # Result payloads
 # ----------------------------------------------------------------------
+#: The ``meta`` fields of a result image in the encoder's order, each with
+#: the one JSON type it decodes to.
+_META_FIELDS = (
+    ("error", float), ("size", int), ("input_size", int), ("method", str),
+    ("backend", str), ("max_heap_size", int), ("merges", int),
+    ("group_columns", list), ("value_columns", list),
+    ("timestamp_name", str),
+)
+
+
 def encode_result(result: Any) -> bytes:
     """Encode a :class:`repro.api.Result` (summary + stats) into wire bytes."""
-    return pack_columns(result_columns(result), RESULT_MAGIC, WIRE_VERSION)
+    return encode_image(result_columns(result))
+
+
+def encode_image(image: Image) -> bytes:
+    """Pack a result's column image as ``PTAR`` bytes."""
+    return pack_columns(image, RESULT_MAGIC, WIRE_VERSION)
 
 
 def result_columns(result: Any) -> Dict[str, np.ndarray]:
@@ -210,26 +234,15 @@ def result_columns(result: Any) -> Dict[str, np.ndarray]:
     ``PTAR`` wire format and the durability tier's ``PTAC`` checkpoint
     files (:mod:`repro.storage.wal`) pack; they differ only in magic tag.
     """
+    meta = {
+        name: list(getattr(result, name)) if kind is list
+        else getattr(result, name)
+        for name, kind in _META_FIELDS
+    }
     return {
         **_segment_image(result.segments),
-        "meta": _meta_column(result),
+        "meta": _json_column(meta, "result metadata"),
     }
-
-
-def _meta_column(result: Any) -> np.ndarray:
-    meta = {
-        "error": result.error,
-        "size": result.size,
-        "input_size": result.input_size,
-        "method": result.method,
-        "backend": result.backend,
-        "max_heap_size": result.max_heap_size,
-        "merges": result.merges,
-        "group_columns": list(result.group_columns),
-        "value_columns": list(result.value_columns),
-        "timestamp_name": result.timestamp_name,
-    }
-    return _json_column(meta, "result metadata")
 
 
 def decode_result(data: bytes) -> Any:
@@ -237,71 +250,82 @@ def decode_result(data: bytes) -> Any:
     return result_from_columns(_unpack(data, RESULT_MAGIC))
 
 
-def result_meta(columns: Mapping[str, np.ndarray]) -> Dict[str, Any]:
-    """Parse and validate the ``meta`` side column of a result payload.
+def decode_image(data: bytes) -> Dict[str, np.ndarray]:
+    """Unpack ``PTAR`` bytes into a validated column image (no segment
+    objects): what a standby installs from a catch-up ``FROZEN`` frame."""
+    image = _unpack(data, RESULT_MAGIC)
+    checked_image(image)
+    return image
 
-    Also holds the one rule result payloads add to the segment columns':
-    a result's segments are a list, which encodes zero rows as a
-    ``(0, 0)`` value matrix.
+
+def checked_image(columns: Image) -> Tuple[EncodedSegments, Dict[str, Any]]:
+    """Validate a result's column image; return its segments and ``meta``.
+
+    The one check of a frozen epoch's image, wherever it comes from: a
+    ``PTAR`` payload, a ``PTAC`` checkpoint or a freeze
+    (:class:`repro.service.durability.FrozenEpoch`).  It accepts exactly
+    what :func:`result_columns` writes: the segment columns of
+    :func:`segments_from_columns`; a zero-row value matrix of shape
+    ``(0, 0)`` (a result's segments are a list); group ids interned in
+    order of first appearance, each group key once; and a ``meta`` object
+    of exactly the encoder's fields, in its order, with its JSON types.
     """
     if "meta" not in columns:
         raise WireError("result payload is missing the meta column")
     meta = _json_value(columns["meta"], "meta")
     if not isinstance(meta, dict):
         raise WireError("meta column must decode to a JSON object")
-    values = columns.get("values")
-    if (
-        values is not None
-        and values.shape[:1] == (0,)
-        and values.shape != (0, 0)
-    ):
+    names = [name for name, _ in _META_FIELDS]
+    if list(meta) != names:
+        raise WireError(
+            f"malformed result metadata: fields {list(meta)}, the encoder "
+            f"writes {names}"
+        )
+    for name, kind in _META_FIELDS:
+        if type(meta[name]) is not kind:
+            raise WireError(
+                f"malformed result metadata: {name} is a JSON "
+                f"{type(meta[name]).__name__}, the encoder writes a "
+                f"{kind.__name__}"
+            )
+    segments = segments_from_columns(columns)
+    if not len(segments) and segments.values.shape != (0, 0):
         raise WireError(
             f"a zero-row result payload carries values of shape "
-            f"{values.shape}; the encoder writes (0, 0)"
+            f"{segments.values.shape}; the encoder writes (0, 0)"
         )
-    return meta
-
-
-def result_from_columns(columns: Dict[str, np.ndarray]) -> Any:
-    """Rebuild a :class:`~repro.api.result.Result` from its column image."""
-    from ..api.result import Result
-
-    meta = result_meta(columns)
-    encoded = segments_from_columns(columns)
-    segments = list(encoded)
-    try:
-        result = Result(
-            segments=segments,
-            error=float(meta["error"]),
-            size=int(meta["size"]),
-            input_size=int(meta["input_size"]),
-            method=str(meta["method"]),
-            backend=str(meta["backend"]),
-            max_heap_size=int(meta["max_heap_size"]),
-            merges=int(meta["merges"]),
-            group_columns=tuple(meta["group_columns"]),
-            value_columns=tuple(meta["value_columns"]),
-            timestamp_name=str(meta["timestamp_name"]),
+    groups, keys = segments.groups, segments.group_keys
+    if len(groups):
+        # Interned in order of first appearance: each id is at most one
+        # above every id before it, and the ids cover every key.
+        seen = np.maximum.accumulate(groups)
+        interned = (
+            groups[0] == 0
+            and bool((groups[1:] <= seen[:-1] + 1).all())
+            and int(seen[-1]) + 1 == len(keys)
         )
-    except (KeyError, TypeError, ValueError) as error:
-        raise WireError(f"malformed result metadata: {error}") from error
-    # The encoder writes a result from its segment list and statistics:
-    # groups interned in order of first appearance, each key once, and
-    # the meta object of exactly these fields and types.
-    interned = _to_columns(segments)
-    if interned.group_keys != encoded.group_keys or not np.array_equal(
-        interned.groups, encoded.groups
-    ):
+    else:
+        interned = not keys
+    if not interned or len(set(keys)) != len(keys):
         raise WireError(
             "result group ids must be interned in order of first "
             "appearance, each group key once"
         )
-    if _meta_column(result).tobytes() != columns["meta"].tobytes():
-        raise WireError(
-            "malformed result metadata: a statistic of another type, or "
-            "fields other than the encoder's"
-        )
-    return result
+    return segments, meta
+
+
+def result_from_columns(columns: Image) -> Any:
+    """Rebuild a :class:`~repro.api.result.Result` from its column image."""
+    from ..api.result import Result
+
+    segments, meta = checked_image(columns)
+    return Result(
+        segments=list(segments),
+        **{
+            name: tuple(value) if isinstance(value, list) else value
+            for name, value in meta.items()
+        },
+    )
 
 
 # ----------------------------------------------------------------------
@@ -352,6 +376,7 @@ def segments_from_objs(objs: Iterable[Any]) -> EncodedSegments:
         raise WireError(
             f"segment values must be equal-length arrays of numbers: {error}"
         ) from error
+    _group_key_column(list(group_ids))  # a JSON ``NaN`` parses
     return _validated(
         EncodedSegments(
             _int_column(starts, "start"), _int_column(ends, "end"), values,
@@ -471,15 +496,18 @@ __all__ = [
     "RESULT_MAGIC",
     "SEGMENTS_MAGIC",
     "WIRE_VERSION",
+    "Image",
     "WireError",
+    "checked_image",
     "checked_segments",
+    "decode_image",
     "decode_result",
     "decode_segments",
+    "encode_image",
     "encode_result",
     "encode_segments",
     "result_columns",
     "result_from_columns",
-    "result_meta",
     "segment_from_obj",
     "segment_to_obj",
     "segments_from_columns",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import struct
 import urllib.error
 import urllib.request
@@ -238,7 +239,7 @@ class TestKeysAndEpochs:
         result = session.finalize()
         path = tmp_path / "epoch-00000000.ckpt"
         write_checkpoint(path, result_columns(result))
-        resident = FrozenEpoch.from_result(result)
+        resident = FrozenEpoch(result_columns(result))
         demoted = FrozenEpoch.from_checkpoint(path)
         assert resident.resident and not demoted.resident
         assert demoted.error == resident.error == result.error
@@ -266,10 +267,24 @@ def corrupt_checkpoint(path, kind: str) -> None:
         columns["values"] = columns["values"][:, 0]
     elif kind == "row_counts_disagree":
         columns["ends"] = columns["ends"][:-1]
+    elif kind == "missing_meta_field":
+        meta = json.loads(columns["meta"].tobytes())
+        del meta["input_size"]
+        columns["meta"] = _json_bytes(meta)
+    elif kind == "groups_not_interned":
+        # An unused key first: every id is in range, but the first row's
+        # id is 1, not 0.
+        keys = json.loads(columns["group_keys"].tobytes())
+        columns["group_keys"] = _json_bytes([["unused"], *keys])
+        columns["groups"] = columns["groups"] + 1
     else:
         assert kind == "nan_values"
         columns["values"] = np.full_like(columns["values"], np.nan)
     write_checkpoint(path, columns)
+
+
+def _json_bytes(value) -> np.ndarray:
+    return np.frombuffer(json.dumps(value).encode("utf-8"), np.uint8)
 
 
 CORRUPTIONS = [
@@ -277,6 +292,8 @@ CORRUPTIONS = [
     "one_dimensional_values",
     "row_counts_disagree",
     "nan_values",
+    "missing_meta_field",
+    "groups_not_interned",
 ]
 
 
@@ -291,6 +308,30 @@ class TestCorruptCheckpointReads:
         corrupt_checkpoint(path, kind)
         with pytest.raises(DurabilityError, match="cannot be served"):
             FrozenEpoch.from_checkpoint(path).columns()
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    def test_every_read_raises_durability_error(self, tmp_path, kind):
+        path = tmp_path / "epoch-00000000.ckpt"
+        corrupt_checkpoint(path, kind)
+        epoch = FrozenEpoch.from_checkpoint(path)
+        for read in (
+            lambda: epoch.input_size, epoch.image, epoch.result,
+        ):
+            with pytest.raises(DurabilityError, match="cannot be served"):
+                read()
+
+    @pytest.mark.parametrize("kind", ["missing_meta_field", "groups_not_interned"])
+    def test_recovery_raises_durability_error_naming_the_file(
+        self, tmp_path, kind
+    ):
+        store = SessionStore(size=10, data_dir=tmp_path)
+        store.push("k", stream(60, seed=4))
+        store.freeze("k")
+        (epoch,) = store.frozen_epochs("k")
+        store.close()
+        corrupt_checkpoint(epoch.path, kind)
+        with pytest.raises(DurabilityError, match=re.escape(str(epoch.path))):
+            SessionStore(size=10, data_dir=tmp_path)
 
     @pytest.mark.parametrize("kind", CORRUPTIONS)
     def test_range_agg_answers_503_durability(self, tmp_path, kind):

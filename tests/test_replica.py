@@ -56,7 +56,10 @@ from repro.service import (
     encode_segments,
     start_in_background,
 )
+from repro.service import durability, wire
+from repro.service.durability import FrozenEpoch
 from repro.service.store import WAL_COMPACT_FLOOR_BYTES
+from repro.service.wire import result_columns
 from repro.util import failpoints
 from repro.util.deadline import Deadline, DeadlineExceeded, deadline_scope
 from repro.util.health import PeerHealth
@@ -270,7 +273,7 @@ class TestCatchUp:
         with failpoints.activated(
             {"checkpoint.write": failpoints.Raise(enospc, times=1)}
         ):
-            standby.install_frozen("k", frozen)
+            standby.install_frozen("k", result_columns(frozen))
         [epoch] = standby.frozen_epochs("k")
         assert epoch.resident
         assert standby._pending_demote == [("k", 0, 0)]
@@ -289,6 +292,54 @@ class TestCatchUp:
         recovered = standby_store(size=80, data_dir=tmp_path / "s")
         assert encode_segments(recovered.snapshot_columns("k")) == served
         recovered.close()
+
+
+    def test_catch_up_ships_checkpoints_without_segment_objects(
+        self, tmp_path, monkeypatch
+    ):
+        # Three demoted epochs, the first of 20,000 segments, then a live
+        # tail.  Catch-up ships each epoch's image as it is held, and the
+        # durable standby installs it as it arrives: its checkpoints are
+        # the primary's bytes, and no Result or segment list is built.
+        policy = ExecutionPolicy(backend="numpy")
+        primary = SessionStore(
+            size=20_000, policy=policy, data_dir=tmp_path / "p"
+        )
+        stream = synthetic_sequential_segments(21_000, 2, seed=9)
+        for start, stop in ((0, 20_000), (20_000, 20_400), (20_400, 20_800)):
+            for at in range(start, stop, 2_000):
+                primary.push("k", stream[at: min(at + 2_000, stop)])
+            primary.freeze("k")
+        primary.push("k", stream[20_800:])
+        assert primary.frozen_epochs("k")[0].size >= 20_000
+        server, _ = start_standby(
+            standby_store(size=20_000, policy=policy, data_dir=tmp_path / "s")
+        )
+
+        def no_segments(*args, **kwargs):
+            raise AssertionError("catch-up built segment objects")
+
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(FrozenEpoch, "result", no_segments)
+                patch.setattr(wire, "result_from_columns", no_segments)
+                patch.setattr(durability, "result_from_columns", no_segments)
+                ReplicationLink(server.address).attach(primary)
+            shipped = sorted((tmp_path / "p" / "k").glob("*.ckpt"))
+            assert len(shipped) == 3
+            for path in shipped:
+                mirror = tmp_path / "s" / "k" / path.name
+                assert mirror.read_bytes() == path.read_bytes()
+            promoted = server.promote()
+            assert encode_segments(promoted.snapshot_columns("k")) == (
+                encode_segments(primary.snapshot_columns("k"))
+            )
+            _assert_same_answers(promoted, primary, hi=int(stream[-1].interval.end))
+        finally:
+            server.shutdown()
+            server.server_close()
+            server.store.close()
+            primary.close()
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ combined snapshot covers everything ever pushed.
 
 from __future__ import annotations
 
+import datetime
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from repro.service import (
     ServiceError,
     SessionStore,
     StoreStats,
+    WireError,
 )
 
 BACKENDS = ["python", "numpy"]
@@ -140,6 +142,25 @@ class TestStoreBasics:
         assert store.stats().live_sessions == 0
         with pytest.raises(ServiceError, match="unknown stream key"):
             store.snapshot("k")
+
+    @pytest.mark.parametrize("durable", [False, True])
+    @pytest.mark.parametrize(
+        "group", [(datetime.date(2020, 1, 1),), (float("nan"),)]
+    )
+    def test_unencodable_group_key_leaves_no_phantom_key(
+        self, tmp_path, durable, group
+    ):
+        # Every store refuses a group key the wire encoders refuse before
+        # any state exists (a durable store used to register the session
+        # and only then fail to encode its WAL frame).
+        store = SessionStore(size=5, data_dir=tmp_path if durable else None)
+        segment = AggregateSegment(group, (1.0,), Interval(0, 0))
+        with pytest.raises(WireError, match="JSON"):
+            store.push("k", segment)
+        assert store.keys() == []
+        assert not store.is_live("k")
+        assert store.stats().live_sessions == 0
+        store.close()
 
     def test_session_factory_per_key_budgets(self):
         def factory(key: str) -> Compressor:

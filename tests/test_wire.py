@@ -9,6 +9,7 @@ of deserialising garbage.
 
 from __future__ import annotations
 
+import datetime
 import math
 import random
 import struct
@@ -325,6 +326,18 @@ class TestRejection:
         ]
         with pytest.raises(WireError, match="JSON-encodable"):
             encode_segments(stream)
+
+    def test_push_decoders_refuse_what_the_encoder_refuses(self):
+        # A JSON body parses ``NaN``; a date is no JSON scalar.  Both
+        # are refused on the way in, not when the push is logged.
+        with pytest.raises(WireError, match="JSON"):
+            segments_from_jsonl(
+                '{"group": [NaN], "values": [1.0], "start": 0, "end": 0}'
+            )
+        day = AggregateSegment((datetime.date(2020, 1, 1),), (1.0,),
+                               Interval(0, 0))
+        with pytest.raises(WireError, match="JSON"):
+            checked_segments([day])
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Fuzzing the ``PTAS`` and ``PTAR`` wire decoders.
+"""Fuzzing the ``PTAS`` and ``PTAR`` wire decoders and ``PTAC`` reads.
 
 A push body, a replicated frame and a shipped frozen epoch are
 peer-controlled bytes.  Hypothesis takes valid payloads and mutates
@@ -9,12 +9,17 @@ bytes, or raise :class:`WireError` — never another exception.  So each
 payload has one spelling: a decoder that accepted a byte-swapped column,
 a non-canonical JSON number or a zero-row value matrix of another width
 would hand the WAL, a standby or a checkpoint bytes that do not
-describe what was accepted (``docs/FORMATS.md`` §§ 2–3).
+describe what was accepted (``docs/FORMATS.md`` §§ 2–3).  A checkpoint
+file is the same image under another tag (§ 5): read through
+:func:`load_checkpoint` and :class:`FrozenEpoch`, a mutated one gives back
+exactly its bytes or raises :class:`WalError` / :class:`DurabilityError`.
 """
 
 from __future__ import annotations
 
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -23,7 +28,9 @@ from hypothesis import strategies as st
 from repro import Interval
 from repro.api.result import Result
 from repro.core import AggregateSegment
+from repro.service.durability import DurabilityError, FrozenEpoch
 from repro.service.wire import (
+    RESULT_MAGIC,
     WIRE_VERSION,
     WireError,
     decode_result,
@@ -31,6 +38,7 @@ from repro.service.wire import (
     encode_result,
     encode_segments,
 )
+from repro.storage.wal import CHECKPOINT_MAGIC, WalError, load_checkpoint
 from test_ptat_fuzz import _FIELDS, layout
 
 _MUTATIONS = ["flip"] * 4 + ["truncate", "inflate", "magic", "version"]
@@ -125,6 +133,12 @@ def mutated_result_payloads(draw):
     return mutate(draw, encode_result(draw(results())))
 
 
+@st.composite
+def mutated_checkpoints(draw):
+    blob = encode_result(draw(results()))
+    return mutate(draw, CHECKPOINT_MAGIC + blob[len(RESULT_MAGIC):])
+
+
 @given(segments=segment_lists())
 @settings(max_examples=200, deadline=None, database=None)
 def test_valid_segment_payloads_roundtrip_byte_for_byte(segments):
@@ -161,6 +175,25 @@ def test_mutated_result_payload_reencodes_or_raises_wire_error(blob):
         return
     event("accepted")
     assert encode_result(result) == blob
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(blob=mutated_checkpoints())
+def test_mutated_checkpoint_reads_back_or_raises_durability_error(blob):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "epoch-00000000.ckpt"
+        path.write_bytes(blob)
+        try:
+            load_checkpoint(path)
+            epoch = FrozenEpoch.from_checkpoint(path)
+            result = epoch.result()
+        except (WalError, DurabilityError):
+            event("rejected")
+            return
+        event("accepted")
+        assert (epoch.error, epoch.size) == (result.error, result.size)
+        tagged = RESULT_MAGIC + blob[len(CHECKPOINT_MAGIC):]
+        assert encode_result(result) == tagged
 
 
 def _column_dtype(blob: bytes, name: bytes) -> int:
