@@ -27,7 +27,10 @@ provides drop-in array-backed counterparts selected with the
   insert path: a chunk's columns are bulk-written into reserved slots with
   the raw pairwise merge keys precomputed vectorized, then made visible to
   the merge policy one tuple at a time, so the online algorithms keep
-  their exact tuple-at-a-time semantics at amortised per-chunk cost;
+  their exact tuple-at-a-time semantics at amortised per-chunk cost.  The
+  activate-then-drain loop runs compiled (``_activate.c``, loaded by
+  :mod:`repro.core.native`) over the same columns, or in Python where the
+  kernel is unavailable;
 * :func:`greedy_merge_trajectory` — the complete greedy merge schedule of an
   array-encoded segment shard (the boundary-removal order, the merge
   error, the surviving block and its merged row of every step down to
@@ -56,6 +59,7 @@ from typing import (
 import numpy as np
 
 from ..temporal import Interval
+from . import native as _native
 from .errors import Weights, merge_key, resolve_weights, squared_weights
 from .merge import AggregateSegment, merged_row
 
@@ -408,6 +412,27 @@ def pairwise_merge_keys(
 # ----------------------------------------------------------------------
 # Array-backed merge heap (Section 6.2.2)
 # ----------------------------------------------------------------------
+#: Bound for the size and read-ahead handed to the compiled loop: a
+#: heap never holds this many rows, so clamping changes no comparison.
+_CLAMP = 2**62
+_INT64 = range(-(2**63), 2**63)
+
+
+def _kernel_row(
+    values: Sequence[float], start: int, end: int, width: Optional[int]
+) -> bool:
+    """Does the compiled activation loop read this row (floats, int64)?"""
+    return (
+        type(start) is int
+        and type(end) is int
+        and start in _INT64
+        and end in _INT64
+        and type(values) in (tuple, list)
+        and len(values) == width
+        and all(type(value) is float for value in values)
+    )
+
+
 class NumpyHeapNode:
     """Lightweight view of one live slot of a :class:`NumpyMergeHeap`.
 
@@ -521,6 +546,11 @@ class NumpyMergeHeap:
         self._staged_base = 0
         self._staged_end = 0
         self._staged_keys: np.ndarray | None = None
+        #: Every row holds what the compiled activation loop reads: value
+        #: rows of ``p`` exact floats and int64 endpoints.  Cleared by an
+        #: ``insert`` or chunk that stores anything else (``insert`` of an
+        #: ``int``-valued segment), rechecked when compaction drops rows.
+        self._kernel_rows = True
 
     # ------------------------------------------------------------------
     # Storage management
@@ -613,6 +643,11 @@ class NumpyMergeHeap:
                 key: position
                 for position, key in enumerate(self._group_keys)
             }
+            if not self._kernel_rows:
+                self._kernel_rows = all(map(
+                    _kernel_row, self._values, self._start, self._end,
+                    [self._dimensions] * count,
+                ))
         else:
             self._start = []
             self._end = []
@@ -627,6 +662,7 @@ class NumpyMergeHeap:
             self._length = []
             self._group_keys = []
             self._group_ids = {}
+            self._kernel_rows = True
         self._head = 0 if count else -1
         self._tail = count - 1 if count else -1
         self._count = count
@@ -727,6 +763,10 @@ class NumpyMergeHeap:
         ends = encoded.ends
         values = encoded.values
         groups = self._intern_groups(encoded)
+        if values.dtype != np.float64 or starts.dtype.kind != "i" or (
+            ends.dtype.kind != "i"
+        ):
+            self._kernel_rows = False
         self._start.extend(starts.tolist())
         self._end.extend(ends.tolist())
         self._length.extend((ends - starts + 1).astype(np.float64).tolist())
@@ -795,9 +835,9 @@ class NumpyMergeHeap:
         (``step_threshold``, gPTAε) after each activation, exactly as
         :meth:`repro.core.greedy.OnlineReducer._drain` does for a plain
         heap through ``insert`` / ``peek_entry`` / ``merge_top``, with the
-        same branches in the same order.  Here every column is aliased to
-        a local and the per-dimension arithmetic is inlined, which removes
-        the per-tuple method-dispatch and row-view overhead.  The
+        same branches in the same order, but reading the columns directly
+        with the per-dimension arithmetic inlined, which removes the
+        per-tuple method-dispatch and row-view overhead.  The
         observable heap state, the gap bookkeeping and the accumulated
         error are bit-identical to the per-tuple protocol (asserted by the
         session, kernel and backend-identity suites).  A tuple reuses its
@@ -808,7 +848,110 @@ class NumpyMergeHeap:
         Returns the updated ``(last_gap_id, before_gap, after_gap,
         total_error, merges)`` bookkeeping.  When ``log`` is given, every
         committed insert and merge is appended to it in commit order.
+
+        The loop runs compiled (:mod:`repro.core.native`) when the kernel
+        is loaded and the heap holds only rows it reads; otherwise the
+        Python loop :meth:`_activate_python` runs.  Both leave the same
+        heap state, bookkeeping and log behind, bit for bit.
         """
+        if self._count >= self._staged_end:
+            return last_gap_id, before_gap, after_gap, total_error, merges
+        reason = self._native_refusal(
+            size, step_threshold, total_error, log,
+            (last_gap_id, before_gap, after_gap, merges),
+        )
+        args = (size, step_threshold, delta, last_gap_id, before_gap,
+                after_gap, total_error, merges, log)
+        if reason is None:
+            return self._activate_native(*args)
+        _native.python_activation(reason)
+        return self._activate_python(*args)
+
+    def _native_refusal(
+        self, size: Optional[int], step_threshold: float,
+        total_error: float, log: "Optional[DeltaLog]",
+        counts: Tuple[int, ...],
+    ) -> Optional[str]:
+        """Why the compiled loop cannot run this activation, or ``None``."""
+        if _native.KERNEL is None:
+            return _native.REASON
+        if not self._kernel_rows:
+            return "the heap holds rows that are not float rows"
+        if (
+            (size is not None and type(size) is not int)
+            or type(total_error) is not float
+            or type(step_threshold) is not float
+            or (log is not None and type(log) is not DeltaLog)
+            or not all(type(count) is int and count in _INT64
+                       for count in counts)
+        ):
+            return "arguments of other types than the compiled loop reads"
+        return None
+
+    def _activate_native(
+        self,
+        size: Optional[int],
+        step_threshold: float,
+        delta: float,
+        last_gap_id: int,
+        before_gap: int,
+        after_gap: int,
+        total_error: float,
+        merges: int,
+        log: "Optional[DeltaLog]",
+    ) -> Tuple[int, int, int, float, int]:
+        """The activation loop in C, over this heap's own columns."""
+        reason = self._native_refusal(
+            size, step_threshold, total_error, log,
+            (last_gap_id, before_gap, after_gap, merges),
+        )
+        if reason is not None:
+            raise RuntimeError(f"the compiled loop cannot run: {reason}")
+        first = self._count
+        stop = self._staged_end
+        if first >= stop:
+            return last_gap_id, before_gap, after_gap, total_error, merges
+        assert self._staged_keys is not None
+        delta_is_inf = delta == math.inf
+        # Any read-ahead longer than the heap fails, any negative one
+        # passes: clamping keeps both outcomes inside int64.
+        read_ahead = 0 if delta_is_inf else max(-1, min(int(delta), _CLAMP))
+        (
+            counter, live, max_size, head, tail,
+            last_gap_id, before_gap, after_gap, total_error, merges,
+        ) = _native.KERNEL.activate(
+            (
+                self._start, self._end, self._group, self._prev, self._next,
+                self._key, self._version, self._alive, self._node_id,
+                self._values, self._length, self._group_keys,
+            ),
+            self._entries, self._w2, self._staged_keys, first, stop,
+            self._staged_base, self._entry_counter, self._size,
+            self.max_size, self._head, self._tail, size is not None,
+            0 if size is None else max(-_CLAMP, min(size, _CLAMP)),
+            step_threshold, delta_is_inf, read_ahead, last_gap_id, before_gap,
+            after_gap, total_error, merges,
+            None if log is None else tuple(
+                getattr(log, column) for column in DeltaLog.__slots__
+            ),
+        )
+        self._activated(stop, live, max_size, head, tail, counter)
+        return last_gap_id, before_gap, after_gap, total_error, merges
+
+    def _activate_python(
+        self,
+        size: Optional[int],
+        step_threshold: float,
+        delta: float,
+        last_gap_id: int,
+        before_gap: int,
+        after_gap: int,
+        total_error: float,
+        merges: int,
+        log: "Optional[DeltaLog]",
+    ) -> Tuple[int, int, int, float, int]:
+        """The activation loop in Python: the fallback, and the reference
+        the compiled loop is tested against."""
         first = self._count
         stop = self._staged_end
         if first >= stop:
@@ -1033,7 +1176,14 @@ class NumpyMergeHeap:
                         key[successor] if successor >= 0 else inf,
                     )
 
-        # Write the aliased scalars back.
+        self._activated(stop, live, max_size, head, tail, counter)
+        return last_gap_id, before_gap, after_gap, total_error, merges
+
+    def _activated(
+        self, stop: int, live: int, max_size: int, head: int, tail: int,
+        counter: int,
+    ) -> None:
+        """Write an activation loop's scalars back, then maybe compact."""
         self._count = stop
         self._size = live
         self.max_size = max_size
@@ -1047,7 +1197,6 @@ class NumpyMergeHeap:
         # behind a 1k-row live heap for the session's lifetime).
         if live <= self._count // 4 and self._count >= self._INITIAL_CAPACITY:
             self._compact()
-        return last_gap_id, before_gap, after_gap, total_error, merges
 
     def peek(self) -> Optional[NumpyHeapNode]:
         """Return the node with the smallest key without removing it."""
@@ -1116,6 +1265,10 @@ class NumpyMergeHeap:
         self._end.append(interval.end)
         self._length.append(float(interval.end - interval.start + 1))
         self._values.append(segment.values)
+        if self._kernel_rows and not _kernel_row(
+            segment.values, interval.start, interval.end, self._dimensions
+        ):
+            self._kernel_rows = False
         self._group.append(self._intern_group(segment.group))
         previous = self._tail
         self._prev.append(previous)
@@ -1287,6 +1440,7 @@ class NumpyMergeHeap:
         other._group_keys = list(self._group_keys)
         other._staged_base = self._staged_base
         other._staged_end = self._staged_end
+        other._kernel_rows = self._kernel_rows
         if self._dimensions is not None:
             # Rows are immutable by convention (rebound on merge, never
             # mutated), so a shallow column copy suffices.

@@ -1,0 +1,176 @@
+"""Build-once loader of the compiled activation loop (``_activate.c``).
+
+:meth:`repro.core.kernels.NumpyMergeHeap.activate_staged_all` runs the
+online activate-then-drain loop in C when this module could load it, and
+its fused Python loop otherwise.  Both leave bit-identical heap state
+behind (``tests/test_native_kernel.py``).
+
+The extension is built the first time this module is imported, with
+``sysconfig``'s C compiler and include path, and cached in the package's
+``__pycache__`` under a name keyed by a checksum of the C source, the
+flags and ``EXT_SUFFIX``; every later import loads the cached file.  The
+build writes a temporary file and moves it into place with
+``os.replace``, so concurrent importers never load a half-written module
+and one file results.  No compiler, a failed build or an unwritable
+cache leaves :data:`KERNEL` ``None`` with the cause in :data:`REASON`;
+the Python loop then runs, the ``repro_native_activation`` gauge reads
+0, and every activation through it counts on
+``repro_python_activations_total`` and logs its cause once per process.
+"""
+
+from __future__ import annotations
+
+import atexit
+import os
+import shlex
+import shutil
+import sysconfig
+import tempfile
+import zlib
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
+from types import ModuleType
+from typing import List, Optional, Set, Tuple
+
+from ..obs import logs as _logs
+from ..obs import metrics as _metrics
+
+SOURCE = Path(__file__).with_name("_activate.c")
+CACHE_DIR = Path(__file__).with_name("__pycache__")
+#: No ``-ffast-math``, and no contraction to fused multiply-adds (gcc's
+#: default): either changes the bits of a merge key.
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+
+_GAUGE = (
+    "repro_native_activation",
+    "1 when the online activation loop runs compiled, 0 when it runs "
+    "in Python.",
+)
+_PYTHON_ACTIVATIONS = (
+    "repro_python_activations_total",
+    "Staged-chunk activations that ran the Python loop.",
+)
+_logged: Set[str] = set()
+
+
+def compiler() -> Optional[List[str]]:
+    """``sysconfig``'s C compiler command, or ``None`` if it is not on PATH."""
+    command = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if not command or shutil.which(command[0]) is None:
+        return None
+    return command
+
+
+def cached_path(source: bytes, cache_dir: Path) -> Path:
+    """The build's name: a checksum of the source, the flags and the suffix.
+
+    CRC-32 and Adler-32 rather than ``hashlib``, whose OpenSSL import adds
+    about 3 MB of resident memory to every process that loads the kernel.
+    """
+    key = b"\0".join([source, " ".join(FLAGS).encode(), SUFFIX.encode()])
+    digest = f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
+    return cache_dir / f"_activate.{digest}{SUFFIX}"
+
+
+def _import(path: Path) -> ModuleType:
+    spec = spec_from_file_location(f"{__package__}._activate", path)
+    assert spec is not None and spec.loader is not None
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _reap_at_exit(pid: int) -> None:
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:
+        pass
+
+
+def _compile(command: List[str], target: Path) -> Optional[str]:
+    """Compile :data:`SOURCE` to ``target``; the failure's cause, or ``None``.
+
+    The compiler is waited for with ``WNOWAIT`` and reaped only at exit.
+    Reaping a child adds its peak RSS to ``RUSAGE_CHILDREN`` (at least the
+    parent's own high-water mark, since ``posix_spawn`` vforks), which a
+    process reporting its own and its children's peak memory would
+    otherwise be charged for a one-off build.  The zombie costs one
+    process-table slot until exit.
+    """
+    try:
+        target.parent.mkdir(exist_ok=True)
+        fd, temporary = tempfile.mkstemp(
+            prefix=f".{target.name}.", dir=target.parent
+        )
+        os.close(fd)
+    except OSError as error:
+        return f"unwritable cache: {error}"
+    include = sysconfig.get_paths()["include"]
+    argv = [*command, *FLAGS, f"-I{include}", str(SOURCE), "-o", temporary]
+    try:
+        with tempfile.TemporaryFile() as stderr:
+            pid = os.posix_spawnp(argv[0], argv, dict(os.environ), file_actions=[
+                (os.POSIX_SPAWN_OPEN, 0, os.devnull, os.O_RDONLY, 0),
+                (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
+                (os.POSIX_SPAWN_DUP2, stderr.fileno(), 2),
+            ])
+            atexit.register(_reap_at_exit, pid)
+            status = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            stderr.seek(0)
+            lines = stderr.read().decode(errors="replace").splitlines()
+        if status.si_code != os.CLD_EXITED or status.si_status:
+            first = next((line for line in lines if line.strip()), "")
+            return f"build failed: {first or 'compiler exited abnormally'}"
+        os.replace(temporary, target)
+        for stale in target.parent.glob(f"_activate.*{SUFFIX}"):
+            if stale != target:  # a build of an older source
+                stale.unlink(missing_ok=True)
+        return None
+    except OSError as error:
+        return f"build failed: {error}"
+    finally:
+        if os.path.exists(temporary):
+            os.unlink(temporary)
+
+
+def load(
+    cache_dir: Path = CACHE_DIR, command: Optional[List[str]] = None
+) -> Tuple[Optional[ModuleType], Optional[str]]:
+    """The compiled module, building it into ``cache_dir`` if absent.
+
+    Returns ``(module, None)``, or ``(None, reason)`` when it cannot be
+    had.  ``command`` defaults to :func:`compiler`.
+    """
+    try:
+        target = cached_path(SOURCE.read_bytes(), cache_dir)
+    except OSError as error:
+        return None, f"no C source: {error}"
+    if not target.exists():
+        command = command if command is not None else compiler()
+        if command is None:
+            return None, "no C compiler: " + (
+                sysconfig.get_config_var("CC") or "cc"
+            )
+        reason = _compile(command, target)
+        if reason is not None:
+            return None, reason
+    try:
+        return _import(target), None
+    except ImportError as error:
+        return None, f"load failed: {error}"
+
+
+def python_activation(reason: str) -> None:
+    """Count one activation that ran the Python loop; log its cause once."""
+    _metrics.counter(*_PYTHON_ACTIVATIONS).inc()
+    if reason not in _logged:
+        _logged.add(reason)
+        _logs.get_logger(__name__).warning(
+            "python_activation_loop", reason=reason
+        )
+
+
+KERNEL, REASON = load()
+_metrics.gauge(*_GAUGE).set(0 if KERNEL is None else 1)
+_metrics.counter(*_PYTHON_ACTIVATIONS)
