@@ -12,15 +12,17 @@
  *
  * Every read is checked (list bounds, exact float / int64 types, row
  * widths); a violation raises instead of crashing.  The GIL is dropped
- * and retaken every YIELD_EVERY tuples so other threads keep running
- * during a large push, as they do between the Python loop's bytecodes.
+ * and retaken during a large push so other threads keep running, as
+ * they do between the Python loop's bytecodes (see yield_period).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
 #include <math.h>
+#include <time.h>
 
-#define YIELD_EVERY 4096
+/* Tuples between two looks at the clock. */
+#define YIELD_CHECK 256
 
 #define LIST_ITEMS(op) (((PyListObject *)(op))->ob_item)
 #define TUPLE_ITEMS(op) (((PyTupleObject *)(op))->ob_item)
@@ -186,6 +188,38 @@ adjacent(Heap *h, Py_ssize_t left, Py_ssize_t right)
         || read_i64(h, C_START, right, &start) < 0)
         return -1;
     return end != LLONG_MAX && end + 1 == start;
+}
+
+/* ------------------------------------------------------------------ */
+/* Letting go of the GIL                                               */
+/* ------------------------------------------------------------------ */
+static double
+monotonic(void)
+{
+    struct timespec now;
+    clock_gettime(CLOCK_MONOTONIC, &now);
+    return (double)now.tv_sec + (double)now.tv_nsec * 1e-9;
+}
+
+/* Seconds between two releases of the GIL: twice sys.getswitchinterval().
+ * A thread waiting for the GIL asks for it only after a whole switch
+ * interval in which no release woke it, and each release restarts that
+ * wait: releases closer together than the interval starve it.  Once it
+ * has asked, the next release hands the GIL over (forced switching). */
+static int
+yield_period(double *period)
+{
+    PyObject *get = PySys_GetObject("getswitchinterval"), *interval;
+    if (get == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "lost sys.getswitchinterval");
+        return -1;
+    }
+    interval = PyObject_CallNoArgs(get);
+    if (interval == NULL)
+        return -1;
+    *period = 2.0 * PyFloat_AsDouble(interval);
+    Py_DECREF(interval);
+    return PyErr_Occurred() ? -1 : 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -824,7 +858,7 @@ activate(PyObject *module, PyObject *args)
     Book b;
     Policy policy;
     Py_buffer staged = {0};
-    double *staged_keys, *w2 = NULL;
+    double *staged_keys, *w2 = NULL, period, released;
     PyObject *result = NULL;
     int c, overflow;
 
@@ -899,6 +933,9 @@ activate(PyObject *module, PyObject *args)
         goto done;
     }
 
+    if (yield_period(&period) < 0)
+        goto done;
+
     /* Staged rows are fresh (version 0, unlinked, unreachable until
      * activated): mark the whole span alive at version 1 up front. */
     for (index = first; index < stop; index++) {
@@ -909,10 +946,13 @@ activate(PyObject *module, PyObject *args)
     }
     Py_INCREF(last_gap_obj);
     b.last_gap_id = last_gap_obj;
+    released = monotonic();
     for (index = first; index < stop; index++) {
-        if (index > first && (index - first) % YIELD_EVERY == 0) {
+        if ((index - first) % YIELD_CHECK == YIELD_CHECK - 1
+            && monotonic() - released >= period) {
             Py_BEGIN_ALLOW_THREADS
             Py_END_ALLOW_THREADS
+            released = monotonic();
             if (PyErr_CheckSignals() < 0)
                 goto book_done;
         }
@@ -939,17 +979,26 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_activate",
-    "The compiled activate-then-drain loop of NumpyMergeHeap.", -1, methods,
+    "The compiled greedy loops: NumpyMergeHeap's activate-then-drain loop "
+    "and the sharded engine's merge schedule.", -1, methods,
     NULL, NULL, NULL, NULL,
 };
+
+/* trajectory(), the sharded engine's merge schedule: _trajectory.c. */
+extern PyMethodDef repro_trajectory_methods[];
 
 PyMODINIT_FUNC
 PyInit__activate(void)
 {
+    PyObject *module;
     if (inf_obj == NULL && (inf_obj = PyFloat_FromDouble(Py_HUGE_VAL)) == NULL)
         return NULL;
     if (minus_one_obj == NULL
         && (minus_one_obj = PyLong_FromLong(-1)) == NULL)
         return NULL;
-    return PyModule_Create(&module_def);
+    module = PyModule_Create(&module_def);
+    if (module != NULL
+        && PyModule_AddFunctions(module, repro_trajectory_methods) < 0)
+        Py_CLEAR(module);
+    return module;
 }

@@ -1926,13 +1926,17 @@ def finalize_mirror(
 # ----------------------------------------------------------------------
 # Array-encoded greedy merge trajectories (sharded engine work unit)
 # ----------------------------------------------------------------------
+#: ``(boundaries, keys, heads, rows)`` of one shard's merge schedule.
+Trajectory = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 def greedy_merge_trajectory(
     starts: np.ndarray,
     ends: np.ndarray,
     values: np.ndarray,
     groups: np.ndarray,
     w2: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Trajectory:
     """Complete greedy merge schedule of an array-encoded segment shard.
 
     Runs the greedy merging strategy over the shard all the way down to its
@@ -1989,6 +1993,13 @@ def greedy_merge_trajectory(
     shard travels to a worker process as a handful of array buffers instead
     of ``n`` segment objects.
 
+    **The loop.**  The schedule runs in C (``_trajectory.c``, loaded by
+    :mod:`repro.core.native`) over typed buffers, with the interpreter lock
+    released, when the compiled module loaded; otherwise
+    :func:`_trajectory_python`, the reference, runs, counted on
+    ``repro_python_trajectories_total``.  Both return the same four
+    columns, byte for byte.
+
     >>> starts = np.arange(4)
     >>> boundaries, keys, heads, rows = greedy_merge_trajectory(
     ...     starts, starts, np.array([[1.0], [1.0], [5.0], [6.0]]),
@@ -2006,17 +2017,87 @@ def greedy_merge_trajectory(
     >>> boundaries.tolist(), keys.tolist()
     ([1, 3, 2], [0.0, 0.5, 20.25])
     """
-    n = len(starts)
-    p = values.shape[1]
-    if n < 2:
-        return (
-            np.zeros(0, np.int64), np.zeros(0, np.float64),
-            np.zeros(0, np.int64), np.zeros((0, p), np.float64),
-        )
+    if _native.KERNEL is None:
+        _native.python_trajectory(_native.REASON or "")
+        return _trajectory_python(starts, ends, values, groups, w2)
+    return _trajectory_native(starts, ends, values, groups, w2)
+
+
+def _no_steps(p: int) -> Trajectory:
+    return (
+        np.zeros(0, np.int64), np.zeros(0, np.float64),
+        np.zeros(0, np.int64), np.zeros((0, p), np.float64),
+    )
+
+
+def _frontier(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    values: np.ndarray,
+    groups: np.ndarray,
+    w2: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacency and initial key of every consecutive pair, and the pair
+    positions of the finite keys in ``(key, position)`` order."""
     adjacent = adjacent_pair_mask(starts, ends, groups)
     initial = pairwise_merge_keys(starts, ends, values, groups, w2)
     order = np.argsort(initial, kind="stable")
-    order = order[: int(np.count_nonzero(initial < math.inf))]
+    return adjacent, initial, order[: int(np.count_nonzero(initial < math.inf))]
+
+
+def _trajectory_native(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    values: np.ndarray,
+    groups: np.ndarray,
+    w2: np.ndarray,
+) -> Trajectory:
+    """:func:`greedy_merge_trajectory` in C over typed buffers.
+
+    The prologue is the Python loop's.  Lengths and rows reach the kernel
+    as fresh C-contiguous ``float64`` arrays, since it folds them in
+    place; the output columns are sized for the most steps a shard can
+    take, ``n - 1``, and cut to the steps taken.
+    """
+    n = len(starts)
+    p = values.shape[1]
+    if n < 2:
+        return _no_steps(p)
+    adjacent, initial, order = _frontier(starts, ends, values, groups, w2)
+    length = (ends - starts + 1).astype(np.float64, order="C")
+    rows = np.array(values, dtype=np.float64, order="C")
+    boundaries = np.empty(n - 1, np.int64)
+    keys = np.empty(n - 1, np.float64)
+    heads = np.empty(n - 1, np.int64)
+    merged = np.empty((n - 1) * p, np.float64)
+    assert _native.KERNEL is not None
+    steps = _native.KERNEL.trajectory(
+        length, rows, np.ascontiguousarray(w2, dtype=np.float64)[:p],
+        np.ascontiguousarray(adjacent, dtype=np.bool_),
+        np.ascontiguousarray(initial, dtype=np.float64),
+        np.ascontiguousarray(order, dtype=np.int64),
+        boundaries, keys, heads, merged,
+    )
+    return (
+        boundaries[:steps], keys[:steps], heads[:steps],
+        merged[: steps * p].reshape(-1, p),
+    )
+
+
+def _trajectory_python(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    values: np.ndarray,
+    groups: np.ndarray,
+    w2: np.ndarray,
+) -> Trajectory:
+    """:func:`greedy_merge_trajectory` in Python: the fallback and the
+    reference of the compiled loop."""
+    n = len(starts)
+    p = values.shape[1]
+    if n < 2:
+        return _no_steps(p)
+    adjacent, initial, order = _frontier(starts, ends, values, groups, w2)
     frontier_keys = initial[order].tolist()
     frontier_nodes = (order + 1).tolist()
 

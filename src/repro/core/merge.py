@@ -16,7 +16,7 @@ from typing import Any, Iterable, List, Sequence, Tuple
 from ..temporal import Interval, TemporalRelation, TemporalSchema
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregateSegment:
     """One tuple of an ITA result (or of a PTA reduction thereof).
 

@@ -1,21 +1,29 @@
-"""Build-once loader of the compiled activation loop (``_activate.c``).
+"""Build-once loader of the compiled greedy loops (``_activate.c``,
+``_trajectory.c``).
 
-:meth:`repro.core.kernels.NumpyMergeHeap.activate_staged_all` runs the
-online activate-then-drain loop in C when this module could load it, and
-its fused Python loop otherwise.  Both leave bit-identical heap state
-behind (``tests/test_native_kernel.py``).
+Two loops run in C when this module could load them, and in Python
+otherwise:
 
-The extension is built the first time this module is imported, with
-``sysconfig``'s C compiler and include path, and cached in the package's
-``__pycache__`` under a name keyed by a checksum of the C source, the
-flags and ``EXT_SUFFIX``; every later import loads the cached file.  The
-build writes a temporary file and moves it into place with
-``os.replace``, so concurrent importers never load a half-written module
-and one file results.  No compiler, a failed build or an unwritable
-cache leaves :data:`KERNEL` ``None`` with the cause in :data:`REASON`;
-the Python loop then runs, the ``repro_native_activation`` gauge reads
-0, and every activation through it counts on
-``repro_python_activations_total`` and logs its cause once per process.
+* :meth:`repro.core.kernels.NumpyMergeHeap.activate_staged_all`, the
+  online activate-then-drain loop (``KERNEL.activate``); both leave
+  bit-identical heap state behind (``tests/test_native_kernel.py``);
+* :func:`repro.core.kernels.greedy_merge_trajectory`, the sharded
+  engine's merge schedule (``KERNEL.trajectory``); both return the same
+  four columns, byte for byte (``tests/test_native_trajectory.py``).
+
+Both C files build into one extension module, the first time this module
+is imported, with ``sysconfig``'s C compiler and include path, and cached
+in the package's ``__pycache__`` under a name keyed by a checksum of all
+of the C source, the flags and ``EXT_SUFFIX``; every later import loads
+the cached file.  The build writes a temporary file and moves it into
+place with ``os.replace``, so concurrent importers never load a
+half-written module and one file results.  No compiler, a failed build
+or an unwritable cache leaves :data:`KERNEL` ``None`` with the cause in
+:data:`REASON`; the Python loops then run, the
+``repro_native_activation`` gauge reads 0, and every activation through
+them counts on ``repro_python_activations_total`` (every trajectory on
+``repro_python_trajectories_total``) and logs its cause once per process
+(events ``python_activation_loop`` and ``python_trajectory_loop``).
 """
 
 from __future__ import annotations
@@ -35,7 +43,10 @@ from typing import List, Optional, Set, Tuple
 from ..obs import logs as _logs
 from ..obs import metrics as _metrics
 
-SOURCE = Path(__file__).with_name("_activate.c")
+#: Every C file of the module; the first defines its ``PyInit``.
+SOURCES = tuple(
+    Path(__file__).with_name(name) for name in ("_activate.c", "_trajectory.c")
+)
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 #: No ``-ffast-math``, and no contraction to fused multiply-adds (gcc's
 #: default): either changes the bits of a merge key.
@@ -44,14 +55,19 @@ SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
 
 _GAUGE = (
     "repro_native_activation",
-    "1 when the online activation loop runs compiled, 0 when it runs "
-    "in Python.",
+    "1 when the compiled greedy loops (online activation, shard "
+    "trajectories) loaded, 0 when they run in Python.",
 )
 _PYTHON_ACTIVATIONS = (
     "repro_python_activations_total",
     "Staged-chunk activations that ran the Python loop.",
 )
-_logged: Set[str] = set()
+_PYTHON_TRAJECTORIES = (
+    "repro_python_trajectories_total",
+    "Shard merge schedules that ran the Python loop.",
+)
+#: The ``(event, reason)`` pairs logged so far in this process.
+_logged: Set[Tuple[str, str]] = set()
 
 
 def compiler() -> Optional[List[str]]:
@@ -63,7 +79,8 @@ def compiler() -> Optional[List[str]]:
 
 
 def cached_path(source: bytes, cache_dir: Path) -> Path:
-    """The build's name: a checksum of the source, the flags and the suffix.
+    """The build's name: a checksum of all C source, the flags and the
+    suffix.
 
     CRC-32 and Adler-32 rather than ``hashlib``, whose OpenSSL import adds
     about 3 MB of resident memory to every process that loads the kernel.
@@ -89,7 +106,7 @@ def _reap_at_exit(pid: int) -> None:
 
 
 def _compile(command: List[str], target: Path) -> Optional[str]:
-    """Compile :data:`SOURCE` to ``target``; the failure's cause, or ``None``.
+    """Compile :data:`SOURCES` to ``target``; the failure's cause, or ``None``.
 
     The compiler is waited for with ``WNOWAIT`` and reaped only at exit.
     Reaping a child adds its peak RSS to ``RUSAGE_CHILDREN`` (at least the
@@ -107,7 +124,8 @@ def _compile(command: List[str], target: Path) -> Optional[str]:
     except OSError as error:
         return f"unwritable cache: {error}"
     include = sysconfig.get_paths()["include"]
-    argv = [*command, *FLAGS, f"-I{include}", str(SOURCE), "-o", temporary]
+    argv = [*command, *FLAGS, f"-I{include}", *map(str, SOURCES),
+            "-o", temporary]
     try:
         with tempfile.TemporaryFile() as stderr:
             pid = os.posix_spawnp(argv[0], argv, dict(os.environ), file_actions=[
@@ -143,7 +161,9 @@ def load(
     had.  ``command`` defaults to :func:`compiler`.
     """
     try:
-        target = cached_path(SOURCE.read_bytes(), cache_dir)
+        target = cached_path(
+            b"\0".join(source.read_bytes() for source in SOURCES), cache_dir
+        )
     except OSError as error:
         return None, f"no C source: {error}"
     if not target.exists():
@@ -161,16 +181,26 @@ def load(
         return None, f"load failed: {error}"
 
 
+def _python_loop(
+    counter: Tuple[str, str], event: str, reason: str
+) -> None:
+    _metrics.counter(*counter).inc()
+    if (event, reason) not in _logged:
+        _logged.add((event, reason))
+        _logs.get_logger(__name__).warning(event, reason=reason)
+
+
 def python_activation(reason: str) -> None:
     """Count one activation that ran the Python loop; log its cause once."""
-    _metrics.counter(*_PYTHON_ACTIVATIONS).inc()
-    if reason not in _logged:
-        _logged.add(reason)
-        _logs.get_logger(__name__).warning(
-            "python_activation_loop", reason=reason
-        )
+    _python_loop(_PYTHON_ACTIVATIONS, "python_activation_loop", reason)
+
+
+def python_trajectory(reason: str) -> None:
+    """Count one trajectory that ran the Python loop; log its cause once."""
+    _python_loop(_PYTHON_TRAJECTORIES, "python_trajectory_loop", reason)
 
 
 KERNEL, REASON = load()
 _metrics.gauge(*_GAUGE).set(0 if KERNEL is None else 1)
 _metrics.counter(*_PYTHON_ACTIVATIONS)
+_metrics.counter(*_PYTHON_TRAJECTORIES)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Interval:
     """A closed interval ``[start, end]`` of integer chronons.
 

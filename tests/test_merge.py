@@ -1,5 +1,8 @@
 """Unit tests for the merge machinery (Definitions 2-4)."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -154,3 +157,31 @@ class TestConversions:
             relation, ["g"], ["v"], sort=False
         )
         assert [segment.group for segment in unsorted_segments] == [("B",), ("A",)]
+
+
+class TestSlottedSegments:
+    """Segments and intervals carry no per-instance ``__dict__``: a batch
+    input holds one of each per tuple."""
+
+    def test_no_instance_dict(self):
+        segment = AggregateSegment(("g",), (1.0, 2.5), Interval(3, 7))
+        assert not hasattr(segment, "__dict__")
+        assert not hasattr(segment.interval, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            segment.values = (0.0,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            segment.interval.start = 0
+
+    def test_round_trips(self):
+        segment = AggregateSegment(("g", 1), (1.0, -2.5), Interval(-3, 7))
+        for twin in (
+            pickle.loads(pickle.dumps(segment)),
+            copy.deepcopy(segment),
+            dataclasses.replace(segment),
+        ):
+            assert twin == segment and twin is not segment
+            assert hash(twin) == hash(segment)
+            assert twin.interval == segment.interval
+        moved = dataclasses.replace(segment, interval=Interval(8, 9))
+        assert moved.interval.length == 2 and moved.values == segment.values
+        assert Interval(1, 2) < Interval(1, 3)

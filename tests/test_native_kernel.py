@@ -220,7 +220,8 @@ def test_a_mixed_heap_takes_the_python_loop(monkeypatch):
     assert metrics.value("repro_python_activations_total") == before + 1
     assert books[0] == books[1]
     assert heap_state(twins[0]) == heap_state(twins[1])
-    assert "the heap holds rows that are not float rows" in native._logged
+    assert ("python_activation_loop",
+            "the heap holds rows that are not float rows") in native._logged
 
 
 # ----------------------------------------------------------------------
