@@ -979,13 +979,16 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_activate",
-    "The compiled greedy loops: NumpyMergeHeap's activate-then-drain loop "
-    "and the sharded engine's merge schedule.", -1, methods,
+    "The compiled loops: NumpyMergeHeap's activate-then-drain loop, the "
+    "sharded engine's merge schedule and the exact DP's row fill.", -1,
+    methods,
     NULL, NULL, NULL, NULL,
 };
 
 /* trajectory(), the sharded engine's merge schedule: _trajectory.c. */
 extern PyMethodDef repro_trajectory_methods[];
+/* dp_row(), one row of the exact DP's error matrix: _dp.c. */
+extern PyMethodDef repro_dp_methods[];
 
 PyMODINIT_FUNC
 PyInit__activate(void)
@@ -998,7 +1001,8 @@ PyInit__activate(void)
         return NULL;
     module = PyModule_Create(&module_def);
     if (module != NULL
-        && PyModule_AddFunctions(module, repro_trajectory_methods) < 0)
+        && (PyModule_AddFunctions(module, repro_trajectory_methods) < 0
+            || PyModule_AddFunctions(module, repro_dp_methods) < 0))
         Py_CLEAR(module);
     return module;
 }

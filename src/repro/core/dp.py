@@ -20,11 +20,13 @@ refinements from the paper are implemented:
 the plain "DP" baseline used in the runtime experiments (Figs. 18 and 19).
 
 Every entry point accepts ``backend="python"`` (the reference, loop-based
-evaluation) or ``backend="numpy"``, which replaces the inner split-point loop
-of each cell with one vectorized ``np.argmin`` over the ``j``-range
-(:mod:`repro.core.kernels`).  Both backends evaluate the same recurrence with
-the same floating-point formulae and tie-breaking, so they produce identical
-reductions.
+evaluation) or ``backend="numpy"``, which fills each row ``k >= 2`` with one
+call of a compiled kernel (``_dp.c``, loaded by :mod:`repro.core.native`)
+over the prefix-sum arrays, or, where it did not load, with one vectorized
+``np.argmin`` over the ``j``-range per cell (:mod:`repro.core.kernels`).
+Both backends evaluate the same recurrence with the same floating-point
+formulae and tie-breaking; without the early break (``optimized=False``)
+they produce bit-identical reductions.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..temporal import Interval
+from . import native as _native
 from .errors import (
     PrefixSums, Weights, error_budget, max_error, resolve_weights,
     validate_budget,
@@ -132,8 +135,19 @@ class _ErrorMatrix:
 
     # ------------------------------------------------------------------
     def fill_next_row(self) -> List[float]:
-        """Fill row ``k = rows_computed + 1`` and return it."""
+        """Fill row ``k = rows_computed + 1`` and return it.
+
+        On the numpy backend every row ``k >= 2`` is one call of the
+        compiled kernel (:meth:`_fill_next_row_native`) when
+        :mod:`repro.core.native` loaded it; otherwise
+        :meth:`_fill_next_row_numpy`, its reference, fills the row, counted
+        on ``repro_python_dp_rows_total``.
+        """
         if self.backend == "numpy":
+            if self.rows_computed and _native.KERNEL is not None:
+                return self._fill_next_row_native()
+            if self.rows_computed:
+                _native.python_dp_row(_native.REASON or "")
             return self._fill_next_row_numpy()
         k = self.rows_computed + 1
         n = self.count
@@ -176,6 +190,10 @@ class _ErrorMatrix:
                         break
                 row[i] = best
                 splits[i] = best_split
+        return self._advance(k, row, splits)
+
+    def _advance(self, k: int, row, splits) -> List[float]:
+        """Record row ``k`` and its split points; return the row."""
         self._previous_row = self._current_row
         self._current_row = row
         self.split_rows.append(splits)
@@ -189,7 +207,8 @@ class _ErrorMatrix:
         The loop over cells ``i`` stays in Python, but the inner loop over
         candidate split points ``j`` — the quadratic part of the recurrence —
         is a single batched run-error evaluation plus one ``argmin``
-        (:func:`repro.core.kernels.dp_best_split`).
+        (:func:`repro.core.kernels.dp_best_split`).  This is the fallback
+        and the reference of :meth:`_fill_next_row_native` for ``k >= 2``.
         """
         from .kernels import dp_best_split, dp_first_row, np
 
@@ -220,12 +239,42 @@ class _ErrorMatrix:
                 )
                 row[i] = best
                 splits[i] = split
-        self._previous_row = self._current_row
-        self._current_row = row
-        self.split_rows.append(splits)
-        self.rows_computed = k
-        self.stats.rows_filled = k
-        return row
+        return self._advance(k, row, splits)
+
+    def _fill_next_row_native(self):
+        """Fill row ``k >= 2`` with one call of the compiled kernel.
+
+        The per-cell bounds come from one ``searchsorted`` over the gaps:
+        ``last_gap[c]`` is the right-most gap before cell ``i = k + c``
+        (0 if none), which is ``_lower_bound``'s ``j_min`` once raised to
+        ``k - 1`` and the plain scheme's "infeasible below" bound.  In the
+        optimized scheme ``j_min >= last_gap``, so passing ``last_gap`` as
+        that bound there changes nothing.  The kernel
+        (``KERNEL.dp_row``, ``_dp.c``) scans the same candidates in the
+        same operation order as :func:`repro.core.kernels.dp_best_split`
+        and returns how many it scanned.
+        """
+        k = self.rows_computed + 1
+        n = self.count
+        i_max = self._upper_bound(k)
+        gaps = np.asarray(self.gaps, dtype=np.int64)
+        cells = np.arange(k, i_max + 1, dtype=np.int64)
+        last_gap = np.concatenate(([0], gaps))[np.searchsorted(gaps, cells)]
+        if self.optimized:
+            j_lo = np.maximum(last_gap, k - 1)
+        else:
+            j_lo = np.full(len(cells), k - 1, dtype=np.int64)
+        prefix = self.prefix
+        row = np.full(n + 1, math.inf)
+        splits = np.zeros(n + 1, dtype=np.int64)
+        assert _native.KERNEL is not None
+        candidates = _native.KERNEL.dp_row(
+            prefix._L, prefix._S, prefix._SS, prefix._w2, self._current_row,
+            j_lo, last_gap, k, row, splits,
+        )
+        self.stats.cells_evaluated += len(cells)
+        self.stats.split_candidates += candidates
+        return self._advance(k, row, splits)
 
     # ------------------------------------------------------------------
     def _upper_bound(self, k: int) -> int:

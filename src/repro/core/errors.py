@@ -45,22 +45,25 @@ def sse_of_run(
     the length-weighted mean, and the error is the length-weighted squared
     deviation from it.  This is the naive ``O(len(run) * p)`` formulation the
     prefix-sum variant is validated against in the tests.
+
+    Float sums are spelled as left-to-right loops from ``0.0``: the builtin
+    ``sum()`` is compensated from Python 3.12 on, and would give other bits
+    on other interpreters.
     """
     if not segments:
         return 0.0
-    dimensions = segments[0].dimensions
-    weights = resolve_weights(weights, dimensions)
-    total_length = sum(segment.length for segment in segments)
+    w2 = squared_weights(weights, segments[0].dimensions)
+    total_length = sum(segment.length for segment in segments)  # integers
     error = 0.0
-    for d in range(dimensions):
-        weighted_sum = sum(
-            segment.length * segment.values[d] for segment in segments
-        )
+    for d, weight in enumerate(w2):
+        weighted_sum = 0.0
+        for segment in segments:
+            weighted_sum += segment.length * segment.values[d]
         mean = weighted_sum / total_length
-        error += weights[d] ** 2 * sum(
-            segment.length * (segment.values[d] - mean) ** 2
-            for segment in segments
-        )
+        squares = 0.0
+        for segment in segments:
+            squares += segment.length * (segment.values[d] - mean) ** 2
+        error += weight * squares
     return error
 
 
@@ -120,12 +123,14 @@ def max_error(
 
     Obtained by merging every maximal adjacent run into a single tuple.  The
     error-bounded PTA operator expresses its threshold as a fraction of this
-    value (Definition 7).
+    value (Definition 7).  The runs' errors are added left to right, as
+    in :func:`sse_of_run`, so ``SSE_max`` has the same bits on every
+    Python version.
     """
-    return sum(
-        sse_of_run([segments[i] for i in run], weights)
-        for run in maximal_runs(segments)
-    )
+    total = 0.0
+    for run in maximal_runs(segments):
+        total += sse_of_run([segments[i] for i in run], weights)
+    return total
 
 
 def validate_budget(size: int | None, epsilon: float | None) -> None:
@@ -188,7 +193,9 @@ class PrefixSums:
     build the output tuples.
     """
 
-    __slots__ = ("segments", "weights", "_sums", "_square_sums", "_lengths")
+    __slots__ = (
+        "segments", "weights", "_w2", "_sums", "_square_sums", "_lengths",
+    )
 
     def __init__(
         self,
@@ -198,6 +205,7 @@ class PrefixSums:
         self.segments = list(segments)
         dimensions = self.segments[0].dimensions if self.segments else 0
         self.weights = resolve_weights(weights, dimensions)
+        self._w2 = squared_weights(self.weights, dimensions)
 
         count = len(self.segments)
         self._lengths = [0.0] * (count + 1)
@@ -238,7 +246,9 @@ class PrefixSums:
 
         Implements Proposition 1:
         ``SSE = Σ_d w_d² [ SS_d − S_d² / L ]`` over the run, evaluated from
-        the prefix sums in ``O(p)`` time.
+        the prefix sums in ``O(p)`` time.  ``w_d²`` is ``w_d · w_d``
+        (:func:`squared_weights`), not ``w_d ** 2``: libm's ``pow`` can
+        round the square one unit in the last place away from the product.
         """
         length = self.total_length(first, last)
         error = 0.0
@@ -249,7 +259,7 @@ class PrefixSums:
             )
             deviation = run_square_sum - run_sum * run_sum / length
             # Guard against tiny negative values from floating-point rounding.
-            error += self.weights[d] ** 2 * max(deviation, 0.0)
+            error += self._w2[d] * max(deviation, 0.0)
         return error
 
 

@@ -12,7 +12,10 @@ provides drop-in array-backed counterparts selected with the
   vector expression;
 * :func:`dp_first_row` / :func:`dp_best_split` — the DP error-matrix
   recurrence of Section 5.1 with the inner split-point loop replaced by a
-  single ``np.argmin`` over the ``j``-range;
+  single ``np.argmin`` over the ``j``-range.  Rows ``k >= 2`` run compiled,
+  one kernel call per row (``_dp.c``, see
+  :meth:`repro.core.dp._ErrorMatrix.fill_next_row`); :func:`dp_best_split`
+  is that kernel's per-cell reference;
 * :class:`NumpyMergeHeap` — the merge heap of Section 6.2.2 as parallel NumPy
   arrays (interval endpoints, aggregate values, linked-list indices, merge
   keys) under a :mod:`heapq` priority queue with lazy-deletion version
@@ -259,14 +262,16 @@ class NumpyPrefixSums:
         self.segments = list(segments)
         dimensions = self.segments[0].dimensions if self.segments else 0
         self.weights = resolve_weights(weights, dimensions)
-        self._w2 = np.asarray(self.weights, dtype=np.float64) ** 2
+        self._w2 = np.array(squared_weights(self.weights, dimensions))
 
         count = len(self.segments)
         lengths = np.zeros(count + 1, dtype=np.float64)
         values = np.zeros((dimensions, count + 1), dtype=np.float64)
-        for index, segment in enumerate(self.segments, start=1):
-            lengths[index] = segment.length
-            values[:, index] = segment.values
+        if count:
+            lengths[1:] = [segment.length for segment in self.segments]
+            values[:, 1:] = np.array(
+                [segment.values for segment in self.segments], dtype=np.float64
+            ).reshape(count, dimensions).T
         weighted = values * lengths
         self._L = np.cumsum(lengths)
         self._S = np.cumsum(weighted, axis=1)
@@ -297,7 +302,7 @@ class NumpyPrefixSums:
         run_sum = self._S[:, last + 1] - self._S[:, first]
         run_square = self._SS[:, last + 1] - self._SS[:, first]
         deviation = np.maximum(run_square - run_sum * run_sum / length, 0.0)
-        return float(self._w2 @ deviation)
+        return float(_weighted_sum(self._w2, deviation))
 
     def sse_run_batch(self, j_lo: int, i: int) -> np.ndarray:
         """Run errors ``SSE(s_{j+1} .. s_i)`` for every ``j`` in ``[j_lo, i)``.
@@ -310,7 +315,21 @@ class NumpyPrefixSums:
         run_sum = self._S[:, [i]] - self._S[:, j_lo:i]
         run_square = self._SS[:, [i]] - self._SS[:, j_lo:i]
         deviation = np.maximum(run_square - run_sum * run_sum / length, 0.0)
-        return self._w2 @ deviation
+        return _weighted_sum(self._w2, deviation)
+
+
+def _weighted_sum(w2: np.ndarray, deviation: np.ndarray) -> np.ndarray:
+    """``Σ_d w2[d] · deviation[d]``, summed from ``0.0`` one dimension at
+    a time over the leading axis.
+
+    This is :meth:`repro.core.errors.PrefixSums.sse`'s order, and the
+    compiled DP row's (``_dp.c``).  A ``w2 @ deviation`` would run a BLAS
+    dot, whose summation order depends on the BLAS build and the CPU.
+    """
+    total = np.zeros(deviation.shape[1:])
+    for weight, row in zip(w2, deviation):
+        total += weight * row
+    return total
 
 
 def dp_first_row(
@@ -328,7 +347,7 @@ def dp_first_row(
     run_sum = prefix._S[:, 1 : i_max + 1]
     run_square = prefix._SS[:, 1 : i_max + 1]
     deviation = np.maximum(run_square - run_sum * run_sum / length, 0.0)
-    row[1 : i_max + 1] = prefix._w2 @ deviation
+    row[1 : i_max + 1] = _weighted_sum(prefix._w2, deviation)
     if first_gap is not None and first_gap < i_max:
         row[first_gap + 1 : i_max + 1] = math.inf
     return row

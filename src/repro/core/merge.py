@@ -101,12 +101,12 @@ def merge_run(segments: Sequence[AggregateSegment]) -> AggregateSegment:
             raise ValueError(
                 f"run contains non-adjacent pair {left} !≺ {right}"
             )
-    total = sum(segment.length for segment in segments)
-    dimensions = segments[0].dimensions
-    values = tuple(
-        sum(segment.length * segment.values[d] for segment in segments) / total
-        for d in range(dimensions)
-    )
+    total = sum(segment.length for segment in segments)  # integers
+    sums = [0.0] * segments[0].dimensions
+    for segment in segments:  # left to right: no compensated float sum()
+        for d, value in enumerate(segment.values):
+            sums[d] += segment.length * value
+    values = tuple(weighted / total for weighted in sums)
     interval = Interval(segments[0].interval.start, segments[-1].interval.end)
     return AggregateSegment(segments[0].group, values, interval)
 

@@ -1,7 +1,7 @@
-"""Build-once loader of the compiled greedy loops (``_activate.c``,
-``_trajectory.c``).
+"""Build-once loader of the compiled loops (``_activate.c``,
+``_trajectory.c``, ``_dp.c``).
 
-Two loops run in C when this module could load them, and in Python
+Three loops run in C when this module could load them, and in Python
 otherwise:
 
 * :meth:`repro.core.kernels.NumpyMergeHeap.activate_staged_all`, the
@@ -9,9 +9,13 @@ otherwise:
   bit-identical heap state behind (``tests/test_native_kernel.py``);
 * :func:`repro.core.kernels.greedy_merge_trajectory`, the sharded
   engine's merge schedule (``KERNEL.trajectory``); both return the same
-  four columns, byte for byte (``tests/test_native_trajectory.py``).
+  four columns, byte for byte (``tests/test_native_trajectory.py``);
+* :meth:`repro.core.dp._ErrorMatrix.fill_next_row` on the numpy backend,
+  one row ``k >= 2`` of the exact DP's error matrix (``KERNEL.dp_row``);
+  both fill the same row and split points, byte for byte
+  (``tests/test_native_dp.py``).
 
-Both C files build into one extension module, the first time this module
+The C files build into one extension module, the first time this module
 is imported, with ``sysconfig``'s C compiler and include path, and cached
 in the package's ``__pycache__`` under a name keyed by a checksum of all
 of the C source, the flags and ``EXT_SUFFIX``; every later import loads
@@ -22,8 +26,10 @@ or an unwritable cache leaves :data:`KERNEL` ``None`` with the cause in
 :data:`REASON`; the Python loops then run, the
 ``repro_native_activation`` gauge reads 0, and every activation through
 them counts on ``repro_python_activations_total`` (every trajectory on
-``repro_python_trajectories_total``) and logs its cause once per process
-(events ``python_activation_loop`` and ``python_trajectory_loop``).
+``repro_python_trajectories_total``, every DP row on
+``repro_python_dp_rows_total``) and logs its cause once per process
+(events ``python_activation_loop``, ``python_trajectory_loop`` and
+``python_dp_row``).
 """
 
 from __future__ import annotations
@@ -45,18 +51,19 @@ from ..obs import metrics as _metrics
 
 #: Every C file of the module; the first defines its ``PyInit``.
 SOURCES = tuple(
-    Path(__file__).with_name(name) for name in ("_activate.c", "_trajectory.c")
+    Path(__file__).with_name(name)
+    for name in ("_activate.c", "_trajectory.c", "_dp.c")
 )
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 #: No ``-ffast-math``, and no contraction to fused multiply-adds (gcc's
-#: default): either changes the bits of a merge key.
+#: default): either changes the bits of a merge key or a run error.
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
 
 _GAUGE = (
     "repro_native_activation",
-    "1 when the compiled greedy loops (online activation, shard "
-    "trajectories) loaded, 0 when they run in Python.",
+    "1 when the compiled loops (online activation, shard trajectories, "
+    "DP rows) loaded, 0 when they run in Python.",
 )
 _PYTHON_ACTIVATIONS = (
     "repro_python_activations_total",
@@ -65,6 +72,11 @@ _PYTHON_ACTIVATIONS = (
 _PYTHON_TRAJECTORIES = (
     "repro_python_trajectories_total",
     "Shard merge schedules that ran the Python loop.",
+)
+_PYTHON_DP_ROWS = (
+    "repro_python_dp_rows_total",
+    "Exact-DP error-matrix rows (k >= 2, numpy backend) that ran the "
+    "Python loop.",
 )
 #: The ``(event, reason)`` pairs logged so far in this process.
 _logged: Set[Tuple[str, str]] = set()
@@ -200,7 +212,13 @@ def python_trajectory(reason: str) -> None:
     _python_loop(_PYTHON_TRAJECTORIES, "python_trajectory_loop", reason)
 
 
+def python_dp_row(reason: str) -> None:
+    """Count one DP row that ran the Python loop; log its cause once."""
+    _python_loop(_PYTHON_DP_ROWS, "python_dp_row", reason)
+
+
 KERNEL, REASON = load()
 _metrics.gauge(*_GAUGE).set(0 if KERNEL is None else 1)
 _metrics.counter(*_PYTHON_ACTIVATIONS)
 _metrics.counter(*_PYTHON_TRAJECTORIES)
+_metrics.counter(*_PYTHON_DP_ROWS)

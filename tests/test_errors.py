@@ -1,6 +1,7 @@
 """Unit tests for the error measures and the prefix-sum SSE (Proposition 1)."""
 
 import math
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.core import (
     sse_of_run,
 )
 from repro.core.errors import resolve_weights
+from repro.core.merge import merge_run
 from conftest import make_segment
 
 
@@ -96,6 +98,42 @@ class TestMaxError:
             make_segment(1, 2, 9.0, group=("B",)),
         ]
         assert max_error(segments) == 0.0
+
+
+def two_long_runs():
+    """5 000 segments in two runs of 2 500, values over four decades."""
+    draw = random.Random(29)
+    segments, start = [], 0
+    for index in range(5000):
+        length = draw.randint(1, 3)
+        start += index == 2500  # a one-chronon gap between the runs
+        values = (
+            draw.uniform(-1.0, 1.0) * 10 ** draw.randint(0, 3),
+            draw.uniform(0.0, 1e6),
+        )
+        segments.append(
+            AggregateSegment((), values, Interval(start, start + length - 1))
+        )
+        start += length
+    return segments
+
+
+class TestSameBitsOnEveryPython:
+    """The sums behind ``SSE_max`` (every error budget) and ``merge_run``
+    are left-to-right loops, so these bits hold on every Python minor.  A
+    builtin ``sum()``, compensated from 3.12 on, gives
+    ``0x1.7a7ae41371d44p+49`` there."""
+
+    def test_max_error(self):
+        segments = two_long_runs()
+        assert max_error(segments).hex() == "0x1.7a7ae41371d43p+49"
+        assert max_error(segments, (0.5, 3.0)).hex() == "0x1.a9ca24be1e37cp+52"
+
+    def test_merge_run(self):
+        merged = merge_run(two_long_runs()[:2500])
+        assert [value.hex() for value in merged.values] == [
+            "0x1.37f1b5ed51c92p-1", "0x1.f1dd7e7f09fa4p+18",
+        ]
 
 
 class TestPrefixSums:

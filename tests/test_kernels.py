@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     DELTA_INFINITY,
+    AggregateSegment,
     MergeHeap,
     NumpyMergeHeap,
     NumpyPrefixSums,
@@ -27,6 +30,9 @@ from repro.core import (
 )
 from repro.core.dp import optimal_error_curve, reduce_to_error, reduce_to_size
 from repro.core.errors import PrefixSums
+from repro.core.merge import cmin
+from repro.temporal import Interval
+from repro.core.kernels import dp_first_row
 from repro.datasets import (
     synthetic_grouped_segments,
     synthetic_sequential_segments,
@@ -47,38 +53,62 @@ def assert_same_reduction(reference, candidate):
 # Prefix sums
 # ----------------------------------------------------------------------
 class TestNumpyPrefixSums:
-    def test_matches_python_prefix_sums(self, proj_segments):
-        python = PrefixSums(proj_segments)
-        vectorized = NumpyPrefixSums(proj_segments)
-        n = len(proj_segments)
+    """Both prefix sums build their columns and evaluate Proposition 1 in
+    the same operation order (``w·w``, then one dimension at a time from
+    ``0.0``), so every float is ``==``, not approximately equal."""
+
+    CASES = {
+        "running example": lambda proj: (proj, None),
+        "weighted": lambda proj: (proj, (2.5,)),
+        "p = 5, weighted": lambda proj: (
+            synthetic_grouped_segments(3, 12, dimensions=5, seed=31),
+            (0.3, 1.7, 2.9, 0.77, 1.1),
+        ),
+        "p = 5, offset": lambda proj: (
+            [
+                AggregateSegment(
+                    s.group, tuple(v + 1e6 for v in s.values), s.interval
+                )
+                for s in synthetic_grouped_segments(2, 15, 5, seed=32)
+            ],
+            None,
+        ),
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def case(self, request, proj_segments):
+        return self.CASES[request.param](proj_segments)
+
+    def test_matches_python_prefix_sums(self, case):
+        segments, weights = case
+        python = PrefixSums(segments, weights)
+        vectorized = NumpyPrefixSums(segments, weights)
+        n = len(segments)
         for first in range(n):
             for last in range(first, n):
-                assert vectorized.sse(first, last) == pytest.approx(
-                    python.sse(first, last)
-                )
-                assert vectorized.total_length(first, last) == pytest.approx(
+                assert vectorized.sse(first, last) == python.sse(first, last)
+                assert vectorized.total_length(first, last) == (
                     python.total_length(first, last)
                 )
-                assert vectorized.merged_values(first, last) == pytest.approx(
+                assert vectorized.merged_values(first, last) == (
                     python.merged_values(first, last)
                 )
 
-    def test_batched_run_errors_match_scalar(self, proj_segments):
-        vectorized = NumpyPrefixSums(proj_segments)
-        n = len(proj_segments)
-        for i in range(1, n + 1):
+    def test_batched_run_errors_match_scalar(self, case):
+        segments, weights = case
+        python = PrefixSums(segments, weights)
+        vectorized = NumpyPrefixSums(segments, weights)
+        for i in range(1, len(segments) + 1):
             batch = vectorized.sse_run_batch(0, i)
             assert len(batch) == i
-            for j in range(i):
-                assert batch[j] == pytest.approx(vectorized.sse(j, i - 1))
+            assert batch.tolist() == [python.sse(j, i - 1) for j in range(i)]
 
-    def test_weights_are_applied(self, proj_segments):
-        weights = (2.5,)
-        python = PrefixSums(proj_segments, weights)
-        vectorized = NumpyPrefixSums(proj_segments, weights)
-        assert vectorized.sse(0, len(proj_segments) - 1) == pytest.approx(
-            python.sse(0, len(proj_segments) - 1)
-        )
+    def test_first_dp_row_matches_scalar(self, case):
+        segments, weights = case
+        python = PrefixSums(segments, weights)
+        n = len(segments)
+        row = dp_first_row(NumpyPrefixSums(segments, weights), n, None)
+        assert row[1:].tolist() == [python.sse(0, i - 1) for i in range(1, n + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +179,59 @@ class TestDPParity:
     def test_unknown_backend_rejected(self, proj_segments):
         with pytest.raises(ValueError, match="backend"):
             reduce_to_size(proj_segments, 4, backend="fortran")
+
+
+@st.composite
+def dp_inputs(draw):
+    """1-3 groups with gaps, p in {1, 2, 5}, optional weights; values
+    small integers (exact ties), spread or offset by 1e6 (cancellation)."""
+    count = draw(st.integers(min_value=1, max_value=60))
+    dimensions = draw(st.sampled_from([1, 2, 5]))
+    groups = draw(st.integers(min_value=1, max_value=3))
+    kind = draw(st.sampled_from(["ties", "spread", "offset"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = rng.integers(1, 4, count)
+    gaps = np.where(rng.random(count) < 0.15, rng.integers(1, 4, count), 0)
+    starts = np.cumsum(lengths + gaps) - lengths
+    group_of = np.sort(rng.integers(0, groups, count))
+    if kind == "ties":
+        values = rng.integers(0, 4, (count, dimensions)).astype(float)
+    else:
+        values = rng.normal(0.0, 10.0, (count, dimensions))
+        values += 1e6 if kind == "offset" else 0.0
+    segments = [
+        AggregateSegment((group,), tuple(row), Interval(start, start + n - 1))
+        for group, row, start, n in zip(
+            group_of.tolist(), values.tolist(), starts.tolist(),
+            lengths.tolist(),
+        )
+    ]
+    weights = draw(st.none() | st.just(
+        tuple(rng.uniform(0.25, 4.0, dimensions).tolist())
+    ))
+    size = draw(st.integers(min_value=cmin(segments), max_value=count))
+    epsilon = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    return segments, weights, size, epsilon
+
+
+@settings(max_examples=60, deadline=None)
+@given(dp_inputs())
+def test_plain_dp_is_identical_on_both_backends(inputs):
+    """Without the optimized scheme's early break, both backends scan the
+    same candidates with the same arithmetic: the same error, bit for bit,
+    and the same segments.  (The optimized scheme keeps
+    :func:`assert_same_reduction`'s checks above: the reference's early
+    break assumes run errors grow as runs grow, which cancellation can
+    break.)"""
+    segments, weights, size, epsilon = inputs
+    for reduce, bound in ((reduce_to_size, size), (reduce_to_error, epsilon)):
+        python, numpy = (
+            reduce(segments, bound, weights, optimized=False, backend=backend)
+            for backend in ("python", "numpy")
+        )
+        assert float(numpy.error).hex() == python.error.hex()
+        assert numpy.segments == python.segments
+        assert numpy.stats == python.stats
 
 
 # ----------------------------------------------------------------------
