@@ -25,10 +25,12 @@ Usage::
 ``record`` writes the measured ratios for the chosen scale into the baseline
 file (merging with other scales); ``check`` re-measures and exits non-zero
 when any ratio dropped more than 30% below its recorded value — the CI
-smoke job runs it at the ``smoke`` scale on every push.  Note that the
-sharded ratios are recorded together with ``cpu_count``: on a single core
-they measure the engine's algorithmic advantage only, and grow further with
-real cores.
+smoke job runs it at the ``smoke`` scale on every push.  Each ratio is the
+median of per-round ratios over :data:`ROUNDS` rounds that time the two
+sides back to back, alternating which side leads (:func:`paired_speedup`).
+Note that the sharded ratios are recorded together with ``cpu_count``: on a
+single core they measure the engine's algorithmic advantage only, and grow
+further with real cores.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
+import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -48,6 +52,11 @@ BASELINE_PATH = REPO_ROOT / "BENCH_parallel.json"
 #: A freshly measured ratio may drop at most this fraction below its
 #: recorded value before the check fails.
 REGRESSION_TOLERANCE = 0.30
+
+#: Rounds per ratio.  One round times both sides back to back, so drift
+#: common to the round cancels in its ratio; the median over rounds rejects
+#: the rounds a scheduler preemption still skewed.
+ROUNDS = 7
 
 #: Workload sizes per scale.  ``smoke`` finishes in well under a minute for
 #: CI; ``full`` is the recorded headline configuration (n = 100k for the
@@ -105,6 +114,27 @@ def _pr1_heap_factory():
         greedy_module.make_merge_heap = original
 
 
+def paired_speedup(baseline, candidate, rounds: int = ROUNDS) -> float:
+    """Median over rounds of ``baseline`` time over ``candidate`` time.
+
+    Even rounds run A-B, odd rounds B-A, as ``bench_service.py``'s
+    ``metrics_disabled_overhead`` does, so neither side always runs on a
+    warmer cache.  Both arguments are zero-argument callables.
+    """
+    from repro.evaluation import speedup
+
+    ratios = []
+    for index in range(rounds):
+        order = (0, 1) if index % 2 == 0 else (1, 0)
+        seconds = [0.0, 0.0]
+        for side in order:
+            began = time.perf_counter()
+            (baseline, candidate)[side]()
+            seconds[side] = time.perf_counter() - began
+        ratios.append(speedup(seconds[0], seconds[1]))
+    return statistics.median(ratios)
+
+
 def measure(scale: str) -> dict:
     """Measure every baseline ratio at the given scale."""
     from repro.core.dp import _ErrorMatrix
@@ -113,15 +143,13 @@ def measure(scale: str) -> dict:
         synthetic_grouped_segments,
         synthetic_sequential_segments,
     )
-    from repro.evaluation import best_of, speedup
     from repro.pipeline import compress
 
     config = SCALES[scale]
     ratios: dict = {}
 
     # DP split-point scan: one full row of the plain scheme (the quadratic
-    # hot spot).  The python side is the slow one by construction and is
-    # only run once.
+    # hot spot).
     sequential = synthetic_sequential_segments(config["dp_n"], 1, seed=81)
 
     def dp_rows(backend):
@@ -130,39 +158,28 @@ def measure(scale: str) -> dict:
         matrix.fill_next_row()
         matrix.fill_next_row()
 
-    python_run = best_of(dp_rows, "python", repeats=2)
-    numpy_run = best_of(dp_rows, "numpy", repeats=3)
-    ratios["dp_inner_numpy_vs_python"] = speedup(
-        python_run.seconds, numpy_run.seconds
+    ratios["dp_inner_numpy_vs_python"] = paired_speedup(
+        lambda: dp_rows("python"), lambda: dp_rows("numpy")
     )
 
     # Batch and online greedy reduction, p = 10 (the paper's synthetic
     # dimensionality).
     heap_input = synthetic_sequential_segments(config["heap_n"], 10, seed=83)
     target = config["heap_n"] // 10
-    python_run = best_of(gms_reduce_to_size, heap_input, target, repeats=3)
-    numpy_run = best_of(
-        gms_reduce_to_size, heap_input, target, backend="numpy", repeats=3
+    ratios["gms_numpy_vs_python"] = paired_speedup(
+        lambda: gms_reduce_to_size(heap_input, target),
+        lambda: gms_reduce_to_size(heap_input, target, backend="numpy"),
     )
-    ratios["gms_numpy_vs_python"] = speedup(
-        python_run.seconds, numpy_run.seconds
-    )
-
-    python_run = best_of(
-        greedy_reduce_to_size, heap_input, target, 1, repeats=3
-    )
-    numpy_run = best_of(
-        greedy_reduce_to_size, heap_input, target, 1, backend="numpy",
-        repeats=3,
-    )
-    ratios["online_numpy_vs_python"] = speedup(
-        python_run.seconds, numpy_run.seconds
+    ratios["online_numpy_vs_python"] = paired_speedup(
+        lambda: greedy_reduce_to_size(heap_input, target, 1),
+        lambda: greedy_reduce_to_size(
+            heap_input, target, 1, backend="numpy"
+        ),
     )
 
-    # The sharded engine against the PR 1 online numpy path.  The
-    # multiprocess configuration is only measured at the full scale: at
-    # smoke size the process-pool start-up jitter dwarfs the work itself
-    # and the ratio is too noisy for a regression gate.
+    # The sharded engine against the PR 1 online numpy path.  Four
+    # reducer threads are only measured at the full scale, the one scale
+    # whose baseline records them.
     def pr1_online(segments, size):
         with _pr1_heap_factory():
             return greedy_reduce_to_size(
@@ -176,13 +193,12 @@ def measure(scale: str) -> dict:
             dimensions=dimensions, seed=42,
         )
         target = len(segments) // 10
-        baseline = best_of(pr1_online, segments, target, repeats=3)
         for workers in worker_counts:
-            run = best_of(
-                compress, segments, size=target, workers=workers, repeats=3
-            )
             ratios[f"sharded_w{workers}_vs_pr1_online_p{dimensions}"] = (
-                speedup(baseline.seconds, run.seconds)
+                paired_speedup(
+                    lambda: pr1_online(segments, target),
+                    lambda: compress(segments, size=target, workers=workers),
+                )
             )
     return ratios
 

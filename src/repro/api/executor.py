@@ -6,7 +6,7 @@
 * exact dynamic programming (:mod:`repro.core.dp`, Section 5),
 * the single-process online greedy state machine
   (:class:`repro.core.greedy.OnlineReducer`, Section 6),
-* the sharded multiprocess engine (:mod:`repro.parallel`) —
+* the sharded engine (:mod:`repro.parallel`) —
 
 and returns one :class:`~repro.api.result.Result` regardless of which
 engine ran.  The legacy doors :func:`repro.pta`, :func:`repro.compress` and
@@ -76,7 +76,7 @@ def _run_sharded(
     size: Optional[int],
     epsilon: Optional[float],
 ) -> Result:
-    """The sharded engine on a process pool, or on remote reducers.
+    """The sharded engine on local threads, or on remote reducers.
 
     Both reduce the same shard plan to the bit-identical plain-GMS result
     (``docs/ARCHITECTURE.md``, Cluster tier).

@@ -256,18 +256,23 @@ class ExecutionPolicy:
         both backends (``tests/test_backend_identity.py``).
     workers:
         ``None`` keeps the single-process online evaluation.  Any integer
-        switches to the sharded engine of :mod:`repro.parallel` (``0`` uses
-        every core, ``1`` runs the shards in-process); requires the greedy
-        method, computes plain GMS (``δ = ∞`` semantics) and is
-        bit-identical for every worker count.
+        switches to the sharded engine of :mod:`repro.parallel`: the
+        width of its thread pool (``0`` uses every core, ``1`` runs the
+        shards on the calling thread).  The compiled merge schedule
+        releases the GIL, so threads use several cores; without a C
+        compiler the Python fallback holds it, and ``workers > 1`` runs
+        no faster than ``1``.  Requires the greedy method, computes plain
+        GMS (``δ = ∞`` semantics) and is bit-identical for every worker
+        count.
     cluster:
         ``"host:port"`` addresses of remote reducer workers
         (:mod:`repro.cluster`).  Switches to the distributed engine:
-        same shard plan and reconciliation as ``workers``, with shards
-        shipped over the wire instead of a process pool — and the same
-        guarantee: bit-identical to every ``workers`` value regardless
-        of placement, cluster size or mid-job worker death.  Mutually
-        exclusive with ``workers``; requires the greedy method.
+        same shard plan, dispatch and reconciliation as ``workers``,
+        with shards shipped over the wire instead of reduced on local
+        threads — and the same guarantee: bit-identical to every
+        ``workers`` value regardless of placement, cluster size or
+        mid-job worker death.  Mutually exclusive with ``workers``;
+        requires the greedy method.
     shard_size:
         Segments per shard for the sharded engine (default
         :data:`repro.parallel.DEFAULT_SHARD_SIZE`); a work-distribution
@@ -324,7 +329,7 @@ class ExecutionPolicy:
             if self.workers is not None:
                 raise PlanError(
                     "workers and cluster are mutually exclusive: the "
-                    "reduction runs either on a local process pool or "
+                    "reduction runs either on local threads or "
                     "on remote reducer workers"
                 )
         if self.shard_size is not None and self.shard_size < 1:

@@ -1,7 +1,7 @@
 """The unified result of every PTA evaluation door.
 
 Whatever engine a plan dispatches to — exact DP, single-process online
-greedy, the sharded multiprocess engine, or an incremental
+greedy, the sharded engine, or an incremental
 :class:`~repro.api.session.Compressor` session — the caller gets one
 :class:`Result`: the reduced segments, the evaluation statistics, and sink
 helpers (``to_relation`` / ``to_csv`` / iteration) to move the summary

@@ -1,9 +1,9 @@
 """Cluster coordinator: ship shards to remote reducers, merge centrally.
 
 The distributed engine is the sharded engine of :mod:`repro.parallel`
-with the process pool swapped for sockets — every determinism property
-carries over because the *plan* and the *reconciliation* are byte-for-byte
-the same code:
+with each shard's reduction shipped over a socket — every determinism
+property carries over because the *plan*, the *dispatch* and the
+*reconciliation* are byte-for-byte the same code:
 
 1. **Encode + shard** — :func:`repro.parallel.plan_job`, which
    :func:`repro.parallel.run_sharded` starts with too.  The shard plan
@@ -17,15 +17,17 @@ the same code:
    interned group-key table, so the payload is self-contained).
 3. **Reduce remotely** — a :class:`repro.cluster.worker.ReducerWorker`
    answers with the shard's complete merge schedule (``KIND_TRAJECTORY``).
-   Shards are dispatched concurrently, one thread per cluster address.
+   Shards are dispatched concurrently, one thread per cluster address,
+   by :func:`repro.parallel._reduce_shards_pooled`, the dispatch
+   ``workers=N`` uses too.
 4. **Survive faults** — a shard whose worker dies, times out, or sends
    a torn frame is retried across the remaining addresses with
    decorrelated-jitter exponential backoff
    (:func:`repro.cluster.transport.request_with_retries`); peers whose
    circuit breaker is open (:data:`repro.util.health.SHARED`) are
    skipped until a half-open probe readmits them; when every address
-   fails, the shard runs **in-process** — the same fallback ladder as
-   the pool engine's ``BrokenProcessPool`` handling.  An answer that
+   fails, the shard runs **in-process**, on the same
+   :func:`repro.parallel.reduce_shard` as ``workers=N``.  An answer that
    arrives intact but does not fit its shard — an undecodable or
    other-version ``PTAT`` payload, a boundary or head index outside the
    shard, rows of the wrong width — is a transport fault too: that
@@ -44,9 +46,7 @@ the same code:
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from ..obs import tracing as _tracing
 from ..parallel import (
     EncodedSegments,
     ShardTrajectory,
+    _reduce_shards_pooled,
     assemble_result,
     plan_job,
     reduce_shard,
@@ -67,8 +68,10 @@ from ..service import wire
 from ..util import deadline as _deadline
 from ..util.health import SHARED as SHARED_HEALTH
 from .transport import (
+    DEFAULT_BACKOFF_S,
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_READ_TIMEOUT,
+    DEFAULT_RETRIES,
     KIND_REDUCE,
     KIND_TRAJECTORY,
     NON_RETRYABLE_CODES,
@@ -147,8 +150,8 @@ def reduce_cluster(
     weights: Optional[Weights] = None,
     cluster: Sequence[str] = (),
     shard_size: Optional[int] = None,
-    shard_retries: Optional[int] = None,
-    retry_backoff: Optional[float] = None,
+    shard_retries: int = DEFAULT_RETRIES,
+    retry_backoff: float = DEFAULT_BACKOFF_S,
     connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
     read_timeout: float = DEFAULT_READ_TIMEOUT,
 ) -> GreedyResult:
@@ -157,30 +160,27 @@ def reduce_cluster(
     ``cluster`` is a non-empty sequence of ``"host:port"`` reducer
     addresses.  Exactly one of ``size`` / ``max_error`` must be given
     (same semantics as :func:`repro.parallel.run_sharded`); the result is
-    bit-identical to the in-process and pool engines for every cluster
-    size, worker placement, or mid-job worker death.  Each shard tries
-    every address up to ``1 + shard_retries`` rounds before falling back
-    to an in-process reduction of that shard.
+    bit-identical to the in-process engine for every cluster size,
+    worker placement, or mid-job worker death.  Each shard tries every
+    address up to ``1 + shard_retries`` rounds, ``retry_backoff`` seconds
+    apart at first (exponential, decorrelated jitter), before falling
+    back to an in-process reduction of that shard.
     """
     addresses = list(cluster)
     if not addresses:
         raise ValueError("cluster must name at least one worker address")
     for address in addresses:
         parse_address(address)  # fail fast on malformed addresses
-    job = plan_job(
-        segments, size, max_error, weights, shard_size, shard_retries,
-        retry_backoff,
-    )
+    for name, value in (
+        ("shard_retries", shard_retries), ("retry_backoff", retry_backoff)
+    ):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+    job = plan_job(segments, size, max_error, weights, shard_size)
     if job is None:
         return GreedyResult()
-    encoded, shards, w2, retries, backoff = job
-
-    # Capture the caller's trace id *before* the thread fan-out: plain
-    # ThreadPoolExecutor threads do not inherit ContextVars, so each
-    # dispatch re-enters the trace explicitly and the id also rides in
-    # the shard envelope for the remote worker's spans.
-    trace_id = _tracing.current_trace_id()
-    deadline = _deadline.current_deadline()
+    encoded, shards, w2 = job
+    payloads = shard_payloads(encoded, shards, w2)
     fallbacks = _metrics.counter(
         "repro_shard_fallbacks_total",
         "Shards reduced in-process after every cluster peer failed.",
@@ -190,8 +190,12 @@ def reduce_cluster(
     # Rotate each shard's starting address so concurrent shards spread
     # across the cluster instead of all hammering addresses[0]; the
     # rotation only changes *where* a schedule is computed, never what it
-    # contains, so placement cannot perturb the output.
-    def _reduce_remote(index: int, lo: int, hi: int) -> ShardTrajectory:
+    # contains, so placement cannot perturb the output.  The dispatch runs
+    # each task in a copy of the caller's context, so the trace id and
+    # the deadline read here are the caller's.
+    def _reduce_remote(task: Tuple[int, Tuple[int, int]]) -> ShardTrajectory:
+        index, (lo, hi) = task
+        deadline = _deadline.current_deadline()
         if deadline is not None:
             deadline.check(f"dispatching shard {index}")
         payload = encode_shard_request(
@@ -199,66 +203,41 @@ def reduce_cluster(
             lo,
             hi,
             w2,
-            trace_id,
+            _tracing.current_trace_id(),
             deadline.remaining() if deadline is not None else None,
         )
         rotated = [
             addresses[(index + step) % len(addresses)]
             for step in range(len(addresses))
         ]
-        with _tracing.attach(trace_id), _deadline.attach(deadline):
-            try:
-                answer = request_with_retries(
-                    rotated,
-                    KIND_REDUCE,
-                    payload,
-                    expect=KIND_TRAJECTORY,
-                    retries=retries,
-                    backoff=backoff,
-                    connect_timeout=connect_timeout,
-                    read_timeout=read_timeout,
-                    deadline=deadline,
-                    health=SHARED_HEALTH,
-                )
-                return check_trajectory(
-                    decode_trajectory(answer), hi - lo, encoded.dimensions
-                )
-            except RemoteError as error:
-                if error.code in NON_RETRYABLE_CODES:
-                    # bad_request: resending identical bytes cannot
-                    # succeed.  deadline_exceeded: the budget is spent —
-                    # a local fallback would blow it just the same.
-                    raise
-            except TransportError:
-                pass
-            fallbacks.inc()
-            return _reduce_local(index)
-
-    local_lock = threading.Lock()
-    local_payloads: List[Optional[tuple]] = [None]
-
-    def _reduce_local(index: int) -> ShardTrajectory:
-        with local_lock:  # materialise the payload list once, lazily
-            if local_payloads[0] is None:
-                local_payloads[0] = shard_payloads(encoded, shards, w2)
-        return reduce_shard(local_payloads[0][index])
-
-    trajectories: List[ShardTrajectory]
-    if len(shards) == 1 or len(addresses) == 1:
-        trajectories = [
-            _reduce_remote(index, lo, hi)
-            for index, (lo, hi) in enumerate(shards)
-        ]
-    else:
-        width = min(len(addresses), len(shards))
-        with ThreadPoolExecutor(
-            max_workers=width, thread_name_prefix="pta-cluster"
-        ) as pool:
-            trajectories = list(
-                pool.map(
-                    lambda task: _reduce_remote(task[0], *task[1]),
-                    list(enumerate(shards)),
-                )
+        try:
+            answer = request_with_retries(
+                rotated,
+                KIND_REDUCE,
+                payload,
+                expect=KIND_TRAJECTORY,
+                retries=shard_retries,
+                backoff=retry_backoff,
+                connect_timeout=connect_timeout,
+                read_timeout=read_timeout,
+                deadline=deadline,
+                health=SHARED_HEALTH,
             )
+            return check_trajectory(
+                decode_trajectory(answer), hi - lo, encoded.dimensions
+            )
+        except RemoteError as error:
+            if error.code in NON_RETRYABLE_CODES:
+                # bad_request: resending identical bytes cannot
+                # succeed.  deadline_exceeded: the budget is spent —
+                # a local fallback would blow it just the same.
+                raise
+        except TransportError:
+            pass
+        fallbacks.inc()
+        return reduce_shard(payloads[index])
 
+    trajectories = _reduce_shards_pooled(
+        _reduce_remote, list(enumerate(shards)), len(addresses)
+    )
     return assemble_result(encoded, shards, trajectories, size, max_error)

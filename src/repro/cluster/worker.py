@@ -13,8 +13,8 @@ the shard's complete merge schedule:
    starts without a per-column memcpy;
 3. :func:`repro.parallel.reduce_shard` runs
    :func:`repro.core.kernels.greedy_merge_trajectory` and sums its keys
-   into the shard's ``SSE_max`` — exactly the computation a process-pool
-   worker performs;
+   into the shard's ``SSE_max`` — exactly the computation a
+   ``workers=N`` reducer thread performs;
 4. the schedule — boundaries, keys, ``SSE_max``, heads and merged rows —
    returns as a ``PTAT`` version 2 payload (``KIND_TRAJECTORY``).
 

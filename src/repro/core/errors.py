@@ -48,7 +48,8 @@ def sse_of_run(
 
     Float sums are spelled as left-to-right loops from ``0.0``: the builtin
     ``sum()`` is compensated from Python 3.12 on, and would give other bits
-    on other interpreters.
+    on other interpreters.  Squares are products: ``** 2`` calls libm's
+    ``pow``, which is not correctly rounded on every libm.
     """
     if not segments:
         return 0.0
@@ -62,7 +63,8 @@ def sse_of_run(
         mean = weighted_sum / total_length
         squares = 0.0
         for segment in segments:
-            squares += segment.length * (segment.values[d] - mean) ** 2
+            deviation = segment.values[d] - mean
+            squares += segment.length * (deviation * deviation)
         error += weight * squares
     return error
 
@@ -77,7 +79,9 @@ def sse_between(
     Every original segment is matched to the reduced segment of the same
     aggregation group whose interval contains it; the error is the weighted
     squared distance between their aggregate values, weighted by the original
-    segment's interval length.
+    segment's interval length.  Sums and squares are spelled as in
+    :func:`sse_of_run`, so the bits are the same on every interpreter and
+    libm.
     """
     if not original:
         return 0.0
@@ -97,10 +101,11 @@ def sse_between(
             raise ValueError(
                 f"reduced relation has no segment covering {segment}"
             )
-        error += segment.length * sum(
-            (weights[d] * (segment.values[d] - target.values[d])) ** 2
-            for d in range(dimensions)
-        )
+        distance = 0.0
+        for d in range(dimensions):
+            scaled = weights[d] * (segment.values[d] - target.values[d])
+            distance += scaled * scaled
+        error += segment.length * distance
     return error
 
 

@@ -38,7 +38,7 @@ provides drop-in array-backed counterparts selected with the
   array-encoded segment shard (the boundary-removal order, the merge
   error, the surviving block and its merged row of every step down to
   ``cmin``), the unit of work executed by the
-  sharded multiprocess engine of :mod:`repro.parallel` and by the batch
+  sharded engine of :mod:`repro.parallel` and by the batch
   GMS helpers on the numpy backend.
 
 Every greedy merge key and merged row, on either backend, comes from

@@ -66,7 +66,7 @@ def pta(
     parameter ``δ``.  ``backend`` selects the pure-Python reference kernels
     or the vectorized NumPy kernels (:mod:`repro.core.kernels`); both yield
     identical results.  ``workers`` (greedy method only) routes the
-    reduction through the sharded multiprocess engine of
+    reduction through the sharded engine of
     :mod:`repro.parallel`, which computes plain GMS (``δ = ∞`` semantics)
     bit-identically for every worker count.
 

@@ -27,9 +27,10 @@ is ``False``), :func:`span` returns a shared no-op context manager:
 the cost is one global read, no clock call, no allocation.
 
 Plain threads do **not** inherit context variables, so code that fans
-out to an executor must capture :func:`current_trace_id` first and
-re-enter it in the worker via :func:`attach` — see
-:func:`repro.cluster.coordinator.reduce_cluster`.
+out to an executor runs each task in a :func:`contextvars.copy_context`
+of the caller — see :func:`repro.parallel._reduce_shards_pooled`, the
+shard dispatch of both sharded engines.  :func:`attach` adopts an id
+that arrived in an envelope.
 """
 
 from __future__ import annotations
@@ -127,8 +128,8 @@ def trace(trace_id: Optional[str] = None) -> Iterator[str]:
 
 @contextmanager
 def attach(trace_id: Optional[str]) -> Iterator[None]:
-    """Adopt a propagated id (envelope meta, captured before a thread
-    hop); a ``None`` or malformed id leaves the context untouched."""
+    """Adopt an id that arrived in envelope meta; a ``None`` or
+    malformed id leaves the context untouched."""
     if trace_id is None or not valid_trace_id(trace_id):
         yield
         return

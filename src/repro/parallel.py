@@ -1,4 +1,4 @@
-"""Sharded multiprocess reduction engine for greedy PTA.
+"""Sharded reduction engine for greedy PTA.
 
 The merge operator never crosses a maximal-run boundary (a temporal gap or a
 change of aggregation group), so the runs produced by
@@ -7,8 +7,8 @@ This module exploits that structure to scale the greedy reduction across
 cores:
 
 1. **Encode** — the segment stream is materialised once into flat NumPy
-   columns (:func:`encode_segments`), so a shard travels to a worker process
-   as a handful of array buffers instead of thousands of
+   columns (:func:`encode_segments`), so a shard reaches its reducer as a
+   handful of zero-copy array slices instead of thousands of
    :class:`~repro.core.merge.AggregateSegment` objects.
 2. **Shard** — the columns are cut into shards at run boundaries
    (:func:`plan_shards`).  The shard plan depends only on the input and the
@@ -17,9 +17,15 @@ cores:
 3. **Reduce** — each shard's complete greedy merge schedule (per step:
    the removed boundary, the merge error, the surviving block and its
    merged row, down to the shard's ``cmin``) is computed by
-   :func:`repro.core.kernels.greedy_merge_trajectory`, either in-process or
-   on a :class:`~concurrent.futures.ProcessPoolExecutor`.  Its keys and
-   rows come from :func:`repro.core.errors.merge_key` and
+   :func:`repro.core.kernels.greedy_merge_trajectory`.  With
+   ``workers > 1`` the shards run on a thread pool
+   (:func:`_reduce_shards_pooled`, the one dispatch the cluster tier
+   shares): the compiled schedule releases the GIL, so threads use
+   several cores without copying a shard.  Without a C compiler the
+   Python fallback holds the GIL, so there ``workers > 1`` runs no faster
+   than ``workers=1`` (each such schedule counts on
+   ``repro_python_trajectories_total``).  Keys and rows come from
+   :func:`repro.core.errors.merge_key` and
    :func:`repro.core.merge.merged_row`, so a shard's schedule is the
    merge heap's, bit for bit.
 4. **Reconcile** — because the merge performed by global GMS is always the
@@ -58,11 +64,12 @@ more than the sequential DP it would replace.
 
 from __future__ import annotations
 
+import contextvars
 import os
-import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import (
+    Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
+)
 
 import numpy as np
 
@@ -78,27 +85,19 @@ from .core.kernels import (
     require_finite,
 )
 from .core.merge import AggregateSegment
-from .obs import metrics as _metrics
 from .obs.tracing import span
 from .temporal import Interval
 from .util import failpoints
-from .util.backoff import DEFAULT_CAP_S as DEFAULT_BACKOFF_CAP
-from .util.backoff import Backoff
 
 #: Default number of segments per shard.  A function of the input only —
 #: never of the worker count — so that the shard plan (and with it the
 #: reduction) is identical for every ``workers`` value.  At 8k segments per
 #: shard a 100k-segment input yields ~12 shards, enough to keep 4–16 cores
-#: busy while keeping the per-task serialisation overhead negligible.
+#: busy while keeping the per-task dispatch overhead negligible.
 DEFAULT_SHARD_SIZE = 8192
 
-#: Pool rebuilds attempted after worker deaths before the engine gives up
-#: on multiprocessing and finishes the remaining shards in-process.
-SHARD_RETRIES = 2
-
-#: Base of the exponential backoff between pool rebuilds, in seconds
-#: (decorrelated jitter, shared ladder: :class:`repro.util.backoff.Backoff`).
-RETRY_BACKOFF_S = 0.05
+_Task = TypeVar("_Task")
+_Out = TypeVar("_Out")
 
 
 def plan_shards(
@@ -130,16 +129,15 @@ def plan_shards(
 
 
 #: One shard as it travels to a reducer: ``(starts, ends, values,
-#: groups, w2)`` array slices.  The same tuple shape crosses a process
-#: boundary on the pool path and (PTAS-encoded) a network boundary on the
-#: cluster path (:mod:`repro.cluster`).
+#: groups, w2)`` array slices.  The same columns cross (PTAS-encoded) a
+#: network boundary on the cluster path (:mod:`repro.cluster`).
 ShardPayload = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 #: One shard's reduction output: ``(boundaries, keys, sse_max, heads,
 #: rows)``, the complete merge schedule of
 #: :func:`~repro.core.kernels.greedy_merge_trajectory` plus the shard's
 #: ``SSE_max``, the sum of the keys.  A plain tuple, so it crosses the
-#: pool's pickling and the cluster's ``PTAT`` codec unchanged.
+#: cluster's ``PTAT`` codec unchanged.
 ShardTrajectory = Tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]
 
 
@@ -149,8 +147,6 @@ class ShardJob(NamedTuple):
     encoded: EncodedSegments
     shards: List[Tuple[int, int]]
     w2: np.ndarray
-    retries: int
-    backoff: float
 
 
 def plan_job(
@@ -159,29 +155,20 @@ def plan_job(
     max_error: float | None,
     weights: Weights | None,
     shard_size: int | None,
-    shard_retries: int | None,
-    retry_backoff: float | None,
 ) -> Optional[ShardJob]:
     """The front half of every sharded engine, up to the shard plan.
 
-    Checks the budget and the knobs (``None`` takes the module default),
-    encodes the input, refuses non-finite values and cuts the shards.
-    Returns ``None`` for an empty input.  :func:`run_sharded` and
-    :func:`repro.cluster.reduce_cluster` both start here, so the pool and
-    the cluster reduce the same shards.
+    Checks the budget and ``shard_size`` (``None`` takes
+    :data:`DEFAULT_SHARD_SIZE`), encodes the input, refuses non-finite
+    values and cuts the shards.  Returns ``None`` for an empty input.
+    :func:`run_sharded` and :func:`repro.cluster.reduce_cluster` both
+    start here, so local threads and remote workers reduce the same
+    shards.
     """
     validate_budget(size, max_error)
     shard_size = DEFAULT_SHARD_SIZE if shard_size is None else shard_size
-    retries = SHARD_RETRIES if shard_retries is None else shard_retries
-    backoff = RETRY_BACKOFF_S if retry_backoff is None else retry_backoff
-    for name, value, floor in (
-        ("shard_size", shard_size, 1),
-        ("shard_retries", retries, 0),
-        ("retry_backoff", backoff, 0),
-    ):
-        if value < floor:
-            wanted = "at least 1" if floor else "non-negative"
-            raise ValueError(f"{name} must be {wanted}, got {value}")
+    if shard_size < 1:
+        raise ValueError(f"shard_size must be at least 1, got {shard_size}")
     encoded = encode_segments(segments)
     if len(encoded) == 0:
         return None
@@ -190,7 +177,7 @@ def plan_job(
         squared_weights(weights, encoded.dimensions), dtype=np.float64
     )
     shards = plan_shards(encoded, shard_size)
-    return ShardJob(encoded, shards, w2, retries, backoff)
+    return ShardJob(encoded, shards, w2)
 
 
 def shard_payloads(
@@ -212,13 +199,13 @@ def shard_payloads(
 
 
 def reduce_shard(payload: ShardPayload) -> ShardTrajectory:
-    """Worker task: complete merge schedule plus ``SSE_max`` of one shard.
+    """Reducer task: complete merge schedule plus ``SSE_max`` of one shard.
 
     The schedule runs down to the shard's ``cmin``, so by Proposition 2
     its keys add up to the shard's ``SSE_max``: the third element of the
     returned :data:`ShardTrajectory` is their sum.  This is the unit of
-    remote work for both the process-pool engine and the cluster tier's
-    reducer workers (:mod:`repro.cluster.worker`).
+    work for both the threaded engine and the cluster tier's reducer
+    workers (:mod:`repro.cluster.worker`).
     """
     failpoints.fail("parallel.worker")
     starts, ends, values, groups, w2 = payload
@@ -229,7 +216,8 @@ def reduce_shard(payload: ShardPayload) -> ShardTrajectory:
     return boundaries, keys, float(keys.sum()), heads, rows
 
 
-# Backwards-compatible name (the pool pickles tasks by qualified name).
+# A second name the layer benchmark (``perfbench/layers.py``) wraps; it
+# raises ``KeyError`` at install time if the name is missing.
 _reduce_shard = reduce_shard
 
 
@@ -249,8 +237,8 @@ def assemble_result(
     nothing in it loops over merges in Python.  Because it
     consumes ``trajectories`` by shard index — never by completion order —
     the output is bit-identical no matter where or in what order the shard
-    schedules were computed (pool workers, remote cluster workers,
-    in-process fallback, or any mix).
+    schedules were computed (local threads, remote cluster workers, the
+    cluster's in-process fallback, or any mix).
     """
     with span("frontier_merge"):
         counts, total_error, merges = _reconcile(
@@ -270,62 +258,33 @@ def assemble_result(
 
 
 def _reduce_shards_pooled(
-    payloads: Sequence[tuple],
-    pool_width: int,
-    retries: int,
-    backoff: float,
-) -> List[ShardTrajectory]:
-    """Run every shard on a process pool, surviving worker deaths.
+    reduce_one: Callable[[_Task], _Out],
+    tasks: Sequence[_Task],
+    width: int,
+) -> List[_Out]:
+    """Run ``reduce_one`` over every task; the results in task order.
 
-    Shards that completed before a :class:`BrokenProcessPool` keep their
-    results; the pool is rebuilt (after an exponential backoff with
-    decorrelated jitter) and only the missing shards are resubmitted, up
-    to ``retries`` rebuilds.  After
-    that the remaining shards run in-process — slower, never wrong.
-    Results are indexed by shard, so the reconciliation order (and with
-    it the output) is bit-identical to the fault-free run no matter
-    which workers died when.
+    The one shard dispatch of :func:`run_sharded` and
+    :func:`repro.cluster.reduce_cluster`.  Serial at ``width <= 1`` or for
+    a single task; otherwise on ``min(width, len(tasks))`` threads, each
+    task in its own copy of the caller's context, so the caller's trace id
+    and deadline follow the shard.  A task's exception is raised to the
+    caller (on threads, the first in task order, once every task has
+    run), and nothing is retried.  Results are
+    indexed by task, never by completion order, so the output is
+    bit-identical at every width.  The layer benchmark
+    (``perfbench/layers.py``) wraps this function by name.
     """
-    results: List[Optional[ShardTrajectory]] = [None] * len(payloads)
-    pending = list(range(len(payloads)))
-    rebuilds = 0
-    ladder = Backoff(backoff, max(backoff, DEFAULT_BACKOFF_CAP))
-    while pending:
-        try:
-            width = min(pool_width, len(pending))
-            with ProcessPoolExecutor(max_workers=width) as pool:
-                futures = {
-                    pool.submit(_reduce_shard, payloads[index]): index
-                    for index in pending
-                }
-                for future in as_completed(futures):
-                    results[futures[future]] = future.result()
-            pending = []
-        except BrokenProcessPool:
-            pending = [
-                index for index in pending if results[index] is None
-            ]
-            rebuilds += 1
-            if rebuilds > retries:
-                _metrics.counter(
-                    "repro_shard_fallbacks_total",
-                    "Shards finished in-process after the pool gave up.",
-                    tier="pool",
-                ).inc(len(pending))
-                for index in pending:
-                    results[index] = _reduce_shard(payloads[index])
-                pending = []
-            else:
-                _metrics.counter(
-                    "repro_shard_retries_total",
-                    "Process-pool rebuilds after worker deaths.",
-                    tier="pool",
-                ).inc()
-                delay = ladder.next()
-                if delay > 0:
-                    time.sleep(delay)
-    assert all(result is not None for result in results)
-    return results  # type: ignore[return-value]
+    if width <= 1 or len(tasks) <= 1:
+        return [reduce_one(task) for task in tasks]
+    with ThreadPoolExecutor(
+        max_workers=min(width, len(tasks)), thread_name_prefix="pta-shard"
+    ) as pool:
+        futures = [
+            pool.submit(contextvars.copy_context().run, reduce_one, task)
+            for task in tasks
+        ]
+        return [future.result() for future in futures]
 
 
 def reduce_segments_parallel(
@@ -343,11 +302,12 @@ def reduce_segments_parallel(
     policy, so validation errors are identical across all entry points.
     Exactly one of ``size`` and ``max_error`` must be given, with the same
     meaning as in :func:`repro.core.greedy.gms_reduce_to_size` /
-    ``gms_reduce_to_error``.  ``workers`` is the process-pool width (``0``
-    means ``os.cpu_count()``; ``1`` runs every shard in-process); the result
-    is bit-identical for every value.  ``shard_size`` overrides
-    :data:`DEFAULT_SHARD_SIZE` — it changes how work is distributed, not
-    what is computed (only exact cross-shard key ties are sensitive to it).
+    ``gms_reduce_to_error``.  ``workers`` is the thread-pool width (``0``
+    means ``os.cpu_count()``; ``1`` runs every shard on the calling
+    thread); the result is bit-identical for every value.  ``shard_size``
+    overrides :data:`DEFAULT_SHARD_SIZE` — it changes how work is
+    distributed, not what is computed (only exact cross-shard key ties
+    are sensitive to it).
 
     Returns a :class:`~repro.core.greedy.GreedyResult`; ``max_heap_size`` is
     reported as 0 because the engine materialises the input instead of
@@ -379,8 +339,6 @@ def run_sharded(
     weights: Weights | None = None,
     workers: int = 1,
     shard_size: int | None = None,
-    shard_retries: int | None = None,
-    retry_backoff: float | None = None,
 ) -> GreedyResult:
     """The sharded engine proper (encode → shard → reduce → reconcile).
 
@@ -388,32 +346,23 @@ def run_sharded(
     defensive validation mirrors the build-time checks of
     :mod:`repro.api.plan` for direct callers.
 
-    Worker deaths (``BrokenProcessPool``) are survived: completed shards
-    keep their results, the pool is rebuilt with exponential backoff up
-    to ``shard_retries`` times (default :data:`SHARD_RETRIES`), and the
-    remaining shards then fall back to in-process execution — the output
-    is bit-identical to the fault-free run in every case, because the
-    shard plan and the reconciliation consume results by shard index,
-    never by completion order.
+    ``workers`` threads reduce the shards (``0`` means
+    ``os.cpu_count()``).  A shard that raises fails the call: an
+    in-process reduction has no dead peer to route around, and running
+    it again would raise again.  The output is bit-identical for every
+    ``workers`` value, because the shard plan and the reconciliation
+    consume results by shard index, never by completion order.
     """
     if workers < 0:
         raise ValueError(f"workers must be non-negative, got {workers}")
-    job = plan_job(
-        segments, size, max_error, weights, shard_size, shard_retries,
-        retry_backoff,
-    )
+    job = plan_job(segments, size, max_error, weights, shard_size)
     if job is None:
         return GreedyResult()
-    payloads = shard_payloads(job.encoded, job.shards, job.w2)
-    pool_width = workers if workers else (os.cpu_count() or 1)
-    if pool_width > 1 and len(payloads) > 1:
-        pool_width = min(pool_width, len(payloads))
-        trajectories = _reduce_shards_pooled(
-            payloads, pool_width, job.retries, job.backoff
-        )
-    else:
-        trajectories = [reduce_shard(payload) for payload in payloads]
-
+    trajectories = _reduce_shards_pooled(
+        reduce_shard,
+        shard_payloads(job.encoded, job.shards, job.w2),
+        workers or os.cpu_count() or 1,
+    )
     return assemble_result(
         job.encoded, job.shards, trajectories, size, max_error
     )
@@ -513,8 +462,6 @@ def _rebuild_shard(
 
 __all__ = [
     "DEFAULT_SHARD_SIZE",
-    "RETRY_BACKOFF_S",
-    "SHARD_RETRIES",
     "EncodedSegments",
     "ShardPayload",
     "ShardTrajectory",

@@ -28,10 +28,10 @@ Both methods accept ``backend="python"`` (reference implementation) or
 ``backend="numpy"`` (vectorized kernels, :mod:`repro.core.kernels`); the two
 backends produce identical reductions.
 
-Passing ``workers=N`` switches the greedy method to the sharded multiprocess
-engine of :mod:`repro.parallel`: the stream is materialised into flat
-arrays, cut into independent shards at maximal-run boundaries, reduced
-shard-by-shard on a process pool and reconciled under the global size or
+Passing ``workers=N`` switches the greedy method to the sharded engine of
+:mod:`repro.parallel`: the stream is materialised into flat arrays, cut
+into independent shards at maximal-run boundaries, reduced shard-by-shard
+on a thread pool and reconciled under the global size or
 error budget.  The result is the plain greedy merging strategy (the online
 result with ``δ = ∞``) and is bit-identical for every worker count; see the
 module docstring of :mod:`repro.parallel` for the exact semantics.
@@ -130,11 +130,11 @@ def compress(
     workers:
         ``None`` (default) keeps the single-process online evaluation.  Any
         integer switches to the sharded engine of :mod:`repro.parallel`:
-        ``0`` uses every core, ``1`` runs the shards in-process, ``N > 1``
-        dispatches them on an ``N``-wide process pool.  Requires
-        ``method="greedy"``; the result is plain GMS (the online result
-        with ``δ = ∞``, so ``delta`` does not apply) and is bit-identical
-        for every worker count.  The engine always runs on the array
+        ``0`` uses every core, ``1`` runs the shards on the calling
+        thread, ``N > 1`` dispatches them on an ``N``-wide thread pool.
+        Requires ``method="greedy"``; the result is plain GMS (the online
+        result with ``δ = ∞``, so ``delta`` does not apply) and is
+        bit-identical for every worker count.  The engine always runs on the array
         kernels, so the reported backend is ``"numpy"``.
     cluster:
         ``"host:port"`` addresses of remote reducer workers

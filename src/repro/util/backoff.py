@@ -2,9 +2,8 @@
 
 Every retry loop in the tree used to roll its own linear ladder
 (``n * base`` before round ``n``): the socket transport's
-:func:`repro.cluster.transport.request_with_retries`, the process-pool
-rebuilds in :mod:`repro.parallel`, and (new in the self-healing tier)
-the replication link's reconnect loop.  Linear ladders synchronise:
+:func:`repro.cluster.transport.request_with_retries` and (new in the
+self-healing tier) the replication link's reconnect loop.  Linear ladders synchronise:
 every client that observed the same fault retries on the same schedule,
 so a recovering peer is hit by the whole herd at once.  This module
 replaces them with one shared policy — *decorrelated jitter*::

@@ -17,9 +17,11 @@ currency the serving and cluster tiers share:
   relative, because wall clocks across machines disagree but budgets
   survive the hop); the store's quorum wait and the cluster
   coordinator read it.  Plain worker threads do not inherit context
-  vars, so the coordinator captures the object before its fan-out and
-  re-enters it per thread via :func:`attach` — the same discipline as
-  :mod:`repro.obs.tracing` trace ids.
+  vars, so the shard dispatch
+  (:func:`repro.parallel._reduce_shards_pooled`) runs each task in a
+  copy of the caller's context — trace ids travel the same way
+  (:mod:`repro.obs.tracing`).  :func:`attach` re-enters a captured
+  deadline by hand.
 * Crossing a machine boundary, the deadline rides the PTAF envelope
   meta (key ``"deadline"``, next to ``"trace_id"``) as the *remaining*
   budget at send time; the receiver rebuilds an absolute expiry on its

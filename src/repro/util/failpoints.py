@@ -1,10 +1,10 @@
 """Deterministic fault injection: named, seedable failpoints.
 
 Every fragile operation in the tree — a WAL append, an fsync, a
-checkpoint rename, a shard reduction inside a pool worker — carries a
-*failpoint*: a named call to :func:`fail` that does nothing in
-production (one ``is None`` check) but can be armed by tests to raise,
-return an error value, delay, or kill the process at exactly that line.
+checkpoint rename, a shard reduction — carries a *failpoint*: a named
+call to :func:`fail` that does nothing in production (one ``is None``
+check) but can be armed by tests to raise, return an error value, or
+delay at exactly that line.
 This is how the robustness suites (``tests/test_fault_injection.py``,
 ``tests/test_chaos.py``) turn "what if the disk fails here?" into a
 reproducible assertion instead of a hope.
@@ -33,16 +33,9 @@ Semantics:
 * **Bounded.**  ``times=N`` caps how often an action fires (evaluations
   past the budget are no-ops), so "fail the first append, then heal" is
   one line.
-* **Process-aware.**  :class:`Exit` (simulating a crashed pool worker)
-  only ever fires in a process *other than* the one that armed it —
-  forked workers inherit the armed state but the driving process never
-  kills itself.  A cross-process kill budget is expressed with
-  ``limit=``/``limit_dir=``: workers atomically claim kill tokens from a
-  shared directory, so "kill exactly two workers, then heal" is
-  deterministic even across respawned pools.
-* **Spawn-safe.**  ``activated(..., propagate=True)`` mirrors the
-  configuration into ``REPRO_FAILPOINTS`` so spawn/forkserver children
-  (which do not inherit parent memory) re-arm themselves on import.
+* **In-process.**  An activation is module state: every thread of the
+  arming process sees it (the sharded engine's reducer threads among
+  them), and no other process does.
 
 Only one activation may be live at a time; nesting raises, because
 overlapping chaos schedules have no well-defined seed.
@@ -50,8 +43,6 @@ overlapping chaos schedules have no well-defined seed.
 
 from __future__ import annotations
 
-import json
-import os
 import random
 import threading
 import time
@@ -66,9 +57,6 @@ from typing import (
     Union,
 )
 
-#: Environment variable used to re-arm failpoints in spawned children.
-ENV_VAR = "REPRO_FAILPOINTS"
-
 
 class FailpointError(RuntimeError):
     """Default exception injected by a :class:`Raise` with no payload."""
@@ -79,7 +67,7 @@ class Action:
 
     ``probability`` is the chance one evaluation fires (drawn from the
     activation's seeded RNG); ``times`` caps the number of firings per
-    activation per process (``None`` = unbounded).
+    activation (``None`` = unbounded).
     """
 
     def __init__(
@@ -96,20 +84,6 @@ class Action:
 
     def fire(self, site: str) -> Any:  # pragma: no cover - overridden
         raise NotImplementedError
-
-    def env_spec(self) -> Dict[str, Any]:
-        """JSON-encodable form for :data:`ENV_VAR` propagation."""
-        raise NotImplementedError(
-            f"{type(self).__name__} cannot be propagated to spawned "
-            f"children via the environment"
-        )
-
-    def _base_spec(self, mode: str) -> Dict[str, Any]:
-        return {
-            "mode": mode,
-            "probability": self.probability,
-            "times": self.times,
-        }
 
 
 class Raise(Action):
@@ -134,22 +108,6 @@ class Raise(Action):
             raise FailpointError(f"injected failure at failpoint {site!r}")
         raise source() if callable(source) else source
 
-    def env_spec(self) -> Dict[str, Any]:
-        source = self.exception
-        instance = source() if callable(source) else source
-        if instance is None:
-            spec = self._base_spec("raise")
-        elif type(instance).__module__ == "builtins":
-            spec = self._base_spec("raise")
-            spec["exception"] = type(instance).__name__
-            spec["args"] = [
-                arg for arg in instance.args
-                if isinstance(arg, (str, int, float, bool))
-            ]
-        else:
-            return super().env_spec()  # non-builtin: refuse loudly
-        return spec
-
 
 class Return(Action):
     """Make :func:`fail` return ``value`` — the *return-error* mode.
@@ -173,11 +131,6 @@ class Return(Action):
     def fire(self, site: str) -> Any:
         return self.value
 
-    def env_spec(self) -> Dict[str, Any]:
-        spec = self._base_spec("return")
-        spec["value"] = self.value  # must be JSON-encodable
-        return spec
-
 
 class Delay(Action):
     """Sleep ``seconds`` at the site (overload / slow-disk simulation)."""
@@ -197,80 +150,15 @@ class Delay(Action):
         time.sleep(self.seconds)
         return None
 
-    def env_spec(self) -> Dict[str, Any]:
-        spec = self._base_spec("delay")
-        spec["seconds"] = self.seconds
-        return spec
-
-
-class Exit(Action):
-    """Kill the evaluating process with ``os._exit`` — a worker crash.
-
-    Never fires in the process that armed the failpoint (the driving
-    test must survive to observe the recovery), only in children that
-    inherited it — pool workers above all.  With ``limit_dir=`` the
-    firing budget is *cross-process*: at most ``limit`` kills happen
-    across every worker that ever evaluates the site, claimed atomically
-    as ``O_EXCL`` token files, so respawned pools eventually heal.
-    """
-
-    def __init__(
-        self,
-        code: int = 1,
-        probability: float = 1.0,
-        times: Optional[int] = None,
-        limit: int = 1,
-        limit_dir: Optional[str] = None,
-    ) -> None:
-        super().__init__(probability, times)
-        if limit < 0:
-            raise ValueError(f"limit must be non-negative, got {limit}")
-        self.code = code
-        self.limit = limit
-        self.limit_dir = limit_dir
-
-    def _claim_token(self, site: str) -> bool:
-        if self.limit_dir is None:
-            return True
-        safe = site.replace("/", "_")
-        for index in range(self.limit):
-            token = os.path.join(self.limit_dir, f"{safe}.kill-{index}")
-            try:
-                descriptor = os.open(
-                    token, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                )
-            except FileExistsError:
-                continue
-            os.close(descriptor)
-            return True
-        return False
-
-    def fire(self, site: str) -> Any:
-        if not self._claim_token(site):
-            return None
-        os._exit(self.code)
-
-    def env_spec(self) -> Dict[str, Any]:
-        spec = self._base_spec("exit")
-        spec.update(
-            {"code": self.code, "limit": self.limit,
-             "limit_dir": self.limit_dir}
-        )
-        return spec
-
 
 class _Activation:
-    """One armed configuration: sites, seeded RNG, counters, owner pid."""
+    """One armed configuration: sites, seeded RNG, counters."""
 
     def __init__(
-        self,
-        sites: Mapping[str, Action],
-        seed: Optional[int],
-        owner_pid: int,
+        self, sites: Mapping[str, Action], seed: Optional[int]
     ) -> None:
         self.sites: Dict[str, Action] = dict(sites)
         self.rng = random.Random(seed)
-        self.owner_pid = owner_pid
         self.lock = threading.Lock()
         self.evaluations: Dict[str, int] = {}
         self.firings: Dict[str, int] = {}
@@ -281,8 +169,6 @@ class _Activation:
             self.evaluations[site] = self.evaluations.get(site, 0) + 1
             action = self.sites.get(site)
             if action is None:
-                return None
-            if isinstance(action, Exit) and os.getpid() == self.owner_pid:
                 return None
             spent = self._spent.get(site, 0)
             if action.times is not None and spent >= action.times:
@@ -307,8 +193,8 @@ def fail(site: str) -> Any:
     """Evaluate the failpoint ``site``.
 
     No-op returning ``None`` unless an activation arms the site, in
-    which case the armed action may raise, sleep, kill the process, or
-    return an injected value.
+    which case the armed action may raise, sleep, or return an injected
+    value.
     """
     state = _active
     if state is None:
@@ -335,18 +221,11 @@ def firings(site: str) -> int:
 
 @contextmanager
 def activated(
-    sites: Mapping[str, Action],
-    seed: Optional[int] = None,
-    propagate: bool = False,
+    sites: Mapping[str, Action], seed: Optional[int] = None
 ) -> Iterator[None]:
     """Arm ``sites`` for the duration of the ``with`` block.
 
-    ``seed`` fixes the probability draws.  ``propagate=True`` mirrors
-    the configuration into :data:`ENV_VAR` so children created with the
-    ``spawn``/``forkserver`` start methods re-arm themselves on import
-    (``fork`` children inherit the armed memory state directly).  Only
-    JSON-encodable actions can be propagated; :meth:`Action.env_spec`
-    raises for the rest.
+    ``seed`` fixes the probability draws.
     """
     global _active
     with _arm_lock:
@@ -355,31 +234,12 @@ def activated(
                 "failpoints are already active; nested activations have "
                 "no well-defined seed"
             )
-        _active = _Activation(sites, seed, os.getpid())
-    previous_env = os.environ.get(ENV_VAR)
+        _active = _Activation(sites, seed)
     try:
-        # Inside the try: a non-propagatable action raising here must
-        # still disarm, or the refused activation would stay live.
-        if propagate:
-            os.environ[ENV_VAR] = json.dumps(
-                {
-                    "owner_pid": os.getpid(),
-                    "seed": seed,
-                    "sites": {
-                        name: action.env_spec()
-                        for name, action in sites.items()
-                    },
-                }
-            )
         yield
     finally:
         with _arm_lock:
             _active = None
-        if propagate:
-            if previous_env is None:
-                os.environ.pop(ENV_VAR, None)
-            else:
-                os.environ[ENV_VAR] = previous_env
 
 
 def deactivate() -> None:
@@ -389,76 +249,9 @@ def deactivate() -> None:
         _active = None
 
 
-# ----------------------------------------------------------------------
-# Environment re-arming (spawned children)
-# ----------------------------------------------------------------------
-def _action_from_spec(spec: Mapping[str, Any]) -> Action:
-    mode = spec.get("mode")
-    probability = float(spec.get("probability", 1.0))
-    times = spec.get("times")
-    times = None if times is None else int(times)
-    if mode == "raise":
-        name = spec.get("exception")
-        exception: Optional[BaseException] = None
-        if name is not None:
-            factory = getattr(__import__("builtins"), str(name), None)
-            if not (isinstance(factory, type)
-                    and issubclass(factory, BaseException)):
-                raise ValueError(f"unknown exception type {name!r}")
-            exception = factory(*spec.get("args", []))
-        return Raise(exception, probability=probability, times=times)
-    if mode == "return":
-        return Return(spec.get("value"), probability=probability, times=times)
-    if mode == "delay":
-        return Delay(
-            float(spec.get("seconds", 0.0)),
-            probability=probability,
-            times=times,
-        )
-    if mode == "exit":
-        return Exit(
-            code=int(spec.get("code", 1)),
-            probability=probability,
-            times=times,
-            limit=int(spec.get("limit", 1)),
-            limit_dir=spec.get("limit_dir"),
-        )
-    raise ValueError(f"unknown failpoint mode {mode!r}")
-
-
-def _activate_from_env() -> None:
-    """Re-arm from :data:`ENV_VAR` — called once at import time.
-
-    Only does anything in a process that (a) finds the variable set and
-    (b) is not the process that armed it (the owner already holds the
-    in-memory activation; fork children inherit it).
-    """
-    global _active
-    raw = os.environ.get(ENV_VAR)
-    if not raw or _active is not None:
-        return
-    try:
-        payload = json.loads(raw)
-        owner_pid = int(payload.get("owner_pid", -1))
-        if owner_pid == os.getpid():
-            return
-        sites = {
-            str(name): _action_from_spec(spec)
-            for name, spec in dict(payload.get("sites", {})).items()
-        }
-    except (ValueError, TypeError, AttributeError):
-        return  # a malformed spec must never take a worker down
-    _active = _Activation(sites, payload.get("seed"), owner_pid)
-
-
-_activate_from_env()
-
-
 __all__ = [
     "Action",
     "Delay",
-    "ENV_VAR",
-    "Exit",
     "FailpointError",
     "Raise",
     "Return",

@@ -482,6 +482,15 @@ class TestClusterReduction:
         with pytest.raises(TransportError, match="host:port"):
             reduce_cluster(_stream(10), size=5, cluster=["nonsense"])
 
+    @pytest.mark.parametrize(
+        "option", [{"shard_retries": -1}, {"retry_backoff": -0.5}]
+    )
+    def test_negative_retry_options_fail_before_any_network_io(self, option):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            reduce_cluster(
+                _stream(10), size=5, cluster=["127.0.0.1:1"], **option
+            )
+
 
 def _corrupt(boundaries, keys, sse_max, heads, rows, rule):
     """One worker answer broken in exactly one way (``rule``)."""

@@ -136,6 +136,49 @@ class TestSameBitsOnEveryPython:
         ]
 
 
+def five_dimension_run():
+    """Six contiguous 5-D segments, values three decimals in [-50, 50]."""
+    draw = random.Random(5)
+    segments, start = [], 0
+    for _ in range(6):
+        values = tuple(round(draw.uniform(-50, 50), 3) for _ in range(5))
+        length = draw.randint(1, 3)
+        segments.append(
+            AggregateSegment(("g",), values, Interval(start, start + length - 1))
+        )
+        start += length
+    return segments
+
+
+class TestSameBitsOnEveryLibm:
+    """Squares are products, not ``** 2``: libm's ``pow`` is not correctly
+    rounded on every libm.  On glibc 2.36, ``(73.02 - 62.52) ** 2`` is one
+    unit in the last place below the product, and the run below's ``SSE``
+    ends one unit above it.  Sums are left-to-right loops, as in
+    :class:`TestSameBitsOnEveryPython`."""
+
+    WEIGHTS = (1.0, 0.5, 2.0, 3.0, 0.25)
+
+    def test_sse_between_squares_by_product(self):
+        original = [make_segment(1, 1, 73.02)]
+        reduced = [make_segment(1, 1, 62.52)]
+        assert sse_between(original, reduced).hex() == "0x1.b8ffffffffff6p+6"
+
+    def test_sse_of_run_squares_by_product(self):
+        values = (50.514, 14.511, 24.67)
+        run = [make_segment(k, k, v) for k, v in enumerate(values)]
+        assert sse_of_run(run).hex() == "0x1.588e3c15e92ecp+9"
+
+    def test_five_dimensions(self):
+        segments = five_dimension_run()
+        reduced = [merge_run(segments[:4]), merge_run(segments[4:])]
+        assert (
+            sse_between(segments, reduced, self.WEIGHTS).hex()
+            == "0x1.ebb610e2e9680p+16"
+        )
+        assert sse_of_run(segments, self.WEIGHTS).hex() == "0x1.5abefcb8fffbcp+17"
+
+
 class TestPrefixSums:
     def test_example_12_prefix_values(self, proj_segments):
         prefix = PrefixSums(proj_segments)

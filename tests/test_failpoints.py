@@ -1,18 +1,13 @@
-"""The failpoint framework itself: arming, budgets, seeds, propagation.
+"""The failpoint framework itself: arming, budgets and seeds.
 
 The fault-injection suites (``test_fault_injection.py``,
 ``test_chaos.py``) lean entirely on these semantics, so they are pinned
-here first: zero-cost when disabled, deterministic under a seed, bounded
-by ``times=``, owner-safe for :class:`Exit`, and re-armable from the
-environment in spawned children.
+here first: zero-cost when disabled, deterministic under a seed and
+bounded by ``times=``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
 import time
 
 import pytest
@@ -20,8 +15,6 @@ import pytest
 from repro.util import failpoints
 from repro.util.failpoints import (
     Delay,
-    ENV_VAR,
-    Exit,
     FailpointError,
     Raise,
     Return,
@@ -74,11 +67,6 @@ class TestActions:
             failpoints.fail("s")
             assert time.monotonic() - begin >= 0.04
 
-    def test_exit_never_fires_in_the_owner_process(self):
-        with activated({"s": Exit(code=7)}):
-            assert failpoints.fail("s") is None  # still alive
-            assert failpoints.firings("s") == 0
-
 
 class TestBudgetsAndSeeds:
     def test_times_caps_firings(self):
@@ -130,89 +118,3 @@ class TestBudgetsAndSeeds:
             Raise(times=-1)
         with pytest.raises(ValueError):
             Delay(-0.1)
-        with pytest.raises(ValueError):
-            Exit(limit=-1)
-
-
-class TestPropagation:
-    def test_propagate_mirrors_and_restores_the_environment(self):
-        assert os.environ.get(ENV_VAR) is None
-        with activated(
-            {"s": Raise(OSError(28, "No space left on device"), times=3)},
-            seed=5,
-            propagate=True,
-        ):
-            payload = json.loads(os.environ[ENV_VAR])
-            assert payload["owner_pid"] == os.getpid()
-            assert payload["seed"] == 5
-            assert payload["sites"]["s"]["mode"] == "raise"
-            assert payload["sites"]["s"]["exception"] == "OSError"
-        assert os.environ.get(ENV_VAR) is None
-
-    def test_non_builtin_exceptions_refuse_to_propagate(self):
-        class Custom(Exception):
-            pass
-
-        with pytest.raises(NotImplementedError):
-            with activated({"s": Raise(Custom())}, propagate=True):
-                pass  # pragma: no cover
-
-    def test_spawned_child_rearms_from_the_environment(self):
-        """A fresh interpreter with ENV_VAR set fires the armed site."""
-        spec = json.dumps(
-            {
-                "owner_pid": 999999999,  # not us: the child must re-arm
-                "seed": 0,
-                "sites": {
-                    "child.site": {
-                        "mode": "raise",
-                        "probability": 1.0,
-                        "times": None,
-                        "exception": "OSError",
-                        "args": [28, "No space left on device"],
-                    }
-                },
-            }
-        )
-        env = dict(os.environ)
-        env[ENV_VAR] = spec
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, ["src", env.get("PYTHONPATH")])
-        )
-        code = (
-            "from repro.util import failpoints\n"
-            "assert failpoints.is_active()\n"
-            "try:\n"
-            "    failpoints.fail('child.site')\n"
-            "except OSError as error:\n"
-            "    print('fired', error.errno)\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert done.returncode == 0, done.stderr
-        assert "fired 28" in done.stdout
-
-    def test_owner_process_ignores_its_own_environment_spec(self):
-        """_activate_from_env is a no-op when the pid matches the owner."""
-        raw = json.dumps(
-            {"owner_pid": os.getpid(), "seed": 0, "sites": {}}
-        )
-        os.environ[ENV_VAR] = raw
-        try:
-            failpoints._activate_from_env()
-            assert not failpoints.is_active()
-        finally:
-            os.environ.pop(ENV_VAR, None)
-
-    def test_malformed_environment_spec_never_raises(self):
-        os.environ[ENV_VAR] = "{not json"
-        try:
-            failpoints._activate_from_env()
-            assert not failpoints.is_active()
-        finally:
-            os.environ.pop(ENV_VAR, None)

@@ -1,11 +1,10 @@
-"""Injected disk faults, worker kills, and the hardened HTTP surface.
+"""Injected disk faults and the hardened HTTP surface.
 
-Satellite coverage for ISSUE 7: ENOSPC/EIO failpoints on WAL append,
-fsync and checkpoint rename; push atomicity (memory never diverges from
-the log); recovery bit-identity after a fault-then-crash sequence on
-both backends; the degraded-mode state machine; per-shard retry and
-in-process fallback under worker crashes; and the structured error
-surface of the HTTP front end (400/413/429/500/503).
+Covers ENOSPC/EIO failpoints on WAL append, fsync and checkpoint
+rename; push atomicity (memory never diverges from the log); recovery
+bit-identity after a fault-then-crash sequence on both backends; the
+degraded-mode state machine; and the structured error surface of the
+HTTP front end (400/413/429/500/503).
 """
 
 from __future__ import annotations
@@ -18,11 +17,10 @@ import urllib.request
 
 import pytest
 
-from repro import Interval, compress
+from repro import Interval
 from repro.core import AggregateSegment
 from repro.obs import metrics
 from repro.api import ExecutionPolicy
-from repro.parallel import run_sharded
 from repro.service import (
     Durability,
     DurabilityError,
@@ -33,7 +31,7 @@ from repro.service import (
 )
 from repro.storage.wal import WalError, WalWriter, read_wal, write_checkpoint
 from repro.util import failpoints
-from repro.util.failpoints import Exit, Raise, activated
+from repro.util.failpoints import Raise, activated
 
 BACKENDS = ["python", "numpy"]
 
@@ -382,89 +380,6 @@ class TestDegradedMode:
         store.push("other", stream(5, seed=18))
         assert store.stats().disk_errors == 1
         store.close()
-
-
-# ----------------------------------------------------------------------
-# Sharded engine under worker crashes
-# ----------------------------------------------------------------------
-class TestWorkerCrashes:
-    SEGMENTS = 180
-    SHARD = 30
-
-    def _input(self):
-        return stream(self.SEGMENTS, seed=20)
-
-    def test_bounded_kills_heal_and_output_is_bit_identical(self, tmp_path):
-        segments = self._input()
-        baseline = run_sharded(segments, size=15, shard_size=self.SHARD)
-        with activated(
-            {
-                "parallel.worker": Exit(
-                    code=9, limit=2, limit_dir=str(tmp_path)
-                )
-            },
-            propagate=True,
-        ):
-            survived = run_sharded(
-                segments,
-                size=15,
-                workers=2,
-                shard_size=self.SHARD,
-                retry_backoff=0.01,
-            )
-        assert survived.segments == baseline.segments
-        assert survived.error == baseline.error
-        assert survived.merges == baseline.merges
-
-    def test_unbounded_kills_fall_back_in_process(self):
-        segments = self._input()
-        baseline = run_sharded(segments, size=15, shard_size=self.SHARD)
-        with activated({"parallel.worker": Exit(code=9)}, propagate=True):
-            survived = run_sharded(
-                segments,
-                size=15,
-                workers=2,
-                shard_size=self.SHARD,
-                shard_retries=1,
-                retry_backoff=0.01,
-            )
-            # The in-process fallback evaluated the site in this process
-            # (where Exit never fires) once per shard.
-            assert failpoints.evaluations("parallel.worker") >= (
-                self.SEGMENTS // self.SHARD
-            )
-        assert survived.segments == baseline.segments
-        assert survived.error == baseline.error
-
-    def test_worker_exceptions_propagate_not_retry(self):
-        segments = self._input()
-        with activated(
-            {"parallel.worker": Raise(ValueError("injected worker error"))},
-            propagate=True,
-        ):
-            with pytest.raises(ValueError, match="injected worker error"):
-                run_sharded(
-                    segments, size=15, workers=2, shard_size=self.SHARD
-                )
-
-    def test_compress_entry_point_survives_kills(self, tmp_path):
-        segments = self._input()
-        baseline = compress(
-            segments, size=15, workers=1, shard_size=self.SHARD
-        )
-        with activated(
-            {
-                "parallel.worker": Exit(
-                    code=9, limit=1, limit_dir=str(tmp_path)
-                )
-            },
-            propagate=True,
-        ):
-            survived = compress(
-                segments, size=15, workers=2, shard_size=self.SHARD
-            )
-        assert survived.segments == baseline.segments
-        assert survived.error == baseline.error
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,19 @@
-"""Tests for the sharded multiprocess reduction engine (:mod:`repro.parallel`).
+"""Tests for the sharded reduction engine (:mod:`repro.parallel`).
 
 The engine must (a) produce byte-identical output for every worker count —
 the shard plan and the reconciliation depend only on the input — (b) agree
 with the sequential greedy merging strategy structurally on both the size-
-and error-bounded modes, and (c) plug into the :func:`repro.pipeline.compress`
-facade with sane validation.
+and error-bounded modes, (c) plug into the :func:`repro.pipeline.compress`
+facade with sane validation, and (d) carry the caller's trace and
+failpoints into its reducer threads.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -25,14 +29,19 @@ from repro.datasets import (
     synthetic_grouped_segments,
     synthetic_sequential_segments,
 )
+from repro.obs import tracing
 from repro.parallel import (
     DEFAULT_SHARD_SIZE,
+    _reduce_shards_pooled,
     encode_segments,
     plan_shards,
     reduce_segments_parallel,
 )
 from repro.pipeline import compress
 from repro.temporal import Interval
+from repro.util import failpoints
+from repro.util.deadline import current_deadline, deadline_scope
+from repro.util.failpoints import Raise, Return, activated
 
 
 def assert_same_segments(left, right):
@@ -114,7 +123,8 @@ class TestWorkerDeterminism:
         baseline = reduce_segments_parallel(
             segments, size=40, workers=1, shard_size=shard_size
         )
-        for workers in (2, 4):
+        # 64 threads asked for, at most 8 shards: the pool is capped.
+        for workers in (2, 4, 64):
             candidate = reduce_segments_parallel(
                 segments, size=40, workers=workers, shard_size=shard_size
             )
@@ -149,6 +159,104 @@ class TestWorkerDeterminism:
         baseline = reduce_segments_parallel(segments, size=30, workers=1)
         candidate = reduce_segments_parallel(segments, size=30, workers=0)
         assert_identical(baseline, candidate)
+
+
+# ----------------------------------------------------------------------
+# The one shard dispatch
+# ----------------------------------------------------------------------
+class TestDispatch:
+    def test_results_come_in_task_order_not_completion_order(self):
+        def reduce_one(task):
+            time.sleep(0.005 * (4 - task))  # the last task finishes first
+            return task * 10
+
+        assert _reduce_shards_pooled(reduce_one, range(5), 5) == [
+            0, 10, 20, 30, 40,
+        ]
+
+    @pytest.mark.parametrize("width, tasks", [(0, 3), (1, 3), (4, 1)])
+    def test_serial_in_the_calling_thread(self, width, tasks):
+        caller = threading.get_ident()
+        threads = _reduce_shards_pooled(
+            lambda _: threading.get_ident(), range(tasks), width
+        )
+        assert threads == [caller] * tasks
+
+    def test_deadline_and_trace_id_follow_the_task(self):
+        with deadline_scope(30.0) as deadline, tracing.trace() as trace_id:
+            seen = _reduce_shards_pooled(
+                lambda _: (current_deadline(), tracing.current_trace_id()),
+                range(4),
+                2,
+            )
+        assert seen == [(deadline, trace_id)] * 4
+
+    def test_first_failure_in_task_order_after_every_task_ran(self):
+        ran = []
+
+        def reduce_one(task):
+            if task == 1:
+                time.sleep(0.02)  # fails after task 3 has already failed
+            ran.append(task)
+            if task in (1, 3):
+                raise ValueError(f"task {task}")
+            return task
+
+        with pytest.raises(ValueError, match="task 1"):
+            _reduce_shards_pooled(reduce_one, range(4), 4)
+        assert sorted(ran) == [0, 1, 2, 3]
+
+
+# ----------------------------------------------------------------------
+# Reducer threads carry the caller's context
+# ----------------------------------------------------------------------
+class TestReducerThreads:
+    SHARD = 30
+
+    def _input(self):
+        segments = synthetic_grouped_segments(6, 30, dimensions=1, seed=5)
+        shards = plan_shards(encode_segments(segments), self.SHARD)
+        assert len(shards) >= 2
+        return segments, len(shards)
+
+    def test_shard_spans_reach_the_callers_trace(self):
+        segments, shards = self._input()
+        with tracing.trace() as trace_id:
+            compress(segments, size=15, workers=2, shard_size=self.SHARD)
+        spans = tracing.finished_spans(trace_id, stage="shard_reduce")
+        assert len(spans) == shards
+
+    def test_worker_exceptions_propagate_not_retry(self):
+        segments, shards = self._input()
+        with activated(
+            {"parallel.worker": Raise(ValueError("injected worker error"))}
+        ):
+            with pytest.raises(ValueError, match="injected worker error"):
+                compress(segments, size=15, workers=2, shard_size=self.SHARD)
+            assert failpoints.evaluations("parallel.worker") == shards
+
+    def test_many_threads_lose_no_update(self):
+        """Eight threads, 40 shards and a 1 µs switch interval: the shared
+        failpoint counter and span ring are updated under their locks."""
+        segments = synthetic_grouped_segments(40, 10, dimensions=2, seed=7)
+        shards = len(plan_shards(encode_segments(segments), 10))
+        baseline = compress(segments, size=60, workers=1, shard_size=10)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with activated({"parallel.worker": Return(None)}):
+                with tracing.trace() as trace_id:
+                    candidate = compress(
+                        segments, size=60, workers=8, shard_size=10
+                    )
+                evaluated = failpoints.evaluations("parallel.worker")
+        finally:
+            sys.setswitchinterval(interval)
+        assert shards == 40 and evaluated == shards
+        spans = tracing.finished_spans(trace_id, stage="shard_reduce")
+        assert len(spans) == shards
+        assert candidate.segments == baseline.segments
+        assert candidate.error == baseline.error
 
 
 # ----------------------------------------------------------------------
