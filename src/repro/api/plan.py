@@ -259,11 +259,9 @@ class ExecutionPolicy:
         switches to the sharded engine of :mod:`repro.parallel`: the
         width of its thread pool (``0`` uses every core, ``1`` runs the
         shards on the calling thread).  The compiled merge schedule
-        releases the GIL, so threads use several cores; without a C
-        compiler the Python fallback holds it, and ``workers > 1`` runs
-        no faster than ``1``.  Requires the greedy method, computes plain
-        GMS (``δ = ∞`` semantics) and is bit-identical for every worker
-        count.
+        releases the GIL, so threads use several cores.  Requires the
+        greedy method, computes plain GMS (``δ = ∞`` semantics) and is
+        bit-identical for every worker count.
     cluster:
         ``"host:port"`` addresses of remote reducer workers
         (:mod:`repro.cluster`).  Switches to the distributed engine:

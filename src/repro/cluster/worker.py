@@ -43,8 +43,7 @@ from ..obs.logs import get_logger
 from ..service.wire import WireError, decode_segments
 from ..storage.columns import ColumnCodecError
 from ..util import failpoints
-from ..util.deadline import Deadline, DeadlineExceeded
-from ..util.deadline import attach as _attach_deadline
+from ..util.deadline import Deadline, DeadlineExceeded, deadline_scope
 from .transport import (
     KIND_PING,
     KIND_PONG,
@@ -108,7 +107,7 @@ def reduce_request(payload: bytes):
     trace_raw = meta.get("trace_id")
     with _tracing.attach(
         trace_raw if isinstance(trace_raw, str) else None
-    ), _attach_deadline(deadline):
+    ), deadline_scope(deadline):
         return reduce_shard(
             (encoded.starts, encoded.ends, encoded.values, encoded.groups, w2)
         )

@@ -1,19 +1,19 @@
 /*
  * The online activate-then-drain loop of NumpyMergeHeap in C.
  *
- * activate() is the body of NumpyMergeHeap._activate_python (the fused
- * inner loop of the paper's gPTAc / gPTAeps, Fig. 11 / Fig. 13) over the
- * same Python objects: the heap's list columns, its heapq entry list of
+ * activate() is the body of NumpyMergeHeap.activate_staged_all (the fused
+ * inner loop of the paper's gPTAc / gPTAeps, Fig. 11 / Fig. 13; its Python
+ * reference is tests/oracles.py's activate) over the heap's Python objects: the heap's list columns, its heapq entry list of
  * (key, counter, index, version) tuples and, when given, the twelve lists
  * of a DeltaLog.  Branches, merge_key / merged_row operation order and
- * the heapq sift algorithm are those of the Python loop, so both loops
+ * the heapq sift algorithm are those of the Python reference, so both
  * leave the same objects behind, bit for bit.  Build with
  * -ffp-contract=off: a fused multiply-add changes the bits of a key.
  *
  * Every read is checked (list bounds, exact float / int64 types, row
  * widths); a violation raises instead of crashing.  The GIL is dropped
  * and retaken during a large push so other threads keep running, as
- * they do between the Python loop's bytecodes (see yield_period).
+ * they do between a Python loop's bytecodes (see yield_period).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -438,7 +438,7 @@ heap_pop(PyObject *heap)
         return -1;
     }
     /* Shrink as _heapq does, so the list's allocation follows the same
-     * sizes as under the Python loop. */
+     * sizes as under heapq. */
     last = PyList_GET_ITEM(heap, n - 1);
     Py_INCREF(last);
     if (PyList_SetSlice(heap, n - 1, n, NULL) < 0) {
@@ -515,7 +515,7 @@ record_merge(Heap *h, Py_ssize_t absorbed, Py_ssize_t survivor,
 /* The loop                                                            */
 /* ------------------------------------------------------------------ */
 /* Refresh the merge key of `index` against its predecessor `before`,
- * as the Python loop does after a merge: a new entry when adjacent,
+ * as the Python reference does after a merge: a new entry when adjacent,
  * inf otherwise; the version is bumped either way. */
 static int
 refresh_key(Heap *h, Py_ssize_t before, Py_ssize_t index, long long *counter)
@@ -694,8 +694,8 @@ error:
     return -1;
 }
 
-/* Merge while the policy allows (the Python loop's drain, same branch
- * order).  Returns 0 when the drain stops, -1 on error. */
+/* Merge while the policy allows (OnlineReducer._drain's branches, in
+ * the same order).  Returns 0 when the drain stops, -1 on error. */
 static int
 drain(Heap *h, Book *b, const Policy *policy)
 {

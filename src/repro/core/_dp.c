@@ -3,11 +3,11 @@
  *
  * dp_row() fills the cells i = first .. first + m - 1 of row k >= 2 of
  * E[k][i] = min_j E[k-1][j] + SSE(s_{j+1} .. s_i) (Section 5.1), the loop
- * of repro.core.dp._ErrorMatrix._fill_next_row_numpy, over typed buffers
+ * of tests/oracles.py's dp_fill_next_row, over typed buffers
  * only: the prefix sums L, S and SS of Proposition 1, the squared weights,
  * the previous row, and per cell the lowest split point j_lo and the
- * "infeasible below" bound of the plain scheme.  Each cell is
- * repro.core.kernels.dp_best_split:
+ * "infeasible below" bound of the plain scheme.  Each cell is the
+ * oracle's best_split:
  *
  *   - every candidate j = i - 1 .. j_lo is scanned, with no early break:
  *     cancellation in the prefix sums can make run errors shrink as j
@@ -18,7 +18,7 @@
  *     dev = dSS - dS * dS / length, clamped to >= 0 with NaN kept (as
  *     np.maximum), and acc += w2[d] * dev from 0.0.
  *
- * So the row and its split points are the numpy loop's, bit for bit.
+ * So the row and its split points are the oracle's, bit for bit.
  * Build with -ffp-contract=off: a fused multiply-add changes the bits of
  * a run error.  No Python object is touched between the buffer checks and
  * the result, so the interpreter lock is released for the whole row.

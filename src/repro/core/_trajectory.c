@@ -1,15 +1,16 @@
 /*
  * The sharded engine's greedy merge schedule in C.
  *
- * trajectory() is the loop of repro.core.kernels._trajectory_python (the
- * paper's greedy merging strategy run down to a shard's cmin) over typed
+ * trajectory() is the loop of repro.core.kernels.greedy_merge_trajectory
+ * (the paper's greedy merging strategy run down to a shard's cmin; its
+ * Python reference is tests/oracles.py's trajectory) over typed
  * buffers only: float64 lengths, rows, weights and keys, int64 links,
  * stamps and counters, and a (key, counter, node) struct array as the
  * refresh queue.  The initial frontier (adjacency, pairwise keys and
- * their stable order) comes from the same numpy prologue as the Python
- * loop.  Lazily deferred refreshes, heapq's sift algorithm and the
- * merge_key / merged_row operation order are the Python loop's, so both
- * return the same four columns, bit for bit.  Build with
+ * their stable order) comes from the numpy prologue both share.  Lazily
+ * deferred refreshes, heapq's sift algorithm and the merge_key /
+ * merged_row operation order are the Python reference's, so both return
+ * the same four columns, bit for bit.  Build with
  * -ffp-contract=off: a fused multiply-add changes the bits of a key.
  *
  * No Python object is made per node, entry or step, so the interpreter

@@ -20,13 +20,12 @@ refinements from the paper are implemented:
 the plain "DP" baseline used in the runtime experiments (Figs. 18 and 19).
 
 Every entry point accepts ``backend="python"`` (the reference, loop-based
-evaluation) or ``backend="numpy"``, which fills each row ``k >= 2`` with one
-call of a compiled kernel (``_dp.c``, loaded by :mod:`repro.core.native`)
-over the prefix-sum arrays, or, where it did not load, with one vectorized
-``np.argmin`` over the ``j``-range per cell (:mod:`repro.core.kernels`).
-Both backends evaluate the same recurrence with the same floating-point
-formulae and tie-breaking; without the early break (``optimized=False``)
-they produce bit-identical reductions.
+evaluation) or ``backend="numpy"``, which fills row ``k = 1`` with one
+vector expression and each row ``k >= 2`` with one call of a compiled
+kernel (``_dp.c``, loaded by :mod:`repro.core.native`) over the
+prefix-sum arrays.  Both backends evaluate the same recurrence with the
+same floating-point formulae and tie-breaking; without the early break
+(``optimized=False``) they produce bit-identical reductions.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .errors import (
     PrefixSums, Weights, error_budget, max_error, resolve_weights,
     validate_budget,
 )
-from .kernels import require_finite
+from .kernels import dp_first_row, require_finite
 from .merge import AggregateSegment, cmin, gap_positions
 
 
@@ -137,18 +136,14 @@ class _ErrorMatrix:
     def fill_next_row(self) -> List[float]:
         """Fill row ``k = rows_computed + 1`` and return it.
 
-        On the numpy backend every row ``k >= 2`` is one call of the
-        compiled kernel (:meth:`_fill_next_row_native`) when
-        :mod:`repro.core.native` loaded it; otherwise
-        :meth:`_fill_next_row_numpy`, its reference, fills the row, counted
-        on ``repro_python_dp_rows_total``.
+        On the numpy backend row ``k = 1`` is one vector expression
+        (:meth:`_fill_first_row_numpy`) and every row ``k >= 2`` one call
+        of the compiled kernel (:meth:`_fill_next_row_native`).
         """
         if self.backend == "numpy":
-            if self.rows_computed and _native.KERNEL is not None:
-                return self._fill_next_row_native()
             if self.rows_computed:
-                _native.python_dp_row(_native.REASON or "")
-            return self._fill_next_row_numpy()
+                return self._fill_next_row_native()
+            return self._fill_first_row_numpy()
         k = self.rows_computed + 1
         n = self.count
         row = [math.inf] * (n + 1)
@@ -201,45 +196,17 @@ class _ErrorMatrix:
         self.stats.rows_filled = k
         return row
 
-    def _fill_next_row_numpy(self):
-        """Fill row ``k`` with the split-point search vectorized per cell.
-
-        The loop over cells ``i`` stays in Python, but the inner loop over
-        candidate split points ``j`` — the quadratic part of the recurrence —
-        is a single batched run-error evaluation plus one ``argmin``
-        (:func:`repro.core.kernels.dp_best_split`).  This is the fallback
-        and the reference of :meth:`_fill_next_row_native` for ``k >= 2``.
-        """
-        from .kernels import dp_best_split, dp_first_row, np
-
-        k = self.rows_computed + 1
+    def _fill_first_row_numpy(self):
+        """Fill row ``k = 1`` with one vector expression
+        (:func:`repro.core.kernels.dp_first_row`)."""
         n = self.count
-        i_max = self._upper_bound(k)
-        splits = [0] * (n + 1)
-        if k == 1:
-            self.stats.cells_evaluated += i_max
-            first_gap = None
-            if not self.optimized and self.gaps:
-                first_gap = self.gaps[0]
-            row = dp_first_row(self.prefix, i_max, first_gap)
-        else:
-            row = np.full(n + 1, math.inf)
-            previous = self._current_row
-            for i in range(k, i_max + 1):
-                self.stats.cells_evaluated += 1
-                j_min = self._lower_bound(k, i)
-                infeasible = 0
-                if not self.optimized:
-                    position = bisect.bisect_left(self.gaps, i)
-                    if position:
-                        infeasible = self.gaps[position - 1]
-                self.stats.split_candidates += i - j_min
-                best, split = dp_best_split(
-                    self.prefix, previous, j_min, i, infeasible
-                )
-                row[i] = best
-                splits[i] = split
-        return self._advance(k, row, splits)
+        i_max = self._upper_bound(1)
+        self.stats.cells_evaluated += i_max
+        first_gap = None
+        if not self.optimized and self.gaps:
+            first_gap = self.gaps[0]
+        row = dp_first_row(self.prefix, i_max, first_gap)
+        return self._advance(1, row, [0] * (n + 1))
 
     def _fill_next_row_native(self):
         """Fill row ``k >= 2`` with one call of the compiled kernel.
@@ -250,9 +217,11 @@ class _ErrorMatrix:
         ``k - 1`` and the plain scheme's "infeasible below" bound.  In the
         optimized scheme ``j_min >= last_gap``, so passing ``last_gap`` as
         that bound there changes nothing.  The kernel
-        (``KERNEL.dp_row``, ``_dp.c``) scans the same candidates in the
-        same operation order as :func:`repro.core.kernels.dp_best_split`
-        and returns how many it scanned.
+        (``KERNEL.dp_row``, ``_dp.c``) scans the candidates of each cell
+        from ``j = i - 1`` down to ``j_lo`` (ties go to the largest ``j``
+        and the first NaN wins, as ``np.argmin`` over the reversed
+        totals) and returns how many it scanned; ``tests/oracles.py``
+        holds its per-cell Python reference.
         """
         k = self.rows_computed + 1
         n = self.count
@@ -267,7 +236,6 @@ class _ErrorMatrix:
         prefix = self.prefix
         row = np.full(n + 1, math.inf)
         splits = np.zeros(n + 1, dtype=np.int64)
-        assert _native.KERNEL is not None
         candidates = _native.KERNEL.dp_row(
             prefix._L, prefix._S, prefix._SS, prefix._w2, self._current_row,
             j_lo, last_gap, k, row, splits,

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from collections import abc
 from dataclasses import dataclass, field
 from itertools import islice
@@ -213,7 +214,8 @@ class OnlineReducer:
     ) -> None:
         validate_budget(size, max_error)
         _check_delta(delta)
-        self._size = size
+        # Plain ints and floats, the types the compiled loop reads.
+        self._size = None if size is None else operator.index(size)
         self._epsilon = max_error
         self._delta = delta
         self._weights = weights
@@ -227,7 +229,7 @@ class OnlineReducer:
             and input_size_estimate
             and max_error_estimate is not None
         ):
-            self._step_threshold = (
+            self._step_threshold = float(
                 max_error * max_error_estimate / input_size_estimate
             )
         else:
@@ -267,7 +269,8 @@ class OnlineReducer:
 
     def _consume(self, segment: AggregateSegment) -> None:
         """Insert one validated tuple, then run the online policy."""
-        node = self.heap.insert(segment)
+        heap = self.heap
+        node = heap.insert(segment)
         key = node.key
         if self._log is not None:
             self._log.record_insert(
@@ -275,7 +278,7 @@ class OnlineReducer:
                 segment.interval.start,
                 segment.interval.end,
                 segment.group,
-                segment.values,
+                heap.values_entry(node),
                 key,
             )
         self.consumed += 1

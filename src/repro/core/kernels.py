@@ -7,15 +7,11 @@ provides drop-in array-backed counterparts selected with the
 ``backend="numpy"`` flag:
 
 * :class:`NumpyPrefixSums` — the prefix sums of Proposition 1 stored as
-  ``float64`` arrays, with :meth:`NumpyPrefixSums.sse_run_batch` evaluating
-  the SSE of *every* candidate run ``s_{j+1} .. s_i`` for a fixed ``i`` in one
-  vector expression;
-* :func:`dp_first_row` / :func:`dp_best_split` — the DP error-matrix
-  recurrence of Section 5.1 with the inner split-point loop replaced by a
-  single ``np.argmin`` over the ``j``-range.  Rows ``k >= 2`` run compiled,
-  one kernel call per row (``_dp.c``, see
-  :meth:`repro.core.dp._ErrorMatrix.fill_next_row`); :func:`dp_best_split`
-  is that kernel's per-cell reference;
+  ``float64`` arrays, which the compiled DP row (``_dp.c``) reads;
+* :func:`dp_first_row` — row ``k = 1`` of the DP error-matrix recurrence
+  of Section 5.1 as one vector expression.  Rows ``k >= 2`` run compiled,
+  one kernel call per row (see
+  :meth:`repro.core.dp._ErrorMatrix.fill_next_row`);
 * :class:`NumpyMergeHeap` — the merge heap of Section 6.2.2 as parallel NumPy
   arrays (interval endpoints, aggregate values, linked-list indices, merge
   keys) under a :mod:`heapq` priority queue with lazy-deletion version
@@ -32,8 +28,7 @@ provides drop-in array-backed counterparts selected with the
   the merge policy one tuple at a time, so the online algorithms keep
   their exact tuple-at-a-time semantics at amortised per-chunk cost.  The
   activate-then-drain loop runs compiled (``_activate.c``, loaded by
-  :mod:`repro.core.native`) over the same columns, or in Python where the
-  kernel is unavailable;
+  :mod:`repro.core.native`) over the same columns;
 * :func:`greedy_merge_trajectory` — the complete greedy merge schedule of an
   array-encoded segment shard (the boundary-removal order, the merge
   error, the surviving block and its merged row of every step down to
@@ -51,7 +46,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import (
@@ -242,7 +236,7 @@ def require_finite(
 
 
 # ----------------------------------------------------------------------
-# Prefix sums and the vectorized DP inner loop (Sections 5.1 / 5.2)
+# Prefix sums and the DP's first row (Sections 5.1 / 5.2)
 # ----------------------------------------------------------------------
 class NumpyPrefixSums:
     """Array-backed prefix sums for constant-time run SSE (Proposition 1).
@@ -304,19 +298,6 @@ class NumpyPrefixSums:
         deviation = np.maximum(run_square - run_sum * run_sum / length, 0.0)
         return float(_weighted_sum(self._w2, deviation))
 
-    def sse_run_batch(self, j_lo: int, i: int) -> np.ndarray:
-        """Run errors ``SSE(s_{j+1} .. s_i)`` for every ``j`` in ``[j_lo, i)``.
-
-        Uses the paper's 1-based split-point convention: entry ``m`` of the
-        returned array is the error of the run starting right after split
-        point ``j = j_lo + m`` and ending at segment ``s_i``.
-        """
-        length = self._L[i] - self._L[j_lo:i]
-        run_sum = self._S[:, [i]] - self._S[:, j_lo:i]
-        run_square = self._SS[:, [i]] - self._SS[:, j_lo:i]
-        deviation = np.maximum(run_square - run_sum * run_sum / length, 0.0)
-        return _weighted_sum(self._w2, deviation)
-
 
 def _weighted_sum(w2: np.ndarray, deviation: np.ndarray) -> np.ndarray:
     """``Σ_d w2[d] · deviation[d]``, summed from ``0.0`` one dimension at
@@ -351,35 +332,6 @@ def dp_first_row(
     if first_gap is not None and first_gap < i_max:
         row[first_gap + 1 : i_max + 1] = math.inf
     return row
-
-
-def dp_best_split(
-    prefix: NumpyPrefixSums,
-    previous_row: np.ndarray,
-    j_lo: int,
-    i: int,
-    infeasible_below: int = 0,
-) -> Tuple[float, int]:
-    """Best split point for cell ``E[k][i]`` via one vectorized ``argmin``.
-
-    Evaluates ``E[k-1][j] + SSE(s_{j+1} .. s_i)`` for every candidate split
-    ``j`` in ``[j_lo, i)`` and returns ``(error, split)``.  Candidates below
-    ``infeasible_below`` correspond to runs crossing a gap and are forced to
-    an infinite total (only relevant for the plain-DP baseline; the optimized
-    evaluation passes a ``j_lo`` at or right of the last gap).  Ties are
-    broken towards the *largest* ``j``, matching the pure-Python reference
-    which scans the candidates from ``i - 1`` downwards and only accepts
-    strict improvements.
-    """
-    totals = previous_row[j_lo:i] + prefix.sse_run_batch(j_lo, i)
-    if infeasible_below > j_lo:
-        totals[: infeasible_below - j_lo] = math.inf
-    reversed_totals = totals[::-1]
-    position = int(np.argmin(reversed_totals))
-    best = float(reversed_totals[position])
-    if math.isinf(best):
-        return math.inf, 0
-    return best, i - 1 - position
 
 
 # ----------------------------------------------------------------------
@@ -435,21 +387,6 @@ def pairwise_merge_keys(
 #: heap never holds this many rows, so clamping changes no comparison.
 _CLAMP = 2**62
 _INT64 = range(-(2**63), 2**63)
-
-
-def _kernel_row(
-    values: Sequence[float], start: int, end: int, width: Optional[int]
-) -> bool:
-    """Does the compiled activation loop read this row (floats, int64)?"""
-    return (
-        type(start) is int
-        and type(end) is int
-        and start in _INT64
-        and end in _INT64
-        and type(values) in (tuple, list)
-        and len(values) == width
-        and all(type(value) is float for value in values)
-    )
 
 
 class NumpyHeapNode:
@@ -565,11 +502,6 @@ class NumpyMergeHeap:
         self._staged_base = 0
         self._staged_end = 0
         self._staged_keys: np.ndarray | None = None
-        #: Every row holds what the compiled activation loop reads: value
-        #: rows of ``p`` exact floats and int64 endpoints.  Cleared by an
-        #: ``insert`` or chunk that stores anything else (``insert`` of an
-        #: ``int``-valued segment), rechecked when compaction drops rows.
-        self._kernel_rows = True
 
     # ------------------------------------------------------------------
     # Storage management
@@ -662,11 +594,6 @@ class NumpyMergeHeap:
                 key: position
                 for position, key in enumerate(self._group_keys)
             }
-            if not self._kernel_rows:
-                self._kernel_rows = all(map(
-                    _kernel_row, self._values, self._start, self._end,
-                    [self._dimensions] * count,
-                ))
         else:
             self._start = []
             self._end = []
@@ -681,7 +608,6 @@ class NumpyMergeHeap:
             self._length = []
             self._group_keys = []
             self._group_ids = {}
-            self._kernel_rows = True
         self._head = 0 if count else -1
         self._tail = count - 1 if count else -1
         self._count = count
@@ -731,11 +657,23 @@ class NumpyMergeHeap:
     # Operations of the paper: INSERT, PEEK, MERGE
     # ------------------------------------------------------------------
     def insert(self, segment: AggregateSegment) -> NumpyHeapNode:
-        """Append one tuple at the end of the list and index it in the heap."""
+        """Append one tuple at the end of the list and index it in the heap.
+
+        The row is stored as :meth:`stage_chunk` stores a chunk's: a tuple
+        of floats and int64 endpoints.  An endpoint outside int64 raises
+        what :func:`encode_segments` raises for it, before anything is
+        written.
+        """
         self._check_no_staged()
+        interval = segment.interval
+        start, end = interval.start, interval.end
+        if not (type(start) is int and type(end) is int
+                and start in _INT64 and end in _INT64):
+            start, end = np.fromiter((start, end), np.int64, 2).tolist()
+        values = tuple(map(float, segment.values))
         if self._dimensions is not None:
             self._ensure_capacity(1)
-        index = self._append_slot(segment)
+        index = self._append_slot(segment.group, start, end, values)
         self._refresh_key(index)
         return NumpyHeapNode(self, index)
 
@@ -755,10 +693,12 @@ class NumpyMergeHeap:
         right before it, so the observable heap state is identical to
         calling :meth:`insert` tuple by tuple.
 
-        A chunk of another value width than the heap's raises
-        :class:`ValueWidthError` before anything is written.  Every staged
-        tuple must be activated before the next ``stage_chunk`` /
-        ``insert`` call.
+        Rows are stored as float values and int64 endpoints, the rows the
+        compiled loop reads; columns that do not cast to them safely raise
+        :class:`TypeError`, and a chunk of another value width than the
+        heap's raises :class:`ValueWidthError`, before anything is
+        written.  Every staged tuple must be activated before the next
+        ``stage_chunk`` / ``insert`` call.
         """
         if self._count < self._staged_end:
             raise RuntimeError(
@@ -769,23 +709,21 @@ class NumpyMergeHeap:
         count = len(encoded)
         if count == 0:
             return 0
-        if self._dimensions is None:
-            self._allocate(encoded.dimensions)
-        elif encoded.dimensions != self._dimensions:
+        if self._dimensions is not None and (
+            encoded.dimensions != self._dimensions
+        ):
             raise ValueWidthError(
                 f"chunk has {encoded.dimensions} aggregate values per tuple, "
                 f"the heap holds {self._dimensions}"
             )
+        starts = encoded.starts.astype(np.int64, casting="safe", copy=False)
+        ends = encoded.ends.astype(np.int64, casting="safe", copy=False)
+        values = encoded.values.astype(np.float64, casting="safe", copy=False)
+        if self._dimensions is None:
+            self._allocate(encoded.dimensions)
         self._ensure_capacity(count)
         base = self._count
-        starts = encoded.starts
-        ends = encoded.ends
-        values = encoded.values
         groups = self._intern_groups(encoded)
-        if values.dtype != np.float64 or starts.dtype.kind != "i" or (
-            ends.dtype.kind != "i"
-        ):
-            self._kernel_rows = False
         self._start.extend(starts.tolist())
         self._end.extend(ends.tolist())
         self._length.extend((ends - starts + 1).astype(np.float64).tolist())
@@ -868,64 +806,10 @@ class NumpyMergeHeap:
         total_error, merges)`` bookkeeping.  When ``log`` is given, every
         committed insert and merge is appended to it in commit order.
 
-        The loop runs compiled (:mod:`repro.core.native`) when the kernel
-        is loaded and the heap holds only rows it reads; otherwise the
-        Python loop :meth:`_activate_python` runs.  Both leave the same
-        heap state, bookkeeping and log behind, bit for bit.
+        The loop runs compiled (``KERNEL.activate``, :mod:`repro.core.native`)
+        over this heap's own columns; ``tests/oracles.py`` holds its Python
+        reference.
         """
-        if self._count >= self._staged_end:
-            return last_gap_id, before_gap, after_gap, total_error, merges
-        reason = self._native_refusal(
-            size, step_threshold, total_error, log,
-            (last_gap_id, before_gap, after_gap, merges),
-        )
-        args = (size, step_threshold, delta, last_gap_id, before_gap,
-                after_gap, total_error, merges, log)
-        if reason is None:
-            return self._activate_native(*args)
-        _native.python_activation(reason)
-        return self._activate_python(*args)
-
-    def _native_refusal(
-        self, size: Optional[int], step_threshold: float,
-        total_error: float, log: "Optional[DeltaLog]",
-        counts: Tuple[int, ...],
-    ) -> Optional[str]:
-        """Why the compiled loop cannot run this activation, or ``None``."""
-        if _native.KERNEL is None:
-            return _native.REASON
-        if not self._kernel_rows:
-            return "the heap holds rows that are not float rows"
-        if (
-            (size is not None and type(size) is not int)
-            or type(total_error) is not float
-            or type(step_threshold) is not float
-            or (log is not None and type(log) is not DeltaLog)
-            or not all(type(count) is int and count in _INT64
-                       for count in counts)
-        ):
-            return "arguments of other types than the compiled loop reads"
-        return None
-
-    def _activate_native(
-        self,
-        size: Optional[int],
-        step_threshold: float,
-        delta: float,
-        last_gap_id: int,
-        before_gap: int,
-        after_gap: int,
-        total_error: float,
-        merges: int,
-        log: "Optional[DeltaLog]",
-    ) -> Tuple[int, int, int, float, int]:
-        """The activation loop in C, over this heap's own columns."""
-        reason = self._native_refusal(
-            size, step_threshold, total_error, log,
-            (last_gap_id, before_gap, after_gap, merges),
-        )
-        if reason is not None:
-            raise RuntimeError(f"the compiled loop cannot run: {reason}")
         first = self._count
         stop = self._staged_end
         if first >= stop:
@@ -954,247 +838,6 @@ class NumpyMergeHeap:
                 getattr(log, column) for column in DeltaLog.__slots__
             ),
         )
-        self._activated(stop, live, max_size, head, tail, counter)
-        return last_gap_id, before_gap, after_gap, total_error, merges
-
-    def _activate_python(
-        self,
-        size: Optional[int],
-        step_threshold: float,
-        delta: float,
-        last_gap_id: int,
-        before_gap: int,
-        after_gap: int,
-        total_error: float,
-        merges: int,
-        log: "Optional[DeltaLog]",
-    ) -> Tuple[int, int, int, float, int]:
-        """The activation loop in Python: the fallback, and the reference
-        the compiled loop is tested against."""
-        first = self._count
-        stop = self._staged_end
-        if first >= stop:
-            return last_gap_id, before_gap, after_gap, total_error, merges
-        offset = self._staged_base
-        assert self._staged_keys is not None
-        skeys = self._staged_keys.tolist()
-
-        # Local aliases of every column touched by the hot loop.
-        start = self._start
-        end = self._end
-        group = self._group
-        prev_ = self._prev
-        next_ = self._next
-        key = self._key
-        version = self._version
-        alive = self._alive
-        node_id = self._node_id
-        values = self._values
-        length = self._length
-        w2 = self._w2
-        entries = self._entries
-        push = heapq.heappush
-        pop = heapq.heappop
-        counter = self._entry_counter
-        live = self._size
-        max_size = self.max_size
-        head = self._head
-        tail = self._tail
-        inf = math.inf
-        size_bounded = size is not None
-        delta_is_inf = delta == math.inf
-        delta_is_one = delta == 1
-        delta_int = 0 if delta_is_inf else int(delta)
-        group_keys = self._group_keys
-        record_insert = log.record_insert if log is not None else None
-        record_merge = log.record_merge if log is not None else None
-
-        # Staged rows are fresh (version 0, unlinked, unreachable until
-        # activated), so liveness and the activation version bump can be
-        # written for the whole span up front with two slice assignments.
-        alive[first:stop] = [True] * (stop - first)
-        version[first:stop] = [1] * (stop - first)
-
-        for index in range(first, stop):
-            # Activate the tuple, then drain the merges it makes eligible.
-            previous = tail
-            prev_[index] = previous
-            if previous >= 0:
-                next_[previous] = index
-            else:
-                head = index
-            tail = index
-            live += 1
-            if live > max_size:
-                max_size = live
-            activation_key = skeys[index - offset]
-            if activation_key != activation_key or previous != index - 1:
-                # NaN sentinel, or the staged predecessor was disturbed by
-                # a merge: recompute against the live tail.
-                if (
-                    previous >= 0
-                    and group[previous] == group[index]
-                    and end[previous] + 1 == start[index]
-                ):
-                    activation_key = merge_key(
-                        length[previous], length[index], values[previous],
-                        values[index], w2,
-                    )
-                else:
-                    activation_key = inf
-            key[index] = activation_key
-            if activation_key != inf:
-                counter += 1
-                push(entries, (activation_key, counter, index, 1))
-                after_gap += 1
-            else:
-                last_gap_id = node_id[index]
-                before_gap += after_gap
-                after_gap = 1
-            if record_insert is not None:
-                record_insert(
-                    node_id[index],
-                    start[index],
-                    end[index],
-                    group_keys[group[index]],
-                    values[index],
-                    activation_key,
-                )
-
-            # Drain: one iteration per committed merge.
-            while True:
-                if size_bounded and live <= size:
-                    break
-                top_index = -1
-                while entries:
-                    entry_key, _, entry_index, entry_version = entries[0]
-                    if (
-                        alive[entry_index]
-                        and version[entry_index] == entry_version
-                        and key[entry_index] == entry_key
-                    ):
-                        top_index = entry_index
-                        top_key = entry_key
-                        break
-                    pop(entries)
-                if top_index < 0:
-                    break
-                if not size_bounded and top_key > step_threshold:
-                    break
-                top_node = node_id[top_index]
-                if top_node < last_gap_id:
-                    if size_bounded and before_gap < size:
-                        break
-                    before_gap -= 1
-                elif top_node > last_gap_id:
-                    if delta_is_one:
-                        successor = next_[top_index]
-                        if (
-                            successor < 0
-                            or group[top_index] != group[successor]
-                            or end[top_index] + 1 != start[successor]
-                        ):
-                            break
-                    elif delta_is_inf:
-                        break
-                    elif delta_int:
-                        count = 0
-                        cursor = top_index
-                        while count < delta_int:
-                            successor = next_[cursor]
-                            if (
-                                successor < 0
-                                or group[cursor] != group[successor]
-                                or end[cursor] + 1 != start[successor]
-                            ):
-                                break
-                            count += 1
-                            cursor = successor
-                        if count < delta_int:
-                            break
-                    after_gap -= 1
-                else:
-                    break
-                total_error += top_key
-                merges += 1
-                # The winning entry is consumed by this merge: pop it now
-                # instead of leaving it to go stale (same heap contents,
-                # one fewer lazy validity round per merge).
-                pop(entries)
-
-                # Inline merge_top: fold the top into its predecessor.
-                predecessor = prev_[top_index]
-                left_length = length[predecessor]
-                right_length = length[top_index]
-                merged = merged_row(
-                    left_length, right_length, values[predecessor],
-                    values[top_index],
-                )
-                length_sum = left_length + right_length
-                values[predecessor] = merged
-                end[predecessor] = end[top_index]
-                length[predecessor] = length_sum
-                successor = next_[top_index]
-                next_[predecessor] = successor
-                if successor >= 0:
-                    prev_[successor] = predecessor
-                else:
-                    tail = predecessor
-                alive[top_index] = False
-                live -= 1
-
-                # Refresh the predecessor's key, then the successor's —
-                # the same order (and entry-counter order) as merge_top.
-                before = prev_[predecessor]
-                if (
-                    before >= 0
-                    and group[before] == group[predecessor]
-                    and end[before] + 1 == start[predecessor]
-                ):
-                    refreshed = merge_key(
-                        length[before], length_sum, values[before], merged, w2
-                    )
-                    key[predecessor] = refreshed
-                    version[predecessor] += 1
-                    counter += 1
-                    push(
-                        entries,
-                        (refreshed, counter, predecessor,
-                         version[predecessor]),
-                    )
-                else:
-                    key[predecessor] = inf
-                    version[predecessor] += 1
-                if successor >= 0:
-                    if (
-                        group[predecessor] == group[successor]
-                        and end[predecessor] + 1 == start[successor]
-                    ):
-                        refreshed = merge_key(
-                            length_sum, length[successor], merged,
-                            values[successor], w2,
-                        )
-                        key[successor] = refreshed
-                        version[successor] += 1
-                        counter += 1
-                        push(
-                            entries,
-                            (refreshed, counter, successor,
-                             version[successor]),
-                        )
-                    else:
-                        key[successor] = inf
-                        version[successor] += 1
-                if record_merge is not None:
-                    record_merge(
-                        node_id[top_index],
-                        node_id[predecessor],
-                        merged,
-                        key[predecessor],
-                        node_id[successor] if successor >= 0 else -1,
-                        key[successor] if successor >= 0 else inf,
-                    )
-
         self._activated(stop, live, max_size, head, tail, counter)
         return last_gap_id, before_gap, after_gap, total_error, merges
 
@@ -1268,9 +911,11 @@ class NumpyMergeHeap:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _append_slot(self, segment: AggregateSegment) -> int:
+    def _append_slot(
+        self, group: tuple, start: int, end: int, values: Tuple[float, ...]
+    ) -> int:
         if self._dimensions is None:
-            self._allocate(segment.dimensions)
+            self._allocate(len(values))
         elif self._count >= self._capacity:
             # Callers reserve space up front; this only fires if they did
             # not, and growing (unlike compacting) preserves row indices.
@@ -1279,16 +924,11 @@ class NumpyMergeHeap:
         self._count += 1
         self._node_id.append(self._next_node_id)
         self._next_node_id += 1
-        interval = segment.interval
-        self._start.append(interval.start)
-        self._end.append(interval.end)
-        self._length.append(float(interval.end - interval.start + 1))
-        self._values.append(segment.values)
-        if self._kernel_rows and not _kernel_row(
-            segment.values, interval.start, interval.end, self._dimensions
-        ):
-            self._kernel_rows = False
-        self._group.append(self._intern_group(segment.group))
+        self._start.append(start)
+        self._end.append(end)
+        self._length.append(float(end - start + 1))
+        self._values.append(values)
+        self._group.append(self._intern_group(group))
         previous = self._tail
         self._prev.append(previous)
         self._next.append(-1)
@@ -1459,7 +1099,6 @@ class NumpyMergeHeap:
         other._group_keys = list(self._group_keys)
         other._staged_base = self._staged_base
         other._staged_end = self._staged_end
-        other._kernel_rows = self._kernel_rows
         if self._dimensions is not None:
             # Rows are immutable by convention (rebound on merge, never
             # mutated), so a shallow column copy suffices.
@@ -2009,15 +1648,15 @@ def greedy_merge_trajectory(
 
     All inputs are plain arrays (``int64`` endpoints and group ids,
     ``float64`` values of shape ``(n, p)`` and squared weights ``w2``), so a
-    shard travels to a worker process as a handful of array buffers instead
-    of ``n`` segment objects.
+    shard travels to a worker as a handful of array buffers instead of
+    ``n`` segment objects.
 
-    **The loop.**  The schedule runs in C (``_trajectory.c``, loaded by
-    :mod:`repro.core.native`) over typed buffers, with the interpreter lock
-    released, when the compiled module loaded; otherwise
-    :func:`_trajectory_python`, the reference, runs, counted on
-    ``repro_python_trajectories_total``.  Both return the same four
-    columns, byte for byte.
+    **The loop.**  The schedule runs in C (``KERNEL.trajectory``, loaded
+    by :mod:`repro.core.native`) over typed buffers, with the interpreter
+    lock released; ``tests/oracles.py`` holds its Python reference.
+    Lengths and rows reach the kernel as fresh C-contiguous ``float64``
+    arrays, since it folds them in place; the output columns are sized for
+    the most steps a shard can take, ``n - 1``, and cut to the steps taken.
 
     >>> starts = np.arange(4)
     >>> boundaries, keys, heads, rows = greedy_merge_trajectory(
@@ -2036,10 +1675,28 @@ def greedy_merge_trajectory(
     >>> boundaries.tolist(), keys.tolist()
     ([1, 3, 2], [0.0, 0.5, 20.25])
     """
-    if _native.KERNEL is None:
-        _native.python_trajectory(_native.REASON or "")
-        return _trajectory_python(starts, ends, values, groups, w2)
-    return _trajectory_native(starts, ends, values, groups, w2)
+    n = len(starts)
+    p = values.shape[1]
+    if n < 2:
+        return _no_steps(p)
+    adjacent, initial, order = _frontier(starts, ends, values, groups, w2)
+    length = (ends - starts + 1).astype(np.float64, order="C")
+    rows = np.array(values, dtype=np.float64, order="C")
+    boundaries = np.empty(n - 1, np.int64)
+    keys = np.empty(n - 1, np.float64)
+    heads = np.empty(n - 1, np.int64)
+    merged = np.empty((n - 1) * p, np.float64)
+    steps = _native.KERNEL.trajectory(
+        length, rows, np.ascontiguousarray(w2, dtype=np.float64)[:p],
+        np.ascontiguousarray(adjacent, dtype=np.bool_),
+        np.ascontiguousarray(initial, dtype=np.float64),
+        np.ascontiguousarray(order, dtype=np.int64),
+        boundaries, keys, heads, merged,
+    )
+    return (
+        boundaries[:steps], keys[:steps], heads[:steps],
+        merged[: steps * p].reshape(-1, p),
+    )
 
 
 def _no_steps(p: int) -> Trajectory:
@@ -2062,155 +1719,6 @@ def _frontier(
     initial = pairwise_merge_keys(starts, ends, values, groups, w2)
     order = np.argsort(initial, kind="stable")
     return adjacent, initial, order[: int(np.count_nonzero(initial < math.inf))]
-
-
-def _trajectory_native(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    values: np.ndarray,
-    groups: np.ndarray,
-    w2: np.ndarray,
-) -> Trajectory:
-    """:func:`greedy_merge_trajectory` in C over typed buffers.
-
-    The prologue is the Python loop's.  Lengths and rows reach the kernel
-    as fresh C-contiguous ``float64`` arrays, since it folds them in
-    place; the output columns are sized for the most steps a shard can
-    take, ``n - 1``, and cut to the steps taken.
-    """
-    n = len(starts)
-    p = values.shape[1]
-    if n < 2:
-        return _no_steps(p)
-    adjacent, initial, order = _frontier(starts, ends, values, groups, w2)
-    length = (ends - starts + 1).astype(np.float64, order="C")
-    rows = np.array(values, dtype=np.float64, order="C")
-    boundaries = np.empty(n - 1, np.int64)
-    keys = np.empty(n - 1, np.float64)
-    heads = np.empty(n - 1, np.int64)
-    merged = np.empty((n - 1) * p, np.float64)
-    assert _native.KERNEL is not None
-    steps = _native.KERNEL.trajectory(
-        length, rows, np.ascontiguousarray(w2, dtype=np.float64)[:p],
-        np.ascontiguousarray(adjacent, dtype=np.bool_),
-        np.ascontiguousarray(initial, dtype=np.float64),
-        np.ascontiguousarray(order, dtype=np.int64),
-        boundaries, keys, heads, merged,
-    )
-    return (
-        boundaries[:steps], keys[:steps], heads[:steps],
-        merged[: steps * p].reshape(-1, p),
-    )
-
-
-def _trajectory_python(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    values: np.ndarray,
-    groups: np.ndarray,
-    w2: np.ndarray,
-) -> Trajectory:
-    """:func:`greedy_merge_trajectory` in Python: the fallback and the
-    reference of the compiled loop."""
-    n = len(starts)
-    p = values.shape[1]
-    if n < 2:
-        return _no_steps(p)
-    adjacent, initial, order = _frontier(starts, ends, values, groups, w2)
-    frontier_keys = initial[order].tolist()
-    frontier_nodes = (order + 1).tolist()
-
-    # Node i is the block starting at original position i, with its float
-    # length and merged row.  ``key`` is the current key, ``queued`` /
-    # ``queued_key`` the counter and key of the node's entry still in the
-    # queue.
-    length = (ends - starts + 1).astype(np.float64).tolist()
-    row = values.tolist()
-    weights = [float(weight) for weight in w2]
-    prev_ = list(range(-1, n - 1))
-    next_ = list(range(1, n + 1))
-    next_[-1] = -1
-    stamp = [0]
-    stamp.extend(adjacent.astype(np.int64).tolist())
-    queued = list(stamp)
-    key = [math.inf] * n
-    queued_key = [math.inf]
-    queued_key.extend(initial.tolist())
-
-    # The schedule columns grow as flat machine buffers, not lists of
-    # Python numbers: a shard's rows are ``steps * p`` floats.
-    boundaries = array("q")
-    merge_keys = array("d")
-    heads = array("q")
-    rows = array("d")
-    heap: List[Tuple[float, int, int]] = []
-    heappush, heappop = heapq.heappush, heapq.heappop
-    counter = 1
-    position = 0
-    frontier_size = len(frontier_keys)
-    while True:
-        if position < frontier_size:
-            top_key = frontier_keys[position]
-            if heap and heap[0][0] < top_key:
-                top_key, top_stamp, index = heappop(heap)
-            else:
-                index = frontier_nodes[position]
-                top_stamp = 1  # every initial entry's counter
-                position += 1
-        elif heap:
-            top_key, top_stamp, index = heappop(heap)
-        else:
-            break
-        current = stamp[index]
-        if current != top_stamp:
-            # Stale.  If it was the node's queued entry, the node's
-            # current entry was deferred behind it and goes in now.
-            if current > 0 and queued[index] == top_stamp:
-                deferred = key[index]
-                heappush(heap, (deferred, current, index))
-                queued[index] = current
-                queued_key[index] = deferred
-            continue
-        predecessor = prev_[index]
-        left_length = length[predecessor]
-        right_length = length[index]
-        merged = row[predecessor] = merged_row(
-            left_length, right_length, row[predecessor], row[index]
-        )
-        length[predecessor] = left_length + right_length
-        successor = next_[index]
-        next_[predecessor] = successor
-        if successor >= 0:
-            prev_[successor] = predecessor
-        stamp[index] = -1
-        boundaries.append(index)
-        merge_keys.append(top_key)
-        heads.append(predecessor)
-        rows.extend(merged)
-
-        # Refresh the predecessor's key, then the successor's.
-        for node in (predecessor, successor):
-            if node < 0 or not stamp[node]:
-                continue
-            lo = prev_[node]
-            refreshed = merge_key(
-                length[lo], length[node], row[lo], row[node], weights
-            )
-            counter += 1
-            stamp[node] = counter
-            key[node] = refreshed
-            if refreshed >= queued_key[node]:
-                continue  # deferred: the queued entry's stale pop pushes it
-            heappush(heap, (refreshed, counter, node))
-            queued[node] = counter
-            queued_key[node] = refreshed
-
-    return (
-        np.frombuffer(boundaries, dtype=np.int64),
-        np.frombuffer(merge_keys, dtype=np.float64),
-        np.frombuffer(heads, dtype=np.int64),
-        np.frombuffer(rows, dtype=np.float64).reshape(-1, p),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -2299,7 +1807,6 @@ __all__ = [
     "NumpyPrefixSums",
     "SnapshotMirror",
     "adjacent_pair_mask",
-    "dp_best_split",
     "dp_first_row",
     "encode_segments",
     "finalize_mirror",

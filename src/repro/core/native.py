@@ -1,19 +1,18 @@
 """Build-once loader of the compiled loops (``_activate.c``,
 ``_trajectory.c``, ``_dp.c``).
 
-Three loops run in C when this module could load them, and in Python
-otherwise:
+Three loops of the paper's algorithms run in C, and only in C:
 
 * :meth:`repro.core.kernels.NumpyMergeHeap.activate_staged_all`, the
-  online activate-then-drain loop (``KERNEL.activate``); both leave
-  bit-identical heap state behind (``tests/test_native_kernel.py``);
+  online activate-then-drain loop (``KERNEL.activate``);
 * :func:`repro.core.kernels.greedy_merge_trajectory`, the sharded
-  engine's merge schedule (``KERNEL.trajectory``); both return the same
-  four columns, byte for byte (``tests/test_native_trajectory.py``);
+  engine's merge schedule (``KERNEL.trajectory``);
 * :meth:`repro.core.dp._ErrorMatrix.fill_next_row` on the numpy backend,
-  one row ``k >= 2`` of the exact DP's error matrix (``KERNEL.dp_row``);
-  both fill the same row and split points, byte for byte
-  (``tests/test_native_dp.py``).
+  one row ``k >= 2`` of the exact DP's error matrix (``KERNEL.dp_row``).
+
+Their Python references live in ``tests/oracles.py``; the parity suites
+(``tests/test_native_kernel.py``, ``tests/test_native_trajectory.py``,
+``tests/test_native_dp.py``) hold each loop to its oracle bit for bit.
 
 The C files build into one extension module, the first time this module
 is imported, with ``sysconfig``'s C compiler and include path, and cached
@@ -21,15 +20,9 @@ in the package's ``__pycache__`` under a name keyed by a checksum of all
 of the C source, the flags and ``EXT_SUFFIX``; every later import loads
 the cached file.  The build writes a temporary file and moves it into
 place with ``os.replace``, so concurrent importers never load a
-half-written module and one file results.  No compiler, a failed build
-or an unwritable cache leaves :data:`KERNEL` ``None`` with the cause in
-:data:`REASON`; the Python loops then run, the
-``repro_native_activation`` gauge reads 0, and every activation through
-them counts on ``repro_python_activations_total`` (every trajectory on
-``repro_python_trajectories_total``, every DP row on
-``repro_python_dp_rows_total``) and logs its cause once per process
-(events ``python_activation_loop``, ``python_trajectory_loop`` and
-``python_dp_row``).
+half-written module and one file results.  No compiler, a failed build,
+an unwritable cache or a failed load makes importing this module raise
+:class:`ImportError` naming the cause.
 """
 
 from __future__ import annotations
@@ -44,10 +37,7 @@ import zlib
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 from types import ModuleType
-from typing import List, Optional, Set, Tuple
-
-from ..obs import logs as _logs
-from ..obs import metrics as _metrics
+from typing import List, Optional, Tuple
 
 #: Every C file of the module; the first defines its ``PyInit``.
 SOURCES = tuple(
@@ -59,27 +49,6 @@ CACHE_DIR = Path(__file__).with_name("__pycache__")
 #: default): either changes the bits of a merge key or a run error.
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-
-_GAUGE = (
-    "repro_native_activation",
-    "1 when the compiled loops (online activation, shard trajectories, "
-    "DP rows) loaded, 0 when they run in Python.",
-)
-_PYTHON_ACTIVATIONS = (
-    "repro_python_activations_total",
-    "Staged-chunk activations that ran the Python loop.",
-)
-_PYTHON_TRAJECTORIES = (
-    "repro_python_trajectories_total",
-    "Shard merge schedules that ran the Python loop.",
-)
-_PYTHON_DP_ROWS = (
-    "repro_python_dp_rows_total",
-    "Exact-DP error-matrix rows (k >= 2, numpy backend) that ran the "
-    "Python loop.",
-)
-#: The ``(event, reason)`` pairs logged so far in this process.
-_logged: Set[Tuple[str, str]] = set()
 
 
 def compiler() -> Optional[List[str]]:
@@ -193,32 +162,8 @@ def load(
         return None, f"load failed: {error}"
 
 
-def _python_loop(
-    counter: Tuple[str, str], event: str, reason: str
-) -> None:
-    _metrics.counter(*counter).inc()
-    if (event, reason) not in _logged:
-        _logged.add((event, reason))
-        _logs.get_logger(__name__).warning(event, reason=reason)
-
-
-def python_activation(reason: str) -> None:
-    """Count one activation that ran the Python loop; log its cause once."""
-    _python_loop(_PYTHON_ACTIVATIONS, "python_activation_loop", reason)
-
-
-def python_trajectory(reason: str) -> None:
-    """Count one trajectory that ran the Python loop; log its cause once."""
-    _python_loop(_PYTHON_TRAJECTORIES, "python_trajectory_loop", reason)
-
-
-def python_dp_row(reason: str) -> None:
-    """Count one DP row that ran the Python loop; log its cause once."""
-    _python_loop(_PYTHON_DP_ROWS, "python_dp_row", reason)
-
-
-KERNEL, REASON = load()
-_metrics.gauge(*_GAUGE).set(0 if KERNEL is None else 1)
-_metrics.counter(*_PYTHON_ACTIVATIONS)
-_metrics.counter(*_PYTHON_TRAJECTORIES)
-_metrics.counter(*_PYTHON_DP_ROWS)
+_module, _reason = load()
+if _module is None:
+    raise ImportError(f"cannot load the compiled loops: {_reason}")
+#: The compiled module: ``activate``, ``trajectory`` and ``dp_row``.
+KERNEL: ModuleType = _module

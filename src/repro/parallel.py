@@ -21,10 +21,7 @@ cores:
    ``workers > 1`` the shards run on a thread pool
    (:func:`_reduce_shards_pooled`, the one dispatch the cluster tier
    shares): the compiled schedule releases the GIL, so threads use
-   several cores without copying a shard.  Without a C compiler the
-   Python fallback holds the GIL, so there ``workers > 1`` runs no faster
-   than ``workers=1`` (each such schedule counts on
-   ``repro_python_trajectories_total``).  Keys and rows come from
+   several cores without copying a shard.  Keys and rows come from
    :func:`repro.core.errors.merge_key` and
    :func:`repro.core.merge.merged_row`, so a shard's schedule is the
    merge heap's, bit for bit.

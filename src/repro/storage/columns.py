@@ -34,6 +34,7 @@ of deserialising garbage.
 from __future__ import annotations
 
 import math
+import re
 import struct
 from typing import Dict, Mapping
 
@@ -43,6 +44,8 @@ _HEADER = struct.Struct("<4sHH")
 _U16 = struct.Struct("<H")
 _U8 = struct.Struct("<B")
 _U64 = struct.Struct("<Q")
+#: The byte order and kind letter every ``dtype.str`` starts with.
+_DTYPE_PREFIX = re.compile(rb"[<>|][biufcmMOSUV]")
 
 
 class ColumnCodecError(ValueError):
@@ -130,7 +133,13 @@ def unpack_columns(
             ) from error
         # pack_columns writes ``dtype.str``; another spelling of the same
         # dtype (``=f8``, ``<d``), a structured one (``f8,i4``) or a
-        # string NumPy cannot parse (``(2,``) is corrupt.
+        # string NumPy cannot parse (``(2,``) is corrupt.  A kind letter
+        # that no ``dtype.str`` carries (the deprecated alias ``a``) is
+        # refused before NumPy sees it: its DeprecationWarning would
+        # escape as an exception where warnings are errors, and the
+        # decoder cannot change warning filters on a server thread.
+        if not _DTYPE_PREFIX.match(dtype_str):
+            raise ColumnCodecError(f"invalid dtype string {dtype_str!r}")
         try:
             dtype = np.dtype(dtype_str.decode("ascii"))
         except (TypeError, ValueError, SyntaxError) as error:

@@ -20,8 +20,7 @@ currency the serving and cluster tiers share:
   vars, so the shard dispatch
   (:func:`repro.parallel._reduce_shards_pooled`) runs each task in a
   copy of the caller's context — trace ids travel the same way
-  (:mod:`repro.obs.tracing`).  :func:`attach` re-enters a captured
-  deadline by hand.
+  (:mod:`repro.obs.tracing`).
 * Crossing a machine boundary, the deadline rides the PTAF envelope
   meta (key ``"deadline"``, next to ``"trace_id"``) as the *remaining*
   budget at send time; the receiver rebuilds an absolute expiry on its
@@ -43,7 +42,6 @@ __all__ = [
     "DEADLINE_HEADER",
     "Deadline",
     "DeadlineExceeded",
-    "attach",
     "current_deadline",
     "deadline_scope",
 ]
@@ -137,19 +135,3 @@ def deadline_scope(
     finally:
         _current.reset(token)
 
-
-@contextmanager
-def attach(deadline: Optional[Deadline]) -> Iterator[None]:
-    """Re-enter a captured deadline on a plain worker thread.
-
-    ``None`` is a no-op, so call sites need no branching — mirror of
-    :func:`repro.obs.tracing.attach`.
-    """
-    if deadline is None:
-        yield
-        return
-    token = _current.set(deadline)
-    try:
-        yield
-    finally:
-        _current.reset(token)

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.util.deadline import (
     Deadline,
     DeadlineExceeded,
-    attach,
     current_deadline,
     deadline_scope,
 )
@@ -101,25 +98,3 @@ class TestScope:
                 assert current_deadline() is inner
             assert current_deadline() is outer
         assert current_deadline() is None
-
-    def test_attach_reenters_a_captured_deadline_on_a_thread(self, clock):
-        # Plain worker threads do not inherit ContextVars — the cluster
-        # coordinator captures the deadline and re-enters it per thread.
-        captured = Deadline.after(3.0, clock)
-        seen = []
-
-        def worker():
-            seen.append(current_deadline())
-            with attach(captured):
-                seen.append(current_deadline())
-            seen.append(current_deadline())
-
-        thread = threading.Thread(target=worker)
-        with deadline_scope(captured):
-            thread.start()
-            thread.join()
-        assert seen == [None, captured, None]
-
-    def test_attach_none_is_a_noop(self):
-        with attach(None):
-            assert current_deadline() is None

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from repro.core import (
     DELTA_INFINITY,
     AggregateSegment,
@@ -95,11 +96,12 @@ class TestNumpyPrefixSums:
                 )
 
     def test_batched_run_errors_match_scalar(self, case):
+        """The DP oracle's batched run errors (tests/oracles.py)."""
         segments, weights = case
         python = PrefixSums(segments, weights)
         vectorized = NumpyPrefixSums(segments, weights)
         for i in range(1, len(segments) + 1):
-            batch = vectorized.sse_run_batch(0, i)
+            batch = oracles.sse_run_batch(vectorized, 0, i)
             assert len(batch) == i
             assert batch.tolist() == [python.sse(j, i - 1) for j in range(i)]
 

@@ -1,35 +1,28 @@
-"""The compiled DP row against the numpy loop it replaces.
+"""The compiled DP row against its Python oracle.
 
 On the numpy backend :meth:`repro.core.dp._ErrorMatrix.fill_next_row`
-fills every row ``k >= 2`` with one call of ``_dp.c`` when
-:mod:`repro.core.native` loaded the compiled module, and with
-:meth:`~repro.core.dp._ErrorMatrix._fill_next_row_numpy` (one
-:func:`~repro.core.kernels.dp_best_split` per cell) otherwise.  The parity
-property fills the same rows both ways on drawn inputs and requires the
-same bytes in every row and every split-point row, and the same
+fills every row ``k >= 2`` with one call of ``_dp.c``, its only product
+path; :func:`oracles.dp_fill_next_row` (one :func:`oracles.best_split`
+per cell) is the loop it was written from.  The parity property fills
+the same rows both ways on drawn inputs and requires the same bytes in
+every row and every split-point row, and the same
 :class:`~repro.core.dp.DPStats`, also where run errors overflow to ``inf``
-and ``NaN``.  The remaining tests cover the buffer checks, the fallback's
-counter and log line, and the GIL.
+and ``NaN``.  The remaining tests cover the buffer checks and the GIL.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import oracles
 from repro import Interval
 from repro.core import AggregateSegment, native
 from repro.core.dp import _ErrorMatrix, reduce_to_error, reduce_to_size
 from repro.core.merge import cmin
-from repro.obs import metrics
-
-needs_kernel = pytest.mark.skipif(
-    native.KERNEL is None, reason=f"no compiled kernel: {native.REASON}"
-)
 
 
 def segments(rng: np.random.Generator, *, count: int, width: int,
@@ -73,13 +66,13 @@ def draw(seed: int):
 
 
 def fill_both(drawn, weights, rows: int, optimized: bool):
-    """The same rows, compiled and in numpy; both matrices."""
+    """The same rows, compiled and by the oracle; both matrices."""
     compiled = _ErrorMatrix(drawn, weights, optimized, "numpy")
     reference = _ErrorMatrix(drawn, weights, optimized, "numpy")
     with np.errstate(all="ignore"):  # run errors that overflow
         for _ in range(min(rows, len(drawn))):
             compiled.fill_next_row()
-            reference._fill_next_row_numpy()
+            oracles.dp_fill_next_row(reference)
     return compiled, reference
 
 
@@ -100,10 +93,9 @@ def assert_same(compiled, reference):
 # ----------------------------------------------------------------------
 # Parity
 # ----------------------------------------------------------------------
-@needs_kernel
 @pytest.mark.parametrize("optimized", [True, False])
 @pytest.mark.parametrize("block", range(4))
-def test_compiled_rows_are_the_numpy_rows(block, optimized):
+def test_compiled_rows_are_the_oracles_rows(block, optimized):
     """100 draws per block and scheme: n <= 400, 1-3 groups with gaps,
     p in {1, 2, 5}, weights, integer-valued ties, offsets of 1e6 (with a
     spread of 1e-3, cancellation makes run errors shrink as runs grow) and
@@ -117,11 +109,10 @@ def test_compiled_rows_are_the_numpy_rows(block, optimized):
         with np.errstate(all="ignore"):
             for _ in range(min(rows, len(drawn))):
                 compiled.fill_next_row()
-                reference._fill_next_row_numpy()
+                oracles.dp_fill_next_row(reference)
                 assert_same(compiled, reference)
 
 
-@needs_kernel
 def test_the_draws_reach_ties_shrinking_runs_inf_and_nan_cells():
     """The parity draws above hold exact ties between split points, run
     errors that shrink as the run grows (where an early break would stop
@@ -137,7 +128,7 @@ def test_the_draws_reach_ties_shrinking_runs_inf_and_nan_cells():
         previous = np.asarray(reference._previous_row)
         with np.errstate(all="ignore"):
             for i in range(2, len(drawn) + 1):
-                runs = reference.prefix.sse_run_batch(1, i)[::-1]
+                runs = oracles.sse_run_batch(reference.prefix, 1, i)[::-1]
                 if np.any(np.diff(runs) < 0):  # as j falls from i - 1
                     seen.add("shrinking")
                 totals = previous[1:i] + runs[::-1]
@@ -147,7 +138,6 @@ def test_the_draws_reach_ties_shrinking_runs_inf_and_nan_cells():
     assert seen == {"inf", "nan", "finite", "tie", "shrinking"}
 
 
-@needs_kernel
 @pytest.mark.parametrize("count", [1, 2, 3])
 @pytest.mark.parametrize("optimized", [True, False])
 def test_tiny_inputs(count, optimized):
@@ -158,16 +148,15 @@ def test_tiny_inputs(count, optimized):
     assert_same(*fill_both(drawn, None, count, optimized))
 
 
-@needs_kernel
 @pytest.mark.parametrize("optimized", [True, False])
-def test_reductions_are_the_numpy_reductions(optimized, monkeypatch):
-    """Whole PTAc and PTAeps runs, compiled against the Python loop."""
+def test_reductions_are_the_oracles_reductions(optimized, monkeypatch):
+    """Whole PTAc and PTAeps runs, compiled against the oracle."""
     drawn = segments(np.random.default_rng(3), count=150, width=2, groups=2,
                      offset=1e6, magnitude=10.0, ties=False)
     weights = (0.5, 3.0)
     runs = []
-    for kernel in (native.KERNEL, None):
-        monkeypatch.setattr(native, "KERNEL", kernel)
+    for fill in (_ErrorMatrix.fill_next_row, oracles.dp_fill_next_row):
+        monkeypatch.setattr(_ErrorMatrix, "fill_next_row", fill)
         runs.append([
             reduce_to_size(drawn, cmin(drawn) + 20, weights, optimized,
                            backend="numpy"),
@@ -199,7 +188,6 @@ def row_args(n: int = 6, p: int = 2, first: int = 2):
     ]
 
 
-@needs_kernel
 def test_the_kernel_checks_its_buffers():
     kernel = native.KERNEL
     assert kernel.dp_row(*row_args()) == sum(i - 1 for i in range(2, 7))
@@ -230,7 +218,6 @@ def test_the_kernel_checks_its_buffers():
         kernel.dp_row(*row_args()[:-1])
 
 
-@needs_kernel
 def test_an_empty_candidate_range_leaves_the_cell_infinite():
     args = row_args()
     args[5] = np.array([1, 3, 4, 5, 6], dtype=np.int64)  # j_lo == i from i = 3
@@ -239,11 +226,7 @@ def test_an_empty_candidate_range_leaves_the_cell_infinite():
     assert args[9][3:].tolist() == [0] * 4
 
 
-# ----------------------------------------------------------------------
-# No silent fallback
-# ----------------------------------------------------------------------
-@needs_kernel
-def test_the_dispatcher_runs_the_compiled_row(monkeypatch):
+def test_the_matrix_runs_the_compiled_row(monkeypatch):
     calls = []
     kernel = native.KERNEL
 
@@ -254,43 +237,17 @@ def test_the_dispatcher_runs_the_compiled_row(monkeypatch):
             return kernel.dp_row(*args)
 
     monkeypatch.setattr(native, "KERNEL", Counting)
-    before = metrics.value("repro_python_dp_rows_total")
     drawn = segments(np.random.default_rng(5), count=40, width=2, groups=2,
                      offset=0.0, magnitude=10.0, ties=False)
     matrix = _ErrorMatrix(drawn, (2.0, 0.5), True, "numpy")
     for _ in range(4):
         matrix.fill_next_row()
     assert calls == [10, 10, 10]  # rows 2-4; row 1 is one numpy expression
-    assert metrics.value("repro_python_dp_rows_total") == before
-
-
-def test_the_python_row_counts_and_logs_its_reason(monkeypatch, caplog):
-    reason = "no C compiler: cc"
-    monkeypatch.setattr(native, "KERNEL", None)
-    monkeypatch.setattr(native, "REASON", reason)
-    monkeypatch.setattr(native, "_logged", set())
-    before = metrics.value("repro_python_dp_rows_total")
-    drawn = segments(np.random.default_rng(6), count=60, width=2, groups=1,
-                     offset=0.0, magnitude=10.0, ties=False)
-    size = cmin(drawn) + 5
-    with caplog.at_level(logging.WARNING, logger="repro.core.native"):
-        first = reduce_to_size(drawn, size, backend="numpy")
-        second = reduce_to_size(drawn, size, backend="numpy")
-    assert first.stats.rows_filled == size
-    assert metrics.value("repro_python_dp_rows_total") == (
-        before + 2 * (size - 1)
-    )
-    lines = [r for r in caplog.records if r.name == "repro.core.native"]
-    assert [r.getMessage() for r in lines] == ["python_dp_row"]
-    assert lines[0].structured["reason"] == reason
-    assert first.segments == second.segments
-    assert "repro_python_dp_rows_total" in metrics.render()
 
 
 # ----------------------------------------------------------------------
 # The GIL
 # ----------------------------------------------------------------------
-@needs_kernel
 def test_another_thread_runs_during_a_large_row(monkeypatch):
     kernel = native.KERNEL
     window = []

@@ -1,18 +1,18 @@
-"""The compiled activation loop against the Python loop it replaces.
+"""The compiled activation loop against its Python oracle.
 
-:meth:`NumpyMergeHeap.activate_staged_all` runs ``_activate.c`` when
-:mod:`repro.core.native` loaded it and the heap holds only float rows,
-and its Python loop otherwise.  The parity property runs both loops
-explicitly on twin heaps and requires identical state after every chunk:
-every column (floats by ``float.hex``, value rows with their container
-type), the entry list element by element, the returned bookkeeping and
-every :class:`DeltaLog` list.  The remaining tests cover the loader (a
-cold build, concurrent builds, each fallback reason) and the GIL.
+:meth:`NumpyMergeHeap.activate_staged_all` runs ``_activate.c``, its
+only product path; :func:`oracles.activate` is the Python loop it was
+written from.  The parity property runs both on twin heaps and requires
+identical state after every chunk: every column (floats by
+``float.hex``, value rows with their container type), the entry list
+element by element, the returned bookkeeping and every
+:class:`DeltaLog` list.  The remaining tests cover the inputs that once
+reached a Python twin, the loader (a cold build, concurrent builds, each
+failure's reason, the failed import) and the GIL.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import pickle
@@ -27,16 +27,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from repro.core import native
 from repro.core.greedy import OnlineReducer
-from repro.core.kernels import DeltaLog, EncodedSegments, NumpyMergeHeap
+from repro.core.kernels import (
+    DeltaLog, EncodedSegments, NumpyMergeHeap, encode_segments,
+)
 from repro.core.merge import AggregateSegment
-from repro.obs import metrics
 from repro.temporal import Interval
 
-needs_kernel = pytest.mark.skipif(
-    native.KERNEL is None, reason=f"no compiled kernel: {native.REASON}"
-)
 needs_compiler = pytest.mark.skipif(
     native.compiler() is None, reason="sysconfig's C compiler is not on PATH"
 )
@@ -47,7 +46,7 @@ COLUMNS = (
 )
 SCALARS = (
     "_count", "_size", "max_size", "_head", "_tail", "_entry_counter",
-    "_staged_base", "_staged_end", "_kernel_rows",
+    "_staged_base", "_staged_end",
 )
 
 
@@ -86,10 +85,20 @@ def stream(rng: np.random.Generator, *, count: int, width: int, groups: int,
     )
 
 
+def compiled(heap, size, step_threshold, delta, last_gap_id, before_gap,
+             after_gap, total_error, merges, log):
+    """The product path, with :func:`oracles.activate`'s signature."""
+    return heap.activate_staged_all(
+        size=size, step_threshold=step_threshold, delta=delta,
+        last_gap_id=last_gap_id, before_gap=before_gap, after_gap=after_gap,
+        total_error=total_error, merges=merges, log=log,
+    )
+
+
 def run_twins(chunks, *, weights=None, size=None, step_threshold=0.0,
               delta=1, logged=False):
     """Stage every chunk on twin heaps, activate one with the compiled
-    loop and one with the Python loop, and compare after each chunk."""
+    loop and one with the oracle, and compare after each chunk."""
     heaps = [NumpyMergeHeap(weights), NumpyMergeHeap(weights)]
     logs = [DeltaLog(), DeltaLog()] if logged else [None, None]
     books = [(0, 0, 0, 0.0, 0), (0, 0, 0, 0.0, 0)]
@@ -98,8 +107,9 @@ def run_twins(chunks, *, weights=None, size=None, step_threshold=0.0,
         for side, (heap, log) in enumerate(zip(heaps, logs)):
             count = heap._count
             heap.stage_chunk(chunk)
-            loop = heap._activate_native if side == 0 else heap._activate_python
-            books[side] = loop(size, step_threshold, delta, *books[side], log)
+            loop = compiled if side == 0 else oracles.activate
+            books[side] = loop(heap, size, step_threshold, delta,
+                               *books[side], log)
             if side == 0 and heap._count < count + len(chunk):
                 compactions += 1
         assert books[0] == books[1] and all(
@@ -144,13 +154,12 @@ DRAWS = [
     for i, policy in enumerate(POLICIES) for j in range(4)
 ]
 
-@needs_kernel
 @pytest.mark.parametrize(
     "case, policy, logged", DRAWS,
     ids=[f"seed{c[0]}-size{p[0]}-q{p[1]}-d{p[2]}-{'log' if g else 'nolog'}"
          for c, p, g in DRAWS],
 )
-def test_compiled_loop_leaves_the_python_loops_state(case, policy, logged):
+def test_compiled_loop_leaves_the_oracles_state(case, policy, logged):
     seed, width, groups, offset, magnitude, ties, weights = case
     size, quantile, delta = policy
     rng = np.random.default_rng(seed)
@@ -174,7 +183,6 @@ def test_compiled_loop_leaves_the_python_loops_state(case, policy, logged):
         assert compactions > 0
 
 
-@needs_kernel
 def test_keys_that_overflow_to_inf_match():
     """Values near 1e308 overflow merge keys to inf (a known miss of the
     size budget); both loops keep the same state while that happens."""
@@ -189,50 +197,120 @@ def test_keys_that_overflow_to_inf_match():
     assert math.inf in heap._key
 
 
-@needs_kernel
-def test_a_mixed_heap_takes_the_python_loop(monkeypatch):
-    """``insert`` of an int-valued segment makes the heap one the compiled
-    loop does not read: activation runs the Python loop, counts it and
-    names the cause; calling the compiled loop refuses before writing."""
-    monkeypatch.setattr(native, "_logged", set())
-    rows = [AggregateSegment(("g",), (value,), Interval(t, t))
-            for t, value in enumerate([3, 5, 4])]
-    twins = [NumpyMergeHeap(), NumpyMergeHeap()]
-    for heap in twins:
-        for row in rows:
-            heap.insert(row)
-        assert not heap._kernel_rows
+# ----------------------------------------------------------------------
+# Every door reaches the compiled loop
+# ----------------------------------------------------------------------
+def hexed(value):
+    """``value`` with its types kept and every float as its ``.hex()``."""
+    if type(value) is float:
+        return "float", value.hex()
+    if type(value) in (tuple, list):
+        return type(value).__name__, [hexed(item) for item in value]
+    return type(value).__name__, repr(value)
+
+
+def reducer_state(reducer: OnlineReducer) -> dict:
+    """The heap's columns, entries and scalars, and the reducer's
+    bookkeeping, by :func:`hexed`."""
+    heap = reducer.heap
+    names = (*COLUMNS, "_entries", *SCALARS)
+    state = {name: hexed(getattr(heap, name)) for name in names}
+    state["books"] = hexed([
+        reducer._size, reducer._step_threshold, reducer._last_gap_id,
+        reducer._before_gap, reducer._after_gap, reducer.total_error,
+        reducer.merges, reducer.consumed,
+    ])
+    return state
+
+
+@pytest.fixture
+def activations(monkeypatch):
+    """Calls of the compiled activation loop, counted."""
+    kernel = native.KERNEL
+    calls = []
+
+    class Counting:
+        @staticmethod
+        def activate(*args):
+            calls.append(len(args))
+            return kernel.activate(*args)
+
+    monkeypatch.setattr(native, "KERNEL", Counting)
+    return calls
+
+
+def input_pairs():
+    """Inputs that once fell to the Python loop, each with its plain
+    float / int equivalent: ``(options, pushed values, chunk)`` twice."""
     encoded = stream(np.random.default_rng(9), count=60, width=1, groups=1,
-                     offset=0.0, magnitude=1.0, ties=False)
-    shifted = EncodedSegments(encoded.starts + 3, encoded.ends + 3,
-                              encoded.values, encoded.groups, [("g",)])
-    before = metrics.value("repro_python_activations_total")
-    books = []
-    for side, heap in enumerate(twins):
-        heap.stage_chunk(shifted)
-        if side == 0:
-            with pytest.raises(RuntimeError):
-                heap._activate_native(4, 0.0, 1, 0, 0, 0, 0.0, 0, None)
-            books.append(heap.activate_staged_all(size=4))
-        else:
-            books.append(heap._activate_python(4, 0.0, 1, 0, 0, 0, 0.0, 0,
-                                               None))
-    assert metrics.value("repro_python_activations_total") == before + 1
-    assert books[0] == books[1]
-    assert heap_state(twins[0]) == heap_state(twins[1])
-    assert ("python_activation_loop",
-            "the heap holds rows that are not float rows") in native._logged
+                     offset=0.0, magnitude=3.0, ties=True)
+    chunk = EncodedSegments(encoded.starts + 3, encoded.ends + 3,
+                            encoded.values, encoded.groups, [("g",)])
+    int_chunk = EncodedSegments(chunk.starts, chunk.ends,
+                                chunk.values.astype(np.int64), chunk.groups,
+                                chunk.group_keys)
+    estimate = float(np.abs(encoded.values).sum())
+    size = {"size": 4}
+    return {
+        "int-valued push": (
+            (size, [3, 5, 4], chunk), (size, [3.0, 5.0, 4.0], chunk),
+        ),
+        "numpy size": (({"size": np.int64(4)}, [], chunk), (size, [], chunk)),
+        "numpy estimates": (
+            ({"max_error": 0.3, "input_size_estimate": np.int64(60),
+              "max_error_estimate": np.float64(estimate)}, [], chunk),
+            ({"max_error": 0.3, "input_size_estimate": 60,
+              "max_error_estimate": estimate}, [], chunk),
+        ),
+        "int-valued columns": ((size, [], int_chunk), (size, [], chunk)),
+    }
+
+
+@pytest.mark.parametrize("name", list(input_pairs()))
+def test_every_input_takes_the_compiled_loop(name, activations):
+    """An input that once fell to the Python loop (an int-valued ``push``
+    before a chunk, a numpy-int ``size``, numpy-float estimates, int-valued
+    columns) runs the compiled loop and leaves the state of its plain
+    float / int equivalent."""
+    states = []
+    for options, values, columns in input_pairs()[name]:
+        reducer = OnlineReducer(backend="numpy", **options)
+        for t, value in enumerate(values):
+            reducer.push(AggregateSegment(("g",), (value,), Interval(t, t)))
+        calls = len(activations)
+        reducer.push_chunk(columns[:30])
+        reducer.push_chunk(columns[30:])
+        assert len(activations) == calls + 2
+        assert reducer.merges > 0
+        states.append(reducer_state(reducer))
+    assert states[0] == states[1]
+
+
+def test_an_endpoint_past_int64_is_refused_at_every_door():
+    """``push`` refuses an endpoint past int64 as ``push_chunk`` and
+    :func:`encode_segments` do, and leaves the heap empty."""
+    far = AggregateSegment(("g",), (1.0,), Interval(2**63, 2**63))
+    errors = []
+    for feed in ("push", "push_chunk"):
+        reducer = OnlineReducer(size=4, backend="numpy")
+        with pytest.raises(Exception) as caught:
+            if feed == "push":
+                reducer.push(far)
+            else:
+                reducer.push_chunk([far])
+        assert len(reducer.heap) == 0 and reducer.consumed == 0
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1]
+    with pytest.raises(type(caught.value)):
+        encode_segments([far])
 
 
 # ----------------------------------------------------------------------
-# Loader: the kernel loads, each fallback reason is named
+# Loader: the kernel loads, each failure's reason is named
 # ----------------------------------------------------------------------
-@needs_compiler
-def test_native_loads_when_a_compiler_exists():
-    assert native.KERNEL is not None, native.REASON
-    assert native.REASON is None
-    assert metrics.value("repro_native_activation") == 1.0
-    assert "repro_native_activation 1" in metrics.render()
+def test_native_loads():
+    for loop in ("activate", "trajectory", "dp_row"):
+        assert callable(getattr(native.KERNEL, loop))
 
 
 def test_no_compiler_is_a_reason(tmp_path, monkeypatch):
@@ -257,23 +335,6 @@ def test_an_unwritable_cache_is_a_reason(tmp_path):
     assert module is None and reason.startswith("unwritable cache")
 
 
-def test_the_python_loop_counts_and_logs_its_reason(monkeypatch, caplog):
-    monkeypatch.setattr(native, "KERNEL", None)
-    monkeypatch.setattr(native, "REASON", "no C compiler: cc")
-    monkeypatch.setattr(native, "_logged", set())
-    before = metrics.value("repro_python_activations_total")
-    reducer = OnlineReducer(size=5, backend="numpy")
-    encoded = stream(np.random.default_rng(3), count=50, width=1, groups=1,
-                     offset=0.0, magnitude=1.0, ties=False)
-    with caplog.at_level(logging.WARNING, logger="repro.core.native"):
-        reducer.push_chunk(encoded[:25])
-        reducer.push_chunk(encoded[25:])
-    assert metrics.value("repro_python_activations_total") == before + 2
-    lines = [r for r in caplog.records if r.name == "repro.core.native"]
-    assert len(lines) == 1
-    assert lines[0].structured["reason"] == "no C compiler: cc"
-
-
 # ----------------------------------------------------------------------
 # Cold builds
 # ----------------------------------------------------------------------
@@ -284,7 +345,7 @@ COLD_IMPORT = textwrap.dedent("""
     import repro.core.kernels
     from repro.core import native
     after = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    print(native.KERNEL is not None, before, after, native.REASON)
+    print(native.KERNEL is not None, before, after)
 """)
 
 
@@ -320,7 +381,7 @@ def test_a_cold_build_is_not_charged_to_the_importer(tmp_path):
     proc = cold_import(path)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
-    loaded, before, after, _ = out.split(maxsplit=3)
+    loaded, before, after = out.split()
     assert loaded == "True", out
     assert int(after) == int(before)  # the compiler is not reaped yet
     assert processes_naming(str(path)) == []  # and gone once its parent is
@@ -339,10 +400,45 @@ def test_concurrent_cold_imports_build_one_file(tmp_path):
     assert [p.name.startswith("_activate.") for p in cache.iterdir()] == [True]
 
 
+@pytest.mark.parametrize("cause, named", [
+    ("no compiler", "no C compiler: "),
+    ("build failed", "build failed: "),
+    ("unwritable cache", "unwritable cache: "),
+])
+def test_a_failed_load_fails_the_import(cause, named, tmp_path):
+    """No Python loop stands in: importing the package fails, naming the
+    cause."""
+    command = native.compiler()
+    path = cold_copy(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(path),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    if cause == "no compiler":
+        if command is not None and os.path.isabs(command[0]):
+            pytest.skip("sysconfig names its compiler by an absolute path")
+        env["PATH"] = str(tmp_path / "empty")
+    elif cause == "unwritable cache":
+        (path / "repro/core/__pycache__").write_text("")  # a file, not a dir
+    else:
+        if command is None:
+            pytest.skip("sysconfig's C compiler is not on PATH")
+        source = path / "repro/core/_dp.c"
+        source.write_text(source.read_text() + "\n#error broken on purpose\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import repro.core.native"], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode != 0
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError: cannot load the compiled loops: "
+                           + named), proc.stderr
+    if cause == "build failed":
+        assert "broken on purpose" in last
+    assert not list((path / "repro/core/__pycache__").glob("_activate.*"))
+
+
 # ----------------------------------------------------------------------
 # The GIL
 # ----------------------------------------------------------------------
-@needs_kernel
 def test_another_thread_runs_during_a_large_push(monkeypatch):
     kernel = native.KERNEL
     window = []

@@ -1,34 +1,24 @@
-"""The compiled merge schedule against the Python loop it replaces.
+"""The compiled merge schedule against its Python oracle.
 
-:func:`repro.core.kernels.greedy_merge_trajectory` runs ``_trajectory.c``
-when :mod:`repro.core.native` loaded the compiled module, and
-:func:`~repro.core.kernels._trajectory_python` otherwise.  The parity
-property calls both explicitly on drawn shards and requires the same
-dtype, shape and bytes in all four output columns, also where keys
-overflow to ``inf`` and ``NaN``.  The remaining tests cover errors, the
-fallback's counter and log line, and the GIL.
+:func:`repro.core.kernels.greedy_merge_trajectory` runs ``_trajectory.c``,
+its only product path; :func:`oracles.trajectory` is the Python loop it
+was written from.  The parity property calls both on drawn shards and
+requires the same dtype, shape and bytes in all four output columns,
+also where keys overflow to ``inf`` and ``NaN``.  The remaining tests
+cover errors, the buffer checks and the GIL.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import oracles
 from repro.core import native
-from repro.core.kernels import (
-    _trajectory_native,
-    _trajectory_python,
-    greedy_merge_trajectory,
-)
-from repro.obs import metrics
-
-needs_kernel = pytest.mark.skipif(
-    native.KERNEL is None, reason=f"no compiled kernel: {native.REASON}"
-)
+from repro.core.kernels import greedy_merge_trajectory
 
 
 def shard(rng: np.random.Generator, *, count: int, width: int, groups: int,
@@ -72,15 +62,14 @@ def assert_same(got, want):
 
 def both(*args):
     with np.errstate(all="ignore"):  # keys that overflow
-        return _trajectory_native(*args), _trajectory_python(*args)
+        return greedy_merge_trajectory(*args), oracles.trajectory(*args)
 
 
 # ----------------------------------------------------------------------
 # Parity
 # ----------------------------------------------------------------------
-@needs_kernel
 @pytest.mark.parametrize("block", range(8))
-def test_compiled_schedule_is_the_python_schedule(block):
+def test_compiled_schedule_is_the_oracles_schedule(block):
     """400 drawn shards: n <= 400, 1-3 groups with gaps, p in {1, 2, 5},
     weights, integer-valued ties, offsets of 1e6, and magnitudes of
     1e154-1e300 or an offset of 1.7e308, where keys and merged rows
@@ -89,21 +78,19 @@ def test_compiled_schedule_is_the_python_schedule(block):
         assert_same(*both(*draw(seed)))
 
 
-@needs_kernel
 def test_the_draws_reach_inf_and_nan_keys():
     """The parity draws above do hold schedules with inf and NaN keys."""
     seen = set()
     for seed in range(400):
         starts, ends, values, groups, w2 = draw(seed)
         with np.errstate(all="ignore"):
-            _, keys, _, _ = _trajectory_python(starts, ends, values, groups,
+            _, keys, _, _ = oracles.trajectory(starts, ends, values, groups,
                                                w2)
         seen.update(("inf",) if np.isinf(keys).any() else ())
         seen.update(("nan",) if np.isnan(keys).any() else ())
     assert seen == {"inf", "nan"}
 
 
-@needs_kernel
 @pytest.mark.parametrize("count", [0, 1, 2, 3])
 def test_tiny_shards(count):
     starts = np.arange(count, dtype=np.int64)
@@ -112,7 +99,6 @@ def test_tiny_shards(count):
                       np.ones(2)))
 
 
-@needs_kernel
 def test_shards_without_merges_and_other_dtypes():
     """No adjacent pair; int32 endpoints, float32 values, list weights."""
     starts = np.arange(0, 20, 2, dtype=np.int64)
@@ -128,20 +114,18 @@ def test_shards_without_merges_and_other_dtypes():
                       values.astype(np.float32), groups, [1.0, 2.0]))
 
 
-@needs_kernel
 def test_a_zero_length_sum_raises_in_both_loops():
     """A block of length -1 next to one of length 1: their merged row
     divides by zero, in Python and in C alike."""
     starts = np.array([0, 1, 5], dtype=np.int64)
     ends = np.array([0, -1, 5], dtype=np.int64)
     values = np.array([[1.0], [2.0], [3.0]])
-    for loop in (_trajectory_native, _trajectory_python):
+    for loop in (greedy_merge_trajectory, oracles.trajectory):
         with np.errstate(all="ignore"), pytest.raises(ZeroDivisionError):
             loop(starts, ends, values, np.zeros(3, np.int64), np.ones(1))
 
 
-@needs_kernel
-def test_the_dispatcher_runs_the_compiled_loop(monkeypatch):
+def test_the_schedule_runs_the_compiled_loop(monkeypatch):
     calls = []
     kernel = native.KERNEL
 
@@ -152,15 +136,12 @@ def test_the_dispatcher_runs_the_compiled_loop(monkeypatch):
             return kernel.trajectory(*args)
 
     monkeypatch.setattr(native, "KERNEL", Counting)
-    before = metrics.value("repro_python_trajectories_total")
     starts, ends, values, groups, w2 = draw(7)
     assert_same(greedy_merge_trajectory(starts, ends, values, groups, w2),
-                _trajectory_python(starts, ends, values, groups, w2))
+                oracles.trajectory(starts, ends, values, groups, w2))
     assert calls == [10]
-    assert metrics.value("repro_python_trajectories_total") == before
 
 
-@needs_kernel
 def test_the_kernel_checks_its_buffers():
     kernel = native.KERNEL
     length = np.ones(3)
@@ -184,54 +165,8 @@ def test_the_kernel_checks_its_buffers():
 
 
 # ----------------------------------------------------------------------
-# No silent fallback
-# ----------------------------------------------------------------------
-def failed_load(cause: str, tmp_path, monkeypatch) -> str:
-    """The reason :func:`native.load` gives for one cause of failure."""
-    if cause == "no compiler":
-        monkeypatch.setattr(native, "compiler", lambda: None)
-        module, reason = native.load(cache_dir=tmp_path)
-    elif cause == "build failed":
-        module, reason = native.load(cache_dir=tmp_path, command=[
-            "sh", "-c", "echo 'boom: no such flag' >&2; exit 1", "sh",
-        ])
-    else:
-        (tmp_path / "file").write_text("")
-        module, reason = native.load(cache_dir=tmp_path / "file" / "cache",
-                                     command=["true"])
-    assert module is None
-    return reason
-
-
-@pytest.mark.parametrize("cause, named", [
-    ("no compiler", "no C compiler: "),
-    ("build failed", "build failed: boom: no such flag"),  # first stderr line
-    ("unwritable cache", "unwritable cache: "),
-])
-def test_the_python_loop_counts_and_logs_its_reason(cause, named, tmp_path,
-                                                    monkeypatch, caplog):
-    reason = failed_load(cause, tmp_path, monkeypatch)
-    assert reason.startswith(named)
-    monkeypatch.setattr(native, "KERNEL", None)
-    monkeypatch.setattr(native, "REASON", reason)
-    monkeypatch.setattr(native, "_logged", set())
-    before = metrics.value("repro_python_trajectories_total")
-    args = draw(11)
-    with caplog.at_level(logging.WARNING, logger="repro.core.native"):
-        first = greedy_merge_trajectory(*args)
-        second = greedy_merge_trajectory(*args)
-    assert metrics.value("repro_python_trajectories_total") == before + 2
-    lines = [r for r in caplog.records if r.name == "repro.core.native"]
-    assert [r.getMessage() for r in lines] == ["python_trajectory_loop"]
-    assert lines[0].structured["reason"] == reason
-    assert_same(first, second)
-    assert "repro_python_trajectories_total" in metrics.render()
-
-
-# ----------------------------------------------------------------------
 # The GIL
 # ----------------------------------------------------------------------
-@needs_kernel
 def test_another_thread_runs_during_a_large_trajectory(monkeypatch):
     kernel = native.KERNEL
     window = []

@@ -13,6 +13,7 @@ import datetime
 import math
 import random
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -384,6 +385,16 @@ class TestColumnContainer:
             unpack_columns(
                 blob.replace(b"\x03\x00<f8", field), b"TEST", 1
             )
+
+    def test_a_deprecated_dtype_alias_is_a_codec_error(self):
+        # NumPy 2 deprecates the alias "a" of "S": where warnings are
+        # errors, parsing "|a5" raised DeprecationWarning out of the
+        # decoder instead of a codec error.
+        blob = pack_columns({"a": np.zeros(2, dtype="S5")}, b"TEST", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            with pytest.raises(ColumnCodecError, match="dtype"):
+                unpack_columns(blob.replace(b"|S5", b"|a5"), b"TEST", 1)
 
     def test_non_utf8_column_name_rejected(self):
         blob = pack_columns({"a": np.zeros(2)}, b"TEST", 1)
