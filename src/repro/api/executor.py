@@ -157,7 +157,10 @@ def _run_online(
         max_error_estimate=max_error_estimate,
         backend=policy.backend.value,
     )
-    reducer.extend(_rechunk(stream, policy.chunk_size))
+    reducer.extend(
+        stream if isinstance(stream, (list, tuple))
+        else _rechunk(stream, policy.chunk_size)
+    )
     return _wrap(plan, reducer.finalize(), backend=policy.backend.value)
 
 
@@ -185,9 +188,10 @@ def _open_source(
 ) -> Tuple[Iterable[AggregateSegment], Optional[int], Optional[float]]:
     """Normalise the plan source into a segment stream plus gPTAε estimates.
 
-    Relations are aggregated lazily with ITA; materialised sequences use
-    their exact size and ``SSE_max``; opaque generators keep ``None``
-    estimates, which is always correct but lets the online heap grow.
+    Relations are aggregated lazily with ITA; materialised sequences pass
+    through as they are and use their exact size and ``SSE_max``; opaque
+    generators keep ``None`` estimates, which is always correct but lets
+    the online heap grow.
     """
     source = plan.source
     input_size_estimate = policy.input_size_estimate
@@ -212,13 +216,15 @@ def _open_source(
             "an EncodedSegments source requires the sharded engine; set "
             "ExecutionPolicy(workers=...)"
         )
-    if isinstance(source, (list, tuple)) and need_estimates:
+    if not isinstance(source, (list, tuple)):
+        return iter(source), input_size_estimate, max_error_estimate
+    if need_estimates:
         # Materialised input: the exact values are cheap, use them.
         if input_size_estimate is None:
             input_size_estimate = max(len(source), 1)
         if max_error_estimate is None:
             max_error_estimate = exact_max_error(source, policy.weights)
-    return iter(source), input_size_estimate, max_error_estimate
+    return source, input_size_estimate, max_error_estimate
 
 
 def _is_encoded(source: Any) -> bool:

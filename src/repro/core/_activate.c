@@ -980,7 +980,8 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_activate",
     "The compiled loops: NumpyMergeHeap's activate-then-drain loop, the "
-    "sharded engine's merge schedule and the exact DP's row fill.", -1,
+    "sharded engine's merge schedule, the exact DP's row fill and "
+    "gPTAeps's SSE_max.", -1,
     methods,
     NULL, NULL, NULL, NULL,
 };
@@ -989,6 +990,8 @@ static struct PyModuleDef module_def = {
 extern PyMethodDef repro_trajectory_methods[];
 /* dp_row(), one row of the exact DP's error matrix: _dp.c. */
 extern PyMethodDef repro_dp_methods[];
+/* sse_fold() and sse_max(), gPTAeps's SSE_max: _sse.c. */
+extern PyMethodDef repro_sse_methods[];
 
 PyMODINIT_FUNC
 PyInit__activate(void)
@@ -1002,7 +1005,8 @@ PyInit__activate(void)
     module = PyModule_Create(&module_def);
     if (module != NULL
         && (PyModule_AddFunctions(module, repro_trajectory_methods) < 0
-            || PyModule_AddFunctions(module, repro_dp_methods) < 0))
+            || PyModule_AddFunctions(module, repro_dp_methods) < 0
+            || PyModule_AddFunctions(module, repro_sse_methods) < 0))
         Py_CLEAR(module);
     return module;
 }

@@ -12,9 +12,10 @@ lengths.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, List, Sequence, Tuple
 
-from .merge import AggregateSegment, cmin, maximal_runs
+from .merge import AggregateSegment, cmin
 
 Weights = Sequence[float]
 
@@ -128,14 +129,23 @@ def max_error(
 
     Obtained by merging every maximal adjacent run into a single tuple.  The
     error-bounded PTA operator expresses its threshold as a fraction of this
-    value (Definition 7).  The runs' errors are added left to right, as
-    in :func:`sse_of_run`, so ``SSE_max`` has the same bits on every
-    Python version.
+    value (Definition 7).  The segments are encoded to columns once and
+    summed in one compiled pass (``_sse.c``): per run, the two-pass
+    :func:`sse_of_run`, and the runs' errors added left to right, so
+    ``SSE_max`` has the same bits on every Python version.  An endpoint
+    outside ``int64`` raises :class:`OverflowError`, as on every column
+    path.
     """
-    total = 0.0
-    for run in maximal_runs(segments):
-        total += sse_of_run([segments[i] for i in run], weights)
-    return total
+    from . import native
+    from .kernels import encode_segments, typed_columns
+
+    encoded = encode_segments(segments)
+    if not len(encoded):
+        return 0.0
+    return native.KERNEL.sse_max(
+        *typed_columns(encoded),
+        array("d", squared_weights(weights, encoded.dimensions)),
+    )
 
 
 def validate_budget(size: int | None, epsilon: float | None) -> None:

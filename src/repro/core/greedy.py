@@ -45,6 +45,7 @@ from __future__ import annotations
 import copy
 import math
 import operator
+from array import array
 from collections import abc
 from dataclasses import dataclass, field
 from itertools import islice
@@ -53,9 +54,9 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import metrics as _metrics
+from . import native as _native
 from .errors import (
-    Weights, error_budget, max_error, merge_key, squared_weights,
-    validate_budget,
+    Weights, error_budget, max_error, squared_weights, validate_budget,
 )
 from .heap import Heap, make_merge_heap
 from .kernels import (
@@ -66,8 +67,9 @@ from .kernels import (
     encode_segments,
     finalize_mirror,
     require_finite,
+    typed_columns,
 )
-from .merge import AggregateSegment, adjacent, merged_row
+from .merge import AggregateSegment
 
 Delta = float  # non-negative int or math.inf
 
@@ -265,6 +267,8 @@ class OnlineReducer:
         if not all(map(math.isfinite, segment.values)):
             require_finite(np.atleast_2d(segment.values), first=self.consumed)
         self._pin_width(len(segment.values))
+        if self._tracker is not None:
+            self._tracker.fold_one(segment)
         self._consume(segment)
 
     def _consume(self, segment: AggregateSegment) -> None:
@@ -282,8 +286,6 @@ class OnlineReducer:
                 key,
             )
         self.consumed += 1
-        if self._tracker is not None:
-            self._tracker.push(segment)
         if math.isinf(key):
             self._last_gap_id = node.id
             self._before_gap += self._after_gap
@@ -313,16 +315,14 @@ class OnlineReducer:
             return
         require_finite(encoded.values, first=self.consumed)
         self._pin_width(encoded.dimensions)
+        if self._tracker is not None:
+            self._tracker.fold(encoded)
         activate = getattr(self.heap, "activate_staged_all", None)
         if activate is None:
             for segment in segments:
                 self._consume(segment)
             return
         self.heap.stage_chunk(encoded)  # type: ignore[attr-defined]
-        tracker = self._tracker
-        if tracker is not None:
-            for segment in segments:
-                tracker.push(segment)
         self.consumed += len(segments)
         (
             self._last_gap_id,
@@ -788,41 +788,87 @@ def _has_read_ahead(heap: Heap, handle: Any, delta: Delta) -> bool:
     return heap.adjacent_successor_count(handle, int(delta)) >= delta
 
 
+#: The group id column of a one-row block: its only row is group 0.
+_GROUP_ZERO = array("q", (0,))
+
+
 class _MaxErrorTracker:
     """The exact ``SSE_max`` of the streamed input, folded as it arrives.
 
     ``SSE_max`` is the error of collapsing every maximal adjacent run into
-    one tuple.  The tracker folds each run left to right with
-    :func:`~repro.core.errors.merge_key` and
+    one tuple.  The tracker folds each run left to right with the
+    operation order of :func:`~repro.core.errors.merge_key` and
     :func:`~repro.core.merge.merged_row`: by Proposition 2 the keys of
     those merges add up to the run's collapse error, and unlike prefix
-    sums of squares they do not cancel on offset values.
+    sums of squares they do not cancel on offset values.  The fold runs
+    in C (``KERNEL.sse_fold``, ``_sse.c``), one call per chunk of
+    columns; the tracker keeps only what carries over to the next chunk.
     """
 
     def __init__(self, weights: Weights | None) -> None:
         self._weights = weights
-        self._w2: Sequence[float] = ()
-        self._previous: Optional[AggregateSegment] = None
+        self._w2: Optional[np.ndarray] = None
+        #: End and group key of the last tuple folded; ``None`` before it.
+        self._end: Optional[int] = None
+        self._group: Any = None
         #: Length and values of the current run folded into one tuple.
         self._length = 0.0
-        self._row: Sequence[float] = ()
+        self._row = np.zeros(0)
         self._total = 0.0
 
-    def push(self, segment: AggregateSegment) -> None:
-        length = float(segment.length)
-        if self._previous is not None and adjacent(self._previous, segment):
-            values = segment.values
-            self._total += merge_key(
-                self._length, length, self._row, values, self._w2
-            )
-            self._row = merged_row(self._length, length, self._row, values)
-            self._length += length
-        else:
-            if not self._w2:
-                self._w2 = squared_weights(self._weights, segment.dimensions)
-            self._row = segment.values
-            self._length = length
-        self._previous = segment
+    def __copy__(self) -> "_MaxErrorTracker":
+        other = _MaxErrorTracker.__new__(_MaxErrorTracker)
+        other.__dict__.update(self.__dict__)
+        other._row = self._row.copy()  # the kernel folds it in place
+        return other
+
+    def fold(self, encoded: EncodedSegments) -> None:
+        """Fold a non-empty chunk of columns into the running total.
+
+        Columns that :func:`~repro.core.kernels.typed_columns` or the
+        kernel refuse raise before the tracker changes.
+        """
+        starts, ends, groups, values = typed_columns(encoded)
+        keys = encoded.group_keys
+        self._fold(
+            starts, ends, groups, values, encoded.dimensions,
+            int(starts[0]), keys[groups[0]],
+        )
+        self._end = int(ends[-1])
+        self._group = keys[groups[-1]]
+
+    def fold_one(self, segment: AggregateSegment) -> None:
+        """:meth:`fold` of the one-row block of ``segment``, built straight
+        from the tuple rather than through
+        :func:`~repro.core.kernels.encode_segments`."""
+        interval = segment.interval
+        self._fold(
+            array("q", (interval.start,)), array("q", (interval.end,)),
+            _GROUP_ZERO, array("d", segment.values), len(segment.values),
+            interval.start, segment.group,
+        )
+        self._end = interval.end
+        self._group = segment.group
+
+    def _fold(
+        self, starts: Any, ends: Any, groups: Any, values: Any,
+        dimensions: int, start: int, group: Any,
+    ) -> None:
+        """One ``KERNEL.sse_fold`` call over typed buffers; ``start`` and
+        ``group`` are the first row's, compared with the carried end and
+        group key."""
+        if self._w2 is None:
+            self._w2 = np.array(squared_weights(self._weights, dimensions))
+            self._row = np.zeros(dimensions)
+        continues = (
+            self._end is not None
+            and self._end + 1 == start
+            and group == self._group
+        )
+        self._length, self._total = _native.KERNEL.sse_fold(
+            starts, ends, groups, values, self._w2, continues,
+            self._length, self._row, self._total,
+        )
 
     def total(self) -> float:
         """Return ``SSE_max`` over everything pushed so far."""

@@ -29,7 +29,7 @@ from typing import (
     TYPE_CHECKING, Any, Iterator, List, Optional, Protocol, Sequence, Tuple,
 )
 
-from .errors import Weights, pairwise_merge_error
+from .errors import Weights, merge_key, squared_weights
 from .merge import AggregateSegment, adjacent, merge
 
 if TYPE_CHECKING:
@@ -121,6 +121,8 @@ class MergeHeap:
 
     def __init__(self, weights: Weights | None = None) -> None:
         self._weights = weights
+        #: ``w²`` per dimension, computed at the first adjacent pair.
+        self._w2: Optional[Tuple[float, ...]] = None
         self._entries: List[tuple] = []
         self._entry_counter = 0
         self._head: Optional[HeapNode] = None
@@ -229,8 +231,12 @@ class MergeHeap:
         if node.prev is None or not adjacent(node.prev.segment, node.segment):
             node.key = math.inf
         else:
-            node.key = pairwise_merge_error(
-                node.prev.segment, node.segment, self._weights
+            left, right = node.prev.segment, node.segment
+            if self._w2 is None:  # weights are checked at the first pair
+                self._w2 = squared_weights(self._weights, left.dimensions)
+            node.key = merge_key(
+                float(left.length), float(right.length), left.values,
+                right.values, self._w2,
             )
         node._version += 1
         if not math.isinf(node.key):
@@ -253,6 +259,7 @@ class MergeHeap:
         snapshot of its online state (:class:`repro.api.Compressor`).
         """
         other = MergeHeap(self._weights)
+        other._w2 = self._w2
         other._entry_counter = self._entry_counter
         other._size = self._size
         other._next_id = self._next_id

@@ -215,6 +215,59 @@ def encode_segments(
     )
 
 
+def interval_lengths(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``float(end - start + 1)`` of every interval, as ``float64``.
+
+    The chronon count is the exact unsigned 64-bit difference, converted
+    to ``float64`` once, so an interval longer than ``2**63 - 1`` chronons
+    keeps its length, which ``int64`` arithmetic would wrap.  The two
+    counts that do not fit ``uint64`` either, the full ``int64`` span
+    (``2.0**64``) and a reversed interval (at most ``0``), take Python's
+    own integers.  ``_sse.c`` computes lengths by the same rule.
+
+    >>> interval_lengths(np.array([-2**63, 1, 5]), np.array([0, 2**63 - 1, 5]))
+    array([9.22337204e+18, 9.22337204e+18, 1.00000000e+00])
+    >>> interval_lengths(np.array([-2**63]), np.array([2**63 - 1])) == 2.0**64
+    array([ True])
+    """
+    starts = np.asarray(starts, np.int64)
+    ends = np.asarray(ends, np.int64)
+    count = ends.view(np.uint64) - starts.view(np.uint64)
+    count += 1  # end - start + 1 modulo 2**64
+    if count.all() and not (ends < starts).any():
+        return count.astype(np.float64)
+    return np.array(
+        [float(end - start + 1)
+         for start, end in zip(starts.tolist(), ends.tolist())],
+        np.float64,
+    )
+
+
+def typed_columns(
+    encoded: EncodedSegments,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``starts``, ``ends``, ``groups`` and ``values`` as the C-contiguous
+    ``int64`` / ``float64`` buffers the compiled ``SSE_max`` loops read;
+    columns that already are pass through uncopied.
+
+    Endpoints and values are cast as :meth:`NumpyMergeHeap.stage_chunk`
+    casts them, with ``casting="safe"``: uint64, float or object endpoints
+    raise :class:`TypeError` instead of wrapping or truncating.  Group ids
+    may be of any integer type (``casting="same_kind"``).
+    """
+    def typed(column: np.ndarray, dtype: type, casting: str) -> np.ndarray:
+        return np.ascontiguousarray(
+            column.astype(dtype, casting=casting, copy=False)
+        )
+
+    return (
+        typed(encoded.starts, np.int64, "safe"),
+        typed(encoded.ends, np.int64, "safe"),
+        typed(encoded.groups, np.int64, "same_kind"),
+        typed(encoded.values, np.float64, "safe"),
+    )
+
+
 def require_finite(
     values: np.ndarray, error: type = ValueError, first: int = 0
 ) -> None:
@@ -370,8 +423,9 @@ def pairwise_merge_keys(
     if len(starts) < 2:
         return np.zeros(0, dtype=np.float64)
     adjacent = adjacent_pair_mask(starts, ends, groups)
-    left_len = (ends[:-1] - starts[:-1] + 1).astype(np.float64)
-    right_len = (ends[1:] - starts[1:] + 1).astype(np.float64)
+    lengths = interval_lengths(starts, ends)
+    left_len = lengths[:-1]
+    right_len = lengths[1:]
     factor = left_len * right_len / (left_len + right_len)
     pair = np.zeros(len(factor), dtype=np.float64)
     for d in range(values.shape[1]):
@@ -511,10 +565,10 @@ class NumpyMergeHeap:
         self._w2 = squared_weights(self._weights, dimensions)
         self._capacity = self._INITIAL_CAPACITY
         self._values: List[Sequence[float]] = []
-        #: Interval lengths as floats (exact — lengths are small integers),
-        #: maintained alongside the endpoints so the merge arithmetic never
-        #: recomputes ``end - start + 1``.  A merged row's length is the sum
-        #: of its parts, bit-identical to recomputing from the endpoints.
+        #: Interval lengths as floats, ``float(end - start + 1)``
+        #: (:func:`interval_lengths`), maintained alongside the endpoints so
+        #: the merge arithmetic never recomputes them.  A merged row's
+        #: length is the float sum of its parts.
         self._length: List[float] = []
         self._start: List[int] = []
         self._end: List[int] = []
@@ -726,7 +780,7 @@ class NumpyMergeHeap:
         groups = self._intern_groups(encoded)
         self._start.extend(starts.tolist())
         self._end.extend(ends.tolist())
-        self._length.extend((ends - starts + 1).astype(np.float64).tolist())
+        self._length.extend(interval_lengths(starts, ends).tolist())
         self._values.extend(map(tuple, values.tolist()))
         self._group.extend(groups.tolist())
         self._node_id.extend(
@@ -1680,7 +1734,7 @@ def greedy_merge_trajectory(
     if n < 2:
         return _no_steps(p)
     adjacent, initial, order = _frontier(starts, ends, values, groups, w2)
-    length = (ends - starts + 1).astype(np.float64, order="C")
+    length = interval_lengths(starts, ends)
     rows = np.array(values, dtype=np.float64, order="C")
     boundaries = np.empty(n - 1, np.int64)
     keys = np.empty(n - 1, np.float64)
@@ -1751,7 +1805,7 @@ def time_weighted_prefix(
     so any range aggregate over the snapshot costs two prefix-row
     differences (:func:`range_weighted_sum`).
     """
-    lengths = (ends - starts + 1).astype(np.float64)
+    lengths = interval_lengths(starts, ends)
     count = len(starts)
     length_prefix = np.zeros(count + 1, dtype=np.float64)
     np.cumsum(lengths, out=length_prefix[1:])
@@ -1812,9 +1866,11 @@ __all__ = [
     "finalize_mirror",
     "greedy_merge_trajectory",
     "instant_index",
+    "interval_lengths",
     "pairwise_merge_keys",
     "range_weighted_sum",
     "require_finite",
     "time_weighted_prefix",
+    "typed_columns",
     "ValueWidthError",
 ]

@@ -1,18 +1,22 @@
 """Build-once loader of the compiled loops (``_activate.c``,
-``_trajectory.c``, ``_dp.c``).
+``_trajectory.c``, ``_dp.c``, ``_sse.c``).
 
-Three loops of the paper's algorithms run in C, and only in C:
+Four loops of the paper's algorithms run in C, and only in C:
 
 * :meth:`repro.core.kernels.NumpyMergeHeap.activate_staged_all`, the
   online activate-then-drain loop (``KERNEL.activate``);
 * :func:`repro.core.kernels.greedy_merge_trajectory`, the sharded
   engine's merge schedule (``KERNEL.trajectory``);
 * :meth:`repro.core.dp._ErrorMatrix.fill_next_row` on the numpy backend,
-  one row ``k >= 2`` of the exact DP's error matrix (``KERNEL.dp_row``).
+  one row ``k >= 2`` of the exact DP's error matrix (``KERNEL.dp_row``);
+* gPTAε's ``SSE_max`` (Definition 7): the streaming tracker of
+  :class:`repro.core.greedy.OnlineReducer` (``KERNEL.sse_fold``) and
+  :func:`repro.core.errors.max_error` (``KERNEL.sse_max``).
 
 Their Python references live in ``tests/oracles.py``; the parity suites
 (``tests/test_native_kernel.py``, ``tests/test_native_trajectory.py``,
-``tests/test_native_dp.py``) hold each loop to its oracle bit for bit.
+``tests/test_native_dp.py``, ``tests/test_native_sse.py``) hold each loop
+to its oracle bit for bit.
 
 The C files build into one extension module, the first time this module
 is imported, with ``sysconfig``'s C compiler and include path, and cached
@@ -42,7 +46,7 @@ from typing import List, Optional, Tuple
 #: Every C file of the module; the first defines its ``PyInit``.
 SOURCES = tuple(
     Path(__file__).with_name(name)
-    for name in ("_activate.c", "_trajectory.c", "_dp.c")
+    for name in ("_activate.c", "_trajectory.c", "_dp.c", "_sse.c")
 )
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 #: No ``-ffast-math``, and no contraction to fused multiply-adds (gcc's
@@ -165,5 +169,6 @@ def load(
 _module, _reason = load()
 if _module is None:
     raise ImportError(f"cannot load the compiled loops: {_reason}")
-#: The compiled module: ``activate``, ``trajectory`` and ``dp_row``.
+#: The compiled module: ``activate``, ``trajectory``, ``dp_row``,
+#: ``sse_fold`` and ``sse_max``.
 KERNEL: ModuleType = _module

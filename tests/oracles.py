@@ -1,5 +1,5 @@
 """Python references of the compiled loops (``_activate.c``,
-``_trajectory.c``, ``_dp.c``).
+``_trajectory.c``, ``_dp.c``, ``_sse.c``).
 
 Each function here is the loop its C kernel was written from, kept as
 the oracle the parity suites hold the kernel to, bit for bit:
@@ -10,7 +10,10 @@ the oracle the parity suites hold the kernel to, bit for bit:
   (``tests/test_native_trajectory.py``);
 * :func:`dp_fill_next_row` — one row of the exact DP's error matrix on the
   numpy backend, one :func:`best_split` per cell
-  (``tests/test_native_dp.py``).
+  (``tests/test_native_dp.py``);
+* :func:`sse_fold` and :func:`max_error` — gPTAε's ``SSE_max``, the
+  streaming tracker of :class:`repro.core.greedy.OnlineReducer` and
+  :func:`repro.core.errors.max_error` (``tests/test_native_sse.py``).
 
 None of them runs in the package: each compiled loop is its only
 product path.
@@ -22,12 +25,12 @@ import bisect
 import heapq
 import math
 from array import array
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.dp import _ErrorMatrix
-from repro.core.errors import merge_key
+from repro.core.errors import Weights, merge_key, squared_weights, sse_of_run
 from repro.core.kernels import (
     DeltaLog,
     NumpyMergeHeap,
@@ -36,8 +39,9 @@ from repro.core.kernels import (
     _frontier,
     _no_steps,
     _weighted_sum,
+    interval_lengths,
 )
-from repro.core.merge import merged_row
+from repro.core.merge import AggregateSegment, adjacent, maximal_runs, merged_row
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +314,7 @@ def trajectory(
     # length and merged row.  ``key`` is the current key, ``queued`` /
     # ``queued_key`` the counter and key of the node's entry still in the
     # queue.
-    length = (ends - starts + 1).astype(np.float64).tolist()
+    length = interval_lengths(starts, ends).tolist()
     row = values.tolist()
     weights = [float(weight) for weight in w2]
     prev_ = list(range(-1, n - 1))
@@ -470,3 +474,49 @@ def dp_fill_next_row(matrix: _ErrorMatrix):
             matrix.prefix, previous, j_min, i, infeasible
         )
     return matrix._advance(k, row, splits)
+
+
+# ----------------------------------------------------------------------
+# gPTAε's SSE_max (_sse.c)
+# ----------------------------------------------------------------------
+def sse_fold(
+    segments: Sequence[AggregateSegment], weights: Weights | None = None
+) -> Tuple[float, float, Tuple[float, ...]]:
+    """The streaming ``SSE_max`` tracker of
+    :class:`repro.core.greedy.OnlineReducer` in Python, one tuple at a
+    time: a tuple adjacent to the previous one adds the
+    :func:`~repro.core.errors.merge_key` of the carried run and itself
+    and replaces the run by their :func:`~repro.core.merge.merged_row`;
+    any other tuple starts a new run.  Returns ``(total, run_length,
+    run_row)``."""
+    w2: Sequence[float] = ()
+    previous: Optional[AggregateSegment] = None
+    length = 0.0
+    row: Sequence[float] = ()
+    total = 0.0
+    for segment in segments:
+        segment_length = float(segment.length)
+        if previous is not None and adjacent(previous, segment):
+            values = segment.values
+            total += merge_key(length, segment_length, row, values, w2)
+            row = merged_row(length, segment_length, row, values)
+            length += segment_length
+        else:
+            if not w2:
+                w2 = squared_weights(weights, segment.dimensions)
+            row = segment.values
+            length = segment_length
+        previous = segment
+    return total, length, tuple(row)
+
+
+def max_error(
+    segments: Sequence[AggregateSegment], weights: Weights | None = None
+) -> float:
+    """:func:`repro.core.errors.max_error` in Python: the
+    :func:`~repro.core.errors.sse_of_run` of every maximal run, added
+    left to right."""
+    total = 0.0
+    for run in maximal_runs(segments):
+        total += sse_of_run([segments[i] for i in run], weights)
+    return total

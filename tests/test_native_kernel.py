@@ -230,6 +230,8 @@ def activations(monkeypatch):
     calls = []
 
     class Counting:
+        sse_fold = staticmethod(kernel.sse_fold)  # gPTAε's tracker
+
         @staticmethod
         def activate(*args):
             calls.append(len(args))
