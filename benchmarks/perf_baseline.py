@@ -14,8 +14,8 @@ them in ``BENCH_parallel.json`` at the repository root:
   for online greedy reduction (the batched online merge policy);
 * ``sharded_w{1,4}_vs_pr1_online_p{1,10}`` — the sharded engine of
   :mod:`repro.parallel` (``compress(workers=N)``) against the PR 1
-  single-core NumPy online path (per-tuple ``insert()``, reproduced by
-  hiding the staged-chunk protocol from the greedy loop).
+  single-core NumPy online path (per-tuple inserts, reproduced by
+  ``OnlineReducer.push`` one tuple at a time).
 
 Usage::
 
@@ -42,7 +42,6 @@ import platform
 import statistics
 import sys
 import time
-from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -77,41 +76,19 @@ SCALES = {
 }
 
 
-@contextmanager
-def _pr1_heap_factory():
+def _pr1_online(segments, size):
     """Reproduce the PR 1 online NumPy path (per-tuple inserts).
 
-    Wraps the heap factory so the array heap no longer advertises the
-    staged-chunk protocol; the greedy loop then falls back to calling
-    ``insert`` once per tuple, which is exactly the code path PR 1 shipped.
+    Pushes the tuples through the online reducer one at a time, each a
+    one-row staging plus one activation of the compiled loop, rather than
+    in staged chunks: the per-tuple path PR 1 shipped.
     """
-    import repro.core.greedy as greedy_module
+    from repro.core.greedy import OnlineReducer
 
-    original = greedy_module.make_merge_heap
-
-    class _PerTupleView:
-        def __init__(self, heap):
-            self._heap = heap
-
-        def __getattr__(self, name):
-            if name in (
-                "stage_chunk", "insert_staged", "activate_staged_all"
-            ):
-                raise AttributeError(name)
-            return getattr(self._heap, name)
-
-        def __len__(self):
-            return len(self._heap)
-
-    def factory(weights=None, backend="python"):
-        heap = original(weights, backend)
-        return _PerTupleView(heap) if backend == "numpy" else heap
-
-    greedy_module.make_merge_heap = factory
-    try:
-        yield
-    finally:
-        greedy_module.make_merge_heap = original
+    reducer = OnlineReducer(size=size, delta=1, backend="numpy")
+    for segment in segments:
+        reducer.push(segment)
+    return reducer.finalize()
 
 
 def paired_speedup(baseline, candidate, rounds: int = ROUNDS) -> float:
@@ -180,12 +157,6 @@ def measure(scale: str) -> dict:
     # The sharded engine against the PR 1 online numpy path.  Four
     # reducer threads are only measured at the full scale, the one scale
     # whose baseline records them.
-    def pr1_online(segments, size):
-        with _pr1_heap_factory():
-            return greedy_reduce_to_size(
-                iter(segments), size, 1, backend="numpy"
-            )
-
     worker_counts = (1, 4) if scale == "full" else (1,)
     for dimensions in (1, 10):
         segments = synthetic_grouped_segments(
@@ -196,7 +167,7 @@ def measure(scale: str) -> dict:
         for workers in worker_counts:
             ratios[f"sharded_w{workers}_vs_pr1_online_p{dimensions}"] = (
                 paired_speedup(
-                    lambda: pr1_online(segments, target),
+                    lambda: _pr1_online(segments, target),
                     lambda: compress(segments, size=target, workers=workers),
                 )
             )

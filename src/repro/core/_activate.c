@@ -1,14 +1,19 @@
 /*
- * The online activate-then-drain loop of NumpyMergeHeap in C.
+ * The online activate-then-drain loop of NumpyMergeHeap in C, the only
+ * code that writes that heap.
  *
  * activate() is the body of NumpyMergeHeap.activate_staged_all (the fused
- * inner loop of the paper's gPTAc / gPTAeps, Fig. 11 / Fig. 13; its Python
- * reference is tests/oracles.py's activate) over the heap's Python objects: the heap's list columns, its heapq entry list of
- * (key, counter, index, version) tuples and, when given, the twelve lists
- * of a DeltaLog.  Branches, merge_key / merged_row operation order and
- * the heapq sift algorithm are those of the Python reference, so both
- * leave the same objects behind, bit for bit.  Build with
- * -ffp-contract=off: a fused multiply-add changes the bits of a key.
+ * inner loop of the paper's gPTAc / gPTAeps, Fig. 11 / Fig. 13), of a
+ * single OnlineReducer.push (one staged row) and of the end-of-input phase
+ * (NumpyMergeHeap.merge_down: no staged rows, the online drain with the
+ * gap rules off).  Its Python reference is tests/oracles.py's activate.
+ * It runs over the heap's Python objects: the heap's list columns, its
+ * heapq entry list of (key, counter, index, version) tuples and, when
+ * given, the twelve lists of a DeltaLog.  Branches, merge_key /
+ * merged_row operation order and the heapq sift algorithm are those of
+ * the Python reference, so both leave the same objects behind, bit for
+ * bit.  Build with -ffp-contract=off: a fused multiply-add changes the
+ * bits of a key.
  *
  * Every read is checked (list bounds, exact float / int64 types, row
  * widths); a violation raises instead of crashing.  The GIL is dropped
@@ -21,7 +26,7 @@
 #include <math.h>
 #include <time.h>
 
-/* Tuples between two looks at the clock. */
+/* Activations and merges between two looks at the clock. */
 #define YIELD_CHECK 256
 
 #define LIST_ITEMS(op) (((PyListObject *)(op))->ob_item)
@@ -220,6 +225,25 @@ yield_period(double *period)
     *period = 2.0 * PyFloat_AsDouble(interval);
     Py_DECREF(interval);
     return PyErr_Occurred() ? -1 : 0;
+}
+
+typedef struct {
+    double period, released;
+    long long steps;
+} Clock;
+
+/* One step of the loop (an activation or a merge): every YIELD_CHECK
+ * steps, let go of the GIL if a period has passed since the last time. */
+static int
+tick(Clock *clock)
+{
+    if (++clock->steps % YIELD_CHECK != 0
+        || monotonic() - clock->released < clock->period)
+        return 0;
+    Py_BEGIN_ALLOW_THREADS
+    Py_END_ALLOW_THREADS
+    clock->released = monotonic();
+    return PyErr_CheckSignals();
 }
 
 /* ------------------------------------------------------------------ */
@@ -628,6 +652,7 @@ typedef struct {
     double step_threshold;
     int delta_is_inf;
     long long delta;
+    double budget;  /* the end-of-input error budget (inf: none) */
 } Policy;
 
 typedef struct {
@@ -694,16 +719,52 @@ error:
     return -1;
 }
 
-/* Merge while the policy allows (OnlineReducer._drain's branches, in
- * the same order).  Returns 0 when the drain stops, -1 on error. */
+/* May the online policy merge `top` now?  OnlineReducer._drain's
+ * branches, in the same order: 1 (the gap bookkeeping is updated), 0 to
+ * stop the drain, -1 on error. */
 static int
-drain(Heap *h, Book *b, const Policy *policy)
+online_merge(Heap *h, Book *b, const Policy *policy, Py_ssize_t top,
+             double top_key)
 {
-    Py_ssize_t top = -1;
-    double top_key = 0.0;
     long long top_node;
+    if (!policy->size_bounded && top_key > policy->step_threshold)
+        return 0;
+    if (read_i64(h, C_NODE_ID, top, &top_node) < 0)
+        return -1;
+    if (top_node < b->last_gap) {
+        if (policy->size_bounded && b->before_gap < policy->size)
+            return 0;
+        b->before_gap -= 1;
+        return 1;
+    }
+    if (top_node > b->last_gap) {
+        if (policy->delta_is_inf)
+            return 0;
+        if (policy->delta) {
+            int ahead = has_read_ahead(h, top, policy->delta);
+            if (ahead <= 0)
+                return ahead;
+        }
+        b->after_gap -= 1;
+        return 1;
+    }
+    return 0;
+}
+
+/* Merge while the policy allows: the online policy, or at the end of
+ * input greedy._merge_down's, with the gap and read-ahead rules off,
+ * which stops at cmin (an infinite key) or at the first merge that would
+ * take the accumulated error past the budget.  Returns 0 when the drain
+ * stops, -1 on error. */
+static int
+drain(Heap *h, Book *b, const Policy *policy, int end_of_input, Clock *clock)
+{
+    Py_ssize_t top;
+    double top_key = 0.0;
     int valid;
     for (;;) {
+        if (tick(clock) < 0)
+            return -1;
         if (policy->size_bounded && b->live <= policy->size)
             return 0;
         top = -1;
@@ -722,27 +783,12 @@ drain(Heap *h, Book *b, const Policy *policy)
         }
         if (top < 0)
             return 0;
-        if (!policy->size_bounded && top_key > policy->step_threshold)
-            return 0;
-        if (read_i64(h, C_NODE_ID, top, &top_node) < 0)
-            return -1;
-        if (top_node < b->last_gap) {
-            if (policy->size_bounded && b->before_gap < policy->size)
+        if (end_of_input) {
+            if (isinf(top_key) || b->total_error + top_key > policy->budget)
                 return 0;
-            b->before_gap -= 1;
         }
-        else if (top_node > b->last_gap) {
-            if (policy->delta_is_inf)
-                return 0;
-            if (policy->delta) {
-                int ahead = has_read_ahead(h, top, policy->delta);
-                if (ahead <= 0)
-                    return ahead;
-            }
-            b->after_gap -= 1;
-        }
-        else
-            return 0;
+        else if ((valid = online_merge(h, b, policy, top, top_key)) <= 0)
+            return valid;
         b->total_error += top_key;
         b->merges += 1;
         if (heap_pop(h->entries) < 0 || merge_top(h, b, top) < 0)
@@ -840,14 +886,16 @@ exact_lists(PyObject *tuple, Py_ssize_t count, PyObject **out,
 PyDoc_STRVAR(activate_doc,
 "activate(columns, entries, w2, staged_keys, first, stop, offset,\n"
 "         counter, live, max_size, head, tail, size_bounded, size,\n"
-"         step_threshold, delta_is_inf, delta, last_gap_id, before_gap,\n"
-"         after_gap, total_error, merges, log)\n"
+"         step_threshold, delta_is_inf, delta, end_of_input, budget,\n"
+"         last_gap_id, before_gap, after_gap, total_error, merges, log)\n"
 "--\n\n"
 "Activate staged rows first..stop-1 of a NumpyMergeHeap, draining the\n"
-"merges each one allows.  columns is the tuple of the heap's twelve\n"
-"lists (_start .. _length, then _group_keys); log is None or the tuple\n"
-"of a DeltaLog's twelve lists.  Returns (counter, live, max_size, head,\n"
-"tail, last_gap_id, before_gap, after_gap, total_error, merges).");
+"merges each one allows; then, if end_of_input, run the end-of-input\n"
+"phase (merge down to size, or while the error stays within budget).\n"
+"columns is the tuple of the heap's twelve lists (_start .. _length,\n"
+"then _group_keys); log is None or the tuple of a DeltaLog's twelve\n"
+"lists.  Returns (counter, live, max_size, head, tail, last_gap_id,\n"
+"before_gap, after_gap, total_error, merges).");
 
 static PyObject *
 activate(PyObject *module, PyObject *args)
@@ -858,17 +906,20 @@ activate(PyObject *module, PyObject *args)
     Book b;
     Policy policy;
     Py_buffer staged = {0};
-    double *staged_keys, *w2 = NULL, period, released;
+    double *staged_keys, *w2 = NULL;
+    Clock clock = {0.0, 0.0, 0};
+    int end_of_input;
     PyObject *result = NULL;
     int c, overflow;
 
     memset(&h, 0, sizeof h);
     if (!PyArg_ParseTuple(
-            args, "OOOOnnnLLLLLpLdpLOLLdLO:activate", &columns, &h.entries,
-            &w2_obj, &staged_obj, &first, &stop,
+            args, "OOOOnnnLLLLLpLdpLpdOLLdLO:activate", &columns,
+            &h.entries, &w2_obj, &staged_obj, &first, &stop,
             &offset, &b.counter, &b.live, &b.max_size, &b.head, &b.tail,
             &policy.size_bounded, &policy.size, &policy.step_threshold,
-            &policy.delta_is_inf, &policy.delta, &last_gap_obj,
+            &policy.delta_is_inf, &policy.delta, &end_of_input,
+            &policy.budget, &last_gap_obj,
             &b.before_gap, &b.after_gap, &b.total_error, &b.merges,
             &log_obj))
         return NULL;
@@ -933,7 +984,7 @@ activate(PyObject *module, PyObject *args)
         goto done;
     }
 
-    if (yield_period(&period) < 0)
+    if (yield_period(&clock.period) < 0)
         goto done;
 
     /* Staged rows are fresh (version 0, unlinked, unreachable until
@@ -946,20 +997,14 @@ activate(PyObject *module, PyObject *args)
     }
     Py_INCREF(last_gap_obj);
     b.last_gap_id = last_gap_obj;
-    released = monotonic();
+    clock.released = monotonic();
     for (index = first; index < stop; index++) {
-        if ((index - first) % YIELD_CHECK == YIELD_CHECK - 1
-            && monotonic() - released >= period) {
-            Py_BEGIN_ALLOW_THREADS
-            Py_END_ALLOW_THREADS
-            released = monotonic();
-            if (PyErr_CheckSignals() < 0)
-                goto book_done;
-        }
         if (activate_row(&h, &b, index, staged_keys[index - offset]) < 0
-            || drain(&h, &b, &policy) < 0)
+            || drain(&h, &b, &policy, 0, &clock) < 0)
             goto book_done;
     }
+    if (end_of_input && drain(&h, &b, &policy, 1, &clock) < 0)
+        goto book_done;
     result = Py_BuildValue("(LLLLLOLLdL)", b.counter, b.live, b.max_size,
                            b.head, b.tail, b.last_gap_id, b.before_gap,
                            b.after_gap, b.total_error, b.merges);

@@ -58,10 +58,11 @@ from . import native as _native
 from .errors import (
     Weights, error_budget, max_error, squared_weights, validate_budget,
 )
-from .heap import Heap, make_merge_heap
+from .heap import Heap, HeapNode, MergeHeap, make_merge_heap
 from .kernels import (
     DeltaLog,
     EncodedSegments,
+    NumpyMergeHeap,
     SnapshotMirror,
     ValueWidthError,
     encode_segments,
@@ -91,10 +92,10 @@ _metrics.counter(*_ORACLE_FALLBACKS)
 #: Read-ahead value meaning "never merge ahead of a confirmed gap".
 DELTA_INFINITY: Delta = math.inf
 
-#: Tuples staged per batch by the online algorithms on heaps that support
-#: chunked insertion (the array-backed heap).  A buffering knob only: the
-#: merge policy still observes every insertion individually, so results are
-#: identical for every value.
+#: Tuples pulled per :meth:`OnlineReducer.push_chunk` by
+#: :meth:`OnlineReducer.extend`.  A buffering knob only: the merge policy
+#: still observes every insertion individually, so results are identical
+#: for every value.
 ONLINE_CHUNK_SIZE = 1024
 
 
@@ -144,7 +145,7 @@ def gms_reduce_to_size(
     validate_budget(size, None)
     if backend == "numpy":
         return _gms_trajectory(segments, size, None, weights)
-    heap = _build_heap(segments, weights, backend)
+    heap = _build_heap(segments, weights)
     total_error, merges = _merge_down(heap, size, None, 0.0, 0)
     return _result(heap, total_error, merges, len(segments))
 
@@ -159,7 +160,7 @@ def gms_reduce_to_error(
     validate_budget(None, epsilon)
     if backend == "numpy":
         return _gms_trajectory(segments, None, epsilon, weights)
-    heap = _build_heap(segments, weights, backend)
+    heap = _build_heap(segments, weights)
     budget = error_budget(epsilon, max_error(segments, weights))
     total_error, merges = _merge_down(heap, None, budget, 0.0, 0)
     return _result(heap, total_error, merges, len(segments))
@@ -221,8 +222,7 @@ class OnlineReducer:
         self._epsilon = max_error
         self._delta = delta
         self._weights = weights
-        self._backend = backend
-        self.heap: Heap = make_merge_heap(weights, backend)
+        self.heap = make_merge_heap(weights, backend)
         self._tracker: Optional[_MaxErrorTracker] = (
             _MaxErrorTracker(weights) if max_error is not None else None
         )
@@ -261,7 +261,9 @@ class OnlineReducer:
         :func:`~repro.core.kernels.require_finite`), and a value width
         other than the first tuple's raises
         :class:`~repro.core.kernels.ValueWidthError`, before the tuple
-        reaches the heap, as in :meth:`push_chunk`.
+        reaches the heap, as in :meth:`push_chunk`.  On the NumPy heap the
+        tuple is staged as a one-row chunk and activated by the compiled
+        loop, as :meth:`push_chunk` does for a chunk.
         """
         self._check_open()
         if not all(map(math.isfinite, segment.values)):
@@ -269,11 +271,16 @@ class OnlineReducer:
         self._pin_width(len(segment.values))
         if self._tracker is not None:
             self._tracker.fold_one(segment)
-        self._consume(segment)
-
-    def _consume(self, segment: AggregateSegment) -> None:
-        """Insert one validated tuple, then run the online policy."""
         heap = self.heap
+        if isinstance(heap, NumpyMergeHeap):
+            heap.stage_segment(segment)
+            self.consumed += 1
+            self._activate(heap)
+        else:
+            self._consume(heap, segment)
+
+    def _consume(self, heap: MergeHeap, segment: AggregateSegment) -> None:
+        """Insert one validated tuple, then run the online policy."""
         node = heap.insert(segment)
         key = node.key
         if self._log is not None:
@@ -282,7 +289,7 @@ class OnlineReducer:
                 segment.interval.start,
                 segment.interval.end,
                 segment.group,
-                heap.values_entry(node),
+                segment.values,
                 key,
             )
         self.consumed += 1
@@ -292,7 +299,7 @@ class OnlineReducer:
             self._after_gap = 1
         else:
             self._after_gap += 1
-        self._drain()
+        self._drain(heap)
         if self._log is not None:
             self._trim_log()
 
@@ -306,8 +313,8 @@ class OnlineReducer:
         straight in, a segment list is encoded once) and activated by the
         fused loop ``activate_staged_all``, which runs the same
         activate-then-drain step as :meth:`push` for every tuple —
-        bit-identical to pushing tuple by tuple.  Plain heaps consume the
-        tuples one by one.
+        bit-identical to pushing tuple by tuple.  The python heap consumes
+        the tuples one by one.
         """
         self._check_open()
         encoded = encode_segments(segments)
@@ -317,20 +324,24 @@ class OnlineReducer:
         self._pin_width(encoded.dimensions)
         if self._tracker is not None:
             self._tracker.fold(encoded)
-        activate = getattr(self.heap, "activate_staged_all", None)
-        if activate is None:
+        heap = self.heap
+        if not isinstance(heap, NumpyMergeHeap):
             for segment in segments:
-                self._consume(segment)
+                self._consume(heap, segment)
             return
-        self.heap.stage_chunk(encoded)  # type: ignore[attr-defined]
+        heap.stage_chunk(encoded)
         self.consumed += len(segments)
+        self._activate(heap)
+
+    def _activate(self, heap: NumpyMergeHeap) -> None:
+        """Activate the staged rows with the online policy (compiled)."""
         (
             self._last_gap_id,
             self._before_gap,
             self._after_gap,
             self.total_error,
             self.merges,
-        ) = activate(
+        ) = heap.activate_staged_all(
             size=self._size,
             step_threshold=self._step_threshold,
             delta=self._delta,
@@ -392,24 +403,24 @@ class OnlineReducer:
     # ------------------------------------------------------------------
     # The merge policy
     # ------------------------------------------------------------------
-    def _drain(self) -> None:
+    def _drain(self, heap: MergeHeap) -> None:
         """Merge while the online policy allows it (Fig. 11 / Fig. 13).
 
         gPTAc (``size`` given) merges while the heap exceeds the size
         bound; gPTAε (``size is None``) while the top key stays within the
         expected-average-error step.  Either way a merge must be safe:
         left of the last gap only while enough tuples precede it, right of
-        it only with δ adjacent successors read ahead.  The branches and
-        their order are those of the fused drain in
-        :meth:`repro.core.kernels.NumpyMergeHeap.activate_staged_all`.
+        it only with δ adjacent successors read ahead.  The python
+        backend's loop; the compiled loop behind
+        :meth:`repro.core.kernels.NumpyMergeHeap.activate_staged_all` has
+        the same branches in the same order.
         """
-        heap = self.heap
         size = self._size
         while size is None or len(heap) > size:
             top = heap.peek_entry()
             if top is None:
                 break
-            handle, top_id, top_key = top
+            node, top_id, top_key = top
             if size is None and top_key > self._step_threshold:
                 break
             if top_id < self._last_gap_id:
@@ -417,13 +428,13 @@ class OnlineReducer:
                     break
                 self._before_gap -= 1
             elif top_id > self._last_gap_id and _has_read_ahead(
-                heap, handle, self._delta
+                heap, node, self._delta
             ):
                 self._after_gap -= 1
             else:
                 break
             self.total_error += top_key
-            self._merge_top_logged(top_id)
+            self._merge_top_logged(heap, top_id)
             self.merges += 1
 
     def _trim_log(self) -> None:
@@ -450,24 +461,19 @@ class OnlineReducer:
         """
         return len(log) > 2 * max(len(self.heap), 256)
 
-    def _merge_top_logged(self, absorbed_id: int) -> None:
+    def _merge_top_logged(self, heap: MergeHeap, absorbed_id: int) -> None:
         """Perform one ``merge_top``, recording it in the delta log."""
-        heap = self.heap
         survivor = heap.merge_top()
         log = self._log
         if log is not None:
-            successor = heap.successor_entry(survivor)
-            if successor is None:
-                successor_id, successor_key = -1, math.inf
-            else:
-                successor_id, successor_key = successor
+            successor = survivor.next
             log.record_merge(
                 absorbed_id,
                 survivor.id,
-                heap.values_entry(survivor),
+                survivor.segment.values,
                 survivor.key,
-                successor_id,
-                successor_key,
+                -1 if successor is None else successor.id,
+                math.inf if successor is None else successor.key,
             )
 
     # ------------------------------------------------------------------
@@ -487,11 +493,24 @@ class OnlineReducer:
         self._finalized = True
         self._log = None
         self._mirror = None
-        self.total_error, self.merges = _merge_down(
-            self.heap, self._size, self._budget(), self.total_error,
-            self.merges,
+        self.total_error, self.merges = self._end_of_input(
+            self.heap, self._budget()
         )
         return _result(self.heap, self.total_error, self.merges, self.consumed)
+
+    def _end_of_input(
+        self, heap: MergeHeap | NumpyMergeHeap, budget: Optional[float]
+    ) -> Tuple[float, int]:
+        """Run the end-of-input phase on ``heap`` from this reducer's
+        error and merge count; return the new ones."""
+        if isinstance(heap, NumpyMergeHeap):
+            return heap.merge_down(
+                size=self._size, budget=budget, total_error=self.total_error,
+                merges=self.merges,
+            )
+        return _merge_down(
+            heap, self._size, budget, self.total_error, self.merges
+        )
 
     def _budget(self) -> Optional[float]:
         """The end-of-input error budget; ``None`` for gPTAc."""
@@ -553,9 +572,7 @@ class OnlineReducer:
             # (the mirror and the emptied log remain valid for the next).
             _metrics.counter(*_ORACLE_FALLBACKS).inc()
             heap = self.heap.clone()
-            error, merges = _merge_down(
-                heap, self._size, budget, self.total_error, self.merges
-            )
+            error, merges = self._end_of_input(heap, budget)
             columns = heap.columns()
         else:
             columns, error, tail_merges = tail
@@ -586,7 +603,6 @@ class OnlineReducer:
         other._epsilon = self._epsilon
         other._delta = self._delta
         other._weights = self._weights
-        other._backend = self._backend
         other.heap = self.heap.clone()
         other._tracker = copy.copy(self._tracker)
         other._step_threshold = self._step_threshold
@@ -693,7 +709,7 @@ def greedy_reduce_to_error(
 
 
 def _merge_down(
-    heap: Heap,
+    heap: MergeHeap,
     size: Optional[int],
     budget: Optional[float],
     total_error: float,
@@ -704,7 +720,9 @@ def _merge_down(
     Merges the cheapest pair while the heap exceeds ``size`` (gPTAc), or
     while the accumulated error stays within ``budget``
     (:func:`~repro.core.errors.error_budget`, gPTAε), and always stops at
-    ``cmin``.  Returns the new accumulated error and merge count.
+    ``cmin``.  Returns the new accumulated error and merge count.  The
+    python backend's loop; the numpy backend runs the same phase compiled
+    (:meth:`repro.core.kernels.NumpyMergeHeap.merge_down`).
     """
     while size is None or len(heap) > size:
         top = heap.peek_entry()
@@ -721,10 +739,9 @@ def _merge_down(
 def _build_heap(
     segments: Sequence[AggregateSegment],
     weights: Weights | None,
-    backend: str = "python",
-) -> Heap:
+) -> MergeHeap:
     require_finite(encode_segments(segments).values)
-    heap = make_merge_heap(weights, backend)
+    heap = MergeHeap(weights)
     for segment in segments:
         heap.insert(segment)
     return heap
@@ -774,18 +791,13 @@ def _check_delta(delta: Delta) -> None:
         )
 
 
-def _has_read_ahead(heap: Heap, handle: Any, delta: Delta) -> bool:
-    """Check the δ read-ahead heuristic for a merge candidate.
-
-    ``handle`` is whatever the heap's ``peek_entry`` returned as its first
-    element (a node for the linked-list heap, a row index for the array
-    heap); both are accepted by ``adjacent_successor_count``.
-    """
+def _has_read_ahead(heap: MergeHeap, node: HeapNode, delta: Delta) -> bool:
+    """Check the δ read-ahead heuristic for a merge candidate."""
     if delta == DELTA_INFINITY:
         return False
     if delta == 0:
         return True
-    return heap.adjacent_successor_count(handle, int(delta)) >= delta
+    return heap.adjacent_successor_count(node, int(delta)) >= delta
 
 
 #: The group id column of a one-row block: its only row is group 0.

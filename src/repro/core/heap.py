@@ -15,42 +15,24 @@ size ``h`` without implementing decrease-key.
 
 :func:`make_merge_heap` selects between this reference implementation and
 the array-backed :class:`~repro.core.kernels.NumpyMergeHeap`, which stores
-the intermediate relation in parallel columns and merges in place; the
-greedy algorithms expose the choice as their ``backend`` parameter.  Both
-merge through :func:`~repro.core.errors.merge_key` and
-:func:`~repro.core.merge.merged_row` with the same tie-breaking counters.
+the intermediate relation in parallel columns and merges in place, in its
+compiled loop only; the greedy algorithms expose the choice as their
+``backend`` parameter.  Both merge through
+:func:`~repro.core.errors.merge_key` and :func:`~repro.core.merge.merged_row`
+with the same tie-breaking counters.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import (
-    TYPE_CHECKING, Any, Iterator, List, Optional, Protocol, Sequence, Tuple,
-)
+from typing import TYPE_CHECKING, Iterator, List, Optional, Protocol, Tuple
 
 from .errors import Weights, merge_key, squared_weights
 from .merge import AggregateSegment, adjacent, merge
 
 if TYPE_CHECKING:
-    from .kernels import EncodedSegments
-
-
-class HeapNodeView(Protocol):
-    """What the greedy algorithms read off a heap node, backend-agnostic.
-
-    Satisfied structurally by the linked :class:`HeapNode` and by the
-    array-slot view :class:`~repro.core.kernels.NumpyHeapNode`.
-    """
-
-    @property
-    def id(self) -> int: ...
-
-    @property
-    def key(self) -> float: ...
-
-    @property
-    def segment(self) -> AggregateSegment: ...
+    from .kernels import EncodedSegments, NumpyMergeHeap
 
 
 class Heap(Protocol):
@@ -58,42 +40,25 @@ class Heap(Protocol):
 
     :class:`MergeHeap` (linked nodes, the reference) and
     :class:`~repro.core.kernels.NumpyMergeHeap` (parallel array columns)
-    both satisfy this protocol structurally; the greedy state machine
-    (:class:`repro.core.greedy.OnlineReducer`) and the serving layer are
-    written against it, so a third backend only needs to match this
-    surface.  The staged-chunk fast path (``stage_chunk`` /
-    ``activate_staged_all``, staging from flat columns) is deliberately
-    *not* part of the protocol — it is an optional optimisation
-    :meth:`~repro.core.greedy.OnlineReducer.push_chunk` probes for.
-
-    ``peek_entry`` returns ``(handle, node_id, key)`` where ``handle`` is
-    whatever the backend accepts back in ``adjacent_successor_count`` (a
-    node object for the linked heap, a row index for the array heap).
+    both satisfy this protocol structurally: what callers read from
+    either heap — its size, the relation it holds, the node ids and keys
+    a snapshot mirror starts from, and a copy.  The two are written
+    differently: the greedy state machine
+    (:class:`repro.core.greedy.OnlineReducer`) drives :class:`MergeHeap`
+    through ``insert`` / ``peek_entry`` / ``merge_top`` in Python, and the
+    array heap only through its compiled loop (stage rows, then
+    ``activate_staged_all`` or ``merge_down``).
     """
 
     max_size: int
 
     def __len__(self) -> int: ...
 
-    def __bool__(self) -> bool: ...
-
-    def insert(self, segment: AggregateSegment) -> HeapNodeView: ...
-
-    def peek(self) -> Optional[HeapNodeView]: ...
-
-    def peek_entry(self) -> Optional[Tuple[Any, int, float]]: ...
-
-    def merge_top(self) -> HeapNodeView: ...
-
-    def adjacent_successor_count(self, node: Any, limit: int) -> int: ...
-
-    def successor_entry(self, node: Any) -> Optional[Tuple[int, float]]: ...
-
-    def values_entry(self, node: Any) -> Sequence[float]: ...
-
     def segments(self) -> List[AggregateSegment]: ...
 
     def columns(self) -> "EncodedSegments": ...
+
+    def ids_and_keys(self) -> Tuple[List[int], List[float]]: ...
 
     def clone(self) -> "Heap": ...
 
@@ -186,13 +151,7 @@ class MergeHeap:
         return None
 
     def peek_entry(self) -> Optional[Tuple["HeapNode", int, float]]:
-        """Scalar view of the top: ``(handle, node_id, key)`` or ``None``.
-
-        Mirrors :meth:`NumpyMergeHeap.peek_entry
-        <repro.core.kernels.NumpyMergeHeap.peek_entry>` so the greedy inner
-        loops can treat both heap backends uniformly; ``handle`` is accepted
-        by :meth:`adjacent_successor_count`.
-        """
+        """Scalar view of the top: ``(node, node_id, key)`` or ``None``."""
         node = self.peek()
         if node is None:
             return None
@@ -309,29 +268,17 @@ class MergeHeap:
             current = current.next
         return count
 
-    def successor_entry(
-        self, node: HeapNode
-    ) -> Optional[Tuple[int, float]]:
-        """``(id, key)`` of the chronological successor, or ``None``.
-
-        Used by the merge delta log to record the successor's refreshed
-        key right after a merge, without materialising a node view.
-        """
-        successor = node.next
-        if successor is None:
-            return None
-        return successor.id, successor.key
-
-    def values_entry(self, node: HeapNode) -> Tuple[float, ...]:
-        """The node's aggregate value row (immutable, by reference)."""
-        return node.segment.values
-
     def __iter__(self) -> Iterator[HeapNode]:
         """Iterate over live nodes in chronological (list) order."""
         node = self._head
         while node is not None:
             yield node
             node = node.next
+
+    def ids_and_keys(self) -> Tuple[List[int], List[float]]:
+        """Node ids and merge keys of the live tuples, in list order."""
+        nodes = list(self)
+        return [node.id for node in nodes], [node.key for node in nodes]
 
     def segments(self) -> List[AggregateSegment]:
         """Return the current intermediate relation in list order."""
@@ -346,7 +293,7 @@ class MergeHeap:
 
 def make_merge_heap(
     weights: Weights | None = None, backend: str = "python"
-) -> Heap:
+) -> MergeHeap | NumpyMergeHeap:
     """Construct a merge heap for the requested ``backend``.
 
     ``"python"`` returns the linked-node reference :class:`MergeHeap`;

@@ -49,8 +49,8 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import (
-    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
-    overload,
+    TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+    Tuple, Union, overload,
 )
 
 import numpy as np
@@ -59,6 +59,9 @@ from ..temporal import Interval
 from . import native as _native
 from .errors import Weights, merge_key, resolve_weights, squared_weights
 from .merge import AggregateSegment, merged_row
+
+if TYPE_CHECKING:
+    from .heap import Heap
 
 
 class ValueWidthError(ValueError):
@@ -390,6 +393,9 @@ def dp_first_row(
 # ----------------------------------------------------------------------
 # Shared vectorized primitives over array-encoded segments
 # ----------------------------------------------------------------------
+_INT64_MAX = 2**63 - 1
+
+
 def adjacent_pair_mask(
     starts: np.ndarray, ends: np.ndarray, groups: np.ndarray
 ) -> np.ndarray:
@@ -400,9 +406,15 @@ def adjacent_pair_mask(
     are exactly the maximal-run boundaries; this single definition is shared
     by the heap kernels, the trajectory kernel and the shard planner of
     :mod:`repro.parallel`, so a change to the adjacency rule cannot diverge
-    between them.
+    between them.  An end at the largest int64 has no successor: its
+    ``end + 1`` would wrap to the smallest.
     """
-    return (groups[:-1] == groups[1:]) & (ends[:-1] + 1 == starts[1:])
+    left = ends[:-1]
+    return (
+        (groups[:-1] == groups[1:])
+        & (left != _INT64_MAX)
+        & (left + 1 == starts[1:])
+    )
 
 
 def pairwise_merge_keys(
@@ -441,54 +453,15 @@ def pairwise_merge_keys(
 #: heap never holds this many rows, so clamping changes no comparison.
 _CLAMP = 2**62
 _INT64 = range(-(2**63), 2**63)
+#: The staged key of a one-row chunk: the NaN sentinel, computed at
+#: activation against the live tail.
+_NAN_KEY = np.full(1, math.nan)
+_NAN_KEY.flags.writeable = False
 
 
-class NumpyHeapNode:
-    """Lightweight view of one live slot of a :class:`NumpyMergeHeap`.
-
-    Exposes the same ``id`` / ``key`` / ``segment`` surface as
-    :class:`repro.core.heap.HeapNode` so the greedy algorithms can treat both
-    heap backends uniformly.  ``id`` is the stable insertion-order number
-    (monotone exactly as in the linked-node implementation, and preserved
-    across array compaction); ``index`` is the current array slot.
-
-    Unlike a linked :class:`~repro.core.heap.HeapNode` — which stays valid
-    forever — a view's slot can be reassigned when a later insertion
-    compacts the storage.  Accessing ``key`` / ``segment`` through a stale
-    view raises :class:`RuntimeError` instead of silently reading another
-    tuple's data.
-    """
-
-    __slots__ = ("_heap", "index", "_id")
-
-    def __init__(self, heap: "NumpyMergeHeap", index: int) -> None:
-        self._heap = heap
-        self.index = index
-        self._id = heap._node_id[index]
-
-    def _checked_index(self) -> int:
-        node_ids = self._heap._node_id
-        if self.index >= len(node_ids) or node_ids[self.index] != self._id:
-            raise RuntimeError(
-                "heap node view invalidated: the storage was compacted by a "
-                "later insertion; re-obtain the node via peek()/iteration"
-            )
-        return self.index
-
-    @property
-    def id(self) -> int:
-        return self._id
-
-    @property
-    def key(self) -> float:
-        return self._heap._key[self._checked_index()]
-
-    @property
-    def segment(self) -> AggregateSegment:
-        return self._heap._segment_at(self._checked_index())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"NumpyHeapNode(id={self._id})"
+def _clamped(size: Optional[int]) -> int:
+    """A size bound for the compiled loop (0 when there is none)."""
+    return 0 if size is None else max(-_CLAMP, min(size, _CLAMP))
 
 
 class NumpyMergeHeap:
@@ -523,8 +496,15 @@ class NumpyMergeHeap:
 
     The priority queue is a :mod:`heapq` binary heap of
     ``(key, counter, index, version)`` entries; stale entries are skipped
-    during ``peek`` exactly like the pure-Python heap.  Merging a tuple into
-    its predecessor is a handful of in-place updates — no intermediate
+    when they reach the top, exactly as in the pure-Python heap.
+
+    One protocol writes the heap: stage rows (:meth:`stage_chunk`, or
+    :meth:`stage_segment` for one tuple), then run the compiled loop
+    (``KERNEL.activate``, :mod:`repro.core.native`), which activates them
+    and drains the merges the online policy allows
+    (:meth:`activate_staged_all`), or runs the end-of-input phase
+    (:meth:`merge_down`).  Merging a tuple into its predecessor is a
+    handful of in-place updates — no intermediate
     :class:`AggregateSegment` objects are allocated until :meth:`segments`
     materialises the final relation.
 
@@ -556,14 +536,6 @@ class NumpyMergeHeap:
         self._staged_base = 0
         self._staged_end = 0
         self._staged_keys: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    # Storage management
-    # ------------------------------------------------------------------
-    def _allocate(self, dimensions: int) -> None:
-        self._dimensions = dimensions
-        self._w2 = squared_weights(self._weights, dimensions)
-        self._capacity = self._INITIAL_CAPACITY
         self._values: List[Sequence[float]] = []
         #: Interval lengths as floats, ``float(end - start + 1)``
         #: (:func:`interval_lengths`), maintained alongside the endpoints so
@@ -580,14 +552,21 @@ class NumpyMergeHeap:
         self._alive: List[bool] = []
         self._node_id: List[int] = []
 
+    # ------------------------------------------------------------------
+    # Storage management
+    # ------------------------------------------------------------------
+    def _allocate(self, dimensions: int) -> None:
+        self._dimensions = dimensions
+        self._w2 = squared_weights(self._weights, dimensions)
+        self._capacity = self._INITIAL_CAPACITY
+
     def _ensure_capacity(self, extra: int) -> None:
         """Make room for ``extra`` more rows, compacting before growing.
 
         Compaction is preferred whenever at least half the allocated slots
         are dead (merged away): it keeps memory bounded by the live heap
         size on long streams.  Growing preserves row indices; compaction
-        does not, so it must only happen between insertions — any
-        outstanding :class:`NumpyHeapNode` indices become invalid.
+        does not, so it must only happen while no staged row is pending.
         """
         if self._count + extra <= self._capacity:
             return
@@ -603,11 +582,7 @@ class NumpyMergeHeap:
 
     def _compact(self) -> None:
         """Drop dead rows, renumbering slots in chronological order."""
-        order = []
-        index = self._head
-        while index >= 0:
-            order.append(index)
-            index = self._next[index]
+        order = self._order()
         count = len(order)
         # Keep every valid queue entry with its counter and renumber only
         # its slot, so equal keys still pop in the reference heap's order.
@@ -622,46 +597,27 @@ class NumpyMergeHeap:
         ]
         heapq.heapify(entries)
         self._entries = entries
-        if count:
-            self._start = [self._start[i] for i in order]
-            self._end = [self._end[i] for i in order]
-            self._key = [self._key[i] for i in order]
-            self._version = [self._version[i] for i in order]
-            self._node_id = [self._node_id[i] for i in order]
-            self._values = [self._values[i] for i in order]
-            self._length = [self._length[i] for i in order]
-            self._prev = list(range(-1, count - 1))
-            self._next = list(range(1, count + 1))
-            self._next[-1] = -1
-            self._alive = [True] * count
-            # Prune the group intern table to the groups still alive, so
-            # memory does not grow with the number of groups ever streamed.
-            group_rows = np.asarray(
-                [self._group[i] for i in order], dtype=np.int64
-            )
-            live_groups = np.unique(group_rows)
-            self._group = np.searchsorted(live_groups, group_rows).tolist()
-            self._group_keys = [
-                self._group_keys[int(g)] for g in live_groups
-            ]
-            self._group_ids = {
-                key: position
-                for position, key in enumerate(self._group_keys)
-            }
-        else:
-            self._start = []
-            self._end = []
-            self._group = []
-            self._prev = []
-            self._next = []
-            self._key = []
-            self._version = []
-            self._alive = []
-            self._node_id = []
-            self._values = []
-            self._length = []
-            self._group_keys = []
-            self._group_ids = {}
+        self._start = [self._start[i] for i in order]
+        self._end = [self._end[i] for i in order]
+        self._key = [self._key[i] for i in order]
+        self._version = [self._version[i] for i in order]
+        self._node_id = [self._node_id[i] for i in order]
+        self._values = [self._values[i] for i in order]
+        self._length = [self._length[i] for i in order]
+        self._prev = list(range(-1, count - 1))
+        self._next = list(range(1, count)) + [-1] if count else []
+        self._alive = [True] * count
+        # Prune the group intern table to the groups still alive, so
+        # memory does not grow with the number of groups ever streamed.
+        group_rows = np.asarray(
+            [self._group[i] for i in order], dtype=np.int64
+        )
+        live_groups = np.unique(group_rows)
+        self._group = np.searchsorted(live_groups, group_rows).tolist()
+        self._group_keys = [self._group_keys[int(g)] for g in live_groups]
+        self._group_ids = {
+            key: position for position, key in enumerate(self._group_keys)
+        }
         self._head = 0 if count else -1
         self._tail = count - 1 if count else -1
         self._count = count
@@ -697,40 +653,6 @@ class NumpyMergeHeap:
     def __bool__(self) -> bool:
         return self._size > 0
 
-    @property
-    def tail(self) -> Optional[NumpyHeapNode]:
-        """The most recently inserted (chronologically last) node."""
-        return NumpyHeapNode(self, self._tail) if self._tail >= 0 else None
-
-    @property
-    def head(self) -> Optional[NumpyHeapNode]:
-        """The chronologically first node."""
-        return NumpyHeapNode(self, self._head) if self._head >= 0 else None
-
-    # ------------------------------------------------------------------
-    # Operations of the paper: INSERT, PEEK, MERGE
-    # ------------------------------------------------------------------
-    def insert(self, segment: AggregateSegment) -> NumpyHeapNode:
-        """Append one tuple at the end of the list and index it in the heap.
-
-        The row is stored as :meth:`stage_chunk` stores a chunk's: a tuple
-        of floats and int64 endpoints.  An endpoint outside int64 raises
-        what :func:`encode_segments` raises for it, before anything is
-        written.
-        """
-        self._check_no_staged()
-        interval = segment.interval
-        start, end = interval.start, interval.end
-        if not (type(start) is int and type(end) is int
-                and start in _INT64 and end in _INT64):
-            start, end = np.fromiter((start, end), np.int64, 2).tolist()
-        values = tuple(map(float, segment.values))
-        if self._dimensions is not None:
-            self._ensure_capacity(1)
-        index = self._append_slot(segment.group, start, end, values)
-        self._refresh_key(index)
-        return NumpyHeapNode(self, index)
-
     # ------------------------------------------------------------------
     # Batched online insertion (staged chunks)
     # ------------------------------------------------------------------
@@ -745,20 +667,17 @@ class NumpyMergeHeap:
         tuples visible, reusing a precomputed key whenever the tuple's
         chronological predecessor is still the untouched raw tuple staged
         right before it, so the observable heap state is identical to
-        calling :meth:`insert` tuple by tuple.
+        staging and activating the tuples one by one
+        (:meth:`stage_segment`).
 
         Rows are stored as float values and int64 endpoints, the rows the
         compiled loop reads; columns that do not cast to them safely raise
         :class:`TypeError`, and a chunk of another value width than the
         heap's raises :class:`ValueWidthError`, before anything is
         written.  Every staged tuple must be activated before the next
-        ``stage_chunk`` / ``insert`` call.
+        ``stage_chunk`` / ``stage_segment`` call.
         """
-        if self._count < self._staged_end:
-            raise RuntimeError(
-                "cannot stage a new chunk while staged tuples are pending; "
-                "activate them with activate_staged_all() first"
-            )
+        self._check_no_staged()
         encoded = encode_segments(chunk)
         count = len(encoded)
         if count == 0:
@@ -806,6 +725,50 @@ class NumpyMergeHeap:
         self._staged_keys = keys
         return count
 
+    def stage_segment(self, segment: AggregateSegment) -> None:
+        """Stage one tuple: :meth:`stage_chunk` of a one-row chunk, written
+        straight from the tuple rather than through
+        :func:`encode_segments`.
+
+        The row is stored as a chunk's is: a tuple of floats and int64
+        endpoints.  An endpoint outside int64 raises what
+        :func:`encode_segments` raises for it, and a value width other
+        than the heap's raises :class:`ValueWidthError`, before anything
+        is written.  The row's activation key is the NaN sentinel: the
+        compiled loop computes it against the live tail.
+        """
+        self._check_no_staged()
+        interval = segment.interval
+        start, end = interval.start, interval.end
+        if not (type(start) is int and type(end) is int
+                and start in _INT64 and end in _INT64):
+            start, end = np.fromiter((start, end), np.int64, 2).tolist()
+        values = tuple(map(float, segment.values))
+        if self._dimensions is None:
+            self._allocate(len(values))
+        elif len(values) != self._dimensions:
+            raise ValueWidthError(
+                f"tuple has {len(values)} aggregate values, the heap holds "
+                f"{self._dimensions}"
+            )
+        self._ensure_capacity(1)
+        index = self._count
+        self._start.append(start)
+        self._end.append(end)
+        self._length.append(float(end - start + 1))
+        self._values.append(values)
+        self._group.append(self._intern_group(segment.group))
+        self._node_id.append(self._next_node_id)
+        self._next_node_id += 1
+        self._prev.append(-1)
+        self._next.append(-1)
+        self._alive.append(False)
+        self._key.append(math.inf)
+        self._version.append(0)
+        self._staged_base = index
+        self._staged_end = index + 1
+        self._staged_keys = _NAN_KEY
+
     def _intern_groups(self, encoded: EncodedSegments) -> np.ndarray:
         """Heap group ids of every row, interned in order of appearance."""
         row_groups = encoded.groups
@@ -822,7 +785,7 @@ class NumpyMergeHeap:
         if self._count < self._staged_end:
             raise RuntimeError(
                 "staged tuples are pending; activate them with "
-                "activate_staged_all() before inserting directly"
+                "activate_staged_all() first"
             )
 
     def activate_staged_all(
@@ -843,18 +806,15 @@ class NumpyMergeHeap:
         The fused form of the online inner loop: every staged tuple goes
         through one activate-then-drain body, which runs the merge policy
         of the paper's Fig. 11 (``size`` given, gPTAc) or Fig. 13
-        (``step_threshold``, gPTAε) after each activation, exactly as
-        :meth:`repro.core.greedy.OnlineReducer._drain` does for a plain
-        heap through ``insert`` / ``peek_entry`` / ``merge_top``, with the
-        same branches in the same order, but reading the columns directly
-        with the per-dimension arithmetic inlined, which removes the
-        per-tuple method-dispatch and row-view overhead.  The
-        observable heap state, the gap bookkeeping and the accumulated
-        error are bit-identical to the per-tuple protocol (asserted by the
-        session, kernel and backend-identity suites).  A tuple reuses its
-        staged key while its predecessor is still the raw tuple staged
-        right before it; otherwise the key is recomputed against the live
-        tail.
+        (``step_threshold``, gPTAε) after each activation, with the
+        branches of :meth:`repro.core.greedy.OnlineReducer._drain` (the
+        python backend's loop) in the same order.  The observable heap
+        state, the gap bookkeeping and the accumulated error are
+        bit-identical to the python backend's (asserted by the session,
+        kernel and backend-identity suites), and to staging the same
+        tuples in other chunkings.  A tuple reuses its staged key while
+        its predecessor is still the raw tuple staged right before it;
+        otherwise the key is recomputed against the live tail.
 
         Returns the updated ``(last_gap_id, before_gap, after_gap,
         total_error, merges)`` bookkeeping.  When ``log`` is given, every
@@ -877,23 +837,57 @@ class NumpyMergeHeap:
             counter, live, max_size, head, tail,
             last_gap_id, before_gap, after_gap, total_error, merges,
         ) = _native.KERNEL.activate(
-            (
-                self._start, self._end, self._group, self._prev, self._next,
-                self._key, self._version, self._alive, self._node_id,
-                self._values, self._length, self._group_keys,
-            ),
-            self._entries, self._w2, self._staged_keys, first, stop,
-            self._staged_base, self._entry_counter, self._size,
+            self._columns(), self._entries, self._w2, self._staged_keys,
+            first, stop, self._staged_base, self._entry_counter, self._size,
             self.max_size, self._head, self._tail, size is not None,
-            0 if size is None else max(-_CLAMP, min(size, _CLAMP)),
-            step_threshold, delta_is_inf, read_ahead, last_gap_id, before_gap,
-            after_gap, total_error, merges,
+            _clamped(size), step_threshold, delta_is_inf, read_ahead, False,
+            math.inf, last_gap_id, before_gap, after_gap, total_error, merges,
             None if log is None else tuple(
                 getattr(log, column) for column in DeltaLog.__slots__
             ),
         )
         self._activated(stop, live, max_size, head, tail, counter)
         return last_gap_id, before_gap, after_gap, total_error, merges
+
+    def merge_down(
+        self,
+        *,
+        size: Optional[int] = None,
+        budget: Optional[float] = None,
+        total_error: float = 0.0,
+        merges: int = 0,
+    ) -> Tuple[float, int]:
+        """The end-of-input phase: merge the cheapest pair until the bound.
+
+        Merges while the heap exceeds ``size`` (gPTAc), or while the
+        accumulated error stays within ``budget``
+        (:func:`~repro.core.errors.error_budget`, gPTAε), and stops at
+        ``cmin`` — the online drain with the gap and read-ahead rules off,
+        as :func:`repro.core.greedy._merge_down` runs it on the python
+        backend.  One ``KERNEL.activate`` call with no staged rows.
+        Returns the new accumulated error and merge count.
+        """
+        self._check_no_staged()
+        first = self._count
+        (
+            counter, live, max_size, head, tail, _, _, _, total_error, merges,
+        ) = _native.KERNEL.activate(
+            self._columns(), self._entries, self._w2, _NAN_KEY, first, first,
+            first, self._entry_counter, self._size, self.max_size,
+            self._head, self._tail, size is not None, _clamped(size), 0.0,
+            True, 0, True, math.inf if budget is None else budget, 0, 0, 0,
+            total_error, merges, None,
+        )
+        self._activated(first, live, max_size, head, tail, counter)
+        return total_error, merges
+
+    def _columns(self) -> tuple:
+        """The twelve lists the compiled loop reads and writes."""
+        return (
+            self._start, self._end, self._group, self._prev, self._next,
+            self._key, self._version, self._alive, self._node_id,
+            self._values, self._length, self._group_keys,
+        )
 
     def _activated(
         self, stop: int, live: int, max_size: int, head: int, tail: int,
@@ -914,193 +908,35 @@ class NumpyMergeHeap:
         if live <= self._count // 4 and self._count >= self._INITIAL_CAPACITY:
             self._compact()
 
-    def peek(self) -> Optional[NumpyHeapNode]:
-        """Return the node with the smallest key without removing it."""
-        index = self._peek_index()
-        return NumpyHeapNode(self, index) if index is not None else None
-
-    def peek_entry(self) -> Optional[Tuple[int, int, float]]:
-        """Scalar view of the top: ``(handle, node_id, key)`` or ``None``.
-
-        The allocation-free twin of :meth:`peek` used by the greedy inner
-        loops: ``handle`` is accepted by :meth:`adjacent_successor_count`
-        and the id/key are plain scalars instead of node-view properties.
-        """
-        index = self._peek_index()
-        if index is None:
-            return None
-        return index, self._node_id[index], self._key[index]
-
-    def merge_top(self) -> NumpyHeapNode:
-        """Merge the minimum-key node into its predecessor (in place)."""
-        index = self._peek_index()
-        if index is None or math.isinf(self._key[index]):
-            raise ValueError("no adjacent pair available for merging")
-        predecessor = self._prev[index]
-        left_length = self._length[predecessor]
-        right_length = self._length[index]
-        # Rebind, never mutate: outstanding row references (delta log) must
-        # keep seeing the pre-merge values.
-        values = self._values
-        values[predecessor] = merged_row(
-            left_length, right_length, values[predecessor], values[index]
-        )
-        self._end[predecessor] = self._end[index]
-        self._length[predecessor] = left_length + right_length
-
-        successor = self._next[index]
-        self._next[predecessor] = successor
-        if successor >= 0:
-            self._prev[successor] = predecessor
-        else:
-            self._tail = predecessor
-        self._alive[index] = False
-        self._size -= 1
-
-        self._refresh_key(predecessor)
-        if successor >= 0:
-            self._refresh_key(successor)
-        return NumpyHeapNode(self, predecessor)
-
     # ------------------------------------------------------------------
-    # Helpers
+    # Reading the relation
     # ------------------------------------------------------------------
-    def _append_slot(
-        self, group: tuple, start: int, end: int, values: Tuple[float, ...]
-    ) -> int:
-        if self._dimensions is None:
-            self._allocate(len(values))
-        elif self._count >= self._capacity:
-            # Callers reserve space up front; this only fires if they did
-            # not, and growing (unlike compacting) preserves row indices.
-            self._grow(self._count + 1)
-        index = self._count
-        self._count += 1
-        self._node_id.append(self._next_node_id)
-        self._next_node_id += 1
-        self._start.append(start)
-        self._end.append(end)
-        self._length.append(float(end - start + 1))
-        self._values.append(values)
-        self._group.append(self._intern_group(group))
-        previous = self._tail
-        self._prev.append(previous)
-        self._next.append(-1)
-        if previous >= 0:
-            self._next[previous] = index
-        else:
-            self._head = index
-        self._tail = index
-        self._alive.append(True)
-        self._key.append(math.inf)
-        self._version.append(0)
-        self._size += 1
-        self.max_size = max(self.max_size, self._size)
-        return index
-
-    def _is_adjacent(self, left: int, right: int) -> bool:
-        return (
-            self._group[left] == self._group[right]
-            and self._end[left] + 1 == self._start[right]
-        )
-
-    def _pair_key(self, predecessor: int, index: int) -> float:
-        """Merge error of the (adjacent) pair ``predecessor`` / ``index``."""
-        length, values = self._length, self._values
-        return merge_key(
-            length[predecessor], length[index], values[predecessor],
-            values[index], self._w2,
-        )
-
-    def _refresh_key(self, index: int) -> None:
-        predecessor = self._prev[index]
-        if predecessor < 0 or not self._is_adjacent(predecessor, index):
-            self._key[index] = math.inf
-            self._version[index] += 1
-            return
-        self._key[index] = self._pair_key(predecessor, index)
-        self._version[index] += 1
-        self._push_entry(index)
-
-    def _push_entry(self, index: int) -> None:
-        self._entry_counter += 1
-        heapq.heappush(
-            self._entries,
-            (
-                self._key[index],
-                self._entry_counter,
-                index,
-                self._version[index],
-            ),
-        )
-
-    def _peek_index(self) -> Optional[int]:
-        while self._entries:
-            key, _, index, version = self._entries[0]
-            if (
-                self._alive[index]
-                and self._version[index] == version
-                and self._key[index] == key
-            ):
-                return index
-            heapq.heappop(self._entries)
-        return None
-
-    def _segment_at(self, index: int) -> AggregateSegment:
-        return AggregateSegment(
-            self._group_keys[self._group[index]],
-            tuple(self._values[index]),
-            Interval(self._start[index], self._end[index]),
-        )
-
-    def adjacent_successor_count(self, node, limit: int) -> int:
-        """Number of successors chained to ``node`` by adjacency, up to ``limit``."""
-        count = 0
-        if isinstance(node, NumpyHeapNode):
-            current = node._checked_index()
-        else:
-            current = int(node)
-        while count < limit:
-            successor = self._next[current]
-            if successor < 0 or not self._is_adjacent(current, successor):
-                break
-            count += 1
-            current = successor
-        return count
-
-    def successor_entry(self, node) -> Optional[Tuple[int, float]]:
-        """``(id, key)`` of the chronological successor, or ``None``.
-
-        ``node`` is a :class:`NumpyHeapNode` or a raw row index, as for
-        :meth:`adjacent_successor_count`.
-        """
-        if isinstance(node, NumpyHeapNode):
-            index = node._checked_index()
-        else:
-            index = int(node)
-        successor = self._next[index]
-        if successor < 0:
-            return None
-        return self._node_id[successor], self._key[successor]
-
-    def values_entry(self, node) -> Sequence[float]:
-        """The node's aggregate value row (immutable, by reference)."""
-        if isinstance(node, NumpyHeapNode):
-            index = node._checked_index()
-        else:
-            index = int(node)
-        return self._values[index]
-
-    def __iter__(self) -> Iterator[NumpyHeapNode]:
-        """Iterate over live nodes in chronological (list) order."""
+    def _order(self) -> List[int]:
+        """The live rows in chronological (list) order."""
+        order: List[int] = []
         index = self._head
         while index >= 0:
-            yield NumpyHeapNode(self, index)
+            order.append(index)
             index = self._next[index]
+        return order
 
     def segments(self) -> List[AggregateSegment]:
         """Materialise the current intermediate relation in list order."""
-        return [self._segment_at(node.index) for node in self]
+        group_keys, group = self._group_keys, self._group
+        values, start, end = self._values, self._start, self._end
+        return [
+            AggregateSegment(
+                group_keys[group[i]], tuple(values[i]),
+                Interval(start[i], end[i]),
+            )
+            for i in self._order()
+        ]
+
+    def ids_and_keys(self) -> Tuple[List[int], List[float]]:
+        """Node ids and merge keys of the live tuples, in list order."""
+        order = self._order()
+        node_id, key = self._node_id, self._key
+        return [node_id[i] for i in order], [key[i] for i in order]
 
     def columns(self) -> EncodedSegments:
         """The current intermediate relation as columns, in list order.
@@ -1108,11 +944,7 @@ class NumpyMergeHeap:
         Read straight off the heap's columns: no per-tuple segment object
         is built.
         """
-        order: List[int] = []
-        index = self._head
-        while index >= 0:
-            order.append(index)
-            index = self._next[index]
+        order = self._order()
         if not order:
             return EncodedSegments.concatenate([])
         rows = np.asarray(order, dtype=np.intp)
@@ -1153,20 +985,19 @@ class NumpyMergeHeap:
         other._group_keys = list(self._group_keys)
         other._staged_base = self._staged_base
         other._staged_end = self._staged_end
-        if self._dimensions is not None:
-            # Rows are immutable by convention (rebound on merge, never
-            # mutated), so a shallow column copy suffices.
-            other._values = list(self._values)
-            other._length = list(self._length)
-            other._start = list(self._start)
-            other._end = list(self._end)
-            other._group = list(self._group)
-            other._prev = list(self._prev)
-            other._next = list(self._next)
-            other._key = list(self._key)
-            other._version = list(self._version)
-            other._alive = list(self._alive)
-            other._node_id = list(self._node_id)
+        # Rows are immutable by convention (rebound on merge, never
+        # mutated), so a shallow column copy suffices.
+        other._values = list(self._values)
+        other._length = list(self._length)
+        other._start = list(self._start)
+        other._end = list(self._end)
+        other._group = list(self._group)
+        other._prev = list(self._prev)
+        other._next = list(self._next)
+        other._key = list(self._key)
+        other._version = list(self._version)
+        other._alive = list(self._alive)
+        other._node_id = list(self._node_id)
         return other
 
 
@@ -1311,23 +1142,25 @@ class SnapshotMirror:
         self._position: Dict[int, int] = {}
 
     @classmethod
-    def from_heap(cls, heap: Any) -> "SnapshotMirror":
+    def from_heap(cls, heap: "Heap") -> "SnapshotMirror":
         """Build the initial mirror from a heap's live columns (O(heap)).
 
         Called on a session's first snapshot and after the delta log
         outgrew the heap — every other snapshot patches this image with
-        the delta log instead.
+        the delta log instead.  ``heap`` is either backend's heap: the rows
+        come from its ``columns()``, the node ids and merge keys from its
+        ``ids_and_keys()``.
         """
         columns = heap.columns()
-        nodes = list(heap)
+        ids, keys = heap.ids_and_keys()
         mirror = cls()
         mirror.group_keys = list(columns.group_keys)
         mirror._interned = {
             group: group_id for group_id, group in enumerate(mirror.group_keys)
         }
         mirror._append(
-            [node.id for node in nodes], columns.starts, columns.ends,
-            columns.groups, columns.values, [node.key for node in nodes],
+            ids, columns.starts, columns.ends, columns.groups, columns.values,
+            keys,
         )
         return mirror
 
@@ -1520,7 +1353,9 @@ def finalize_mirror(
     push = heapq.heappush
     pop = heapq.heappop
 
-    w2 = squared_weights(weights, dimensions)
+    # With no rows the width is unknown and nothing merges: leave the
+    # weights unchecked, as ``clone().finalize()`` does.
+    w2 = squared_weights(weights, dimensions) if count else ()
 
     # Overlays over the gathered columns: a row absent from a dict still
     # has its gathered value (and ``prev`` / ``next`` of row ``i`` are
@@ -1856,7 +1691,6 @@ def range_weighted_sum(
 __all__ = [
     "DeltaLog",
     "EncodedSegments",
-    "NumpyHeapNode",
     "NumpyMergeHeap",
     "NumpyPrefixSums",
     "SnapshotMirror",

@@ -4,7 +4,9 @@
 Four loops of the paper's algorithms run in C, and only in C:
 
 * :meth:`repro.core.kernels.NumpyMergeHeap.activate_staged_all`, the
-  online activate-then-drain loop (``KERNEL.activate``);
+  online activate-then-drain loop, and
+  :meth:`~repro.core.kernels.NumpyMergeHeap.merge_down`, the end-of-input
+  phase (``KERNEL.activate``, the only writer of the numpy heap);
 * :func:`repro.core.kernels.greedy_merge_trajectory`, the sharded
   engine's merge schedule (``KERNEL.trajectory``);
 * :meth:`repro.core.dp._ErrorMatrix.fill_next_row` on the numpy backend,

@@ -5,7 +5,9 @@ Each function here is the loop its C kernel was written from, kept as
 the oracle the parity suites hold the kernel to, bit for bit:
 
 * :func:`activate` — :meth:`repro.core.kernels.NumpyMergeHeap.activate_staged_all`
-  over a heap's own columns (``tests/test_native_kernel.py``);
+  and :meth:`~repro.core.kernels.NumpyMergeHeap.merge_down` (the
+  end-of-input phase) over a heap's own columns
+  (``tests/test_native_kernel.py``);
 * :func:`trajectory` — :func:`repro.core.kernels.greedy_merge_trajectory`
   (``tests/test_native_trajectory.py``);
 * :func:`dp_fill_next_row` — one row of the exact DP's error matrix on the
@@ -58,18 +60,23 @@ def activate(
     total_error: float = 0.0,
     merges: int = 0,
     log: Optional[DeltaLog] = None,
+    end_of_input: bool = False,
+    budget: float = math.inf,
 ) -> Tuple[int, int, int, float, int]:
-    """:meth:`~repro.core.kernels.NumpyMergeHeap.activate_staged_all` in
-    Python: activate the heap's staged tuples, draining merges in
-    between, and return the updated ``(last_gap_id, before_gap,
+    """``KERNEL.activate`` in Python: activate the heap's staged tuples,
+    draining merges in between
+    (:meth:`~repro.core.kernels.NumpyMergeHeap.activate_staged_all`);
+    then, with ``end_of_input``, run the end-of-input phase
+    (:meth:`~repro.core.kernels.NumpyMergeHeap.merge_down`: merge down to
+    ``size``, or while the error stays within ``budget``, with the gap
+    rules off).  Returns the updated ``(last_gap_id, before_gap,
     after_gap, total_error, merges)``."""
     first = heap._count
     stop = heap._staged_end
-    if first >= stop:
+    if first >= stop and not end_of_input:
         return last_gap_id, before_gap, after_gap, total_error, merges
     offset = heap._staged_base
-    assert heap._staged_keys is not None
-    skeys = heap._staged_keys.tolist()
+    skeys = heap._staged_keys.tolist() if first < stop else []
 
     # Local aliases of every column touched by the hot loop.
     start = heap._start
@@ -100,6 +107,146 @@ def activate(
     group_keys = heap._group_keys
     record_insert = log.record_insert if log is not None else None
     record_merge = log.record_merge if log is not None else None
+
+    def drain(final: bool) -> None:
+        """Merge while the policy allows: one iteration per merge."""
+        nonlocal counter, live, tail, before_gap, after_gap, total_error
+        nonlocal merges
+        while True:
+            if size_bounded and live <= size:
+                break
+            top_index = -1
+            while entries:
+                entry_key, _, entry_index, entry_version = entries[0]
+                if (
+                    alive[entry_index]
+                    and version[entry_index] == entry_version
+                    and key[entry_index] == entry_key
+                ):
+                    top_index = entry_index
+                    top_key = entry_key
+                    break
+                pop(entries)
+            if top_index < 0:
+                break
+            if final:
+                # End of input: no gap rules; stop at cmin or the budget.
+                if top_key == inf or total_error + top_key > budget:
+                    break
+            elif not size_bounded and top_key > step_threshold:
+                break
+            elif node_id[top_index] < last_gap_id:
+                if size_bounded and before_gap < size:
+                    break
+                before_gap -= 1
+            elif node_id[top_index] > last_gap_id:
+                if delta_is_one:
+                    successor = next_[top_index]
+                    if (
+                        successor < 0
+                        or group[top_index] != group[successor]
+                        or end[top_index] + 1 != start[successor]
+                    ):
+                        break
+                elif delta_is_inf:
+                    break
+                elif delta_int:
+                    count = 0
+                    cursor = top_index
+                    while count < delta_int:
+                        successor = next_[cursor]
+                        if (
+                            successor < 0
+                            or group[cursor] != group[successor]
+                            or end[cursor] + 1 != start[successor]
+                        ):
+                            break
+                        count += 1
+                        cursor = successor
+                    if count < delta_int:
+                        break
+                after_gap -= 1
+            else:
+                break
+            total_error += top_key
+            merges += 1
+            # The winning entry is consumed by this merge: pop it now
+            # instead of leaving it to go stale (same heap contents,
+            # one fewer lazy validity round per merge).
+            pop(entries)
+
+            # Fold the top into its predecessor.
+            predecessor = prev_[top_index]
+            left_length = length[predecessor]
+            right_length = length[top_index]
+            merged = merged_row(
+                left_length, right_length, values[predecessor],
+                values[top_index],
+            )
+            length_sum = left_length + right_length
+            values[predecessor] = merged
+            end[predecessor] = end[top_index]
+            length[predecessor] = length_sum
+            successor = next_[top_index]
+            next_[predecessor] = successor
+            if successor >= 0:
+                prev_[successor] = predecessor
+            else:
+                tail = predecessor
+            alive[top_index] = False
+            live -= 1
+
+            # Refresh the predecessor's key, then the successor's (the
+            # entry-counter order of the python heap's merge_top).
+            before = prev_[predecessor]
+            if (
+                before >= 0
+                and group[before] == group[predecessor]
+                and end[before] + 1 == start[predecessor]
+            ):
+                refreshed = merge_key(
+                    length[before], length_sum, values[before], merged, w2
+                )
+                key[predecessor] = refreshed
+                version[predecessor] += 1
+                counter += 1
+                push(
+                    entries,
+                    (refreshed, counter, predecessor,
+                     version[predecessor]),
+                )
+            else:
+                key[predecessor] = inf
+                version[predecessor] += 1
+            if successor >= 0:
+                if (
+                    group[predecessor] == group[successor]
+                    and end[predecessor] + 1 == start[successor]
+                ):
+                    refreshed = merge_key(
+                        length_sum, length[successor], merged,
+                        values[successor], w2,
+                    )
+                    key[successor] = refreshed
+                    version[successor] += 1
+                    counter += 1
+                    push(
+                        entries,
+                        (refreshed, counter, successor,
+                         version[successor]),
+                    )
+                else:
+                    key[successor] = inf
+                    version[successor] += 1
+            if record_merge is not None:
+                record_merge(
+                    node_id[top_index],
+                    node_id[predecessor],
+                    merged,
+                    key[predecessor],
+                    node_id[successor] if successor >= 0 else -1,
+                    key[successor] if successor >= 0 else inf,
+                )
 
     # Staged rows are fresh (version 0, unlinked, unreachable until
     # activated), so liveness and the activation version bump can be
@@ -152,142 +299,11 @@ def activate(
                 values[index],
                 activation_key,
             )
+        drain(False)
+    if end_of_input:
+        drain(True)
 
-        # Drain: one iteration per committed merge.
-        while True:
-            if size_bounded and live <= size:
-                break
-            top_index = -1
-            while entries:
-                entry_key, _, entry_index, entry_version = entries[0]
-                if (
-                    alive[entry_index]
-                    and version[entry_index] == entry_version
-                    and key[entry_index] == entry_key
-                ):
-                    top_index = entry_index
-                    top_key = entry_key
-                    break
-                pop(entries)
-            if top_index < 0:
-                break
-            if not size_bounded and top_key > step_threshold:
-                break
-            top_node = node_id[top_index]
-            if top_node < last_gap_id:
-                if size_bounded and before_gap < size:
-                    break
-                before_gap -= 1
-            elif top_node > last_gap_id:
-                if delta_is_one:
-                    successor = next_[top_index]
-                    if (
-                        successor < 0
-                        or group[top_index] != group[successor]
-                        or end[top_index] + 1 != start[successor]
-                    ):
-                        break
-                elif delta_is_inf:
-                    break
-                elif delta_int:
-                    count = 0
-                    cursor = top_index
-                    while count < delta_int:
-                        successor = next_[cursor]
-                        if (
-                            successor < 0
-                            or group[cursor] != group[successor]
-                            or end[cursor] + 1 != start[successor]
-                        ):
-                            break
-                        count += 1
-                        cursor = successor
-                    if count < delta_int:
-                        break
-                after_gap -= 1
-            else:
-                break
-            total_error += top_key
-            merges += 1
-            # The winning entry is consumed by this merge: pop it now
-            # instead of leaving it to go stale (same heap contents,
-            # one fewer lazy validity round per merge).
-            pop(entries)
-
-            # Inline merge_top: fold the top into its predecessor.
-            predecessor = prev_[top_index]
-            left_length = length[predecessor]
-            right_length = length[top_index]
-            merged = merged_row(
-                left_length, right_length, values[predecessor],
-                values[top_index],
-            )
-            length_sum = left_length + right_length
-            values[predecessor] = merged
-            end[predecessor] = end[top_index]
-            length[predecessor] = length_sum
-            successor = next_[top_index]
-            next_[predecessor] = successor
-            if successor >= 0:
-                prev_[successor] = predecessor
-            else:
-                tail = predecessor
-            alive[top_index] = False
-            live -= 1
-
-            # Refresh the predecessor's key, then the successor's —
-            # the same order (and entry-counter order) as merge_top.
-            before = prev_[predecessor]
-            if (
-                before >= 0
-                and group[before] == group[predecessor]
-                and end[before] + 1 == start[predecessor]
-            ):
-                refreshed = merge_key(
-                    length[before], length_sum, values[before], merged, w2
-                )
-                key[predecessor] = refreshed
-                version[predecessor] += 1
-                counter += 1
-                push(
-                    entries,
-                    (refreshed, counter, predecessor,
-                     version[predecessor]),
-                )
-            else:
-                key[predecessor] = inf
-                version[predecessor] += 1
-            if successor >= 0:
-                if (
-                    group[predecessor] == group[successor]
-                    and end[predecessor] + 1 == start[successor]
-                ):
-                    refreshed = merge_key(
-                        length_sum, length[successor], merged,
-                        values[successor], w2,
-                    )
-                    key[successor] = refreshed
-                    version[successor] += 1
-                    counter += 1
-                    push(
-                        entries,
-                        (refreshed, counter, successor,
-                         version[successor]),
-                    )
-                else:
-                    key[successor] = inf
-                    version[successor] += 1
-            if record_merge is not None:
-                record_merge(
-                    node_id[top_index],
-                    node_id[predecessor],
-                    merged,
-                    key[predecessor],
-                    node_id[successor] if successor >= 0 else -1,
-                    key[successor] if successor >= 0 else inf,
-                )
-
-    heap._activated(stop, live, max_size, head, tail, counter)
+    heap._activated(max(first, stop), live, max_size, head, tail, counter)
     return last_gap_id, before_gap, after_gap, total_error, merges
 
 

@@ -32,8 +32,9 @@ from repro.core import (
 from repro.core.dp import optimal_error_curve, reduce_to_error, reduce_to_size
 from repro.core.errors import PrefixSums
 from repro.core.merge import cmin
+from repro.pipeline import compress
 from repro.temporal import Interval
-from repro.core.kernels import dp_first_row
+from repro.core.kernels import adjacent_pair_mask, dp_first_row, encode_segments
 from repro.datasets import (
     synthetic_grouped_segments,
     synthetic_sequential_segments,
@@ -246,45 +247,66 @@ class TestNumpyMergeHeap:
         with pytest.raises(ValueError, match="backend"):
             make_merge_heap(backend="jax")
 
-    def test_insert_and_keys_match(self, proj_segments):
-        reference = MergeHeap()
-        vectorized = NumpyMergeHeap()
-        for segment in proj_segments:
-            left = reference.insert(segment)
-            right = vectorized.insert(segment)
-            assert left.id == right.id
-            if math.isinf(left.key):
-                assert math.isinf(right.key)
-            else:
-                assert right.key == pytest.approx(left.key)
-
-    def test_merge_sequence_matches(self, proj_segments):
+    def test_staged_keys_match(self, proj_segments):
+        """One-row pushes through the compiled loop give each tuple the
+        id and key the python heap's ``insert`` gives it."""
         reference = MergeHeap()
         vectorized = NumpyMergeHeap()
         for segment in proj_segments:
             reference.insert(segment)
-            vectorized.insert(segment)
-        while True:
-            top_ref = reference.peek()
-            top_vec = vectorized.peek()
-            if top_ref is None or math.isinf(top_ref.key):
-                assert top_vec is None or math.isinf(top_vec.key)
-                break
-            assert top_vec.key == pytest.approx(top_ref.key)
-            reference.merge_top()
-            vectorized.merge_top()
-            assert reference.segments() == vectorized.segments()
+            push_one(vectorized, segment)
+            assert vectorized.ids_and_keys() == reference.ids_and_keys()
 
-    def test_adjacent_successor_count(self, proj_segments):
+    def test_merge_sequence_matches(self, proj_segments):
+        """The end-of-input call, one merge at a time, merges what the
+        python heap's ``merge_top`` merges, at the same key."""
         reference = MergeHeap()
         vectorized = NumpyMergeHeap()
-        nodes_ref = [reference.insert(s) for s in proj_segments]
-        nodes_vec = [vectorized.insert(s) for s in proj_segments]
-        for node_ref, node_vec in zip(nodes_ref, nodes_vec):
-            for limit in (1, 2, 5):
-                assert vectorized.adjacent_successor_count(
-                    node_vec, limit
-                ) == reference.adjacent_successor_count(node_ref, limit)
+        for segment in proj_segments:
+            reference.insert(segment)
+            push_one(vectorized, segment)
+        error, merges = 0.0, 0
+        while True:
+            top_ref = reference.peek()
+            spent, merged = vectorized.merge_down(
+                size=len(vectorized) - 1, total_error=error, merges=merges
+            )
+            if top_ref is None or math.isinf(top_ref.key):
+                assert merged == merges  # no merge left for either heap
+                break
+            assert merged == merges + 1
+            assert spent - error == pytest.approx(top_ref.key)
+            error, merges = spent, merged
+            reference.merge_top()
+            assert reference.segments() == vectorized.segments()
+
+
+def push_one(heap, segment, size=None):
+    """Stage one tuple and activate it; no online merge (a size bound
+    the heap never reaches), then merge down to ``size`` if given."""
+    heap.stage_segment(segment)
+    heap.activate_staged_all(size=2**40)
+    if size is not None:
+        heap.merge_down(size=size)
+
+
+def test_an_int64_max_end_has_no_successor():
+    """An end at ``2**63 - 1`` is not adjacent to a start at ``-2**63``:
+    ``end + 1`` wraps in int64.  The numpy backend and ``workers=2`` took
+    the pair as adjacent, merged it and raised on the merged interval."""
+    segments = [
+        AggregateSegment((), (1.0,), Interval(2**63 - 1, 2**63 - 1)),
+        AggregateSegment((), (3.0,), Interval(-(2**63), -(2**63))),
+    ]
+    for engine in ({"backend": "python"}, {"backend": "numpy"},
+                   {"workers": 2}):
+        result = compress(segments, size=1, **engine)
+        assert result.segments == segments, engine
+        assert result.error == 0.0, engine
+    columns = encode_segments(segments)
+    assert adjacent_pair_mask(
+        columns.starts, columns.ends, columns.groups
+    ).tolist() == [False]
 
 
 # ----------------------------------------------------------------------
@@ -347,41 +369,17 @@ class TestGreedyParity:
         assert_same_reduction(reference, candidate)
         assert reference.max_heap_size == candidate.max_heap_size
 
-    def test_stale_node_view_raises_after_compaction(self):
-        # A node view held across a compacting insertion must fail loudly
-        # instead of silently reading another tuple's data.
-        segments = synthetic_sequential_segments(3000, dimensions=1, seed=83)
-        heap = NumpyMergeHeap()
-        heap.insert(segments[0])
-        # The second tuple is merged away early; its slot is later reused.
-        early = heap.insert(segments[1])
-        for segment in segments[2:]:
-            heap.insert(segment)
-            while len(heap) > 10:
-                top = heap.peek()
-                if top is None or math.isinf(top.key):
-                    break
-                heap.merge_top()
-        assert early.id == 2  # the stable id survives
-        with pytest.raises(RuntimeError, match="compacted"):
-            _ = early.key
-
-    def test_plain_inserts_allowed_after_staged_chunk_and_compaction(self):
+    def test_one_row_pushes_allowed_after_staged_chunk_and_compaction(self):
         # Regression: a fully consumed staged chunk leaves its staging
         # marker behind; a later compaction renumbers rows below it and the
-        # stale marker must not make plain insert() believe tuples are
+        # stale marker must not make a later staging believe tuples are
         # still pending.
         segments = synthetic_sequential_segments(4000, dimensions=1, seed=84)
         heap = NumpyMergeHeap()
         heap.stage_chunk(segments[:256])
         heap.activate_staged_all(size=256)  # activates without merging
         for segment in segments[256:]:
-            heap.insert(segment)  # must not raise across compactions
-            while len(heap) > 10:
-                top = heap.peek()
-                if top is None or math.isinf(top.key):
-                    break
-                heap.merge_top()
+            push_one(heap, segment, size=10)  # must not raise
         assert len(heap) == 10
 
     def test_streaming_memory_stays_bounded(self):
@@ -392,12 +390,7 @@ class TestGreedyParity:
         heap = NumpyMergeHeap()
         size = 50
         for segment in segments:
-            heap.insert(segment)
-            while len(heap) > size:
-                top = heap.peek()
-                if top is None or math.isinf(top.key):
-                    break
-                heap.merge_top()
+            push_one(heap, segment, size=size)
         assert len(heap) == size
         assert heap._capacity <= 2048, (
             f"dead slots were never reclaimed: capacity {heap._capacity} "

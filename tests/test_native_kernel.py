@@ -1,14 +1,17 @@
 """The compiled activation loop against its Python oracle.
 
-:meth:`NumpyMergeHeap.activate_staged_all` runs ``_activate.c``, its
-only product path; :func:`oracles.activate` is the Python loop it was
-written from.  The parity property runs both on twin heaps and requires
-identical state after every chunk: every column (floats by
-``float.hex``, value rows with their container type), the entry list
-element by element, the returned bookkeeping and every
-:class:`DeltaLog` list.  The remaining tests cover the inputs that once
-reached a Python twin, the loader (a cold build, concurrent builds, each
-failure's reason, the failed import) and the GIL.
+:meth:`NumpyMergeHeap.activate_staged_all` and
+:meth:`NumpyMergeHeap.merge_down` (the end-of-input phase) run
+``_activate.c``, their only product path; :func:`oracles.activate` is the
+Python loop it was written from.  The parity properties run both on twin
+heaps and require identical state after every chunk, after the
+end-of-input phase and after a snapshot's tie fallback: every column
+(floats by ``float.hex``, value rows with their container type), the
+entry list element by element, the returned bookkeeping and every
+:class:`DeltaLog` list.  Per-tuple pushes must leave the state of one
+chunk of the same tuples.  The remaining tests cover the inputs that
+once reached a Python twin, the loader (a cold build, concurrent builds,
+each failure's reason, the failed import) and the GIL.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from repro.core import native
@@ -34,6 +38,7 @@ from repro.core.kernels import (
     DeltaLog, EncodedSegments, NumpyMergeHeap, encode_segments,
 )
 from repro.core.merge import AggregateSegment
+from repro.obs import metrics
 from repro.temporal import Interval
 
 needs_compiler = pytest.mark.skipif(
@@ -195,6 +200,189 @@ def test_keys_that_overflow_to_inf_match():
     )
     heap, _, _ = run_twins([encoded[:3], encoded[3:]], size=1, logged=True)
     assert math.inf in heap._key
+
+
+# ----------------------------------------------------------------------
+# The end-of-input phase and single pushes
+# ----------------------------------------------------------------------
+@st.composite
+def reducer_cases(draw):
+    """An online numpy reducer fed in chunks, and its end-of-input bound.
+
+    Values are integer-valued more often than not, so exact key ties
+    occur; the bound is a size, an ε budget, or a budget that one of the
+    merges meets exactly."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    width = draw(st.sampled_from([1, 2]))
+    groups = draw(st.integers(1, 3))
+    ties = draw(st.booleans() | st.just(True))
+    count = draw(st.integers(1, 400))
+    rng = np.random.default_rng(seed)
+    encoded = stream(rng, count=count, width=width, groups=groups,
+                     offset=0.0, magnitude=3.0, ties=ties)
+    weights = draw(st.none() | st.just((1.0, 3.0)[:width]))
+    kind = draw(st.sampled_from(["size", "epsilon", "exact"]))
+    delta = draw(st.sampled_from([0, 1, 2, math.inf]))
+    if kind == "size":
+        reducer = OnlineReducer(size=draw(st.integers(1, count)), delta=delta,
+                                weights=weights, backend="numpy")
+    else:
+        reducer = OnlineReducer(
+            max_error=draw(st.sampled_from([0.05, 0.3, 1.0])), delta=delta,
+            weights=weights, input_size_estimate=count,
+            max_error_estimate=float(count), backend="numpy",
+        )
+    cuts = sorted(set(rng.integers(0, count, 3).tolist()) | {0, count})
+    for a, b in zip(cuts, cuts[1:]):
+        reducer.push_chunk(encoded[a:b])
+    budget = reducer._budget()
+    if kind == "exact":
+        # The error after merging down to some size: the budget admits
+        # that size's last merge with no slack at all.
+        probe = reducer.heap.clone()
+        budget, _ = probe.merge_down(
+            size=draw(st.integers(0, len(probe))),
+            total_error=reducer.total_error, merges=reducer.merges,
+        )
+    return reducer, budget
+
+
+def end_of_input_twins(heap, size, budget, total_error, merges):
+    """Run the end-of-input phase compiled and in the oracle on two
+    clones of ``heap``; compare them and return the compiled twin with
+    its ``(total_error, merges)``."""
+    twins = [heap.clone(), heap.clone()]
+    assert heap_state(twins[0]) == heap_state(twins[1])
+    compiled_books = twins[0].merge_down(
+        size=size, budget=budget, total_error=total_error, merges=merges,
+    )
+    books = oracles.activate(
+        twins[1], size, total_error=total_error, merges=merges,
+        end_of_input=True, budget=math.inf if budget is None else budget,
+    )
+    oracle_books = (books[3], books[4])
+    assert hexed(compiled_books) == hexed(oracle_books)
+    assert heap_state(twins[0]) == heap_state(twins[1])
+    return twins[0], compiled_books
+
+
+@settings(max_examples=80, deadline=None)
+@given(reducer_cases())
+def test_end_of_input_leaves_the_oracles_state(case):
+    """``merge_down`` (one compiled call, no staged rows) against the
+    oracle's end-of-input drain: every column, the entry list, the
+    counter, ``total_error.hex()`` and ``merges``.  ``finalize`` is that
+    call."""
+    reducer, budget = case
+    heap, (error, merges) = end_of_input_twins(
+        reducer.heap, reducer._size, budget, reducer.total_error,
+        reducer.merges,
+    )
+    if budget == reducer._budget():
+        result = reducer.clone().finalize()
+        assert (result.error.hex(), result.merges) == (error.hex(), merges)
+        assert result.segments == heap.segments()
+
+
+def paired_stream(gaps):
+    """Pairs of unit tuples ``1000 i``, ``1000 i + gaps[i]``: each pair's
+    key is ``gaps[i] ** 2 / 2`` until it merges, so equal gaps tie."""
+    return [
+        AggregateSegment((), (value,), Interval(2 * i + o, 2 * i + o))
+        for i, gap in enumerate(gaps)
+        for o, value in enumerate((1000.0 * i, 1000.0 * i + gap))
+    ]
+
+
+TIE_CASES = {
+    "size, paired": (
+        {"size": 10, "delta": math.inf}, paired_stream([3, 1, 2, 2, 5, 4] * 3),
+    ),
+    "epsilon, paired": (
+        {"max_error": 0.01, "delta": math.inf},
+        paired_stream([3, 1, 2, 2, 5, 4] * 3),
+    ),
+    "size, integer values": ({"size": 7, "delta": math.inf}, list(stream(
+        np.random.default_rng(12), count=300, width=1, groups=2,
+        offset=0.0, magnitude=3.0, ties=True,
+    ))),
+    "epsilon, integer values": ({"max_error": 0.2}, list(stream(
+        np.random.default_rng(12), count=300, width=1, groups=2,
+        offset=0.0, magnitude=3.0, ties=True,
+    ))),
+}
+
+
+@pytest.mark.parametrize("name", list(TIE_CASES))
+def test_tie_fallback_leaves_the_oracles_state(name):
+    """A snapshot that hits an exact key tie is served by the end-of-input
+    call on a clone of the heap: its result is the oracle's on a twin
+    clone, bit for bit, and the compiled and oracle twins agree."""
+    options, tuples = TIE_CASES[name]
+    reducer = OnlineReducer(backend="numpy", track_deltas=True, **options)
+    fallbacks = 0
+    for first in range(0, len(tuples), 12):
+        reducer.push_chunk(tuples[first:first + 12])
+        before = metrics.value("repro_snapshot_oracle_fallbacks_total")
+        result, columns = reducer.snapshot()
+        if metrics.value("repro_snapshot_oracle_fallbacks_total") == before:
+            continue
+        fallbacks += 1
+        heap, (error, merges) = end_of_input_twins(
+            reducer.heap, reducer._size, reducer._budget(),
+            reducer.total_error, reducer.merges,
+        )
+        assert (result.error.hex(), result.merges) == (error.hex(), merges)
+        assert columns == heap.columns()
+    assert fallbacks > 0
+
+
+def single_push_state(reducer: OnlineReducer) -> dict:
+    """:func:`reducer_state` without the staging markers, which name the
+    last staged chunk."""
+    state = reducer_state(reducer)
+    for marker in ("_staged_base", "_staged_end"):
+        del state[marker]
+    return state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 250),
+    groups=st.integers(1, 3),
+    ties=st.booleans(),
+    bound=st.sampled_from([{"size": 1}, {"size": 9}, {"size": 60},
+                           {"max_error": 0.3}]),
+    delta=st.sampled_from([0, 1, 2, math.inf]),
+    logged=st.booleans(),
+)
+def test_single_pushes_leave_the_state_of_one_chunk(
+    seed, count, groups, ties, bound, delta, logged
+):
+    """``push`` per tuple (a one-row staging, then the activation call)
+    leaves the heap, the bookkeeping and the delta log of one
+    ``push_chunk`` of the same tuples."""
+    encoded = stream(np.random.default_rng(seed), count=count, width=2,
+                     groups=groups, offset=0.0, magnitude=3.0, ties=ties)
+    options = dict(bound, delta=delta, backend="numpy", track_deltas=logged)
+    if "max_error" in bound:
+        options.update(input_size_estimate=count,
+                       max_error_estimate=float(count))
+    single, chunked = OnlineReducer(**options), OnlineReducer(**options)
+    if logged:  # the first snapshot starts the delta log
+        single.snapshot()
+        chunked.snapshot()
+    for segment in encoded:
+        single.push(segment)
+    chunked.push_chunk(encoded)
+    assert single_push_state(single) == single_push_state(chunked)
+    assert log_state(single._log) == log_state(chunked._log)
+    if logged:
+        assert single._log is not None  # the log was not trimmed
+        ours, theirs = single.snapshot(), chunked.snapshot()
+        assert hexed(ours[0].error) == hexed(theirs[0].error)
+        assert ours[1] == theirs[1]
 
 
 # ----------------------------------------------------------------------

@@ -331,6 +331,30 @@ class TestDeltaLogEdgeCases:
         session.push(stream)
         assert_bit_identical(session.summary(), session.summary_oracle())
 
+    @pytest.mark.parametrize("bound", [{"size": 5}, {"max_error": 0.3}])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_weighted_snapshot_before_any_push(self, backend, bound):
+        """Regression: with weights and nothing pushed, ``snapshot()``
+        raised ``ValueError: expected 0 weights, got 1`` (the mirror has
+        no value width to check them against); it now returns the empty
+        result ``clone().finalize()`` returns."""
+        reducer = OnlineReducer(
+            weights=(2.0,), backend=backend, track_deltas=True, **bound
+        )
+        result, columns = reducer.snapshot()
+        oracle = reducer.clone().finalize()
+        assert result.segments == oracle.segments == []
+        assert len(columns) == 0
+        assert (result.size, result.error, result.merges) == (
+            oracle.size, oracle.error, oracle.merges,
+        )
+        for segment in random_stream(20, seed=3, dimensions=1):
+            reducer.push(segment)
+        result, _ = reducer.snapshot()
+        oracle = reducer.clone().finalize()
+        assert result.segments == oracle.segments
+        assert result.error.hex() == oracle.error.hex()
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_clone_mid_log(self, backend):
         """A reducer clone taken mid-log must not alias the delta state."""
