@@ -51,7 +51,8 @@ and keeps it honest across PRs:
   recompression of the same history.
 
 Ratios are persisted in ``BENCH_service.json`` (same machine-normalized
-scheme as ``BENCH_parallel.json``)::
+scheme as ``BENCH_parallel.json``, and the same ``baseline_gate.py``
+command line)::
 
     python benchmarks/bench_service.py record [--scale full]
     python benchmarks/bench_service.py check  [--scale smoke]
@@ -64,13 +65,9 @@ runs it at the smoke scale.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
-from datetime import datetime, timezone
 from pathlib import Path
+
+from baseline_gate import Gate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "BENCH_service.json"
@@ -562,92 +559,12 @@ def bench_service(benchmark):
     benchmark(lambda: engine.range_agg("k", 1, 2_000))
 
 
-# ----------------------------------------------------------------------
-# Baseline record / check CLI (mirrors perf_baseline.py)
-# ----------------------------------------------------------------------
-def _load() -> dict:
-    if BASELINE_PATH.exists():
-        return json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
-    return {"schema": 1, "scales": {}}
-
-
-def _ratio_items(ratios: dict) -> dict:
-    return {k: v for k, v in ratios.items() if k != "raw"}
-
-
-def _print_ratios(title: str, ratios: dict, recorded: dict | None = None):
-    print(f"\n{title}")
-    for name, value in sorted(_ratio_items(ratios).items()):
-        line = f"  {name:36s} {value:10.2f}x"
-        if recorded and name in recorded:
-            line += f"   (recorded {recorded[name]:.2f}x)"
-        print(line)
-
-
-def record(scale: str) -> None:
-    ratios = measure(scale)
-    data = _load()
-    data.setdefault("scales", {})[scale] = _ratio_items(ratios)
-    data["meta"] = {
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "recorded_at": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        # Fresh measurement wins over any previously recorded raw numbers.
-        "raw": {**data.get("meta", {}).get("raw", {}), scale: ratios["raw"]},
-    }
-    BASELINE_PATH.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _print_ratios(f"recorded baseline ({scale}) -> {BASELINE_PATH.name}",
-                  ratios)
-
-
-def check(scale: str) -> int:
-    data = _load()
-    recorded = data.get("scales", {}).get(scale)
-    if not recorded:
-        print(f"no recorded baseline for scale {scale!r} in "
-              f"{BASELINE_PATH.name}; run 'record' first", file=sys.stderr)
-        return 2
-    ratios = measure(scale)
-    _print_ratios(f"measured ratios ({scale})", ratios, recorded)
-    regressions = []
-    for name, reference in sorted(recorded.items()):
-        measured = _ratio_items(ratios).get(name)
-        if measured is None:
-            regressions.append(f"{name}: not measured anymore")
-        elif measured < reference * (1.0 - REGRESSION_TOLERANCE):
-            regressions.append(
-                f"{name}: {measured:.2f}x is more than "
-                f"{REGRESSION_TOLERANCE:.0%} below the recorded "
-                f"{reference:.2f}x"
-            )
-    if regressions:
-        print("\nserving performance regression detected:", file=sys.stderr)
-        for line in regressions:
-            print(f"  {line}", file=sys.stderr)
-        return 1
-    print("\nno regression: all ratios within "
-          f"{REGRESSION_TOLERANCE:.0%} of the recorded baseline")
-    return 0
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=("record", "check"))
-    parser.add_argument(
-        "--scale", choices=sorted(SCALES), default="smoke",
-        help="workload scale (default: smoke)",
-    )
-    arguments = parser.parse_args()
-    if arguments.mode == "record":
-        record(arguments.scale)
-        return 0
-    return check(arguments.scale)
+GATE = Gate(
+    path=BASELINE_PATH, tolerance=REGRESSION_TOLERANCE, measure=measure,
+    scales=tuple(SCALES), label="serving performance",
+    description=__doc__.splitlines()[0],
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(GATE.main())

@@ -25,7 +25,8 @@ Usage::
 ``record`` writes the measured ratios for the chosen scale into the baseline
 file (merging with other scales); ``check`` re-measures and exits non-zero
 when any ratio dropped more than 30% below its recorded value — the CI
-smoke job runs it at the ``smoke`` scale on every push.  Each ratio is the
+smoke job runs it at the ``smoke`` scale on every push.  Both commands are
+``baseline_gate.py``'s, shared with ``bench_service.py``.  Each ratio is the
 median of per-round ratios over :data:`ROUNDS` rounds that time the two
 sides back to back, alternating which side leads (:func:`paired_speedup`).
 Note that the sharded ratios are recorded together with ``cpu_count``: on a
@@ -35,15 +36,11 @@ further with real cores.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import statistics
-import sys
 import time
-from datetime import datetime, timezone
 from pathlib import Path
+
+from baseline_gate import Gate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "BENCH_parallel.json"
@@ -174,93 +171,12 @@ def measure(scale: str) -> dict:
     return ratios
 
 
-def _load() -> dict:
-    if BASELINE_PATH.exists():
-        return json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
-    return {"schema": 1, "scales": {}}
-
-
-def _print_ratios(title: str, ratios: dict, recorded: dict | None = None):
-    print(f"\n{title}")
-    for name, value in sorted(ratios.items()):
-        line = f"  {name:40s} {value:7.2f}x"
-        if recorded and name in recorded:
-            line += f"   (recorded {recorded[name]:.2f}x)"
-        print(line)
-
-
-def record(scale: str) -> None:
-    ratios = measure(scale)
-    data = _load()
-    data.setdefault("scales", {})[scale] = ratios
-    data["meta"] = {
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "recorded_at": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-    }
-    BASELINE_PATH.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _print_ratios(f"recorded baseline ({scale}) -> {BASELINE_PATH.name}",
-                  ratios)
-
-
-def check(scale: str) -> int:
-    data = _load()
-    recorded = data.get("scales", {}).get(scale)
-    if not recorded:
-        print(f"no recorded baseline for scale {scale!r} in "
-              f"{BASELINE_PATH.name}; run 'record' first", file=sys.stderr)
-        return 2
-    meta = data.get("meta", {})
-    if meta:
-        print(
-            f"recorded on: {meta.get('platform', '?')} "
-            f"(cpu_count={meta.get('cpu_count', '?')}, "
-            f"python={meta.get('python', '?')}, "
-            f"at {meta.get('recorded_at', '?')})"
-        )
-        print("ratios are machine-normalized but not machine-independent: "
-              "re-record on this machine class if the gate misfires")
-    ratios = measure(scale)
-    _print_ratios(f"measured ratios ({scale})", ratios, recorded)
-    regressions = []
-    for name, reference in sorted(recorded.items()):
-        measured = ratios.get(name)
-        if measured is None:
-            regressions.append(f"{name}: not measured anymore")
-        elif measured < reference * (1.0 - REGRESSION_TOLERANCE):
-            regressions.append(
-                f"{name}: {measured:.2f}x is more than "
-                f"{REGRESSION_TOLERANCE:.0%} below the recorded "
-                f"{reference:.2f}x"
-            )
-    if regressions:
-        print("\nperformance regression detected:", file=sys.stderr)
-        for line in regressions:
-            print(f"  {line}", file=sys.stderr)
-        return 1
-    print("\nno regression: all ratios within "
-          f"{REGRESSION_TOLERANCE:.0%} of the recorded baseline")
-    return 0
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=("record", "check"))
-    parser.add_argument(
-        "--scale", choices=sorted(SCALES), default="smoke",
-        help="workload scale (default: smoke)",
-    )
-    arguments = parser.parse_args()
-    if arguments.mode == "record":
-        record(arguments.scale)
-        return 0
-    return check(arguments.scale)
+GATE = Gate(
+    path=BASELINE_PATH, tolerance=REGRESSION_TOLERANCE, measure=measure,
+    scales=tuple(SCALES), label="performance",
+    description=__doc__.splitlines()[0],
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(GATE.main())

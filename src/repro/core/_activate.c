@@ -9,20 +9,19 @@
  * gap rules off).  Its Python reference is tests/oracles.py's activate.
  * It runs over the heap's Python objects: the heap's list columns, its
  * heapq entry list of (key, counter, index, version) tuples and, when
- * given, the twelve lists of a DeltaLog.  Branches, merge_key /
- * merged_row operation order and the heapq sift algorithm are those of
- * the Python reference, so both leave the same objects behind, bit for
- * bit.  Build with -ffp-contract=off: a fused multiply-add changes the
- * bits of a key.
+ * given, the twelve lists of a DeltaLog.  Every activation key, merge
+ * key, merged row and adjacency test is _merge.h's, computed on a row's
+ * floats read into a per-call scratch; branches and the heapq sift
+ * algorithm are those of the Python reference, so both leave the same
+ * objects behind, bit for bit.  Build with -ffp-contract=off: a fused
+ * multiply-add changes the bits of a key.
  *
  * Every read is checked (list bounds, exact float / int64 types, row
  * widths); a violation raises instead of crashing.  The GIL is dropped
  * and retaken during a large push so other threads keep running, as
  * they do between a Python loop's bytecodes (see yield_period).
  */
-#define PY_SSIZE_T_CLEAN
-#include <Python.h>
-#include <limits.h>
+#include "_merge.h"
 #include <math.h>
 #include <time.h>
 
@@ -54,6 +53,7 @@ typedef struct {
     PyObject *entries;
     PyObject *log[N_LOG];      /* all NULL when no log is kept */
     double *w2;
+    double *scratch;           /* 2 * p: two rows' floats */
     Py_ssize_t p;
 } Heap;
 
@@ -129,20 +129,20 @@ read_f64(Heap *h, int c, Py_ssize_t row, double *out)
     return 0;
 }
 
-/* The items of a value row: an exact tuple or list of p exact floats. */
+/* A value row, an exact tuple or list of p exact floats, into out. */
 static int
-read_row(Heap *h, Py_ssize_t row, PyObject ***items)
+read_row(Heap *h, Py_ssize_t row, double *out)
 {
-    PyObject *o = item(h, C_VALUES, row);
+    PyObject *o = item(h, C_VALUES, row), **items;
     Py_ssize_t n, d;
     if (o == NULL)
         return -1;
     if (PyTuple_CheckExact(o)) {
-        *items = TUPLE_ITEMS(o);
+        items = TUPLE_ITEMS(o);
         n = PyTuple_GET_SIZE(o);
     }
     else if (PyList_CheckExact(o)) {
-        *items = LIST_ITEMS(o);
+        items = LIST_ITEMS(o);
         n = PyList_GET_SIZE(o);
     }
     else
@@ -150,8 +150,9 @@ read_row(Heap *h, Py_ssize_t row, PyObject ***items)
     if (n != h->p)
         return not_kernel_value(C_VALUES, row);
     for (d = 0; d < n; d++) {
-        if (!PyFloat_CheckExact((*items)[d]))
+        if (!PyFloat_CheckExact(items[d]))
             return not_kernel_value(C_VALUES, row);
+        out[d] = PyFloat_AS_DOUBLE(items[d]);
     }
     return 0;
 }
@@ -179,20 +180,17 @@ store_i64(Heap *h, int c, Py_ssize_t row, long long value)
     return store(h, c, row, PyLong_FromLongLong(value));
 }
 
-/* group[left] == group[right] and end[left] + 1 == start[right] */
+/* _merge.h's adjacent() of rows left and right. */
 static int
-adjacent(Heap *h, Py_ssize_t left, Py_ssize_t right)
+rows_adjacent(Heap *h, Py_ssize_t left, Py_ssize_t right)
 {
-    long long gl, gr, end, start;
-    if (read_i64(h, C_GROUP, left, &gl) < 0
-        || read_i64(h, C_GROUP, right, &gr) < 0)
-        return -1;
-    if (gl != gr)
-        return 0;
-    if (read_i64(h, C_END, left, &end) < 0
+    long long left_group, right_group, end, start;
+    if (read_i64(h, C_GROUP, left, &left_group) < 0
+        || read_i64(h, C_GROUP, right, &right_group) < 0
+        || read_i64(h, C_END, left, &end) < 0
         || read_i64(h, C_START, right, &start) < 0)
         return -1;
-    return end != LLONG_MAX && end + 1 == start;
+    return adjacent(left_group, end, right_group, start);
 }
 
 /* ------------------------------------------------------------------ */
@@ -247,16 +245,25 @@ tick(Clock *clock)
 }
 
 /* ------------------------------------------------------------------ */
-/* merge_key / merged_row (repro.core.errors / repro.core.merge)        */
+/* merge_key / merged_row (_merge.h) over the heap's rows              */
 /* ------------------------------------------------------------------ */
-static int
-lengths_sum(double left, double right, double *total)
+static void
+zero_length(void)
 {
-    *total = left + right;
-    if (*total == 0.0) {
-        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+    PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+}
+
+/* The lengths of rows left and right, and their floats in the scratch:
+ * left's first, right's after it. */
+static int
+read_pair(Heap *h, Py_ssize_t left, Py_ssize_t right, double *left_length,
+          double *right_length)
+{
+    if (read_f64(h, C_LENGTH, left, left_length) < 0
+        || read_f64(h, C_LENGTH, right, right_length) < 0
+        || read_row(h, left, h->scratch) < 0
+        || read_row(h, right, h->scratch + h->p) < 0)
         return -1;
-    }
     return 0;
 }
 
@@ -264,51 +271,43 @@ lengths_sum(double left, double right, double *total)
 static PyObject *
 pair_key(Heap *h, Py_ssize_t left, Py_ssize_t right, double *key)
 {
-    double left_length, right_length, total, factor, diff, sum = 0.0;
-    PyObject **a, **b;
-    Py_ssize_t d;
-    if (read_f64(h, C_LENGTH, left, &left_length) < 0
-        || read_f64(h, C_LENGTH, right, &right_length) < 0
-        || lengths_sum(left_length, right_length, &total) < 0
-        || read_row(h, left, &a) < 0
-        || read_row(h, right, &b) < 0)
+    double left_length, right_length;
+    if (read_pair(h, left, right, &left_length, &right_length) < 0)
         return NULL;
-    factor = left_length * right_length / total;
-    for (d = 0; d < h->p; d++) {
-        diff = PyFloat_AS_DOUBLE(a[d]) - PyFloat_AS_DOUBLE(b[d]);
-        sum += (h->w2[d] * factor) * (diff * diff);
+    if (merge_key(left_length, right_length, h->scratch, h->scratch + h->p,
+                  h->w2, h->p, key) < 0) {
+        zero_length();
+        return NULL;
     }
-    *key = sum;
-    return PyFloat_FromDouble(sum);
+    return PyFloat_FromDouble(*key);
 }
 
 /* The merged row of (left, right) as a new list, and its length. */
 static PyObject *
-merged_row(Heap *h, Py_ssize_t left, Py_ssize_t right, double *length)
+merge_rows(Heap *h, Py_ssize_t left, Py_ssize_t right, double *length)
 {
-    double left_length, right_length, total;
-    PyObject **a, **b, *row, *value;
+    double left_length, right_length;
+    PyObject *row, *value;
     Py_ssize_t d;
-    if (read_f64(h, C_LENGTH, left, &left_length) < 0
-        || read_f64(h, C_LENGTH, right, &right_length) < 0
-        || lengths_sum(left_length, right_length, &total) < 0
-        || read_row(h, left, &a) < 0
-        || read_row(h, right, &b) < 0)
+    if (read_pair(h, left, right, &left_length, &right_length) < 0)
         return NULL;
+    if (merged_row(left_length, right_length, h->scratch, h->scratch + h->p,
+                   h->p, h->scratch) < 0) {
+        zero_length();
+        return NULL;
+    }
     row = PyList_New(h->p);
     if (row == NULL)
         return NULL;
     for (d = 0; d < h->p; d++) {
-        value = PyFloat_FromDouble(
-            (left_length * PyFloat_AS_DOUBLE(a[d])
-             + right_length * PyFloat_AS_DOUBLE(b[d])) / total);
+        value = PyFloat_FromDouble(h->scratch[d]);
         if (value == NULL) {
             Py_DECREF(row);
             return NULL;
         }
         PyList_SET_ITEM(row, d, value);
     }
-    *length = total;
+    *length = left_length + right_length;
     return row;
 }
 
@@ -547,7 +546,7 @@ refresh_key(Heap *h, Py_ssize_t before, Py_ssize_t index, long long *counter)
     long long version;
     double key;
     PyObject *key_obj;
-    int adj = before >= 0 ? adjacent(h, before, index) : 0;
+    int adj = before >= 0 ? rows_adjacent(h, before, index) : 0;
     if (adj < 0 || read_i64(h, C_VERSION, index, &version) < 0)
         return -1;
     if (version == LLONG_MAX)
@@ -634,7 +633,7 @@ has_read_ahead(Heap *h, Py_ssize_t index, long long delta)
             return -1;
         if (successor < 0)
             break;
-        adj = adjacent(h, cursor, successor);
+        adj = rows_adjacent(h, cursor, successor);
         if (adj <= 0) {
             if (adj < 0)
                 return -1;
@@ -676,7 +675,7 @@ merge_top(Heap *h, Book *b, Py_ssize_t top)
                         "a mergeable heap row has no predecessor");
         return -1;
     }
-    merged = merged_row(h, predecessor, top, &length);
+    merged = merge_rows(h, predecessor, top, &length);
     if (merged == NULL)
         return -1;
     Py_INCREF(merged);
@@ -796,13 +795,13 @@ drain(Heap *h, Book *b, const Policy *policy, int end_of_input, Clock *clock)
     }
 }
 
-/* Make staged row `index` visible at the tail with its activation key. */
+/* Make staged row `index` visible at the tail, keyed against the tail. */
 static int
-activate_row(Heap *h, Book *b, Py_ssize_t index, double staged_key)
+activate_row(Heap *h, Book *b, Py_ssize_t index)
 {
     Py_ssize_t previous = (Py_ssize_t)b->tail;
     PyObject *key_obj;
-    double key = staged_key;
+    double key;
     int adj;
     if (store_i64(h, C_PREV, index, previous) < 0)
         return -1;
@@ -816,22 +815,16 @@ activate_row(Heap *h, Book *b, Py_ssize_t index, double staged_key)
     b->live += 1;
     if (b->live > b->max_size)
         b->max_size = b->live;
-    if (isnan(staged_key) || previous != index - 1) {
-        /* NaN sentinel, or the staged predecessor was disturbed by a
-         * merge: recompute against the live tail. */
-        adj = previous >= 0 ? adjacent(h, previous, index) : 0;
-        if (adj < 0)
-            return -1;
-        if (adj)
-            key_obj = pair_key(h, previous, index, &key);
-        else {
-            key = Py_HUGE_VAL;
-            Py_INCREF(inf_obj);
-            key_obj = inf_obj;
-        }
+    adj = previous >= 0 ? rows_adjacent(h, previous, index) : 0;
+    if (adj < 0)
+        return -1;
+    if (adj)
+        key_obj = pair_key(h, previous, index, &key);
+    else {
+        key = Py_HUGE_VAL;
+        Py_INCREF(inf_obj);
+        key_obj = inf_obj;
     }
-    else
-        key_obj = PyFloat_FromDouble(staged_key);
     if (key_obj == NULL)
         return -1;
     Py_INCREF(key_obj);
@@ -884,8 +877,8 @@ exact_lists(PyObject *tuple, Py_ssize_t count, PyObject **out,
 }
 
 PyDoc_STRVAR(activate_doc,
-"activate(columns, entries, w2, staged_keys, first, stop, offset,\n"
-"         counter, live, max_size, head, tail, size_bounded, size,\n"
+"activate(columns, entries, w2, first, stop, counter, live, max_size,\n"
+"         head, tail, size_bounded, size,\n"
 "         step_threshold, delta_is_inf, delta, end_of_input, budget,\n"
 "         last_gap_id, before_gap, after_gap, total_error, merges, log)\n"
 "--\n\n"
@@ -900,13 +893,12 @@ PyDoc_STRVAR(activate_doc,
 static PyObject *
 activate(PyObject *module, PyObject *args)
 {
-    PyObject *columns, *w2_obj, *staged_obj, *log_obj, *last_gap_obj;
-    Py_ssize_t first, stop, offset, index, d, rows;
+    PyObject *columns, *w2_obj, *log_obj, *last_gap_obj;
+    Py_ssize_t first, stop, index, d, rows;
     Heap h;
     Book b;
     Policy policy;
-    Py_buffer staged = {0};
-    double *staged_keys, *w2 = NULL;
+    double *w2 = NULL;
     Clock clock = {0.0, 0.0, 0};
     int end_of_input;
     PyObject *result = NULL;
@@ -914,9 +906,9 @@ activate(PyObject *module, PyObject *args)
 
     memset(&h, 0, sizeof h);
     if (!PyArg_ParseTuple(
-            args, "OOOOnnnLLLLLpLdpLpdOLLdLO:activate", &columns,
-            &h.entries, &w2_obj, &staged_obj, &first, &stop,
-            &offset, &b.counter, &b.live, &b.max_size, &b.head, &b.tail,
+            args, "OOOnnLLLLLpLdpLpdOLLdLO:activate", &columns,
+            &h.entries, &w2_obj, &first, &stop,
+            &b.counter, &b.live, &b.max_size, &b.head, &b.tail,
             &policy.size_bounded, &policy.size, &policy.step_threshold,
             &policy.delta_is_inf, &policy.delta, &end_of_input,
             &policy.budget, &last_gap_obj,
@@ -945,7 +937,8 @@ activate(PyObject *module, PyObject *args)
         return NULL;
     }
     h.p = PyTuple_GET_SIZE(w2_obj);
-    w2 = PyMem_New(double, h.p > 0 ? h.p : 1);
+    /* The weights, then the scratch of two rows. */
+    w2 = PyMem_New(double, h.p > 0 ? 3 * h.p : 1);
     if (w2 == NULL)
         return PyErr_NoMemory();
     for (d = 0; d < h.p; d++) {
@@ -957,16 +950,7 @@ activate(PyObject *module, PyObject *args)
         w2[d] = PyFloat_AS_DOUBLE(w);
     }
     h.w2 = w2;
-    if (PyObject_GetBuffer(staged_obj, &staged,
-                           PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-        goto done;
-    if (staged.itemsize != sizeof(double) || staged.format == NULL
-        || strcmp(staged.format, "d") != 0 || staged.ndim != 1) {
-        PyErr_SetString(PyExc_TypeError,
-                        "staged keys must be a 1-d float64 buffer");
-        goto done;
-    }
-    staged_keys = (double *)staged.buf;
+    h.scratch = w2 + h.p;
     rows = PyList_GET_SIZE(h.col[C_START]);
     for (c = 0; c < C_GROUP_KEYS; c++) {
         if (PyList_GET_SIZE(h.col[c]) != rows) {
@@ -976,8 +960,7 @@ activate(PyObject *module, PyObject *args)
             goto done;
         }
     }
-    if (offset < 0 || offset > first || first > stop || stop > rows
-        || stop - offset > staged.shape[0]
+    if (first < 0 || first > stop || stop > rows
         || b.head < -1 || b.head >= rows || b.tail < -1 || b.tail >= rows) {
         PyErr_SetString(PyExc_ValueError,
                         "staged span or list ends outside the heap");
@@ -999,7 +982,7 @@ activate(PyObject *module, PyObject *args)
     b.last_gap_id = last_gap_obj;
     clock.released = monotonic();
     for (index = first; index < stop; index++) {
-        if (activate_row(&h, &b, index, staged_keys[index - offset]) < 0
+        if (activate_row(&h, &b, index) < 0
             || drain(&h, &b, &policy, 0, &clock) < 0)
             goto book_done;
     }
@@ -1011,8 +994,6 @@ activate(PyObject *module, PyObject *args)
 book_done:
     Py_DECREF(b.last_gap_id);
 done:
-    if (staged.obj != NULL)
-        PyBuffer_Release(&staged);
     PyMem_Free(w2);
     return result;
 }

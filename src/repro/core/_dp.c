@@ -19,14 +19,13 @@
  *     np.maximum), and acc += w2[d] * dev from 0.0.
  *
  * So the row and its split points are the oracle's, bit for bit.
- * Build with -ffp-contract=off: a fused multiply-add changes the bits of
- * a run error.  No Python object is touched between the buffer checks and
- * the result, so the interpreter lock is released for the whole row.
+ * The buffer checks are _merge.h's.  Build with -ffp-contract=off: a fused
+ * multiply-add changes the bits of a run error.  No Python object is
+ * touched between the buffer checks and the result, so the interpreter
+ * lock is released for the whole row.
  */
-#define PY_SSIZE_T_CLEAN
-#include <Python.h>
+#include "_merge.h"
 #include <math.h>
-#include <string.h>
 
 typedef struct {
     Py_ssize_t n, p, first, cells;
@@ -84,32 +83,6 @@ fill(const Row *r)
     return candidates;
 }
 
-/* Gets a C-contiguous buffer of count float64 ('d') or int64 ('q')
- * items. */
-static int
-typed(PyObject *obj, Py_buffer *view, int flags, char kind,
-      Py_ssize_t count, const char *name)
-{
-    const char *format;
-    if (PyObject_GetBuffer(obj, view,
-                           flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-        return -1;
-    format = view->format != NULL ? view->format : "B";
-    if (view->itemsize != 8
-        || (kind == 'd' ? strcmp(format, "d") != 0
-                        : strcmp(format, "q") != 0 && strcmp(format, "l") != 0)) {
-        PyErr_Format(PyExc_TypeError, "%s must be a C-contiguous %s buffer",
-                     name, kind == 'd' ? "float64" : "int64");
-        return -1;
-    }
-    if (count >= 0 && view->len != count * 8) {
-        PyErr_Format(PyExc_ValueError, "%s holds %zd items, expected %zd",
-                     name, view->len / 8, count);
-        return -1;
-    }
-    return 0;
-}
-
 PyDoc_STRVAR(dp_row_doc,
 "dp_row(L, S, SS, w2, previous, j_lo, infeasible, first, row, splits)\n"
 "--\n\n"
@@ -132,7 +105,6 @@ dp_row(PyObject *module, PyObject *args)
     long long candidates;
     PyObject *result = NULL;
     Row r;
-    int b;
 
     memset(buf, 0, sizeof buf);
     if (!PyArg_ParseTuple(args, "OOOOOOOnOO:dp_row", &obj[L], &obj[S],
@@ -195,10 +167,7 @@ dp_row(PyObject *module, PyObject *args)
 
     result = PyLong_FromLongLong(candidates);
 done:
-    for (b = 0; b < N_BUFFERS; b++) {
-        if (buf[b].obj != NULL)
-            PyBuffer_Release(&buf[b]);
-    }
+    release_buffers(buf, N_BUFFERS);
     return result;
 }
 

@@ -3,25 +3,24 @@
  *
  * trajectory() is the loop of repro.core.kernels.greedy_merge_trajectory
  * (the paper's greedy merging strategy run down to a shard's cmin; its
- * Python reference is tests/oracles.py's trajectory) over typed
- * buffers only: float64 lengths, rows, weights and keys, int64 links,
- * stamps and counters, and a (key, counter, node) struct array as the
- * refresh queue.  The initial frontier (adjacency, pairwise keys and
- * their stable order) comes from the numpy prologue both share.  Lazily
- * deferred refreshes, heapq's sift algorithm and the merge_key /
- * merged_row operation order are the Python reference's, so both return
- * the same four columns, bit for bit.  Build with
- * -ffp-contract=off: a fused multiply-add changes the bits of a key.
+ * Python reference is tests/oracles.py's trajectory) over a shard's
+ * columns, read by _merge.h's loader in the layout _sse.c reads.  It
+ * computes the blocks' lengths, their adjacency and initial keys, and the
+ * initial frontier: the positions of the finite keys in (key, position)
+ * order, the prefix of a stable argsort, so NaN and inf keys stay out.
+ * The refresh queue is a (key, counter, node) struct array.  Lazily
+ * deferred refreshes, heapq's sift algorithm and _merge.h's merge_key /
+ * merged_row are the Python reference's, so both return the same four
+ * columns, bit for bit.  Build with -ffp-contract=off: a fused
+ * multiply-add changes the bits of a key.
  *
  * No Python object is made per node, entry or step, so the interpreter
  * lock is released for the whole schedule.  Working memory is sized once:
  * a shard of n blocks takes at most n - 1 steps, and each step queues at
  * most two refreshed entries.
  */
-#define PY_SSIZE_T_CLEAN
-#include <Python.h>
+#include "_merge.h"
 #include <math.h>
-#include <string.h>
 
 typedef struct {
     double key;
@@ -29,21 +28,25 @@ typedef struct {
     Py_ssize_t node;
 } Entry;
 
+/* An initial key of the frontier and the position of its pair. */
+typedef struct {
+    double key;
+    Py_ssize_t position;
+} Pair;
+
 typedef enum { DONE, ZERO_LENGTH, CORRUPT } Outcome;
 
 typedef struct {
     /* inputs */
     Py_ssize_t n, p, frontier_size;
-    double *length;            /* n, folded in place */
-    double *row;               /* n * p, folded in place */
-    const double *w2;          /* p */
-    const unsigned char *adjacent; /* n - 1 */
-    const double *initial;     /* n - 1 */
-    const long long *frontier; /* frontier_size pair positions */
+    const Columns *c;
     /* outputs, n - 1 each (rows: (n - 1) * p) */
     long long *boundaries, *heads;
     double *keys, *rows;
     /* working memory */
+    double *length;            /* n */
+    double *row;               /* n * p */
+    Pair *frontier;            /* 2 * (n - 1): the pairs, then scratch */
     Py_ssize_t *prev, *next;
     long long *stamp, *queued;
     double *key, *queued_key;
@@ -114,40 +117,25 @@ pop(Schedule *s)
     return top;
 }
 
-/* repro.core.errors.merge_key of blocks (left, right). */
+/* The merge key of blocks (left, right). */
 static int
-merge_key(const Schedule *s, Py_ssize_t left, Py_ssize_t right, double *key)
+block_key(const Schedule *s, Py_ssize_t left, Py_ssize_t right, double *key)
 {
-    double l = s->length[left], r = s->length[right], total = l + r;
-    double factor, diff, sum = 0.0;
-    const double *a = s->row + left * s->p, *b = s->row + right * s->p;
-    Py_ssize_t d;
-    if (total == 0.0)
-        return -1;
-    factor = l * r / total;
-    for (d = 0; d < s->p; d++) {
-        diff = a[d] - b[d];
-        sum += (s->w2[d] * factor) * (diff * diff);
-    }
-    *key = sum;
-    return 0;
+    return merge_key(s->length[left], s->length[right], s->row + left * s->p,
+                     s->row + right * s->p, s->c->w2, s->p, key);
 }
 
-/* Fold block index into its predecessor with repro.core.merge.merged_row
- * and record the step. */
+/* Fold block index into its predecessor and record the step. */
 static int
 merge(Schedule *s, Py_ssize_t predecessor, Py_ssize_t index, double key)
 {
-    double l = s->length[predecessor], r = s->length[index], total = l + r;
     double *a = s->row + predecessor * s->p;
-    const double *b = s->row + index * s->p;
-    double *out = s->rows + s->steps * s->p;
-    Py_ssize_t d, successor;
-    if (s->p > 0 && total == 0.0)
+    Py_ssize_t successor;
+    if (merged_row(s->length[predecessor], s->length[index], a,
+                   s->row + index * s->p, s->p, a) < 0)
         return -1;
-    for (d = 0; d < s->p; d++)
-        out[d] = a[d] = (l * a[d] + r * b[d]) / total;
-    s->length[predecessor] = total;
+    memcpy(s->rows + s->steps * s->p, a, (size_t)s->p * sizeof(double));
+    s->length[predecessor] += s->length[index];
     successor = s->next[index];
     s->next[predecessor] = successor;
     if (successor >= 0)
@@ -160,33 +148,85 @@ merge(Schedule *s, Py_ssize_t predecessor, Py_ssize_t index, double key)
     return 0;
 }
 
+/* Sorts the count pairs by key, equal keys in position order (the order
+ * they come in), through a scratch of as many pairs: a bottom-up merge
+ * sort, stable as np.argsort(kind="stable").  No frontier key is NaN. */
+static void
+sort_frontier(Pair *pairs, Pair *scratch, Py_ssize_t count)
+{
+    Pair *from = pairs, *to = scratch, *swap;
+    Py_ssize_t width, lo, mid, hi, i, j, k;
+    for (width = 1; width < count; width *= 2) {
+        for (lo = 0; lo < count; lo += 2 * width) {
+            mid = lo + width < count ? lo + width : count;
+            hi = lo + 2 * width < count ? lo + 2 * width : count;
+            for (i = lo, j = mid, k = lo; i < mid && j < hi; k++) {
+                const int right = from[j].key < from[i].key; /* no branch */
+                to[k] = from[right ? j : i];
+                j += right;
+                i += !right;
+            }
+            while (i < mid)
+                to[k++] = from[i++];
+            while (j < hi)
+                to[k++] = from[j++];
+        }
+        swap = from, from = to, to = swap;
+    }
+    if (from != pairs)
+        memcpy(pairs, from, (size_t)count * sizeof(Pair));
+}
+
+/* Node i is the block starting at original position i.  stamp[i] is the
+ * counter of its current entry (1: its initial entry, -1: merged away,
+ * 0: never merges); queued / queued_key are the counter and key of its
+ * entry still in the queue, at first its initial key against block
+ * i - 1 (inf when the two are not adjacent). */
+static Outcome
+prologue(Schedule *s)
+{
+    const Columns *c = s->c;
+    Py_ssize_t i;
+    memcpy(s->row, c->values, (size_t)(s->n * s->p) * sizeof(double));
+    s->frontier_size = 0;
+    for (i = 0; i < s->n; i++) {
+        s->length[i] = span_length(c->starts[i], c->ends[i]);
+        s->prev[i] = i - 1;
+        s->next[i] = i + 1 < s->n ? i + 1 : -1;
+        s->stamp[i] = s->queued[i] = i > 0 && continues(c, i);
+        s->key[i] = HUGE_VAL;
+        s->queued_key[i] = HUGE_VAL;
+        if (!s->stamp[i])
+            continue;
+        if (block_key(s, i - 1, i, &s->queued_key[i]) < 0)
+            return ZERO_LENGTH;
+        if (s->queued_key[i] < HUGE_VAL)
+            s->frontier[s->frontier_size++] =
+                (Pair){s->queued_key[i], i - 1};
+    }
+    sort_frontier(s->frontier, s->frontier + (s->n - 1), s->frontier_size);
+    return DONE;
+}
+
 static Outcome
 run(Schedule *s)
 {
-    Py_ssize_t position = 0, index, i, t;
+    Py_ssize_t position = 0, index, t;
     long long counter = 1, current, top_stamp;
     double top_key;
+    Outcome outcome = prologue(s);
 
-    /* Node i is the block starting at original position i.  stamp[i] is
-     * the counter of its current entry (1: its initial entry, -1: merged
-     * away, 0: never merges); queued / queued_key are the counter and key
-     * of its entry still in the queue. */
-    for (i = 0; i < s->n; i++) {
-        s->prev[i] = i - 1;
-        s->next[i] = i + 1 < s->n ? i + 1 : -1;
-        s->stamp[i] = s->queued[i] = i > 0 && s->adjacent[i - 1];
-        s->key[i] = HUGE_VAL;
-        s->queued_key[i] = i > 0 ? s->initial[i - 1] : HUGE_VAL;
-    }
+    if (outcome != DONE)
+        return outcome;
     for (;;) {
         if (position < s->frontier_size) {
-            top_key = s->initial[s->frontier[position]];
+            top_key = s->frontier[position].key;
             if (s->heap_len > 0 && s->heap[0].key < top_key) {
                 Entry top = pop(s);
                 top_key = top.key, top_stamp = top.counter, index = top.node;
             }
             else {
-                index = (Py_ssize_t)s->frontier[position] + 1;
+                index = s->frontier[position].position + 1;
                 top_stamp = 1; /* every initial entry's counter */
                 position++;
             }
@@ -221,7 +261,7 @@ run(Schedule *s)
             double refreshed;
             if (node < 0 || !s->stamp[node])
                 continue;
-            if (merge_key(s, s->prev[node], node, &refreshed) < 0)
+            if (block_key(s, s->prev[node], node, &refreshed) < 0)
                 return ZERO_LENGTH;
             s->stamp[node] = ++counter;
             s->key[node] = refreshed;
@@ -235,82 +275,59 @@ run(Schedule *s)
     }
 }
 
-/* Checks that buffer b holds exactly count items of size bytes. */
-static int
-sized(const Py_buffer *b, Py_ssize_t count, size_t size, const char *name)
-{
-    if (b->len != (Py_ssize_t)(count * size)) {
-        PyErr_Format(PyExc_ValueError, "%s holds %zd bytes, expected %zd",
-                     name, b->len, (Py_ssize_t)(count * size));
-        return -1;
-    }
-    return 0;
-}
-
 PyDoc_STRVAR(trajectory_doc,
-"trajectory(length, rows, w2, adjacent, initial, frontier,\n"
-"           boundaries, keys, heads, out_rows)\n"
+"trajectory(starts, ends, groups, values, w2, boundaries, keys, heads,\n"
+"           out_rows)\n"
 "--\n\n"
-"Run the greedy merge schedule of a shard of n blocks.  length (float64,\n"
-"n) and rows (float64, n * p) are folded in place; w2 holds p float64\n"
-"squared weights, adjacent n - 1 bools, initial the n - 1 float64 pair\n"
-"keys and frontier the int64 positions of the finite ones in stable key\n"
-"order.  Writes the schedule into boundaries, keys, heads (n - 1 each)\n"
-"and out_rows ((n - 1) * p) and returns its number of steps.");
+"Run the greedy merge schedule of a shard of n >= 2 blocks.  starts,\n"
+"ends and groups are n int64 items (dense group ids), values the n * p\n"
+"float64 values row by row and w2 the p float64 squared weights.  Writes\n"
+"the schedule into boundaries, keys, heads (n - 1 int64 / float64 /\n"
+"int64 items) and out_rows ((n - 1) * p float64) and returns its number\n"
+"of steps.");
 
 static PyObject *
 repro_trajectory(PyObject *module, PyObject *args)
 {
-    enum { LENGTH, ROWS, W2, ADJACENT, INITIAL, FRONTIER,
-           BOUNDARIES, KEYS, HEADS, OUT_ROWS, N_BUFFERS };
+    enum { BOUNDARIES = N_INPUTS, KEYS, HEADS, OUT_ROWS, N_BUFFERS };
+    PyObject *obj[N_BUFFERS];
     Py_buffer buf[N_BUFFERS];
+    Columns c;
     Schedule s;
     Outcome outcome;
-    double *w2 = NULL;
     PyObject *result = NULL;
-    Py_ssize_t i, n, p;
+    Py_ssize_t n, p;
 
     memset(buf, 0, sizeof buf);
     memset(&s, 0, sizeof s);
-    if (!PyArg_ParseTuple(
-            args, "w*w*y*y*y*y*w*w*w*w*:trajectory", &buf[LENGTH],
-            &buf[ROWS], &buf[W2], &buf[ADJACENT], &buf[INITIAL],
-            &buf[FRONTIER], &buf[BOUNDARIES], &buf[KEYS], &buf[HEADS],
-            &buf[OUT_ROWS]))
+    if (!PyArg_ParseTuple(args, "OOOOOOOOO:trajectory", &obj[IN_STARTS],
+                          &obj[IN_ENDS], &obj[IN_GROUPS], &obj[IN_VALUES],
+                          &obj[IN_W2], &obj[BOUNDARIES], &obj[KEYS],
+                          &obj[HEADS], &obj[OUT_ROWS]))
         return NULL;
-    n = buf[LENGTH].len / (Py_ssize_t)sizeof(double);
-    p = n > 0 ? buf[ROWS].len / (Py_ssize_t)sizeof(double) / n : 0;
+    if (load_columns(obj, buf, &c) < 0)
+        goto done;
+    n = c.n;
+    p = c.p;
     if (n < 2) {
         PyErr_SetString(PyExc_ValueError, "a schedule needs two blocks");
         goto done;
     }
-    if (sized(&buf[LENGTH], n, sizeof(double), "length") < 0
-        || sized(&buf[ROWS], n * p, sizeof(double), "rows") < 0
-        || sized(&buf[ADJACENT], n - 1, 1, "adjacent") < 0
-        || sized(&buf[INITIAL], n - 1, sizeof(double), "initial") < 0
-        || sized(&buf[BOUNDARIES], n - 1, sizeof(long long), "boundaries") < 0
-        || sized(&buf[KEYS], n - 1, sizeof(double), "keys") < 0
-        || sized(&buf[HEADS], n - 1, sizeof(long long), "heads") < 0
-        || sized(&buf[OUT_ROWS], (n - 1) * p, sizeof(double), "out_rows") < 0)
+    if (typed(obj[BOUNDARIES], &buf[BOUNDARIES], PyBUF_WRITABLE, 'q', n - 1,
+              "boundaries") < 0
+        || typed(obj[KEYS], &buf[KEYS], PyBUF_WRITABLE, 'd', n - 1,
+                 "keys") < 0
+        || typed(obj[HEADS], &buf[HEADS], PyBUF_WRITABLE, 'q', n - 1,
+                 "heads") < 0
+        || typed(obj[OUT_ROWS], &buf[OUT_ROWS], PyBUF_WRITABLE, 'd',
+                 (n - 1) * p, "out_rows") < 0)
         goto done;
-    if (buf[W2].len < (Py_ssize_t)(p * sizeof(double))
-        || buf[FRONTIER].len % sizeof(long long) != 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "w2 or frontier has the wrong number of bytes");
-        goto done;
-    }
     s.n = n;
     s.p = p;
-    s.frontier_size = buf[FRONTIER].len / (Py_ssize_t)sizeof(long long);
-    s.frontier = buf[FRONTIER].buf;
-    for (i = 0; i < s.frontier_size; i++) {
-        if (s.frontier[i] < 0 || s.frontier[i] >= n - 1) {
-            PyErr_SetString(PyExc_ValueError, "frontier position out of range");
-            goto done;
-        }
-    }
-    /* The weights are copied: the caller's array is not held. */
-    w2 = PyMem_New(double, p > 0 ? p : 1);
+    s.c = &c;
+    s.length = PyMem_New(double, n);
+    s.row = PyMem_New(double, n * p > 0 ? n * p : 1);
+    s.frontier = PyMem_New(Pair, 2 * (n - 1));
     s.prev = PyMem_New(Py_ssize_t, n);
     s.next = PyMem_New(Py_ssize_t, n);
     s.stamp = PyMem_New(long long, n);
@@ -319,18 +336,13 @@ repro_trajectory(PyObject *module, PyObject *args)
     s.queued_key = PyMem_New(double, n);
     s.heap_cap = 2 * (n - 1);
     s.heap = PyMem_New(Entry, s.heap_cap);
-    if (w2 == NULL || s.prev == NULL || s.next == NULL || s.stamp == NULL
+    if (s.length == NULL || s.row == NULL || s.frontier == NULL
+        || s.prev == NULL || s.next == NULL || s.stamp == NULL
         || s.queued == NULL || s.key == NULL || s.queued_key == NULL
         || s.heap == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    memcpy(w2, buf[W2].buf, p * sizeof(double));
-    s.w2 = w2;
-    s.length = buf[LENGTH].buf;
-    s.row = buf[ROWS].buf;
-    s.adjacent = buf[ADJACENT].buf;
-    s.initial = buf[INITIAL].buf;
     s.boundaries = buf[BOUNDARIES].buf;
     s.keys = buf[KEYS].buf;
     s.heads = buf[HEADS].buf;
@@ -348,7 +360,9 @@ repro_trajectory(PyObject *module, PyObject *args)
     else
         result = PyLong_FromSsize_t(s.steps);
 done:
-    PyMem_Free(w2);
+    PyMem_Free(s.length);
+    PyMem_Free(s.row);
+    PyMem_Free(s.frontier);
     PyMem_Free(s.prev);
     PyMem_Free(s.next);
     PyMem_Free(s.stamp);
@@ -356,10 +370,7 @@ done:
     PyMem_Free(s.key);
     PyMem_Free(s.queued_key);
     PyMem_Free(s.heap);
-    for (i = 0; i < N_BUFFERS; i++) {
-        if (buf[i].obj != NULL)
-            PyBuffer_Release(&buf[i]);
-    }
+    release_buffers(buf, N_BUFFERS);
     return result;
 }
 

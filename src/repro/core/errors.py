@@ -296,9 +296,10 @@ def merge_key(
 
     ``Σ_d (w²_d · factor) · (diff_d · diff_d)`` with
     ``factor = l·r / (l + r)`` on float lengths, summed from ``0.0`` one
-    dimension at a time.  Every merge key is this function or its vector
-    form :func:`repro.core.kernels.pairwise_merge_keys`, which keeps the
-    same operation order, so both backends compute the same bits.
+    dimension at a time.  Every merge key is this function or its C
+    spelling in ``_merge.h``, which the compiled loops share and which
+    keeps the same operation order, so both backends compute the same
+    bits.
     """
     factor = left_length * right_length / (left_length + right_length)
     key = 0.0

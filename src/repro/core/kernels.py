@@ -23,11 +23,11 @@ provides drop-in array-backed counterparts selected with the
   snapshots the query index is built from;
 * :meth:`NumpyMergeHeap.stage_chunk` /
   :meth:`NumpyMergeHeap.activate_staged_all` — the batched *online*
-  insert path: a chunk's columns are bulk-written into reserved slots with
-  the raw pairwise merge keys precomputed vectorized, then made visible to
-  the merge policy one tuple at a time, so the online algorithms keep
-  their exact tuple-at-a-time semantics at amortised per-chunk cost.  The
-  activate-then-drain loop runs compiled (``_activate.c``, loaded by
+  insert path: a chunk's columns are bulk-written into reserved slots,
+  then made visible to the merge policy one tuple at a time, so the online
+  algorithms keep their exact tuple-at-a-time semantics at amortised
+  per-chunk cost.  The activate-then-drain loop, every key it needs
+  included, runs compiled (``_activate.c``, loaded by
   :mod:`repro.core.native`) over the same columns;
 * :func:`greedy_merge_trajectory` — the complete greedy merge schedule of an
   array-encoded segment shard (the boundary-removal order, the merge
@@ -36,10 +36,12 @@ provides drop-in array-backed counterparts selected with the
   sharded engine of :mod:`repro.parallel` and by the batch
   GMS helpers on the numpy backend.
 
-Every greedy merge key and merged row, on either backend, comes from
-:func:`repro.core.errors.merge_key` (vector form :func:`pairwise_merge_keys`)
-and :func:`repro.core.merge.merged_row`, so greedy results are bit-identical
-across backends (``tests/test_backend_identity.py``, ``tests/test_kernels.py``).
+Every greedy merge key and merged row comes from
+:func:`repro.core.errors.merge_key` and :func:`repro.core.merge.merged_row`
+on the python backend and from their C spelling in ``_merge.h``, in the
+same operation order, in the compiled loops, so greedy results are
+bit-identical across backends (``tests/test_backend_identity.py``,
+``tests/test_kernels.py``).
 """
 
 from __future__ import annotations
@@ -417,35 +419,6 @@ def adjacent_pair_mask(
     )
 
 
-def pairwise_merge_keys(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    values: np.ndarray,
-    groups: np.ndarray,
-    w2: Sequence[float],
-) -> np.ndarray:
-    """Merge error of every consecutive pair, ``inf`` where not adjacent.
-
-    The vector form of :func:`repro.core.errors.merge_key`: the same
-    ``(w²_d · factor) · (diff · diff)`` terms on float lengths, summed from
-    ``0.0`` one dimension at a time, so a key computed in batch carries the
-    same bits as the scalar key of the same pair.  Only the rows are
-    vectorized.
-    """
-    if len(starts) < 2:
-        return np.zeros(0, dtype=np.float64)
-    adjacent = adjacent_pair_mask(starts, ends, groups)
-    lengths = interval_lengths(starts, ends)
-    left_len = lengths[:-1]
-    right_len = lengths[1:]
-    factor = left_len * right_len / (left_len + right_len)
-    pair = np.zeros(len(factor), dtype=np.float64)
-    for d in range(values.shape[1]):
-        diff = values[:-1, d] - values[1:, d]
-        pair += (w2[d] * factor) * (diff * diff)
-    return np.where(adjacent, pair, math.inf)
-
-
 # ----------------------------------------------------------------------
 # Array-backed merge heap (Section 6.2.2)
 # ----------------------------------------------------------------------
@@ -453,10 +426,6 @@ def pairwise_merge_keys(
 #: heap never holds this many rows, so clamping changes no comparison.
 _CLAMP = 2**62
 _INT64 = range(-(2**63), 2**63)
-#: The staged key of a one-row chunk: the NaN sentinel, computed at
-#: activation against the live tail.
-_NAN_KEY = np.full(1, math.nan)
-_NAN_KEY.flags.writeable = False
 
 
 def _clamped(size: Optional[int]) -> int:
@@ -488,11 +457,9 @@ class NumpyMergeHeap:
     is dominated by single-element reads and writes, where list indexing is
     several times faster than NumPy scalar indexing, and at the typical
     ``p ≤ 16`` even the per-row value arithmetic is faster as a scalar loop
-    than as NumPy row expressions (measured ~3× at ``p = 10``).  Bulk
-    operations (batch key computation, staged chunks) still run vectorized
-    on the incoming columns, with the dimension sums
-    accumulated sequentially so batch keys stay bit-identical to scalar
-    keys.
+    than as NumPy row expressions (measured ~3× at ``p = 10``).  Staging
+    a chunk still casts and checks the incoming columns vectorized; every
+    key is computed by the compiled loop.
 
     The priority queue is a :mod:`heapq` binary heap of
     ``(key, counter, index, version)`` entries; stale entries are skipped
@@ -533,9 +500,7 @@ class NumpyMergeHeap:
         self._next_node_id = 1
         self._group_ids: Dict[tuple, int] = {}
         self._group_keys: List[tuple] = []
-        self._staged_base = 0
         self._staged_end = 0
-        self._staged_keys: np.ndarray | None = None
         self._values: List[Sequence[float]] = []
         #: Interval lengths as floats, ``float(end - start + 1)``
         #: (:func:`interval_lengths`), maintained alongside the endpoints so
@@ -624,9 +589,7 @@ class NumpyMergeHeap:
         # Compaction only runs with no staged tuples pending, but the stale
         # staging marker from an earlier fully-consumed chunk must follow
         # the renumbered rows or the pending check would misfire forever.
-        self._staged_base = count
         self._staged_end = count
-        self._staged_keys = None
 
     def _grow(self, needed: int) -> None:
         # The columns are plain lists, so growing is just raising the
@@ -662,12 +625,9 @@ class NumpyMergeHeap:
         The chunk is staged from its :class:`EncodedSegments` columns (a
         segment sequence is encoded once on entry): endpoints, values,
         interned groups and node ids are written into reserved slots in one
-        pass, and the raw pairwise merge keys *within* the chunk are
-        precomputed vectorized.  :meth:`activate_staged_all` then makes the
-        tuples visible, reusing a precomputed key whenever the tuple's
-        chronological predecessor is still the untouched raw tuple staged
-        right before it, so the observable heap state is identical to
-        staging and activating the tuples one by one
+        pass.  :meth:`activate_staged_all` then makes the tuples visible,
+        keying each against the live tail, so the observable heap state is
+        identical to staging and activating the tuples one by one
         (:meth:`stage_segment`).
 
         Rows are stored as float values and int64 endpoints, the rows the
@@ -711,18 +671,7 @@ class NumpyMergeHeap:
         self._alive.extend([False] * count)
         self._key.extend([math.inf] * count)
         self._version.extend([0] * count)
-
-        # Raw pairwise keys: key of staged tuple t against staged tuple t-1.
-        # The first tuple's predecessor is whatever the live tail is at
-        # activation time, so its key is always recomputed (NaN sentinel).
-        keys = np.full(count, np.nan)
-        if count > 1:
-            keys[1:] = pairwise_merge_keys(
-                starts, ends, values, groups, self._w2
-            )
-        self._staged_base = base
         self._staged_end = base + count
-        self._staged_keys = keys
         return count
 
     def stage_segment(self, segment: AggregateSegment) -> None:
@@ -734,8 +683,7 @@ class NumpyMergeHeap:
         endpoints.  An endpoint outside int64 raises what
         :func:`encode_segments` raises for it, and a value width other
         than the heap's raises :class:`ValueWidthError`, before anything
-        is written.  The row's activation key is the NaN sentinel: the
-        compiled loop computes it against the live tail.
+        is written.
         """
         self._check_no_staged()
         interval = segment.interval
@@ -752,7 +700,6 @@ class NumpyMergeHeap:
                 f"{self._dimensions}"
             )
         self._ensure_capacity(1)
-        index = self._count
         self._start.append(start)
         self._end.append(end)
         self._length.append(float(end - start + 1))
@@ -765,9 +712,7 @@ class NumpyMergeHeap:
         self._alive.append(False)
         self._key.append(math.inf)
         self._version.append(0)
-        self._staged_base = index
-        self._staged_end = index + 1
-        self._staged_keys = _NAN_KEY
+        self._staged_end = self._count + 1
 
     def _intern_groups(self, encoded: EncodedSegments) -> np.ndarray:
         """Heap group ids of every row, interned in order of appearance."""
@@ -812,9 +757,8 @@ class NumpyMergeHeap:
         state, the gap bookkeeping and the accumulated error are
         bit-identical to the python backend's (asserted by the session,
         kernel and backend-identity suites), and to staging the same
-        tuples in other chunkings.  A tuple reuses its staged key while
-        its predecessor is still the raw tuple staged right before it;
-        otherwise the key is recomputed against the live tail.
+        tuples in other chunkings.  Each tuple's key is computed against
+        the live tail when it is activated.
 
         Returns the updated ``(last_gap_id, before_gap, after_gap,
         total_error, merges)`` bookkeeping.  When ``log`` is given, every
@@ -828,7 +772,6 @@ class NumpyMergeHeap:
         stop = self._staged_end
         if first >= stop:
             return last_gap_id, before_gap, after_gap, total_error, merges
-        assert self._staged_keys is not None
         delta_is_inf = delta == math.inf
         # Any read-ahead longer than the heap fails, any negative one
         # passes: clamping keeps both outcomes inside int64.
@@ -837,11 +780,11 @@ class NumpyMergeHeap:
             counter, live, max_size, head, tail,
             last_gap_id, before_gap, after_gap, total_error, merges,
         ) = _native.KERNEL.activate(
-            self._columns(), self._entries, self._w2, self._staged_keys,
-            first, stop, self._staged_base, self._entry_counter, self._size,
-            self.max_size, self._head, self._tail, size is not None,
-            _clamped(size), step_threshold, delta_is_inf, read_ahead, False,
-            math.inf, last_gap_id, before_gap, after_gap, total_error, merges,
+            self._columns(), self._entries, self._w2, first, stop,
+            self._entry_counter, self._size, self.max_size, self._head,
+            self._tail, size is not None, _clamped(size), step_threshold,
+            delta_is_inf, read_ahead, False, math.inf, last_gap_id,
+            before_gap, after_gap, total_error, merges,
             None if log is None else tuple(
                 getattr(log, column) for column in DeltaLog.__slots__
             ),
@@ -872,8 +815,8 @@ class NumpyMergeHeap:
         (
             counter, live, max_size, head, tail, _, _, _, total_error, merges,
         ) = _native.KERNEL.activate(
-            self._columns(), self._entries, self._w2, _NAN_KEY, first, first,
-            first, self._entry_counter, self._size, self.max_size,
+            self._columns(), self._entries, self._w2, first, first,
+            self._entry_counter, self._size, self.max_size,
             self._head, self._tail, size is not None, _clamped(size), 0.0,
             True, 0, True, math.inf if budget is None else budget, 0, 0, 0,
             total_error, merges, None,
@@ -983,7 +926,6 @@ class NumpyMergeHeap:
         other._next_node_id = self._next_node_id
         other._group_ids = dict(self._group_ids)
         other._group_keys = list(self._group_keys)
-        other._staged_base = self._staged_base
         other._staged_end = self._staged_end
         # Rows are immutable by convention (rebound on merge, never
         # mutated), so a shallow column copy suffices.
@@ -1503,21 +1445,22 @@ def greedy_merge_trajectory(
     k-way merge over the shard frontiers.
 
     Each node is a contiguous block of original positions carrying its
-    float length and merged row, exactly like a heap node: the initial keys
-    come from :func:`pairwise_merge_keys`, every merge computes the
-    surviving row with :func:`repro.core.merge.merged_row` and every key
-    refresh is :func:`repro.core.errors.merge_key`.  The schedule is
-    therefore the python :class:`~repro.core.heap.MergeHeap`'s, bit for
-    bit, also on values far from zero.
+    float length and merged row, exactly like a heap node: every key, the
+    initial ones included, is :func:`repro.core.errors.merge_key` and every
+    merge computes the surviving row with
+    :func:`repro.core.merge.merged_row`, both in their C spelling
+    (``_merge.h``).  The schedule is therefore the python
+    :class:`~repro.core.heap.MergeHeap`'s, bit for bit, also on values far
+    from zero.
 
     **The queue.**  Every entry is ordered by ``(key, counter)``: the
     initial keys take counters in position order, and each refresh takes
     the next counter, so exact ties go to the older entry.  Two sources
     feed the queue:
 
-    * the *initial frontier* — all finite initial keys, consumed in the
-      order of one stable ``argsort``, which is exactly their
-      ``(key, counter)`` order;
+    * the *initial frontier* — all finite initial keys, consumed in
+      ``(key, position)`` order, which is exactly their ``(key, counter)``
+      order;
     * a :mod:`heapq` of refreshed keys only.  A refreshed counter is
       larger than every initial one, so on an exact key tie the initial
       entry is taken first.
@@ -1541,11 +1484,12 @@ def greedy_merge_trajectory(
     ``n`` segment objects.
 
     **The loop.**  The schedule runs in C (``KERNEL.trajectory``, loaded
-    by :mod:`repro.core.native`) over typed buffers, with the interpreter
-    lock released; ``tests/oracles.py`` holds its Python reference.
-    Lengths and rows reach the kernel as fresh C-contiguous ``float64``
-    arrays, since it folds them in place; the output columns are sized for
-    the most steps a shard can take, ``n - 1``, and cut to the steps taken.
+    by :mod:`repro.core.native`) over the shard's columns, cast to
+    C-contiguous ``int64`` / ``float64``, with the interpreter lock
+    released; it computes the lengths, the adjacency, the initial keys and
+    the frontier itself.  ``tests/oracles.py`` holds its Python reference.
+    The output columns are sized for the most steps a shard can take,
+    ``n - 1``, and cut to the steps taken.
 
     >>> starts = np.arange(4)
     >>> boundaries, keys, heads, rows = greedy_merge_trajectory(
@@ -1568,18 +1512,16 @@ def greedy_merge_trajectory(
     p = values.shape[1]
     if n < 2:
         return _no_steps(p)
-    adjacent, initial, order = _frontier(starts, ends, values, groups, w2)
-    length = interval_lengths(starts, ends)
-    rows = np.array(values, dtype=np.float64, order="C")
     boundaries = np.empty(n - 1, np.int64)
     keys = np.empty(n - 1, np.float64)
     heads = np.empty(n - 1, np.int64)
     merged = np.empty((n - 1) * p, np.float64)
     steps = _native.KERNEL.trajectory(
-        length, rows, np.ascontiguousarray(w2, dtype=np.float64)[:p],
-        np.ascontiguousarray(adjacent, dtype=np.bool_),
-        np.ascontiguousarray(initial, dtype=np.float64),
-        np.ascontiguousarray(order, dtype=np.int64),
+        np.ascontiguousarray(starts, dtype=np.int64),
+        np.ascontiguousarray(ends, dtype=np.int64),
+        np.ascontiguousarray(groups, dtype=np.int64),
+        np.ascontiguousarray(values, dtype=np.float64),
+        np.ascontiguousarray(w2, dtype=np.float64)[:p],
         boundaries, keys, heads, merged,
     )
     return (
@@ -1593,21 +1535,6 @@ def _no_steps(p: int) -> Trajectory:
         np.zeros(0, np.int64), np.zeros(0, np.float64),
         np.zeros(0, np.int64), np.zeros((0, p), np.float64),
     )
-
-
-def _frontier(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    values: np.ndarray,
-    groups: np.ndarray,
-    w2: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adjacency and initial key of every consecutive pair, and the pair
-    positions of the finite keys in ``(key, position)`` order."""
-    adjacent = adjacent_pair_mask(starts, ends, groups)
-    initial = pairwise_merge_keys(starts, ends, values, groups, w2)
-    order = np.argsort(initial, kind="stable")
-    return adjacent, initial, order[: int(np.count_nonzero(initial < math.inf))]
 
 
 # ----------------------------------------------------------------------
@@ -1701,7 +1628,6 @@ __all__ = [
     "greedy_merge_trajectory",
     "instant_index",
     "interval_lengths",
-    "pairwise_merge_keys",
     "range_weighted_sum",
     "require_finite",
     "time_weighted_prefix",

@@ -1,5 +1,6 @@
 """Build-once loader of the compiled loops (``_activate.c``,
-``_trajectory.c``, ``_dp.c``, ``_sse.c``).
+``_trajectory.c``, ``_dp.c``, ``_sse.c``) and the header they share
+(``_merge.h``).
 
 Four loops of the paper's algorithms run in C, and only in C:
 
@@ -15,16 +16,20 @@ Four loops of the paper's algorithms run in C, and only in C:
   :class:`repro.core.greedy.OnlineReducer` (``KERNEL.sse_fold``) and
   :func:`repro.core.errors.max_error` (``KERNEL.sse_max``).
 
-Their Python references live in ``tests/oracles.py``; the parity suites
-(``tests/test_native_kernel.py``, ``tests/test_native_trajectory.py``,
-``tests/test_native_dp.py``, ``tests/test_native_sse.py``) hold each loop
-to its oracle bit for bit.
+All four take the merge rule of Proposition 2 from ``_merge.h``: a
+tuple's float length, the adjacency rule, the merge key and the merged
+row, in the operation order of :func:`repro.core.errors.merge_key` and
+:func:`repro.core.merge.merged_row`, plus the typed-buffer check and the
+columns loader.  Their Python references live in ``tests/oracles.py``;
+the parity suites (``tests/test_native_kernel.py``,
+``tests/test_native_trajectory.py``, ``tests/test_native_dp.py``,
+``tests/test_native_sse.py``) hold each loop to its oracle bit for bit.
 
 The C files build into one extension module, the first time this module
 is imported, with ``sysconfig``'s C compiler and include path, and cached
 in the package's ``__pycache__`` under a name keyed by a checksum of all
-of the C source, the flags and ``EXT_SUFFIX``; every later import loads
-the cached file.  The build writes a temporary file and moves it into
+of the C source and headers, the flags and ``EXT_SUFFIX``; every later
+import loads the cached file.  The build writes a temporary file and moves it into
 place with ``os.replace``, so concurrent importers never load a
 half-written module and one file results.  No compiler, a failed build,
 an unwritable cache or a failed load makes importing this module raise
@@ -50,6 +55,8 @@ SOURCES = tuple(
     Path(__file__).with_name(name)
     for name in ("_activate.c", "_trajectory.c", "_dp.c", "_sse.c")
 )
+#: The headers the C files include, hashed with them into the build's name.
+HEADERS = (Path(__file__).with_name("_merge.h"),)
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 #: No ``-ffast-math``, and no contraction to fused multiply-adds (gcc's
 #: default): either changes the bits of a merge key or a run error.
@@ -66,8 +73,8 @@ def compiler() -> Optional[List[str]]:
 
 
 def cached_path(source: bytes, cache_dir: Path) -> Path:
-    """The build's name: a checksum of all C source, the flags and the
-    suffix.
+    """The build's name: a checksum of all C source and headers, the flags
+    and the suffix.
 
     CRC-32 and Adler-32 rather than ``hashlib``, whose OpenSSL import adds
     about 3 MB of resident memory to every process that loads the kernel.
@@ -149,7 +156,8 @@ def load(
     """
     try:
         target = cached_path(
-            b"\0".join(source.read_bytes() for source in SOURCES), cache_dir
+            b"\0".join(path.read_bytes() for path in SOURCES + HEADERS),
+            cache_dir,
         )
     except OSError as error:
         return None, f"no C source: {error}"

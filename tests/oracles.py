@@ -9,7 +9,9 @@ the oracle the parity suites hold the kernel to, bit for bit:
   end-of-input phase) over a heap's own columns
   (``tests/test_native_kernel.py``);
 * :func:`trajectory` — :func:`repro.core.kernels.greedy_merge_trajectory`
-  (``tests/test_native_trajectory.py``);
+  (``tests/test_native_trajectory.py``), with its NumPy prologue
+  (:func:`pairwise_merge_keys` and :func:`frontier`: the initial keys and
+  their stable order, which the C loop computes itself);
 * :func:`dp_fill_next_row` — one row of the exact DP's error matrix on the
   numpy backend, one :func:`best_split` per cell
   (``tests/test_native_dp.py``);
@@ -38,9 +40,9 @@ from repro.core.kernels import (
     NumpyMergeHeap,
     NumpyPrefixSums,
     Trajectory,
-    _frontier,
     _no_steps,
     _weighted_sum,
+    adjacent_pair_mask,
     interval_lengths,
 )
 from repro.core.merge import AggregateSegment, adjacent, maximal_runs, merged_row
@@ -75,8 +77,6 @@ def activate(
     stop = heap._staged_end
     if first >= stop and not end_of_input:
         return last_gap_id, before_gap, after_gap, total_error, merges
-    offset = heap._staged_base
-    skeys = heap._staged_keys.tolist() if first < stop else []
 
     # Local aliases of every column touched by the hot loop.
     start = heap._start
@@ -266,21 +266,18 @@ def activate(
         live += 1
         if live > max_size:
             max_size = live
-        activation_key = skeys[index - offset]
-        if activation_key != activation_key or previous != index - 1:
-            # NaN sentinel, or the staged predecessor was disturbed by
-            # a merge: recompute against the live tail.
-            if (
-                previous >= 0
-                and group[previous] == group[index]
-                and end[previous] + 1 == start[index]
-            ):
-                activation_key = merge_key(
-                    length[previous], length[index], values[previous],
-                    values[index], w2,
-                )
-            else:
-                activation_key = inf
+        # The key against the live tail.
+        if (
+            previous >= 0
+            and group[previous] == group[index]
+            and end[previous] + 1 == start[index]
+        ):
+            activation_key = merge_key(
+                length[previous], length[index], values[previous],
+                values[index], w2,
+            )
+        else:
+            activation_key = inf
         key[index] = activation_key
         if activation_key != inf:
             counter += 1
@@ -310,6 +307,51 @@ def activate(
 # ----------------------------------------------------------------------
 # The sharded engine's merge schedule (_trajectory.c)
 # ----------------------------------------------------------------------
+def pairwise_merge_keys(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    values: np.ndarray,
+    groups: np.ndarray,
+    w2: Sequence[float],
+) -> np.ndarray:
+    """Merge error of every consecutive pair, ``inf`` where not adjacent.
+
+    The vector form of :func:`repro.core.errors.merge_key`: the same
+    ``(w²_d · factor) · (diff · diff)`` terms on float lengths, summed from
+    ``0.0`` one dimension at a time, so a key computed in batch carries the
+    same bits as the scalar key of the same pair.  Only the rows are
+    vectorized.
+    """
+    if len(starts) < 2:
+        return np.zeros(0, dtype=np.float64)
+    adjacent = adjacent_pair_mask(starts, ends, groups)
+    lengths = interval_lengths(starts, ends)
+    left_len = lengths[:-1]
+    right_len = lengths[1:]
+    factor = left_len * right_len / (left_len + right_len)
+    pair = np.zeros(len(factor), dtype=np.float64)
+    for d in range(values.shape[1]):
+        diff = values[:-1, d] - values[1:, d]
+        pair += (w2[d] * factor) * (diff * diff)
+    return np.where(adjacent, pair, math.inf)
+
+
+def frontier(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    values: np.ndarray,
+    groups: np.ndarray,
+    w2: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacency and initial key of every consecutive pair, and the pair
+    positions of the finite keys in ``(key, position)`` order: the
+    prefix of one stable ``argsort``, so NaN and inf keys stay out."""
+    adjacent = adjacent_pair_mask(starts, ends, groups)
+    initial = pairwise_merge_keys(starts, ends, values, groups, w2)
+    order = np.argsort(initial, kind="stable")
+    return adjacent, initial, order[: int(np.count_nonzero(initial < math.inf))]
+
+
 def trajectory(
     starts: np.ndarray,
     ends: np.ndarray,
@@ -317,12 +359,17 @@ def trajectory(
     groups: np.ndarray,
     w2: np.ndarray,
 ) -> Trajectory:
-    """:func:`~repro.core.kernels.greedy_merge_trajectory` in Python."""
+    """:func:`~repro.core.kernels.greedy_merge_trajectory` in Python,
+    on the columns cast as the product casts them."""
+    starts, ends, groups = (
+        np.asarray(column, dtype=np.int64) for column in (starts, ends, groups)
+    )
+    values = np.asarray(values, dtype=np.float64)
     n = len(starts)
     p = values.shape[1]
     if n < 2:
         return _no_steps(p)
-    adjacent, initial, order = _frontier(starts, ends, values, groups, w2)
+    adjacent, initial, order = frontier(starts, ends, values, groups, w2)
     frontier_keys = initial[order].tolist()
     frontier_nodes = (order + 1).tolist()
 

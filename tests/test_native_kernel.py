@@ -33,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from repro.core import native
+from repro.core.errors import squared_weights
 from repro.core.greedy import OnlineReducer
 from repro.core.kernels import (
     DeltaLog, EncodedSegments, NumpyMergeHeap, encode_segments,
@@ -51,7 +52,7 @@ COLUMNS = (
 )
 SCALARS = (
     "_count", "_size", "max_size", "_head", "_tail", "_entry_counter",
-    "_staged_base", "_staged_end",
+    "_staged_end",
 )
 
 
@@ -172,9 +173,11 @@ def test_compiled_loop_leaves_the_oracles_state(case, policy, logged):
                      offset=offset, magnitude=magnitude, ties=ties)
     step_threshold = 0.0
     if quantile is not None:
-        probe = NumpyMergeHeap(weights)
-        probe.stage_chunk(encoded)
-        keys = probe._staged_keys[np.isfinite(probe._staged_keys)]
+        keys = oracles.pairwise_merge_keys(
+            encoded.starts, encoded.ends, encoded.values, encoded.groups,
+            squared_weights(weights, width),
+        )
+        keys = keys[np.isfinite(keys)]
         step_threshold = float(np.quantile(keys, quantile)) if len(keys) else 0.0
     bounds = np.cumsum(rng.integers(1, 90, 40))
     chunks = [encoded[a:b] for a, b in zip([0, *bounds], bounds) if a < b]
@@ -338,11 +341,10 @@ def test_tie_fallback_leaves_the_oracles_state(name):
 
 
 def single_push_state(reducer: OnlineReducer) -> dict:
-    """:func:`reducer_state` without the staging markers, which name the
-    last staged chunk."""
+    """:func:`reducer_state` without the staging marker, which names the
+    end of the last staged chunk."""
     state = reducer_state(reducer)
-    for marker in ("_staged_base", "_staged_end"):
-        del state[marker]
+    del state["_staged_end"]
     return state
 
 
@@ -523,6 +525,47 @@ def test_an_unwritable_cache_is_a_reason(tmp_path):
     module, reason = native.load(cache_dir=blocker / "cache",
                                  command=["true"])
     assert module is None and reason.startswith("unwritable cache")
+
+
+def test_the_build_checksum_covers_every_c_file_and_header(tmp_path,
+                                                          monkeypatch):
+    """The bytes the loader hashes into the build's name include every
+    ``*.c`` and ``*.h`` of the package, so an edit to any of them builds
+    afresh instead of loading a stale module."""
+    read = []
+    read_bytes = Path.read_bytes
+
+    def spy(path):
+        read.append(path.resolve())
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", spy)
+    module, reason = native.load(cache_dir=tmp_path, command=["false"])
+    assert module is None and reason.startswith("build failed")
+    core = Path(native.__file__).resolve().parent
+    files = {*core.glob("*.c"), *core.glob("*.h")}
+    assert files and files <= set(read)
+
+
+def test_a_built_package_ships_every_file_the_loader_reads(tmp_path):
+    """``setup.py build_py`` of a copy of the project (never of the
+    checkout: it writes ``src/*.egg-info``) puts every C file and header
+    the loader reads into the built package."""
+    root = Path(native.__file__).resolve().parents[3]
+    for name in ("pyproject.toml", "setup.py"):
+        shutil.copy(root / name, tmp_path / name)
+    shutil.copytree(root / "src", tmp_path / "src", ignore=shutil.ignore_patterns(
+        "__pycache__", "*.egg-info"))
+    built = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_py"], cwd=tmp_path,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        timeout=120,
+    )
+    assert built.returncode == 0, built.stdout
+    package = tmp_path / "build" / "lib" / "repro" / "core"
+    missing = [path.name for path in (*native.SOURCES, *native.HEADERS)
+               if not (package / path.name).is_file()]
+    assert missing == []
 
 
 # ----------------------------------------------------------------------

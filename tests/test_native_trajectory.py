@@ -2,10 +2,12 @@
 
 :func:`repro.core.kernels.greedy_merge_trajectory` runs ``_trajectory.c``,
 its only product path; :func:`oracles.trajectory` is the Python loop it
-was written from.  The parity property calls both on drawn shards and
-requires the same dtype, shape and bytes in all four output columns,
-also where keys overflow to ``inf`` and ``NaN``.  The remaining tests
-cover errors, the buffer checks and the GIL.
+was written from, with the NumPy prologue (initial keys and their stable
+order) that the C loop computes itself.  The parity properties call both
+on drawn shards and require the same dtype, shape and bytes in all four
+output columns, also where keys overflow to ``inf`` and ``NaN``, where
+ends reach the largest int64 and where initial keys tie exactly.  The
+remaining tests cover errors, the buffer checks and the GIL.
 """
 
 from __future__ import annotations
@@ -91,6 +93,86 @@ def test_the_draws_reach_inf_and_nan_keys():
     assert seen == {"inf", "nan"}
 
 
+INT64_MAX = 2**63 - 1
+
+
+def edge_draw(seed: int):
+    """Shards at the frontier's edges, five kinds by ``seed % 5``: NaN
+    initial keys (a zero weight times a ``diff * diff`` that overflows),
+    inf keys (magnitudes near 1e300), offsets of 1e8, every group's last
+    end at ``2**63 - 1`` (with a wrapped successor and full-span blocks),
+    and exact key ties; each over up to 40 groups."""
+    rng = np.random.default_rng(seed)
+    kind = seed % 5
+    width = int(rng.choice([1, 2, 3]))
+    starts, ends, values, groups, w2 = shard(
+        rng,
+        count=int(rng.integers(2, 301)),
+        width=width,
+        groups=int(rng.integers(1, 41)),
+        offset=1e8 if kind == 2 else 0.0,
+        magnitude=float(rng.choice([1e299, 1e300])) if kind in (0, 1) else 1.0,
+        ties=kind == 4,
+        weighted=kind != 4,
+    )
+    if kind == 0:
+        w2[int(rng.integers(0, width))] = 0.0
+    if kind == 3:
+        # Shift each group so that its last block ends at the largest
+        # int64; then let a block ending there be followed, in its group,
+        # by one at the smallest int64, and some blocks span everything.
+        for group in np.unique(groups):
+            rows = groups == group
+            shift = INT64_MAX - int(ends[rows].max())
+            starts[rows] += shift
+            ends[rows] += shift
+        last = np.flatnonzero(ends == INT64_MAX)
+        if len(last) and last[0] + 1 < len(starts):
+            wrapped = last[0] + 1
+            groups[wrapped] = groups[last[0]]
+            starts[wrapped] = -(2**63)
+        full = rng.random(len(starts)) < 0.05
+        starts[full], ends[full] = -(2**63), INT64_MAX
+    if kind == 4:
+        # Unit blocks with small integer values: many equal keys.
+        ends = starts.copy()
+        values = rng.integers(0, 3, values.shape).astype(np.float64)
+    return starts, ends, values, groups, w2
+
+
+@pytest.mark.parametrize("block", range(5))
+def test_the_frontier_meets_nan_inf_int64_ends_and_ties(block):
+    """250 edge shards: the C frontier (keys, adjacency and the stable
+    order of the finite keys) against the oracle's NumPy prologue, bit
+    for bit in every output column."""
+    for seed in range(block * 50, block * 50 + 50):
+        assert_same(*both(*edge_draw(seed)))
+
+
+def test_the_edge_draws_reach_every_edge():
+    """The edge draws hold NaN and inf initial keys, ends at the largest
+    int64 followed in their group by a wrapped start, full-span blocks,
+    and exactly equal finite initial keys."""
+    seen = set()
+    for seed in range(250):
+        starts, ends, values, groups, w2 = edge_draw(seed)
+        with np.errstate(all="ignore"):
+            keys = oracles.pairwise_merge_keys(starts, ends, values, groups,
+                                               w2)
+        finite = keys[np.isfinite(keys)]
+        seen.update(("nan",) if np.isnan(keys).any() else ())
+        seen.update(("inf",) if np.isinf(keys).any() else ())
+        seen.update(("tie",) if len(np.unique(finite)) < len(finite) else ())
+        seen.update(("full",) if ((starts == -(2**63))
+                                  & (ends == INT64_MAX)).any() else ())
+        at_max = np.flatnonzero(ends[:-1] == INT64_MAX)
+        seen.update(("wrap",) if (
+            (groups[at_max] == groups[at_max + 1])
+            & (starts[at_max + 1] == -(2**63))
+        ).any() else ())
+    assert seen == {"nan", "inf", "tie", "full", "wrap"}
+
+
 @pytest.mark.parametrize("count", [0, 1, 2, 3])
 def test_tiny_shards(count):
     starts = np.arange(count, dtype=np.int64)
@@ -114,15 +196,18 @@ def test_shards_without_merges_and_other_dtypes():
                       values.astype(np.float32), groups, [1.0, 2.0]))
 
 
-def test_a_zero_length_sum_raises_in_both_loops():
-    """A block of length -1 next to one of length 1: their merged row
-    divides by zero, in Python and in C alike."""
+def test_a_reversed_block_raises_in_both_loops():
+    """A block of length -1 next to one of length 1: the compiled loop's
+    columns loader refuses the reversed block before any arithmetic, and
+    the oracle's merged row divides by zero."""
     starts = np.array([0, 1, 5], dtype=np.int64)
     ends = np.array([0, -1, 5], dtype=np.int64)
     values = np.array([[1.0], [2.0], [3.0]])
-    for loop in (greedy_merge_trajectory, oracles.trajectory):
-        with np.errstate(all="ignore"), pytest.raises(ZeroDivisionError):
-            loop(starts, ends, values, np.zeros(3, np.int64), np.ones(1))
+    args = (starts, ends, values, np.zeros(3, np.int64), np.ones(1))
+    with pytest.raises(ValueError, match="row 1 ends at -1 before"):
+        greedy_merge_trajectory(*args)
+    with np.errstate(all="ignore"), pytest.raises(ZeroDivisionError):
+        oracles.trajectory(*args)
 
 
 def test_the_schedule_runs_the_compiled_loop(monkeypatch):
@@ -139,29 +224,39 @@ def test_the_schedule_runs_the_compiled_loop(monkeypatch):
     starts, ends, values, groups, w2 = draw(7)
     assert_same(greedy_merge_trajectory(starts, ends, values, groups, w2),
                 oracles.trajectory(starts, ends, values, groups, w2))
-    assert calls == [10]
+    assert calls == [9]
 
 
 def test_the_kernel_checks_its_buffers():
     kernel = native.KERNEL
-    length = np.ones(3)
-    rows = np.zeros(3)
-    args = [length, rows, np.ones(1), np.ones(2, np.bool_), np.zeros(2),
-            np.array([0, 1], np.int64), np.empty(2, np.int64), np.empty(2),
+    starts = np.arange(3, dtype=np.int64)
+    args = [starts, starts.copy(), np.zeros(3, np.int64), np.zeros(3),
+            np.ones(1), np.empty(2, np.int64), np.empty(2),
             np.empty(2, np.int64), np.empty(2)]
     assert kernel.trajectory(*args) == 2
     bad = list(args)
-    bad[5] = np.array([0, 2], np.int64)  # a pair position past the end
+    bad[1] = np.array([0, 0, 1], np.int64)  # a block ending before it starts
     with pytest.raises(ValueError):
         kernel.trajectory(*bad)
     bad = list(args)
-    bad[6] = np.empty(1, np.int64)  # too short for n - 1 steps
+    bad[5] = np.empty(1, np.int64)  # too short for n - 1 steps
     with pytest.raises(ValueError):
         kernel.trajectory(*bad)
     bad = list(args)
-    bad[2] = np.ones(0)  # fewer weights than dimensions
+    bad[4] = np.ones(0)  # fewer weights than dimensions
     with pytest.raises(ValueError):
         kernel.trajectory(*bad)
+    bad = list(args)
+    bad[:3] = [starts[:1], starts[:1], np.zeros(1, np.int64)]
+    bad[3] = np.zeros(1)  # one block: no schedule
+    with pytest.raises(ValueError):
+        kernel.trajectory(*bad)
+    for position, wrong in ((3, np.zeros(3, np.float32)),
+                            (2, np.zeros(3, np.int32))):
+        bad = list(args)
+        bad[position] = wrong  # float32 values, int32 groups
+        with pytest.raises(TypeError):
+            kernel.trajectory(*bad)
 
 
 # ----------------------------------------------------------------------
