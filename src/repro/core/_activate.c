@@ -9,7 +9,7 @@
  * gap rules off).  Its Python reference is tests/oracles.py's activate.
  * It runs over the heap's Python objects: the heap's list columns, its
  * heapq entry list of (key, counter, index, version) tuples and, when
- * given, the twelve lists of a DeltaLog.  Every activation key, merge
+ * given, the eight lists of a DeltaLog.  Every activation key, merge
  * key, merged row and adjacency test is _merge.h's, computed on a row's
  * floats read into a per-call scratch; branches and the heapq sift
  * algorithm are those of the Python reference, so both leave the same
@@ -43,9 +43,8 @@ static const char *column_names[N_COLUMNS] = {
 
 enum {
     L_INSERT_IDS, L_INSERT_STARTS, L_INSERT_ENDS, L_INSERT_GROUPS,
-    L_INSERT_VALUES, L_INSERT_KEYS, L_MERGE_ABSORBED, L_MERGE_SURVIVORS,
-    L_MERGE_VALUES, L_MERGE_SURVIVOR_KEYS, L_MERGE_SUCCESSORS,
-    L_MERGE_SUCCESSOR_KEYS, N_LOG
+    L_INSERT_VALUES, L_MERGE_ABSORBED, L_MERGE_SURVIVORS, L_MERGE_VALUES,
+    N_LOG
 };
 
 typedef struct {
@@ -58,7 +57,6 @@ typedef struct {
 } Heap;
 
 static PyObject *inf_obj;       /* the key of a tuple with no adjacent predecessor */
-static PyObject *minus_one_obj; /* the successor id of a merge at the tail */
 
 /* ------------------------------------------------------------------ */
 /* Checked column access                                               */
@@ -282,14 +280,18 @@ pair_key(Heap *h, Py_ssize_t left, Py_ssize_t right, double *key)
     return PyFloat_FromDouble(*key);
 }
 
-/* The merged row of (left, right) as a new list, and its length. */
+/* The merged row of (left, right) as a new list, and its length: the
+ * span_length of the merged interval, as the python heap takes it. */
 static PyObject *
 merge_rows(Heap *h, Py_ssize_t left, Py_ssize_t right, double *length)
 {
     double left_length, right_length;
+    long long start, end;
     PyObject *row, *value;
     Py_ssize_t d;
-    if (read_pair(h, left, right, &left_length, &right_length) < 0)
+    if (read_pair(h, left, right, &left_length, &right_length) < 0
+        || read_i64(h, C_START, left, &start) < 0
+        || read_i64(h, C_END, right, &end) < 0)
         return NULL;
     if (merged_row(left_length, right_length, h->scratch, h->scratch + h->p,
                    h->p, h->scratch) < 0) {
@@ -307,7 +309,7 @@ merge_rows(Heap *h, Py_ssize_t left, Py_ssize_t right, double *length)
         }
         PyList_SET_ITEM(row, d, value);
     }
-    *length = left_length + right_length;
+    *length = span_length(start, end);
     return row;
 }
 
@@ -491,7 +493,7 @@ log_append(Heap *h, int column, PyObject *value)
 }
 
 static int
-record_insert(Heap *h, Py_ssize_t index, PyObject *key)
+record_insert(Heap *h, Py_ssize_t index)
 {
     long long group;
     PyObject *group_key;
@@ -506,30 +508,18 @@ record_insert(Heap *h, Py_ssize_t index, PyObject *key)
         || log_append(h, L_INSERT_STARTS, item(h, C_START, index)) < 0
         || log_append(h, L_INSERT_ENDS, item(h, C_END, index)) < 0
         || log_append(h, L_INSERT_GROUPS, group_key) < 0
-        || log_append(h, L_INSERT_VALUES, item(h, C_VALUES, index)) < 0
-        || log_append(h, L_INSERT_KEYS, key) < 0)
+        || log_append(h, L_INSERT_VALUES, item(h, C_VALUES, index)) < 0)
         return -1;
     return 0;
 }
 
 static int
 record_merge(Heap *h, Py_ssize_t absorbed, Py_ssize_t survivor,
-             PyObject *merged, Py_ssize_t successor)
+             PyObject *merged)
 {
     if (log_append(h, L_MERGE_ABSORBED, item(h, C_NODE_ID, absorbed)) < 0
         || log_append(h, L_MERGE_SURVIVORS, item(h, C_NODE_ID, survivor)) < 0
-        || log_append(h, L_MERGE_VALUES, merged) < 0
-        || log_append(h, L_MERGE_SURVIVOR_KEYS, item(h, C_KEY, survivor)) < 0)
-        return -1;
-    if (successor >= 0) {
-        if (log_append(h, L_MERGE_SUCCESSORS,
-                       item(h, C_NODE_ID, successor)) < 0
-            || log_append(h, L_MERGE_SUCCESSOR_KEYS,
-                          item(h, C_KEY, successor)) < 0)
-            return -1;
-    }
-    else if (log_append(h, L_MERGE_SUCCESSORS, minus_one_obj) < 0
-             || log_append(h, L_MERGE_SUCCESSOR_KEYS, inf_obj) < 0)
+        || log_append(h, L_MERGE_VALUES, merged) < 0)
         return -1;
     return 0;
 }
@@ -709,7 +699,7 @@ merge_top(Heap *h, Book *b, Py_ssize_t top)
                                       &b->counter) < 0)
         goto error;
     if (h->log[0] != NULL
-        && record_merge(h, top, predecessor, merged, successor) < 0)
+        && record_merge(h, top, predecessor, merged) < 0)
         goto error;
     Py_DECREF(merged);
     return 0;
@@ -846,7 +836,7 @@ activate_row(Heap *h, Book *b, Py_ssize_t index)
         b->before_gap += b->after_gap;
         b->after_gap = 1;
     }
-    if (h->log[0] != NULL && record_insert(h, index, key_obj) < 0)
+    if (h->log[0] != NULL && record_insert(h, index) < 0)
         goto error;
     Py_DECREF(key_obj);
     return 0;
@@ -886,7 +876,7 @@ PyDoc_STRVAR(activate_doc,
 "merges each one allows; then, if end_of_input, run the end-of-input\n"
 "phase (merge down to size, or while the error stays within budget).\n"
 "columns is the tuple of the heap's twelve lists (_start .. _length,\n"
-"then _group_keys); log is None or the tuple of a DeltaLog's twelve\n"
+"then _group_keys); log is None or the tuple of a DeltaLog's eight\n"
 "lists.  Returns (counter, live, max_size, head, tail, last_gap_id,\n"
 "before_gap, after_gap, total_error, merges).");
 
@@ -1024,9 +1014,6 @@ PyInit__activate(void)
 {
     PyObject *module;
     if (inf_obj == NULL && (inf_obj = PyFloat_FromDouble(Py_HUGE_VAL)) == NULL)
-        return NULL;
-    if (minus_one_obj == NULL
-        && (minus_one_obj = PyLong_FromLong(-1)) == NULL)
         return NULL;
     module = PyModule_Create(&module_def);
     if (module != NULL

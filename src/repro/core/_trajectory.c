@@ -40,6 +40,11 @@ typedef struct {
     /* inputs */
     Py_ssize_t n, p, frontier_size;
     const Columns *c;
+    /* the end-of-input stop rule, when stop is set; tie is the first tied
+     * step (-1: none) and total the running error */
+    int stop;
+    Py_ssize_t limit, tie;
+    double budget, total;
     /* outputs, n - 1 each (rows: (n - 1) * p) */
     long long *boundaries, *heads;
     double *keys, *rows;
@@ -125,7 +130,10 @@ block_key(const Schedule *s, Py_ssize_t left, Py_ssize_t right, double *key)
                      s->row + right * s->p, s->c->w2, s->p, key);
 }
 
-/* Fold block index into its predecessor and record the step. */
+/* Fold block index into its predecessor and record the step.  The
+ * merged block's length is the span_length of its interval, as the
+ * python heap takes it, not the sum of the two float lengths, which
+ * rounds differently past 2^53 chronons. */
 static int
 merge(Schedule *s, Py_ssize_t predecessor, Py_ssize_t index, double key)
 {
@@ -135,8 +143,10 @@ merge(Schedule *s, Py_ssize_t predecessor, Py_ssize_t index, double key)
                    s->row + index * s->p, s->p, a) < 0)
         return -1;
     memcpy(s->rows + s->steps * s->p, a, (size_t)s->p * sizeof(double));
-    s->length[predecessor] += s->length[index];
     successor = s->next[index];
+    s->length[predecessor] = span_length(
+        s->c->starts[predecessor],
+        s->c->ends[(successor >= 0 ? successor : s->n) - 1]);
     s->next[predecessor] = successor;
     if (successor >= 0)
         s->prev[successor] = predecessor;
@@ -203,6 +213,8 @@ prologue(Schedule *s)
         if (s->queued_key[i] < HUGE_VAL)
             s->frontier[s->frontier_size++] =
                 (Pair){s->queued_key[i], i - 1};
+        else if (s->stop && isnan(s->queued_key[i]))
+            s->tie = 0;
     }
     sort_frontier(s->frontier, s->frontier + (s->n - 1), s->frontier_size);
     return DONE;
@@ -216,9 +228,11 @@ run(Schedule *s)
     double top_key;
     Outcome outcome = prologue(s);
 
-    if (outcome != DONE)
+    if (outcome != DONE || s->tie >= 0)
         return outcome;
     for (;;) {
+        if (s->stop && s->steps == s->limit)
+            return DONE;
         if (position < s->frontier_size) {
             top_key = s->frontier[position].key;
             if (s->heap_len > 0 && s->heap[0].key < top_key) {
@@ -249,6 +263,21 @@ run(Schedule *s)
             }
             continue;
         }
+        if (s->stop) {
+            /* The heaps' end-of-input rule: stop at cmin (an infinite
+             * key) and before the budget is exceeded.  A key equal to the
+             * smallest one left, valid or stale, is a tie the heaps break
+             * by their own counters. */
+            if (!(top_key < HUGE_VAL) || s->total + top_key > s->budget)
+                return DONE;
+            if ((position < s->frontier_size
+                 && s->frontier[position].key == top_key)
+                || (s->heap_len > 0 && s->heap[0].key == top_key)) {
+                s->tie = s->steps;
+                return DONE;
+            }
+            s->total += top_key;
+        }
         Py_ssize_t predecessor = s->prev[index];
         if (predecessor < 0)
             return CORRUPT;
@@ -263,6 +292,10 @@ run(Schedule *s)
                 continue;
             if (block_key(s, s->prev[node], node, &refreshed) < 0)
                 return ZERO_LENGTH;
+            if (s->stop && isnan(refreshed)) {
+                s->tie = s->steps - 1; /* unordered: no heap would agree */
+                return DONE;
+            }
             s->stamp[node] = ++counter;
             s->key[node] = refreshed;
             if (refreshed >= s->queued_key[node])
@@ -277,14 +310,21 @@ run(Schedule *s)
 
 PyDoc_STRVAR(trajectory_doc,
 "trajectory(starts, ends, groups, values, w2, boundaries, keys, heads,\n"
-"           out_rows)\n"
+"           out_rows[, limit, budget, total_error])\n"
 "--\n\n"
 "Run the greedy merge schedule of a shard of n >= 2 blocks.  starts,\n"
 "ends and groups are n int64 items (dense group ids), values the n * p\n"
 "float64 values row by row and w2 the p float64 squared weights.  Writes\n"
 "the schedule into boundaries, keys, heads (n - 1 int64 / float64 /\n"
 "int64 items) and out_rows ((n - 1) * p float64) and returns its number\n"
-"of steps.");
+"of steps.\n\n"
+"With the end-of-input stop rule (0 <= limit <= n - 1 steps, a float\n"
+"budget, the running total_error it starts from), the schedule stops\n"
+"after limit steps, before a step that would take the running error\n"
+"above budget (never, for a NaN budget), at an infinite key and at its\n"
+"first tie: a step whose key equals the smallest key left in the queue,\n"
+"valid or stale, or that computes a NaN key.  Returns (steps, tie,\n"
+"total_error), tie the tied step or -1.");
 
 static PyObject *
 repro_trajectory(PyObject *module, PyObject *args)
@@ -300,17 +340,32 @@ repro_trajectory(PyObject *module, PyObject *args)
 
     memset(buf, 0, sizeof buf);
     memset(&s, 0, sizeof s);
-    if (!PyArg_ParseTuple(args, "OOOOOOOOO:trajectory", &obj[IN_STARTS],
+    s.limit = -1;
+    s.tie = -1;
+    if (!PyArg_ParseTuple(args, "OOOOOOOOO|ndd:trajectory", &obj[IN_STARTS],
                           &obj[IN_ENDS], &obj[IN_GROUPS], &obj[IN_VALUES],
                           &obj[IN_W2], &obj[BOUNDARIES], &obj[KEYS],
-                          &obj[HEADS], &obj[OUT_ROWS]))
+                          &obj[HEADS], &obj[OUT_ROWS], &s.limit, &s.budget,
+                          &s.total))
         return NULL;
+    s.stop = PyTuple_GET_SIZE(args) > OUT_ROWS + 1;
+    if (s.stop && PyTuple_GET_SIZE(args) != OUT_ROWS + 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "the stop rule takes limit, budget and total_error");
+        return NULL;
+    }
     if (load_columns(obj, buf, &c) < 0)
         goto done;
     n = c.n;
     p = c.p;
     if (n < 2) {
         PyErr_SetString(PyExc_ValueError, "a schedule needs two blocks");
+        goto done;
+    }
+    if (s.stop && (s.limit < 0 || s.limit > n - 1)) {
+        PyErr_Format(PyExc_ValueError,
+                     "limit must be within [0, %zd], got %zd", n - 1,
+                     s.limit);
         goto done;
     }
     if (typed(obj[BOUNDARIES], &buf[BOUNDARIES], PyBUF_WRITABLE, 'q', n - 1,
@@ -357,6 +412,8 @@ repro_trajectory(PyObject *module, PyObject *args)
     else if (outcome == CORRUPT)
         PyErr_SetString(PyExc_RuntimeError,
                         "merge schedule outgrew its working memory");
+    else if (s.stop)
+        result = Py_BuildValue("(nnd)", s.steps, s.tie, s.total);
     else
         result = PyLong_FromSsize_t(s.steps);
 done:

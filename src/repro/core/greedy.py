@@ -34,8 +34,8 @@ merge since the last snapshot is recorded in a compact column-oriented
 :class:`~repro.core.kernels.DeltaLog`, and :meth:`OnlineReducer.snapshot`
 patches a materialised :class:`~repro.core.kernels.SnapshotMirror` of the
 live relation with the log — O(changes) Python work per snapshot — before
-running the end-of-input phase on the mirror (vectorised O(live) work plus
-O(tail merges) Python work).  The clone-and-finalise path
+running the end-of-input phase on the mirror as one call of the compiled
+merge schedule (O(live) compiled and vectorised work).  The clone-and-finalise path
 (:meth:`OnlineReducer.clone` + :meth:`OnlineReducer.finalize`) remains the
 oracle the delta path is property-tested against.
 """
@@ -190,8 +190,8 @@ class OnlineReducer:
     With ``track_deltas=True`` the reducer supports **delta-based
     snapshots**: :meth:`snapshot` returns the summary of everything pushed
     so far without consuming the reducer, with Python work proportional to
-    the number of committed operations since the previous snapshot plus
-    the tail merges, over vectorised O(live) NumPy work.  The
+    the number of committed operations since the previous snapshot, over
+    O(live) compiled and vectorised work.  The
     first snapshot materialises a :class:`~repro.core.kernels.SnapshotMirror`
     of the live relation; from then on every committed insert/merge is also
     appended to a :class:`~repro.core.kernels.DeltaLog` which the next
@@ -282,7 +282,6 @@ class OnlineReducer:
     def _consume(self, heap: MergeHeap, segment: AggregateSegment) -> None:
         """Insert one validated tuple, then run the online policy."""
         node = heap.insert(segment)
-        key = node.key
         if self._log is not None:
             self._log.record_insert(
                 node.id,
@@ -290,10 +289,9 @@ class OnlineReducer:
                 segment.interval.end,
                 segment.group,
                 segment.values,
-                key,
             )
         self.consumed += 1
-        if math.isinf(key):
+        if math.isinf(node.key):
             self._last_gap_id = node.id
             self._before_gap += self._after_gap
             self._after_gap = 1
@@ -464,16 +462,9 @@ class OnlineReducer:
     def _merge_top_logged(self, heap: MergeHeap, absorbed_id: int) -> None:
         """Perform one ``merge_top``, recording it in the delta log."""
         survivor = heap.merge_top()
-        log = self._log
-        if log is not None:
-            successor = survivor.next
-            log.record_merge(
-                absorbed_id,
-                survivor.id,
-                survivor.segment.values,
-                survivor.key,
-                -1 if successor is None else successor.id,
-                math.inf if successor is None else successor.key,
+        if self._log is not None:
+            self._log.record_merge(
+                absorbed_id, survivor.id, survivor.segment.values
             )
 
     # ------------------------------------------------------------------
@@ -527,8 +518,9 @@ class OnlineReducer:
         The delta path: the first call materialises a mirror of the live
         intermediate relation (O(heap)); every later call replays the
         delta log into the mirror (O(changes since the last snapshot))
-        and runs the end-of-input phase on the mirror (vectorised O(live)
-        plus O(tail merges) Python work) — bit-identical to
+        and runs the end-of-input phase on the mirror's live rows, one
+        call of the compiled merge schedule
+        (:func:`~repro.core.kernels.finalize_mirror`) — bit-identical to
         ``clone().finalize()`` (the oracle path).  On an exact merge-key
         tie the tail defers to that oracle, read back as heap columns;
         ``repro_snapshot_oracle_fallbacks_total`` counts those snapshots

@@ -34,14 +34,18 @@ provides drop-in array-backed counterparts selected with the
   error, the surviving block and its merged row of every step down to
   ``cmin``), the unit of work executed by the
   sharded engine of :mod:`repro.parallel` and by the batch
-  GMS helpers on the numpy backend.
+  GMS helpers on the numpy backend;
+* :class:`DeltaLog`, :class:`SnapshotMirror` and :func:`finalize_mirror`
+  — mid-stream snapshots: the log patches a column image of the live
+  relation, and the end-of-input phase runs over its live rows as one
+  call of the same compiled schedule with a stop rule, whose consumed
+  prefix :func:`schedule_prefix` gathers, as it does for every shard.
 
-Every greedy merge key and merged row comes from
-:func:`repro.core.errors.merge_key` and :func:`repro.core.merge.merged_row`
-on the python backend and from their C spelling in ``_merge.h``, in the
-same operation order, in the compiled loops, so greedy results are
-bit-identical across backends (``tests/test_backend_identity.py``,
-``tests/test_kernels.py``).
+Every greedy merge key and merged row is Proposition 2's rule, spelled
+once in Python (:mod:`repro.core.errors`, :mod:`repro.core.merge`) for
+the python backend and once in C (``_merge.h``) for the compiled loops,
+in the same operation order, so greedy results are bit-identical across
+backends (``tests/test_backend_identity.py``, ``tests/test_kernels.py``).
 """
 
 from __future__ import annotations
@@ -59,8 +63,8 @@ import numpy as np
 
 from ..temporal import Interval
 from . import native as _native
-from .errors import Weights, merge_key, resolve_weights, squared_weights
-from .merge import AggregateSegment, merged_row
+from .errors import Weights, resolve_weights, squared_weights
+from .merge import AggregateSegment
 
 if TYPE_CHECKING:
     from .heap import Heap
@@ -187,10 +191,19 @@ def encode_segments(
 ) -> EncodedSegments:
     """Materialise a segment stream into :class:`EncodedSegments` columns.
 
-    Columns pass through unchanged.  Raises :class:`ValueWidthError` when
-    the segments disagree on the number of aggregate values.
+    Columns pass through unchanged once their shapes agree: a ``values``
+    block that is not 2-D, or columns of different row counts, raise
+    :class:`ValueError`.  Raises :class:`ValueWidthError` when the
+    segments disagree on the number of aggregate values.
     """
     if isinstance(segments, EncodedSegments):
+        rows = {len(segments.starts), len(segments.ends), len(segments.groups)}
+        if np.ndim(segments.values) != 2 or rows != {len(segments.values)}:
+            raise ValueError(
+                f"malformed columns: {len(segments.starts)} starts, "
+                f"{len(segments.ends)} ends, {len(segments.groups)} groups "
+                f"and values of shape {np.shape(segments.values)}"
+            )
         return segments
     chunk = segments if isinstance(segments, (list, tuple)) else list(segments)
     count = len(chunk)
@@ -962,7 +975,8 @@ class DeltaLog:
     it commits, so a consumer may apply every insert first and then replay
     the merges in order.  Merged value rows are recorded *by reference*:
     both heap backends rebind a fresh immutable row on every merge, so no
-    copying is needed.
+    copying is needed.  No merge key is recorded: :func:`finalize_mirror`
+    recomputes the keys of the live rows it reads.
 
     The log is a read-side cache only, recorded while a
     :class:`SnapshotMirror` exists.  Crash recovery does not read it: the
@@ -977,13 +991,9 @@ class DeltaLog:
         "insert_ends",
         "insert_groups",
         "insert_values",
-        "insert_keys",
         "merge_absorbed",
         "merge_survivors",
         "merge_values",
-        "merge_survivor_keys",
-        "merge_successors",
-        "merge_successor_keys",
     )
 
     def __init__(self) -> None:
@@ -992,13 +1002,9 @@ class DeltaLog:
         self.insert_ends: List[int] = []
         self.insert_groups: List[tuple] = []
         self.insert_values: List[Sequence[float]] = []
-        self.insert_keys: List[float] = []
         self.merge_absorbed: List[int] = []
         self.merge_survivors: List[int] = []
         self.merge_values: List[Sequence[float]] = []
-        self.merge_survivor_keys: List[float] = []
-        self.merge_successors: List[int] = []
-        self.merge_successor_keys: List[float] = []
 
     def __len__(self) -> int:
         return len(self.insert_ids) + len(self.merge_absorbed)
@@ -1010,39 +1016,22 @@ class DeltaLog:
         end: int,
         group: tuple,
         values: Sequence[float],
-        key: float,
     ) -> None:
-        """One tuple appended at the tail with its activation merge key."""
+        """One tuple appended at the tail."""
         self.insert_ids.append(node_id)
         self.insert_starts.append(start)
         self.insert_ends.append(end)
         self.insert_groups.append(group)
         self.insert_values.append(values)
-        self.insert_keys.append(key)
 
     def record_merge(
-        self,
-        absorbed_id: int,
-        survivor_id: int,
-        values: Sequence[float],
-        survivor_key: float,
-        successor_id: int,
-        successor_key: float,
+        self, absorbed_id: int, survivor_id: int, values: Sequence[float]
     ) -> None:
-        """One committed merge: ``absorbed_id`` folded into ``survivor_id``.
-
-        ``values`` is the survivor's post-merge row (by reference) and the
-        two keys are the post-refresh merge keys of the survivor and of the
-        absorbed tuple's chronological successor (``-1`` / ``inf`` when it
-        has none) — everything a mirror needs to replay the merge without
-        redoing any floating-point work.
-        """
+        """One committed merge: ``absorbed_id`` folded into ``survivor_id``,
+        whose post-merge row is ``values`` (by reference)."""
         self.merge_absorbed.append(absorbed_id)
         self.merge_survivors.append(survivor_id)
         self.merge_values.append(values)
-        self.merge_survivor_keys.append(survivor_key)
-        self.merge_successors.append(successor_id)
-        self.merge_successor_keys.append(successor_key)
 
     def clear(self) -> None:
         for column in self.__slots__:
@@ -1053,13 +1042,12 @@ class SnapshotMirror:
     """Patchable column image of a live heap's intermediate relation.
 
     NumPy columns in chronological row order — node ``ids``, interval
-    ``starts`` / ``ends``, an ``(n, p)`` ``values`` block, ``group_ids``,
-    the merge-with-predecessor ``keys`` and ``alive`` — of which the first
-    ``count`` rows are in use; capacity doubles as rows are appended.  The
-    mirror stays in sync by replaying a :class:`DeltaLog` (:meth:`apply`)
-    instead of re-reading the heap.  Value rows and keys are *copied* from
-    the log, never recomputed, so the mirror is bit-exact with respect to
-    the heap on either backend.
+    ``starts`` / ``ends``, an ``(n, p)`` ``values`` block, ``group_ids``
+    and ``alive`` — of which the first ``count`` rows are in use; capacity
+    doubles as rows are appended.  The mirror stays in sync by replaying a
+    :class:`DeltaLog` (:meth:`apply`) instead of re-reading the heap.
+    Value rows are *copied* from the log, never recomputed, so the mirror
+    is bit-exact with respect to the heap on either backend.
 
     Merged-away rows become tombstones; the storage is compacted once dead
     rows outnumber live ones, which keeps every operation amortised O(1)
@@ -1068,6 +1056,7 @@ class SnapshotMirror:
 
     _COMPACT_FLOOR = 1024
     _INITIAL_CAPACITY = 1024
+    _COLUMNS = ("ids", "starts", "ends", "values", "group_ids", "alive")
 
     def __init__(self) -> None:
         self.ids = np.zeros(0, np.int64)
@@ -1075,7 +1064,6 @@ class SnapshotMirror:
         self.ends = np.zeros(0, np.int64)
         self.values = np.zeros((0, 0), np.float64)
         self.group_ids = np.zeros(0, np.int64)
-        self.keys = np.zeros(0, np.float64)
         self.alive = np.zeros(0, np.bool_)
         self.count = 0
         self.live = 0
@@ -1090,19 +1078,18 @@ class SnapshotMirror:
         Called on a session's first snapshot and after the delta log
         outgrew the heap — every other snapshot patches this image with
         the delta log instead.  ``heap`` is either backend's heap: the rows
-        come from its ``columns()``, the node ids and merge keys from its
+        come from its ``columns()``, the node ids from its
         ``ids_and_keys()``.
         """
         columns = heap.columns()
-        ids, keys = heap.ids_and_keys()
+        ids, _ = heap.ids_and_keys()
         mirror = cls()
         mirror.group_keys = list(columns.group_keys)
         mirror._interned = {
             group: group_id for group_id, group in enumerate(mirror.group_keys)
         }
         mirror._append(
-            ids, columns.starts, columns.ends, columns.groups, columns.values,
-            keys,
+            ids, columns.starts, columns.ends, columns.groups, columns.values
         )
         return mirror
 
@@ -1113,7 +1100,6 @@ class SnapshotMirror:
         ends: Any,
         group_ids: Any,
         values: np.ndarray,
-        keys: Any,
     ) -> None:
         """Append one block of rows at the chronological tail."""
         first = self.count
@@ -1127,7 +1113,6 @@ class SnapshotMirror:
         self.ends[first:stop] = ends
         self.values[first:stop] = values
         self.group_ids[first:stop] = group_ids
-        self.keys[first:stop] = keys
         self.alive[first:stop] = True
         self._position.update(zip(ids, range(first, stop)))
         self.count = stop
@@ -1138,15 +1123,13 @@ class SnapshotMirror:
         while capacity < needed:
             capacity *= 2
         count = self.count
-        for name in ("ids", "starts", "ends", "group_ids", "keys", "alive"):
+        for name in self._COLUMNS:
             column = getattr(self, name)
-            grown = np.zeros(capacity, column.dtype)
-            grown[:count] = column[:count]
+            shape = (capacity, width) if name == "values" else capacity
+            grown = np.zeros(shape, column.dtype)
+            if count:
+                grown[:count] = column[:count]
             setattr(self, name, grown)
-        values = np.zeros((capacity, width), np.float64)
-        if count:
-            values[:count] = self.values[:count]
-        self.values = values
 
     def apply(self, log: DeltaLog) -> None:
         """Replay a delta log, bringing the mirror up to the heap's state.
@@ -1172,34 +1155,21 @@ class SnapshotMirror:
                 log.insert_ends,
                 group_ids,
                 _flat_rows(log.insert_values, len(log.insert_values[0])),
-                log.insert_keys,
             )
         if log.merge_absorbed:
             position = self._position
             ends = self.ends
             end_patch: Dict[int, int] = {}
             value_patch: Dict[int, Sequence[float]] = {}
-            key_patch: Dict[int, float] = {}
             absorbed_rows = []
-            for (
-                absorbed_id, survivor_id, row, survivor_key, successor_id,
-                successor_key,
-            ) in zip(
-                log.merge_absorbed,
-                log.merge_survivors,
-                log.merge_values,
-                log.merge_survivor_keys,
-                log.merge_successors,
-                log.merge_successor_keys,
+            for absorbed_id, survivor_id, row in zip(
+                log.merge_absorbed, log.merge_survivors, log.merge_values
             ):
                 absorbed = position.pop(absorbed_id)
                 survivor = position[survivor_id]
                 end = end_patch.get(absorbed)
                 end_patch[survivor] = ends.item(absorbed) if end is None else end
                 value_patch[survivor] = row
-                key_patch[survivor] = survivor_key
-                if successor_id >= 0:
-                    key_patch[position[successor_id]] = successor_key
                 absorbed_rows.append(absorbed)
             self.alive[absorbed_rows] = False
             self.live -= len(absorbed_rows)
@@ -1207,26 +1177,17 @@ class SnapshotMirror:
             self.values[list(value_patch)] = _flat_rows(
                 list(value_patch.values()), self.values.shape[1]
             )
-            self.keys[list(key_patch)] = list(key_patch.values())
         if self.count >= self._COMPACT_FLOOR and self.count >= 2 * self.live:
             self._compact()
 
     def _compact(self) -> None:
         keep = np.flatnonzero(self.alive[: self.count])
         live = len(keep)
-        for name in (
-            "ids", "starts", "ends", "values", "group_ids", "keys", "alive",
-        ):
+        for name in self._COLUMNS:
             column = getattr(self, name)
             column[:live] = column[keep]
         self.count = live
         self._position = dict(zip(self.ids[:live].tolist(), range(live)))
-
-
-#: Number of smallest finite keys the end-of-input tail first moves into
-#: its heap; the window doubles whenever the heap's top reaches the first
-#: key left outside it.
-_TAIL_WINDOW = 64
 
 
 def finalize_mirror(
@@ -1240,176 +1201,88 @@ def finalize_mirror(
     """Run the end-of-input merge phase on a mirror, without touching it.
 
     The delta-snapshot twin of ``OnlineReducer.finalize``: gathers the
-    mirror's live rows, replays the paper's end-of-input greedy phase —
-    size-bounded down to ``size``, or error-bounded while ``total_error``
-    stays within ``budget`` (:func:`~repro.core.errors.error_budget`, the
-    stop rule of every error-bounded engine) — and returns the final
-    snapshot as :class:`EncodedSegments` together with the accumulated
-    error and the number of tail merges.
+    mirror's live rows, runs the paper's end-of-input greedy phase over
+    them — size-bounded down to ``size``, or error-bounded while
+    ``total_error`` stays within ``budget``
+    (:func:`~repro.core.errors.error_budget`, the stop rule of every
+    error-bounded engine), and stopping at ``cmin`` — and returns the
+    final snapshot as :class:`EncodedSegments` together with the
+    accumulated error and the number of tail merges.
 
-    The cost is O(live) vectorised work plus O(tail) Python work.  The
-    live rows are gathered with one fancy index and the finite keys
-    ordered with one stable ``argsort``; the tail's priority queue only
-    holds a window of the smallest keys (:data:`_TAIL_WINDOW`, doubled
-    whenever the queue's top reaches the first key left outside it), and
-    the few rows a tail merge touches are held in per-row dict overlays.
-    The output is the gathered columns with the touched rows patched and
-    the merged rows masked out.
-
-    Starting keys are the mirror's (copied from the heap via the delta
-    log); refreshed keys and merged value rows come from the same
-    :func:`~repro.core.errors.merge_key` and
-    :func:`~repro.core.merge.merged_row` that both heap backends call, so
-    the result is bit-identical to cloning and finalising the live heap,
-    on either backend — with one guarded exception.  Tail entries are
-    tie-broken in chronological order, while the live heap's queue carries historical
-    insertion counters, so a pair of *exactly equal* winning keys could
-    merge in a different order than the oracle would (common on
-    integer-valued streams).  Rather than silently returning a different
-    — if equal-error — reduction, the tail detects the ambiguity the
-    moment a committed merge's key ties with any other queued key and
-    returns ``None``; the caller then falls back to the clone+finalize
-    oracle for that snapshot, keeping the bit-for-bit contract
-    unconditional.  Whether the second-smallest queued key equals the top
-    key does not depend on how much of the queue the window holds, since
-    every key outside it is strictly larger than the top.
+    The phase is one call of the compiled merge schedule
+    (``KERNEL.trajectory``, the sharded engine's loop) with its stop rule:
+    at most ``live - size`` steps, or no step past the budget, counted
+    from ``total_error``.  The kernel computes the live rows' keys, the
+    refreshed keys and the merged rows with ``_merge.h``, the rule both
+    heap backends apply, and the output is the gathered prefix of the
+    schedule (:func:`schedule_prefix`).  So the result is bit-identical to
+    cloning and finalising the live heap, on either backend — with one
+    guarded exception.  The schedule breaks exact key ties by position,
+    the live heap by the historical counters of its queue entries, so a
+    pair of *exactly equal* winning keys could merge in a different
+    order than the oracle would (common on integer-valued streams).
+    The kernel reports the first step whose key equals the smallest key
+    left in its queue, stale entries included, and on such a tie this
+    function returns ``None``: the caller then falls back to the
+    clone+finalize oracle for that snapshot, keeping the bit-for-bit
+    contract unconditional.
     """
     rows = np.flatnonzero(mirror.alive[: mirror.count])
-    starts = mirror.starts[rows]
-    ends = mirror.ends[rows]
-    values = mirror.values[rows]
-    group_ids = mirror.group_ids[rows]
-    keys = mirror.keys[rows]
-    count = len(rows)
-    dimensions = values.shape[1]
-    inf = math.inf
-
-    # Queue entries are ``(key, counter, row, version)``; the initial
-    # entries' counter is their row, so the stable sort is the queue order.
-    finite = np.flatnonzero(keys != inf)
-    order = finite[np.argsort(keys[finite], kind="stable")]
-    ordered_keys = keys[order]
-    entries: List[Tuple[float, int, int, int]] = []
-    queued = 0
-    bound = inf  # smallest key left out of ``entries``; set on widening
-    push = heapq.heappush
-    pop = heapq.heappop
-
-    # With no rows the width is unknown and nothing merges: leave the
-    # weights unchecked, as ``clone().finalize()`` does.
-    w2 = squared_weights(weights, dimensions) if count else ()
-
-    # Overlays over the gathered columns: a row absent from a dict still
-    # has its gathered value (and ``prev`` / ``next`` of row ``i`` are
-    # ``i - 1`` / ``i + 1``).  Every key change bumps the row's version,
-    # so the version stamp alone tells a stale queue entry.
-    prev_: Dict[int, int] = {}
-    next_: Dict[int, int] = {}
-    end_of: Dict[int, int] = {}
-    row_of: Dict[int, List[float]] = {}
-    version: Dict[int, int] = {}
-    merged: set = set()
-
-    def end_at(row: int) -> int:
-        end = end_of.get(row)
-        return ends.item(row) if end is None else end
-
-    def length_at(row: int) -> float:
-        return float(end_at(row) - starts.item(row) + 1)
-
-    def row_at(row: int) -> List[float]:
-        found = row_of.get(row)
-        return values[row].tolist() if found is None else found
-
-    counter = count  # refresh counters sort after every initial entry
-    merges = 0
-    remaining = count
-    while True:
-        if size is not None and remaining <= size:
-            break
-        if not entries or entries[0][0] >= bound:
-            # The top may not be the queue's minimum: widen the window.
-            if queued == len(order):
-                break
-            stop = min(len(order), max(2 * queued, _TAIL_WINDOW))
-            entries.extend(
-                (key, row, row, 0)
-                for key, row in zip(
-                    ordered_keys[queued:stop].tolist(),
-                    order[queued:stop].tolist(),
-                )
-            )
-            heapq.heapify(entries)
-            queued = stop
-            bound = ordered_keys.item(stop) if stop < len(order) else inf
-            continue
-        top_key, _, top, top_version = entries[0]
-        if top in merged or version.get(top, 0) != top_version:
-            pop(entries)
-            continue
-        if budget is not None and total_error + top_key > budget:
-            break
-        # Tie guard: the second-smallest key of a binary heap sits in one
-        # of the root's children, so an equal key there (valid or stale —
-        # conservative either way) means the pop order is counter-
-        # dependent and could diverge from the oracle's historical
-        # counters.  Bail out; the caller re-runs via the oracle.
-        if (len(entries) > 1 and entries[1][0] == top_key) or (
-            len(entries) > 2 and entries[2][0] == top_key
-        ):
-            return None
-        total_error += top_key
-        merges += 1
-
-        predecessor = prev_.get(top, top - 1)
-        row_of[predecessor] = merged_row(
-            length_at(predecessor), length_at(top),
-            row_at(predecessor), row_at(top),
-        )
-        end_of[predecessor] = end_at(top)
-        successor = next_.get(top, top + 1)
-        if successor == count:
-            successor = -1
-        next_[predecessor] = successor
-        if successor >= 0:
-            prev_[successor] = predecessor
-        merged.add(top)
-        remaining -= 1
-
-        for target in (predecessor, successor):
-            if target < 0:
-                continue
-            before = prev_.get(target, target - 1)
-            if (
-                before < 0
-                or group_ids.item(before) != group_ids.item(target)
-                or end_at(before) + 1 != starts.item(target)
-            ):
-                refreshed = inf
-            else:
-                refreshed = merge_key(
-                    length_at(before), length_at(target),
-                    row_at(before), row_at(target), w2,
-                )
-            target_version = version.get(target, 0) + 1
-            version[target] = target_version
-            if refreshed != inf:
-                counter += 1
-                push(entries, (refreshed, counter, target, target_version))
-
-    if end_of:
-        ends[list(end_of)] = list(end_of.values())
-    if row_of:
-        values[list(row_of)] = _flat_rows(list(row_of.values()), dimensions)
-    if merged:
-        keep = np.ones(count, dtype=np.bool_)
-        keep[list(merged)] = False
-        starts, ends = starts[keep], ends[keep]
-        values, group_ids = values[keep], group_ids[keep]
-    columns = EncodedSegments(
-        starts, ends, values, group_ids, list(mirror.group_keys)
+    live = EncodedSegments(
+        mirror.starts[rows], mirror.ends[rows], mirror.values[rows],
+        mirror.group_ids[rows], list(mirror.group_keys),
     )
-    return columns, total_error, merges
+    count = len(rows)
+    if count < 2:  # nothing merges: as in clone().finalize(), the weights
+        return live, total_error, 0  # stay unchecked
+    p = live.dimensions
+    buffers = _schedule_buffers(count, p)
+    steps, tie, error = _native.KERNEL.trajectory(
+        live.starts, live.ends, live.groups, live.values,
+        np.array(squared_weights(weights, p), np.float64), *buffers,
+        count - 1 if size is None else max(count - size, 0),
+        math.inf if budget is None else budget, total_error,
+    )
+    if tie >= 0:
+        return None
+    boundaries, _, heads, merged = _taken(buffers, steps, p)
+    return schedule_prefix(live, boundaries, heads, merged, steps), error, steps
+
+
+def schedule_prefix(
+    columns: EncodedSegments,
+    boundaries: np.ndarray,
+    heads: np.ndarray,
+    rows: np.ndarray,
+    taken: int,
+) -> EncodedSegments:
+    """The columns left after the first ``taken`` steps of their schedule.
+
+    Those steps remove their ``boundaries``.  Each surviving block keeps
+    the row recorded at the last of those steps headed at it (``heads``),
+    or its input row if no step was: the kernel folded those rows in
+    schedule order, so this is a gather, not a replay.  The sharded engine rebuilds each shard's output with
+    it, and :func:`finalize_mirror` a snapshot.
+    """
+    if not taken:
+        return columns
+    count = len(columns)
+    keep = np.ones(count, dtype=bool)
+    keep[boundaries[:taken]] = False
+    part_starts = np.flatnonzero(keep)
+    part_ends = np.append(part_starts[1:] - 1, count - 1)
+    # ``last[h]``: the last step headed at ``h``, or -1.  ``maximum.at``
+    # is unbuffered, so repeated heads keep the largest step.
+    last = np.full(count, -1)
+    np.maximum.at(last, heads[:taken], np.arange(taken))
+    steps = last[part_starts]
+    merged = steps >= 0
+    block_rows = columns.values[part_starts]
+    block_rows[merged] = rows[steps[merged]]
+    return EncodedSegments(
+        columns.starts[part_starts], columns.ends[part_ends], block_rows,
+        columns.groups[part_starts], columns.group_keys,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1446,12 +1319,11 @@ def greedy_merge_trajectory(
 
     Each node is a contiguous block of original positions carrying its
     float length and merged row, exactly like a heap node: every key, the
-    initial ones included, is :func:`repro.core.errors.merge_key` and every
-    merge computes the surviving row with
-    :func:`repro.core.merge.merged_row`, both in their C spelling
-    (``_merge.h``).  The schedule is therefore the python
-    :class:`~repro.core.heap.MergeHeap`'s, bit for bit, also on values far
-    from zero.
+    initial ones included, and every surviving row come from the merge
+    rule's C spelling (``_merge.h``), and a merged block's length is the
+    float length of its interval, as the heaps take it.  The schedule is
+    therefore the python :class:`~repro.core.heap.MergeHeap`'s, bit for
+    bit, also on values far from zero and on spans past ``2**53``.
 
     **The queue.**  Every entry is ordered by ``(key, counter)``: the
     initial keys take counters in position order, and each refresh takes
@@ -1489,7 +1361,8 @@ def greedy_merge_trajectory(
     released; it computes the lengths, the adjacency, the initial keys and
     the frontier itself.  ``tests/oracles.py`` holds its Python reference.
     The output columns are sized for the most steps a shard can take,
-    ``n - 1``, and cut to the steps taken.
+    ``n - 1``, and cut to the steps taken.  :func:`finalize_mirror` calls
+    the same loop with its end-of-input stop rule.
 
     >>> starts = np.arange(4)
     >>> boundaries, keys, heads, rows = greedy_merge_trajectory(
@@ -1512,18 +1385,30 @@ def greedy_merge_trajectory(
     p = values.shape[1]
     if n < 2:
         return _no_steps(p)
-    boundaries = np.empty(n - 1, np.int64)
-    keys = np.empty(n - 1, np.float64)
-    heads = np.empty(n - 1, np.int64)
-    merged = np.empty((n - 1) * p, np.float64)
+    buffers = _schedule_buffers(n, p)
     steps = _native.KERNEL.trajectory(
         np.ascontiguousarray(starts, dtype=np.int64),
         np.ascontiguousarray(ends, dtype=np.int64),
         np.ascontiguousarray(groups, dtype=np.int64),
         np.ascontiguousarray(values, dtype=np.float64),
         np.ascontiguousarray(w2, dtype=np.float64)[:p],
-        boundaries, keys, heads, merged,
+        *buffers,
     )
+    return _taken(buffers, steps, p)
+
+
+def _schedule_buffers(n: int, p: int) -> Tuple[np.ndarray, ...]:
+    """Output columns of ``KERNEL.trajectory`` for ``n`` blocks, sized
+    for the most steps they can take, ``n - 1``."""
+    return (
+        np.empty(n - 1, np.int64), np.empty(n - 1, np.float64),
+        np.empty(n - 1, np.int64), np.empty((n - 1) * p, np.float64),
+    )
+
+
+def _taken(buffers: Tuple[np.ndarray, ...], steps: int, p: int) -> Trajectory:
+    """The schedule's output columns cut to the ``steps`` taken."""
+    boundaries, keys, heads, merged = buffers
     return (
         boundaries[:steps], keys[:steps], heads[:steps],
         merged[: steps * p].reshape(-1, p),

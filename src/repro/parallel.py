@@ -80,10 +80,10 @@ from .core.kernels import (
     encode_segments,
     greedy_merge_trajectory,
     require_finite,
+    schedule_prefix,
 )
 from .core.merge import AggregateSegment
 from .obs.tracing import span
-from .temporal import Interval
 from .util import failpoints
 
 #: Default number of segments per shard.  A function of the input only —
@@ -417,44 +417,10 @@ def _rebuild_shard(
     trajectory: ShardTrajectory,
     taken: int,
 ) -> List[AggregateSegment]:
-    """Materialise one shard's output partition after ``taken`` merges.
-
-    The first ``taken`` steps of the shard's schedule remove their
-    ``boundaries``.  Each surviving block keeps the row recorded at the
-    last of those steps headed at it (``heads``), or its input row if no
-    step was: the kernel folded those rows with
-    :func:`repro.core.merge.merged_row` in schedule order, so this is a
-    gather, not a replay.
-    """
+    """Materialise one shard's output partition after ``taken`` merges:
+    the gathered prefix of its schedule (:func:`schedule_prefix`)."""
     boundaries, _, _, heads, rows = trajectory
-    starts = encoded.starts[lo:hi]
-    ends = encoded.ends[lo:hi]
-    groups = encoded.groups[lo:hi]
-    count = hi - lo
-    keep = np.ones(count, dtype=bool)
-    keep[boundaries[:taken]] = False
-    part_starts = np.flatnonzero(keep)
-    part_ends = np.append(part_starts[1:] - 1, count - 1)
-    # ``last[h]``: the last step headed at ``h``, or -1.  ``maximum.at``
-    # is unbuffered, so repeated heads keep the largest step.
-    last = np.full(count, -1)
-    np.maximum.at(last, heads[:taken], np.arange(taken))
-    steps = last[part_starts]
-    merged = steps >= 0
-    block_rows = encoded.values[lo:hi][part_starts]
-    block_rows[merged] = rows[steps[merged]]
-    group_keys = encoded.group_keys
-    return [
-        AggregateSegment(
-            group_keys[group], tuple(row), Interval(start, end)
-        )
-        for group, row, start, end in zip(
-            groups[part_starts].tolist(),
-            block_rows.tolist(),
-            starts[part_starts].tolist(),
-            ends[part_ends].tolist(),
-        )
-    ]
+    return list(schedule_prefix(encoded[lo:hi], boundaries, heads, rows, taken))
 
 
 __all__ = [

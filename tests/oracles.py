@@ -183,7 +183,8 @@ def activate(
                 left_length, right_length, values[predecessor],
                 values[top_index],
             )
-            length_sum = left_length + right_length
+            # The merged interval's length, as the python heap takes it.
+            length_sum = float(end[top_index] - start[predecessor] + 1)
             values[predecessor] = merged
             end[predecessor] = end[top_index]
             length[predecessor] = length_sum
@@ -239,14 +240,7 @@ def activate(
                     key[successor] = inf
                     version[successor] += 1
             if record_merge is not None:
-                record_merge(
-                    node_id[top_index],
-                    node_id[predecessor],
-                    merged,
-                    key[predecessor],
-                    node_id[successor] if successor >= 0 else -1,
-                    key[successor] if successor >= 0 else inf,
-                )
+                record_merge(node_id[top_index], node_id[predecessor], merged)
 
     # Staged rows are fresh (version 0, unlinked, unreachable until
     # activated), so liveness and the activation version bump can be
@@ -294,7 +288,6 @@ def activate(
                 end[index],
                 group_keys[group[index]],
                 values[index],
-                activation_key,
             )
         drain(False)
     if end_of_input:
@@ -378,6 +371,7 @@ def trajectory(
     # ``queued_key`` the counter and key of the node's entry still in the
     # queue.
     length = interval_lengths(starts, ends).tolist()
+    start_of, end_of = starts.tolist(), ends.tolist()
     row = values.tolist()
     weights = [float(weight) for weight in w2]
     prev_ = list(range(-1, n - 1))
@@ -430,8 +424,12 @@ def trajectory(
         merged = row[predecessor] = merged_row(
             left_length, right_length, row[predecessor], row[index]
         )
-        length[predecessor] = left_length + right_length
         successor = next_[index]
+        # The merged block's interval length, as the python heap takes it.
+        length[predecessor] = float(
+            end_of[(successor if successor >= 0 else n) - 1]
+            - start_of[predecessor] + 1
+        )
         next_[predecessor] = successor
         if successor >= 0:
             prev_[successor] = predecessor

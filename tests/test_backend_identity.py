@@ -11,7 +11,10 @@ used to disagree:
   sum and of ``w²``);
 * small integer values (exact key ties, decided by the queue counters);
 * interval lengths around 10⁸–10⁹, so that ``l·r`` exceeds ``2⁵³`` and
-  integer and float lengths round differently.
+  integer and float lengths round differently;
+* interval lengths of 2⁵⁰–2⁵⁷ chronons, so that merged runs pass ``2⁵³``
+  and a merged tuple's length must be its interval's, not the sum of two
+  rounded float lengths.
 
 The same holds for every :meth:`Compressor.summary` along a chunked push,
 which runs the delta-snapshot tail on the numpy side, and across the numpy
@@ -42,9 +45,13 @@ def scenarios(draw):
     dimensions = draw(st.sampled_from([1, 2, 3]))
     weighted = draw(st.booleans())
     integer_valued = draw(st.booleans())
-    long_intervals = draw(st.booleans())
+    long_intervals = draw(st.sampled_from(["short", "long", "huge"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if long_intervals:
+    if long_intervals == "huge":
+        # Merged runs pass 2**53 chronons, where adding two float lengths
+        # rounds differently from the float of the merged interval's.
+        lengths = rng.integers(2**50, 2**57, count)
+    elif long_intervals == "long":
         lengths = rng.integers(10**8, 10**9, count)
     else:
         lengths = rng.integers(1, 4, count)

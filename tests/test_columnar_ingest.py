@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import Interval, compress
 from repro.api import Compressor, ExecutionPolicy
 from repro.core import AggregateSegment
+from repro.core.greedy import OnlineReducer
 from repro.core.kernels import EncodedSegments, NumpyMergeHeap, ValueWidthError
 from repro.service import (
     SEGMENTS_MAGIC,
@@ -329,6 +330,40 @@ def test_compress_refuses_a_stream_of_mixed_widths(backend, size):
     ]
     with pytest.raises(ValueWidthError):
         compress(stream, size=size, backend=backend)
+
+
+def _columns(first, count, value_rows=None, values_shape=None):
+    times = np.arange(first, first + count, dtype=np.int64)
+    values = np.ones((count if value_rows is None else value_rows, 1))
+    if values_shape is not None:
+        values = np.ones(values_shape)
+    return EncodedSegments(
+        times, times.copy(), values, np.zeros(count, np.int64), [()]
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "malformed",
+    [{"value_rows": 40}, {"value_rows": 80}, {"values_shape": (64,)}],
+)
+def test_malformed_columns_are_refused_before_any_state_changes(
+    backend, malformed
+):
+    """Regression: 64 starts against 40 value rows made the numpy backend
+    raise from the compiled loop after staging (every later push then
+    raised ``staged tuples are pending``) and the python backend consume
+    40 of the 64 tuples.  ``encode_segments`` now refuses such columns
+    before the reducer is touched."""
+    reducer = OnlineReducer(size=10, backend=backend)
+    reducer.push_chunk(_columns(0, 64))
+    with pytest.raises(ValueError, match="malformed columns"):
+        reducer.push_chunk(_columns(64, 64, **malformed))
+    assert reducer.consumed == 64
+    reducer.push_chunk(_columns(64, 64))
+    assert reducer.consumed == 128
+    expected = compress(list(_columns(0, 128)), size=10, backend=backend)
+    assert reducer.finalize().segments == expected.segments
 
 
 # ----------------------------------------------------------------------

@@ -309,3 +309,54 @@ def test_another_thread_runs_during_a_large_trajectory(monkeypatch):
         f"no tick in the middle of the {ended - began:.3f} s the compiled "
         f"loop ran ({threading.active_count()} threads alive)"
     )
+
+
+# ----------------------------------------------------------------------
+# The end-of-input stop rule (finalize_mirror's call)
+# ----------------------------------------------------------------------
+def stop_call(limit, budget, total_error=0.0, values=(1.0, 1.5, 5.0, 7.0)):
+    n = len(values)
+    starts = np.arange(n, dtype=np.int64)
+    buffers = (np.empty(n - 1, np.int64), np.empty(n - 1),
+               np.empty(n - 1, np.int64), np.empty(n - 1))
+    return native.KERNEL.trajectory(
+        starts, starts.copy(), np.zeros(n, np.int64),
+        np.asarray(values, np.float64), np.ones(1), *buffers,
+        limit, budget, total_error,
+    ), buffers
+
+
+@pytest.mark.parametrize("limit", [-1, 4, 10])
+def test_stop_rule_refuses_a_limit_outside_the_schedule(limit):
+    with pytest.raises(ValueError, match="limit must be within"):
+        stop_call(limit, float("inf"))
+
+
+def test_stop_rule_prefix_equals_the_full_schedule():
+    values = (1.0, 1.5, 5.0, 7.0)
+    full = greedy_merge_trajectory(
+        np.arange(4), np.arange(4), np.array(values).reshape(-1, 1),
+        np.zeros(4, np.int64), np.ones(1))
+    for limit in range(4):
+        (steps, tie, total), buffers = stop_call(limit, float("inf"))
+        assert (steps, tie) == (limit, -1)
+        assert buffers[1][:steps].tobytes() == full[1][:limit].tobytes()
+        expected = 0.0
+        for key in full[1][:limit].tolist():
+            expected += key
+        assert total == expected
+
+
+def test_stop_rule_budget_and_a_nan_budget():
+    (steps, _, total), _ = stop_call(3, 1.0, total_error=0.5)
+    assert (steps, total) == (1, 0.5 + 0.125)
+    # ``total + key > nan`` is never true: a NaN budget never stops, as in
+    # the heaps' end-of-input loops.
+    assert stop_call(3, float("nan"))[0] == stop_call(3, float("inf"))[0]
+
+
+def test_stop_rule_reports_the_first_tie():
+    (steps, tie, _), _ = stop_call(3, float("inf"), values=(0.0, 1.0, 2.0, 3.0))
+    assert (steps, tie) == (0, 0)
+    (steps, tie, _), _ = stop_call(3, float("inf"), values=(0.0, 0.0, 5.0, 7.0))
+    assert (steps, tie) == (3, -1)

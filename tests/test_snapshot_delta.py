@@ -27,7 +27,7 @@ from repro import Interval
 from repro.api import Compressor, ErrorBudget, ExecutionPolicy, Result, SizeBudget
 from repro.core import AggregateSegment, max_error
 from repro.core.greedy import OnlineReducer
-from repro.core.kernels import _TAIL_WINDOW, EncodedSegments, finalize_mirror
+from repro.core.kernels import EncodedSegments, finalize_mirror
 from repro.obs import metrics
 from repro.service import QueryEngine, SessionStore
 
@@ -239,7 +239,9 @@ class TestDeltaSnapshotProperty:
 
 
 class TestTailWindow:
-    """The end-of-input tail heapifies only the smallest keys first."""
+    """Snapshot tails of many merges.  The first two cases come from a
+    tail that queued a window of the 64 smallest keys and widened it on
+    demand: a tie at the window's edge, and a tail that widens twice."""
 
     @staticmethod
     def paired_session(backend, gaps):
@@ -264,11 +266,10 @@ class TestTailWindow:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_top_key_equal_to_window_bound(self, backend):
-        """Regression: the top reaches the first key left outside the
-        window with an equal key.  Widening brings that key in, the tie
-        guard sees it, and the snapshot is served by the oracle."""
-        gaps = [float(i + 1) for i in range(_TAIL_WINDOW + 8)]
-        gaps[_TAIL_WINDOW] = gaps[_TAIL_WINDOW - 1]
+        """Regression: the 64th and 65th smallest keys are equal.  The
+        tie is reported, and the snapshot is served by the oracle."""
+        gaps = [float(i + 1) for i in range(64 + 8)]
+        gaps[64] = gaps[64 - 1]
         session = self.paired_session(backend, gaps)
         before = metrics.value("repro_snapshot_oracle_fallbacks_total")
         snapshot = session.summary()
@@ -279,7 +280,7 @@ class TestTailWindow:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_window_widens_without_a_tie(self, backend):
-        gaps = [float(i + 1) for i in range(3 * _TAIL_WINDOW)]
+        gaps = [float(i + 1) for i in range(3 * 64)]
         session = self.paired_session(backend, gaps)
         before = metrics.value("repro_snapshot_oracle_fallbacks_total")
         snapshot = session.summary()
