@@ -41,7 +41,7 @@ cores:
 5. **Rebuild** — each shard's output partition is gathered from the
    consumed prefix of its schedule: a surviving block takes the row the
    kernel recorded at the last step headed at it, or its input row
-   (:func:`_rebuild_shard`).  Those rows were folded by
+   (:func:`~repro.core.kernels.schedule_prefix`).  Those rows were folded by
    :func:`repro.core.merge.merged_row` in the merge heaps' order, so
    every output row is the heaps' fold, and no merge is computed twice.
 
@@ -230,7 +230,7 @@ def assemble_result(
     The deterministic back half of every sharded reduction: one sort
     decides how many schedule steps each shard takes (:func:`_reconcile`),
     then each shard's output rows are gathered from the rows its schedule
-    recorded (:func:`_rebuild_shard`).  No merge is recomputed, and
+    recorded (:func:`~repro.core.kernels.schedule_prefix`).  No merge is recomputed, and
     nothing in it loops over merges in Python.  Because it
     consumes ``trajectories`` by shard index — never by completion order —
     the output is bit-identical no matter where or in what order the shard
@@ -243,7 +243,10 @@ def assemble_result(
         )
         output: List[AggregateSegment] = []
         for (lo, hi), trajectory, taken in zip(shards, trajectories, counts):
-            output.extend(_rebuild_shard(encoded, lo, hi, trajectory, taken))
+            boundaries, _, _, heads, rows = trajectory
+            output.extend(
+                schedule_prefix(encoded[lo:hi], boundaries, heads, rows, taken)
+            )
     return GreedyResult(
         segments=output,
         error=total_error,
@@ -408,19 +411,6 @@ def _reconcile(
     # ``+ 0.0``: a loop's running total starts at +0.0, never at -0.0.
     total_error = float(totals[taken - 1]) + 0.0 if taken else 0.0
     return counts.tolist(), total_error, taken
-
-
-def _rebuild_shard(
-    encoded: EncodedSegments,
-    lo: int,
-    hi: int,
-    trajectory: ShardTrajectory,
-    taken: int,
-) -> List[AggregateSegment]:
-    """Materialise one shard's output partition after ``taken`` merges:
-    the gathered prefix of its schedule (:func:`schedule_prefix`)."""
-    boundaries, _, _, heads, rows = trajectory
-    return list(schedule_prefix(encoded[lo:hi], boundaries, heads, rows, taken))
 
 
 __all__ = [

@@ -351,18 +351,38 @@ def trajectory(
     values: np.ndarray,
     groups: np.ndarray,
     w2: np.ndarray,
-) -> Trajectory:
+    stop: Optional[Tuple[int, float, float]] = None,
+):
     """:func:`~repro.core.kernels.greedy_merge_trajectory` in Python,
-    on the columns cast as the product casts them."""
+    on the columns cast as the product casts them.
+
+    ``stop = (limit, budget, total_error)`` is the kernel's end-of-input
+    stop rule (:func:`~repro.core.kernels.finalize_mirror`'s call): at
+    most ``limit`` steps, none that takes the running error, counted from
+    ``total_error``, above ``budget`` or that pops an infinite key, and a
+    stop at the first tie — a popped key equal to the smallest key left
+    in the frontier or the refresh queue, valid or stale, or a NaN key,
+    initial (tie 0) or refreshed (the step that computed it).  It then
+    returns ``(trajectory, tie, total_error)``, ``tie`` -1 for none.
+    """
     starts, ends, groups = (
         np.asarray(column, dtype=np.int64) for column in (starts, ends, groups)
     )
     values = np.asarray(values, dtype=np.float64)
     n = len(starts)
     p = values.shape[1]
-    if n < 2:
+    tie = -1
+    if stop is not None:
+        limit, budget, total = stop
+        if n < 2:
+            raise ValueError("a schedule needs two blocks")
+        if not 0 <= limit <= n - 1:
+            raise ValueError(f"limit must be within [0, {n - 1}], got {limit}")
+    elif n < 2:
         return _no_steps(p)
     adjacent, initial, order = frontier(starts, ends, values, groups, w2)
+    if stop is not None and np.isnan(initial).any():
+        return _no_steps(p), 0, total
     frontier_keys = initial[order].tolist()
     frontier_nodes = (order + 1).tolist()
 
@@ -396,6 +416,8 @@ def trajectory(
     position = 0
     frontier_size = len(frontier_keys)
     while True:
+        if stop is not None and len(boundaries) == limit:
+            break
         if position < frontier_size:
             top_key = frontier_keys[position]
             if heap and heap[0][0] < top_key:
@@ -418,6 +440,15 @@ def trajectory(
                 queued[index] = current
                 queued_key[index] = deferred
             continue
+        if stop is not None:
+            if not top_key < math.inf or total + top_key > budget:
+                break
+            if (position < frontier_size
+                    and frontier_keys[position] == top_key) or (
+                        heap and heap[0][0] == top_key):
+                tie = len(boundaries)
+                break
+            total += top_key
         predecessor = prev_[index]
         left_length = length[predecessor]
         right_length = length[index]
@@ -447,6 +478,9 @@ def trajectory(
             refreshed = merge_key(
                 length[lo], length[node], row[lo], row[node], weights
             )
+            if stop is not None and math.isnan(refreshed):
+                tie = len(boundaries) - 1
+                break
             counter += 1
             stamp[node] = counter
             key[node] = refreshed
@@ -455,13 +489,16 @@ def trajectory(
             heappush(heap, (refreshed, counter, node))
             queued[node] = counter
             queued_key[node] = refreshed
+        if tie >= 0:
+            break
 
-    return (
+    schedule = (
         np.frombuffer(boundaries, dtype=np.int64),
         np.frombuffer(merge_keys, dtype=np.float64),
         np.frombuffer(heads, dtype=np.int64),
         np.frombuffer(rows, dtype=np.float64).reshape(-1, p),
     )
+    return schedule if stop is None else (schedule, tie, total)
 
 
 # ----------------------------------------------------------------------

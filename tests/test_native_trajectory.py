@@ -7,7 +7,8 @@ order) that the C loop computes itself.  The parity properties call both
 on drawn shards and require the same dtype, shape and bytes in all four
 output columns, also where keys overflow to ``inf`` and ``NaN``, where
 ends reach the largest int64 and where initial keys tie exactly.  The
-remaining tests cover errors, the buffer checks and the GIL.
+remaining tests cover errors, the buffer checks, the GIL, and the
+end-of-input stop rule against the oracle's twin of it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from repro.core import native
@@ -360,3 +362,143 @@ def test_stop_rule_reports_the_first_tie():
     assert (steps, tie) == (0, 0)
     (steps, tie, _), _ = stop_call(3, float("inf"), values=(0.0, 0.0, 5.0, 7.0))
     assert (steps, tie) == (3, -1)
+
+
+def stopped(starts, ends, values, groups, w2, limit, budget, total_error):
+    """The kernel with its stop rule, cast as ``finalize_mirror`` casts,
+    as ``((boundaries, keys, heads, rows), tie, total_error)`` cut to the
+    steps taken; the oracle's twin returns the same triple."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    n, p = values.shape
+    buffers = (np.empty(n - 1, np.int64), np.empty(n - 1),
+               np.empty(n - 1, np.int64), np.empty((n - 1) * p))
+    with np.errstate(all="ignore"):
+        steps, tie, total = native.KERNEL.trajectory(
+            np.ascontiguousarray(starts, dtype=np.int64),
+            np.ascontiguousarray(ends, dtype=np.int64),
+            np.ascontiguousarray(groups, dtype=np.int64), values,
+            np.ascontiguousarray(w2, dtype=np.float64)[:p], *buffers,
+            limit, budget, total_error,
+        )
+    boundaries, keys, heads, rows = buffers
+    return (boundaries[:steps], keys[:steps], heads[:steps],
+            rows[: steps * p].reshape(-1, p)), tie, total
+
+
+def stop_draw(data, seed: int, edge: bool):
+    """A parity or edge shard of two blocks or more, with a limit, a
+    starting error and a budget: none, NaN, random, or exactly a running
+    total of the unstopped schedule (or the float below it), where the
+    stop falls between two steps."""
+    starts, ends, values, groups, w2 = (edge_draw if edge else draw)(seed)
+    if len(starts) < 2:
+        starts, ends = np.arange(2), np.arange(2)
+        values, groups = np.zeros((2, values.shape[1])), np.zeros(2, np.int64)
+    n = len(starts)
+    limit = data.draw(st.one_of(st.just(n - 1), st.integers(0, n - 1)))
+    total_error = data.draw(st.sampled_from([0.0, 0.0, 0.75, 1e300]))
+    with np.errstate(all="ignore"):
+        keys = oracles.trajectory(starts, ends, values, groups, w2)[1]
+    running, totals = total_error, []
+    for key in keys.tolist():
+        running += key
+        totals.append(running)
+    kind = data.draw(st.sampled_from(["none", "nan", "random", "running"]))
+    if kind == "running" and totals:
+        budget = data.draw(st.sampled_from(totals))
+        if data.draw(st.booleans()):
+            budget = float(np.nextafter(budget, -np.inf))
+    elif kind == "nan":
+        budget = float("nan")
+    elif kind == "random":
+        budget = total_error + data.draw(st.floats(0.0, 1e3))
+    else:
+        budget = float("inf")
+    return (starts, ends, values, groups, w2), (limit, budget, total_error)
+
+
+def assert_same_stop(got, want):
+    (got_schedule, got_tie, got_total), (schedule, tie, total) = got, want
+    assert_same(got_schedule, schedule)
+    assert got_tie == tie
+    assert np.float64(got_total).tobytes() == np.float64(total).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), edge=st.booleans(), data=st.data())
+def test_the_stop_rule_is_the_oracles(seed, edge, data):
+    """Steps, tie report, running error and the schedule prefix of the
+    stopped kernel, bit for bit against ``oracles.trajectory(stop=...)``
+    on the parity and edge draws: ties (exact integer keys, also behind
+    stale entries), NaN initial and refreshed keys, inf keys, limits and
+    budgets that fall on a step."""
+    columns, stop = stop_draw(data, seed, edge)
+    with np.errstate(all="ignore"):
+        want = oracles.trajectory(*columns, stop=stop)
+    assert_same_stop(stopped(*columns, *stop), want)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_the_unbounded_stop_rule_on_every_draw(block):
+    """Every parity and edge draw of two blocks or more with no budget and
+    the longest limit: the stop falls only at an inf key or a tie, so the
+    tie report meets every tie the draws hold, stale entries included."""
+    for seed in range(block * 100, block * 100 + 100):
+        for columns in (draw(seed), edge_draw(seed)):
+            n = len(columns[0])
+            if n < 2:
+                continue
+            stop = (n - 1, float("inf"), 0.0)
+            with np.errstate(all="ignore"):
+                want = oracles.trajectory(*columns, stop=stop)
+            assert_same_stop(stopped(*columns, *stop), want)
+
+
+def test_the_stop_draws_reach_every_stop():
+    """The stop property's shards do stop at a limit, at the budget, at
+    an inf key, at a popped tie and at a NaN initial key (a NaN refreshed
+    key has its own case below)."""
+    seen = set()
+    for seed in range(400):
+        for edge in (False, True):
+            starts, ends, values, groups, w2 = (edge_draw if edge
+                                                else draw)(seed)
+            if len(starts) < 2:
+                continue
+            n = len(starts)
+            with np.errstate(all="ignore"):
+                full = oracles.trajectory(starts, ends, values, groups, w2)
+                (schedule, tie, _) = oracles.trajectory(
+                    starts, ends, values, groups, w2,
+                    stop=(n - 1, float("inf"), 0.0))
+                limited = oracles.trajectory(
+                    starts, ends, values, groups, w2,
+                    stop=(min(3, n - 1), 1.0, 0.0))
+                initial = oracles.pairwise_merge_keys(starts, ends, values,
+                                                      groups, w2)
+            steps = len(schedule[0])
+            if tie >= 0:
+                seen.add("nan initial" if np.isnan(initial).any() else "tie")
+            elif steps < len(full[0]) and np.isinf(full[1][steps]):
+                seen.add("inf")
+            limited_steps = len(limited[0][0])
+            if limited[1] < 0:
+                seen.add("limit" if limited_steps == min(3, n - 1)
+                         else "budget")
+    assert {"limit", "budget", "inf", "tie", "nan initial"} <= seen
+
+
+def test_a_nan_refreshed_key_is_the_tie_of_its_step():
+    """Finite initial keys, then a NaN: the first merge's row overflows to
+    inf in a zero-weight dimension, and ``0 * inf`` is the refreshed key
+    of its successor.  The step that computed it is the tie, taken."""
+    starts = np.arange(4, dtype=np.int64)
+    values = np.array([[0.0, 1.7e308], [1.0, 1.7e308], [3.0, 1.7e308],
+                       [6.0, 1.7e308]])
+    columns = (starts, starts.copy(), values, np.zeros(4, np.int64),
+               np.array([1.0, 0.0]))
+    with np.errstate(all="ignore"):
+        want = oracles.trajectory(*columns, stop=(3, float("inf"), 0.0))
+    assert want[1:] == (0, 0.5)
+    assert want[0][0].tolist() == [1]
+    assert_same_stop(stopped(*columns, 3, float("inf"), 0.0), want)

@@ -167,35 +167,58 @@ class TestRandomizedPrefixParity:
 # Hypothesis property: delta summary() == summary_oracle(), bit for bit
 # ----------------------------------------------------------------------
 @st.composite
-def delta_scenarios(draw):
+def delta_scenarios(draw, edges=False):
     """A stream, a budget and a push plan with random snapshot points.
 
     Integer-valued streams produce exact merge-key ties (the oracle
     fallback); an error budget without estimates leaves every merge to
-    the snapshot tail, so its window widens repeatedly; and a stretch of
-    several hundred tuples without a snapshot overflows the delta log.
+    the snapshot tail; and a stretch of several hundred tuples without a
+    snapshot overflows the delta log.  With ``edges``, the streams also
+    take tuples of 2**50-2**52 chronons (merged runs pass 2**53, where a
+    merged length must be its interval's), values near 1e155-1e160
+    (most keys overflow to inf, which ends the end-of-input phase, and
+    the finite ones reach about 1e302), up to three groups and gaps up
+    to four chronons apart.
     """
     backend = draw(st.sampled_from(BACKENDS))
-    integer = draw(st.booleans())
+    kinds = ["uniform", "integer", "huge"] if edges else ["uniform", "integer"]
+    kind = draw(st.sampled_from(kinds))
+    long_spans = edges and draw(st.booleans())
     budget = draw(st.sampled_from(["size", "error", "error_estimates"]))
     long_stretch = draw(st.booleans())
     count = draw(st.integers(600, 900) if long_stretch else st.integers(1, 160))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = random.Random(seed)
-    groups = draw(st.integers(1, 2))
+    groups = draw(st.integers(1, 3 if edges else 2))
+    gap_probability = draw(st.sampled_from([0.0, 0.1, 0.4])) if edges else 0.1
+
+    def value(previous: float) -> float:
+        if kind == "integer":
+            return float(rng.randrange(4))
+        if kind == "huge":
+            # Half the values stay within 1e-9 of their predecessor, so
+            # some keys are finite, up to about 1e302, and sum to inf.
+            if previous and rng.random() < 0.5:
+                return previous * (1.0 + rng.choice([0.0, 1e-12, 1e-9]))
+            return rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(155.0, 160.0)
+        return rng.uniform(0.0, 50.0)
+
     stream = []
     for g in range(groups):
         time = 0
+        values = (0.0, 0.0)
         for _ in range(count // groups or 1):
-            length = rng.randrange(1, 3)
-            values = tuple(
-                float(rng.randrange(4)) if integer else rng.uniform(0.0, 50.0)
-                for _ in range(2)
-            )
+            if long_spans:
+                length = rng.randrange(2**50, 2**52)
+            else:
+                length = rng.randrange(1, 3)
+            values = (value(values[0]), value(values[1]))
             stream.append(AggregateSegment(
                 (f"g{g}",), values, Interval(time, time + length - 1)
             ))
-            time += length + (rng.random() < 0.1)
+            time += length
+            if rng.random() < gap_probability:
+                time += rng.randrange(1, 5) if edges else 1
     policy = {"backend": backend, "delta": draw(st.sampled_from([0, 1, 3, math.inf]))}
     if budget == "size":
         kwargs = {"size": draw(st.integers(1, 24))}
@@ -217,6 +240,21 @@ def delta_scenarios(draw):
     return stream, kwargs, ExecutionPolicy(**policy), plan
 
 
+def run_scenario(scenario) -> None:
+    """Push a scenario's plan; every snapshot is the oracle's, bit for bit."""
+    stream, kwargs, policy, plan = scenario
+    session = Compressor(policy=policy, **kwargs)
+    position = 0
+    for width, read in plan:
+        chunk = stream[position : position + width]
+        position += width
+        session.push(chunk if len(chunk) > 1 else chunk[0])
+        if read or position >= len(stream):
+            snapshot = session.summary()
+            assert_bit_identical(snapshot, session.summary_oracle())
+            assert_columns_match(session.summary_columns(), snapshot)
+
+
 class TestDeltaSnapshotProperty:
     @settings(
         max_examples=80,
@@ -225,17 +263,16 @@ class TestDeltaSnapshotProperty:
     )
     @given(delta_scenarios())
     def test_delta_summary_is_the_oracle(self, scenario):
-        stream, kwargs, policy, plan = scenario
-        session = Compressor(policy=policy, **kwargs)
-        position = 0
-        for width, read in plan:
-            chunk = stream[position : position + width]
-            position += width
-            session.push(chunk if len(chunk) > 1 else chunk[0])
-            if read or position >= len(stream):
-                snapshot = session.summary()
-                assert_bit_identical(snapshot, session.summary_oracle())
-                assert_columns_match(session.summary_columns(), snapshot)
+        run_scenario(scenario)
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(delta_scenarios(edges=True))
+    def test_delta_summary_is_the_oracle_on_edge_streams(self, scenario):
+        run_scenario(scenario)
 
 
 class TestTailWindow:
