@@ -31,7 +31,9 @@ property carries over because the *plan*, the *dispatch* and the
    arrives intact but does not fit its shard — an undecodable or
    other-version ``PTAT`` payload, a boundary or head index outside the
    shard, rows of the wrong width — is a transport fault too: that
-   shard runs in-process (:func:`check_trajectory`).  Requests the
+   shard runs in-process (:func:`check_trajectory`).  An answer carries
+   no ``SSE_max``: the error budget is :func:`repro.parallel.plan_job`'s,
+   from the input, so no worker can move it.  Requests the
    workers themselves reject as malformed (``bad_request``) or as
    arriving past their end-to-end deadline (``deadline_exceeded``) are
    not retried: resending identical bytes cannot succeed.  When the
@@ -97,7 +99,7 @@ def check_trajectory(
     raise ``IndexError`` in the rebuild nor wrap around as a negative
     index.
     """
-    boundaries, _, _, heads, rows = trajectory
+    boundaries, _, heads, rows = trajectory
     if len(boundaries) and (
         boundaries.min() < 1 or boundaries.max() >= count
         or heads.min() < 0 or heads.max() >= count
@@ -179,7 +181,7 @@ def reduce_cluster(
     job = plan_job(segments, size, max_error, weights, shard_size)
     if job is None:
         return GreedyResult()
-    encoded, shards, w2 = job
+    encoded, shards, w2, budget = job
     payloads = shard_payloads(encoded, shards, w2)
     fallbacks = _metrics.counter(
         "repro_shard_fallbacks_total",
@@ -240,4 +242,4 @@ def reduce_cluster(
     trajectories = _reduce_shards_pooled(
         _reduce_remote, list(enumerate(shards)), len(addresses)
     )
-    return assemble_result(encoded, shards, trajectories, size, max_error)
+    return assemble_result(encoded, shards, trajectories, size, budget)

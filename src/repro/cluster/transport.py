@@ -217,16 +217,16 @@ def decode_json(payload: bytes, what: str) -> Dict[str, Any]:
 #: Magic tag and version of trajectory payloads (a worker's answer to a
 #: shard request): one column container holding
 #: :data:`TRAJECTORY_COLUMNS` in that order.  Version 2 added ``heads``
-#: and ``rows``.
+#: and ``rows``; version 3 dropped ``sse_max``, since the coordinator
+#: takes its budget from the input, never from a worker.
 TRAJECTORY_MAGIC = b"PTAT"
-TRAJECTORY_VERSION = 2
+TRAJECTORY_VERSION = 3
 
-#: The ``PTAT`` columns: name, dtype and number of dimensions.  Every
-#: column but ``sse_max`` (shape ``(1,)``) has one entry per merge step.
+#: The ``PTAT`` columns: name, dtype and number of dimensions, each with
+#: one entry per merge step.
 TRAJECTORY_COLUMNS = (
     ("boundaries", "<i8", 1),
     ("keys", "<f8", 1),
-    ("sse_max", "<f8", 1),
     ("heads", "<i8", 1),
     ("rows", "<f8", 2),
 )
@@ -266,18 +266,16 @@ def encode_trajectory(trajectory: Tuple[Any, ...]) -> bytes:
     """Pack one shard's merge schedule into a ``PTAT`` payload.
 
     ``trajectory`` is a :data:`repro.parallel.ShardTrajectory`:
-    ``(boundaries, keys, sse_max, heads, rows)``.
+    ``(boundaries, keys, heads, rows)``.
     """
     import numpy as np
 
     from ..storage.columns import pack_columns
 
-    boundaries, keys, sse_max, heads, rows = trajectory
-    arrays = (boundaries, keys, [sse_max], heads, rows)
     return pack_columns(
         {
             name: np.asarray(array, dtype=dtype)
-            for (name, dtype, _), array in zip(TRAJECTORY_COLUMNS, arrays)
+            for (name, dtype, _), array in zip(TRAJECTORY_COLUMNS, trajectory)
         },
         TRAJECTORY_MAGIC,
         TRAJECTORY_VERSION,
@@ -285,12 +283,12 @@ def encode_trajectory(trajectory: Tuple[Any, ...]) -> bytes:
 
 
 def decode_trajectory(payload: bytes) -> Tuple[Any, ...]:
-    """Unpack a ``PTAT`` payload into ``(boundaries, keys, sse_max, heads,
-    rows)``.
+    """Unpack a ``PTAT`` payload into ``(boundaries, keys, heads, rows)``.
 
-    Raises :class:`TransportError` unless the payload holds exactly
+    Raises :class:`TransportError` unless the payload is version
+    :data:`TRAJECTORY_VERSION` and holds exactly
     :data:`TRAJECTORY_COLUMNS`, in order, each with its dtype and number
-    of dimensions, one entry per step (``sse_max`` has shape ``(1,)``).
+    of dimensions, one entry per step.
     Whether the indices fit the shard is the caller's check: only it
     knows the shard.
     """
@@ -320,13 +318,10 @@ def decode_trajectory(payload: bytes) -> Tuple[Any, ...]:
                 f"trajectory column {name!r} is {column.ndim}-d "
                 f"{column.dtype.str}, expected {ndim}-d {dtype}"
             )
-    boundaries, keys, sse_max, heads, rows = (columns[name] for name in names)
-    if (
-        sse_max.shape != (1,)
-        or not len(boundaries) == len(keys) == len(heads) == len(rows)
-    ):
+    boundaries, keys, heads, rows = (columns[name] for name in names)
+    if not len(boundaries) == len(keys) == len(heads) == len(rows):
         raise TransportError("trajectory payload columns are malformed")
-    return boundaries, keys, float(sse_max[0]), heads, rows
+    return boundaries, keys, heads, rows
 
 
 # ----------------------------------------------------------------------

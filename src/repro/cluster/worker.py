@@ -12,11 +12,10 @@ the shard's complete merge schedule:
    ``frombuffer`` views straight over the frame buffer, so reduction
    starts without a per-column memcpy;
 3. :func:`repro.parallel.reduce_shard` runs
-   :func:`repro.core.kernels.greedy_merge_trajectory` and sums its keys
-   into the shard's ``SSE_max`` — exactly the computation a
-   ``workers=N`` reducer thread performs;
-4. the schedule — boundaries, keys, ``SSE_max``, heads and merged rows —
-   returns as a ``PTAT`` version 2 payload (``KIND_TRAJECTORY``).
+   :func:`repro.core.kernels.greedy_merge_trajectory` — exactly the
+   computation a ``workers=N`` reducer thread performs;
+4. the schedule — boundaries, keys, heads and merged rows — returns as
+   a ``PTAT`` version 3 payload (``KIND_TRAJECTORY``).
 
 The worker is stateless between requests: shard placement, budgets and
 reconciliation all live in the coordinator, which is what makes workers

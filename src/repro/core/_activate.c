@@ -997,7 +997,7 @@ static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_activate",
     "The compiled loops: NumpyMergeHeap's activate-then-drain loop, the "
     "sharded engine's merge schedule, the exact DP's row fill and "
-    "gPTAeps's SSE_max.", -1,
+    "SSE_max fold.", -1,
     methods,
     NULL, NULL, NULL, NULL,
 };
@@ -1006,7 +1006,7 @@ static struct PyModuleDef module_def = {
 extern PyMethodDef repro_trajectory_methods[];
 /* dp_row(), one row of the exact DP's error matrix: _dp.c. */
 extern PyMethodDef repro_dp_methods[];
-/* sse_fold() and sse_max(), gPTAeps's SSE_max: _sse.c. */
+/* sse_fold(), the SSE_max of every error budget: _sse.c. */
 extern PyMethodDef repro_sse_methods[];
 
 PyMODINIT_FUNC

@@ -15,7 +15,7 @@ import math
 from array import array
 from typing import Dict, List, Sequence, Tuple
 
-from .merge import AggregateSegment, cmin
+from .merge import AggregateSegment, cmin, maximal_runs
 
 Weights = Sequence[float]
 
@@ -127,14 +127,16 @@ def max_error(
 ) -> float:
     """``SSE_max``: error of the maximal reduction ``ρ(s, cmin)``.
 
-    Obtained by merging every maximal adjacent run into a single tuple.  The
-    error-bounded PTA operator expresses its threshold as a fraction of this
-    value (Definition 7).  The segments are encoded to columns once and
-    summed in one compiled pass (``_sse.c``): per run, the two-pass
-    :func:`sse_of_run`, and the runs' errors added left to right, so
-    ``SSE_max`` has the same bits on every Python version.  An endpoint
-    outside ``int64`` raises :class:`OverflowError`, as on every column
-    path.
+    The one ``SSE_max`` of every error budget (Definition 7): python and
+    numpy GMS, DP, the sharded and cluster engines and ``pta``'s
+    estimates all read it, and gPTAε's streaming tracker folds the same
+    sum chunk by chunk.  The segments are encoded to columns once and
+    folded in one ``KERNEL.sse_fold`` call (``_sse.c``): each maximal run
+    left to right by the pairwise update of Chan, Golub and LeVeque
+    (1983), whose merge keys add up to the run's collapse error
+    (Proposition 2).  Its carry is doubles, so every chunking of the
+    input gives the same bits.  An endpoint outside ``int64`` raises
+    :class:`OverflowError`, as on every column path.
     """
     from . import native
     from .kernels import encode_segments, typed_columns
@@ -142,10 +144,31 @@ def max_error(
     encoded = encode_segments(segments)
     if not len(encoded):
         return 0.0
-    return native.KERNEL.sse_max(
+    dimensions = encoded.dimensions
+    _, total = native.KERNEL.sse_fold(
         *typed_columns(encoded),
-        array("d", squared_weights(weights, encoded.dimensions)),
+        array("d", squared_weights(weights, dimensions)),
+        False, 0.0, array("d", (0.0,) * dimensions), 0.0,
     )
+    return total
+
+
+def collapse_error(
+    segments: Sequence[AggregateSegment],
+    weights: Weights | None = None,
+) -> float:
+    """``SSE_max`` as Definition 5 sums: the :func:`sse_of_run` of every
+    maximal run, added left to right.
+
+    The denominator of :func:`normalized_error` and
+    :func:`repro.evaluation.relative_error`, which compare it with
+    :func:`sse_between`, the same kind of sum.  Budgets read
+    :func:`max_error`, which equals it in real arithmetic.
+    """
+    total = 0.0
+    for run in maximal_runs(segments):
+        total += sse_of_run([segments[i] for i in run], weights)
+    return total
 
 
 def validate_budget(size: int | None, epsilon: float | None) -> None:
@@ -333,10 +356,14 @@ def normalized_error(
 ) -> float:
     """Error of a reduction normalised by ``SSE_max`` (0 … 1 range).
 
-    Returns 0.0 when the relation cannot be reduced at all
-    (``SSE_max == 0``), e.g. when every maximal run has constant values.
+    The ratio of two Definition 5 sums, :func:`sse_between` over
+    :func:`collapse_error`.  The range holds in real arithmetic; in
+    floats a reduction to ``cmin`` may read a few units in the last
+    place above 1.  Returns 0.0 when the relation cannot be reduced at
+    all (``SSE_max == 0``), e.g. when every maximal run has constant
+    values.
     """
-    maximum = max_error(segments, weights)
+    maximum = collapse_error(segments, weights)
     if maximum == 0.0:
         return 0.0
     return sse_between(segments, reduced, weights) / maximum
@@ -359,6 +386,7 @@ __all__ = [
     "PrefixSums",
     "Weights",
     "cmin",
+    "collapse_error",
     "error_budget",
     "error_ratio",
     "max_error",

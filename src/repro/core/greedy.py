@@ -748,9 +748,9 @@ def _gms_trajectory(
     """Batch GMS on the numpy backend: the sharded engine, one shard.
 
     With a single shard the frontier merge consumes the trajectory in its
-    own order, so ties resolve as in the heap and ``SSE_max`` is the sum
-    of the schedule's keys.  The whole input is materialised, so the peak
-    heap size is the input size.
+    own order, so ties resolve as in the heap, and the error budget reads
+    :func:`~repro.core.errors.max_error`, as the python heap's does.  The
+    whole input is materialised, so the peak heap size is the input size.
     """
     from ..parallel import run_sharded
 

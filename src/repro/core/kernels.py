@@ -261,12 +261,20 @@ def interval_lengths(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     )
 
 
+def aligned(column: Any, dtype: type) -> np.ndarray:
+    """``column`` as a C-contiguous, aligned ``dtype`` array, the layout
+    the compiled loops' buffer checks accept.  A zero-copy view of a wire
+    payload may sit at any offset; only such a view is copied."""
+    column = np.ascontiguousarray(column, dtype=dtype)
+    return column if column.flags.aligned else column.copy()
+
+
 def typed_columns(
     encoded: EncodedSegments,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``starts``, ``ends``, ``groups`` and ``values`` as the C-contiguous
-    ``int64`` / ``float64`` buffers the compiled ``SSE_max`` loops read;
-    columns that already are pass through uncopied.
+    """``starts``, ``ends``, ``groups`` and ``values`` as the C-contiguous,
+    aligned ``int64`` / ``float64`` buffers the compiled ``SSE_max`` fold
+    reads; columns that already are pass through uncopied.
 
     Endpoints and values are cast as :meth:`NumpyMergeHeap.stage_chunk`
     casts them, with ``casting="safe"``: uint64, float or object endpoints
@@ -274,9 +282,7 @@ def typed_columns(
     may be of any integer type (``casting="same_kind"``).
     """
     def typed(column: np.ndarray, dtype: type, casting: str) -> np.ndarray:
-        return np.ascontiguousarray(
-            column.astype(dtype, casting=casting, copy=False)
-        )
+        return aligned(column.astype(dtype, casting=casting, copy=False), dtype)
 
     return (
         typed(encoded.starts, np.int64, "safe"),
@@ -1357,12 +1363,14 @@ def greedy_merge_trajectory(
 
     **The loop.**  The schedule runs in C (``KERNEL.trajectory``, loaded
     by :mod:`repro.core.native`) over the shard's columns, cast to
-    C-contiguous ``int64`` / ``float64``, with the interpreter lock
-    released; it computes the lengths, the adjacency, the initial keys and
-    the frontier itself.  ``tests/oracles.py`` holds its Python reference.
-    The output columns are sized for the most steps a shard can take,
-    ``n - 1``, and cut to the steps taken.  :func:`finalize_mirror` calls
-    the same loop with its end-of-input stop rule.
+    C-contiguous, aligned ``int64`` / ``float64`` (:func:`aligned`: a
+    worker's zero-copy view of a request may sit at any offset), with the
+    interpreter lock released; it computes the lengths, the adjacency, the
+    initial keys and the frontier itself.  ``tests/oracles.py`` holds its
+    Python reference.  The output columns are sized for the most steps a
+    shard can take, ``n - 1``, and cut to the steps taken.
+    :func:`finalize_mirror` calls the same loop with its end-of-input stop
+    rule.
 
     >>> starts = np.arange(4)
     >>> boundaries, keys, heads, rows = greedy_merge_trajectory(
@@ -1387,11 +1395,11 @@ def greedy_merge_trajectory(
         return _no_steps(p)
     buffers = _schedule_buffers(n, p)
     steps = _native.KERNEL.trajectory(
-        np.ascontiguousarray(starts, dtype=np.int64),
-        np.ascontiguousarray(ends, dtype=np.int64),
-        np.ascontiguousarray(groups, dtype=np.int64),
-        np.ascontiguousarray(values, dtype=np.float64),
-        np.ascontiguousarray(w2, dtype=np.float64)[:p],
+        aligned(starts, np.int64),
+        aligned(ends, np.int64),
+        aligned(groups, np.int64),
+        aligned(values, np.float64),
+        aligned(w2, np.float64)[:p],
         *buffers,
     )
     return _taken(buffers, steps, p)

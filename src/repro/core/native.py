@@ -12,9 +12,10 @@ Four loops of the paper's algorithms run in C, and only in C:
   engine's merge schedule (``KERNEL.trajectory``);
 * :meth:`repro.core.dp._ErrorMatrix.fill_next_row` on the numpy backend,
   one row ``k >= 2`` of the exact DP's error matrix (``KERNEL.dp_row``);
-* gPTAε's ``SSE_max`` (Definition 7): the streaming tracker of
-  :class:`repro.core.greedy.OnlineReducer` (``KERNEL.sse_fold``) and
-  :func:`repro.core.errors.max_error` (``KERNEL.sse_max``).
+* the ``SSE_max`` of every error budget (Definition 7), one fold
+  (``KERNEL.sse_fold``): :func:`repro.core.errors.max_error` calls it
+  once over the whole input, the streaming tracker of
+  :class:`repro.core.greedy.OnlineReducer` once per chunk.
 
 All four take the merge rule of Proposition 2 from ``_merge.h``: a
 tuple's float length, the adjacency rule, the merge key and the merged
@@ -59,7 +60,7 @@ SOURCES = tuple(
 HEADERS = (Path(__file__).with_name("_merge.h"),)
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 #: No ``-ffast-math``, and no contraction to fused multiply-adds (gcc's
-#: default): either changes the bits of a merge key or a run error.
+#: default): either changes the bits of a merge key or of ``SSE_max``.
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
 
@@ -179,6 +180,6 @@ def load(
 _module, _reason = load()
 if _module is None:
     raise ImportError(f"cannot load the compiled loops: {_reason}")
-#: The compiled module: ``activate``, ``trajectory``, ``dp_row``,
-#: ``sse_fold`` and ``sse_max``.
+#: The compiled module: ``activate``, ``trajectory``, ``dp_row`` and
+#: ``sse_fold``.
 KERNEL: ModuleType = _module

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from statistics import mean, stdev
 from typing import Dict, Iterable, List, Sequence
 
-from ..core.errors import Weights, max_error, sse_between
+from ..core.errors import Weights, collapse_error, sse_between
 from ..core.merge import AggregateSegment, cmin
 
 
@@ -37,8 +37,14 @@ def relative_error(
     reduced: Sequence[AggregateSegment],
     weights: Weights | None = None,
 ) -> float:
-    """Error of a reduction as a percentage of ``SSE_max`` (0–100)."""
-    maximum = max_error(segments, weights)
+    """Error of a reduction as a percentage of ``SSE_max`` (0–100).
+
+    :func:`~repro.core.errors.sse_between` over
+    :func:`~repro.core.errors.collapse_error`, two Definition 5 sums.  The
+    range holds in real arithmetic; in floats a reduction to ``cmin`` may
+    read a few units in the last place above 100.
+    """
+    maximum = collapse_error(segments, weights)
     if maximum == 0.0:
         return 0.0
     return 100.0 * sse_between(segments, reduced, weights) / maximum

@@ -35,9 +35,10 @@ cores:
    (:func:`repro.core.errors.error_budget`).  A shard's next key only
    reaches the front once every earlier key of that shard has, so the
    k-way merge is one stable sort of all steps by the running maximum of
-   their shard's keys (:func:`_reconcile`).  ``SSE_max`` is additive
-   across shards, and each shard's is the sum of its schedule's keys: the
-   schedule runs to the shard's ``cmin`` (Proposition 2).
+   their shard's keys (:func:`_reconcile`).  ``SSE_max`` is
+   :func:`repro.core.errors.max_error` of the whole input, computed once
+   by :func:`plan_job` and only for an error budget, so every engine
+   spends the same budget.
 5. **Rebuild** — each shard's output partition is gathered from the
    consumed prefix of its schedule: a surviving block takes the row the
    kernel recorded at the last step headed at it, or its input row
@@ -71,11 +72,13 @@ from typing import (
 import numpy as np
 
 from .core.errors import (
-    Weights, error_budget, squared_weights, validate_budget,
+    Weights, error_budget, max_error as sse_max, squared_weights,
+    validate_budget,
 )
 from .core.greedy import GreedyResult
 from .core.kernels import (
     EncodedSegments,
+    Trajectory,
     adjacent_pair_mask,
     encode_segments,
     greedy_merge_trajectory,
@@ -130,12 +133,12 @@ def plan_shards(
 #: network boundary on the cluster path (:mod:`repro.cluster`).
 ShardPayload = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-#: One shard's reduction output: ``(boundaries, keys, sse_max, heads,
-#: rows)``, the complete merge schedule of
-#: :func:`~repro.core.kernels.greedy_merge_trajectory` plus the shard's
-#: ``SSE_max``, the sum of the keys.  A plain tuple, so it crosses the
-#: cluster's ``PTAT`` codec unchanged.
-ShardTrajectory = Tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]
+#: One shard's reduction output: ``(boundaries, keys, heads, rows)``,
+#: the complete merge schedule of
+#: :func:`~repro.core.kernels.greedy_merge_trajectory`.  A plain tuple,
+#: so it crosses the cluster's ``PTAT`` codec unchanged.  It carries no
+#: ``SSE_max``: the budget is the coordinator's, from the input itself.
+ShardTrajectory = Trajectory
 
 
 class ShardJob(NamedTuple):
@@ -144,6 +147,9 @@ class ShardJob(NamedTuple):
     encoded: EncodedSegments
     shards: List[Tuple[int, int]]
     w2: np.ndarray
+    #: The total merge error the reduction may spend, or ``None`` for a
+    #: size budget.
+    budget: Optional[float]
 
 
 def plan_job(
@@ -157,7 +163,10 @@ def plan_job(
 
     Checks the budget and ``shard_size`` (``None`` takes
     :data:`DEFAULT_SHARD_SIZE`), encodes the input, refuses non-finite
-    values and cuts the shards.  Returns ``None`` for an empty input.
+    values and cuts the shards.  For ``max_error`` it also turns ``ε``
+    into the error budget, :func:`~repro.core.errors.error_budget` of the
+    input's :func:`~repro.core.errors.max_error`.  Returns ``None`` for
+    an empty input.
     :func:`run_sharded` and :func:`repro.cluster.reduce_cluster` both
     start here, so local threads and remote workers reduce the same
     shards.
@@ -174,7 +183,11 @@ def plan_job(
         squared_weights(weights, encoded.dimensions), dtype=np.float64
     )
     shards = plan_shards(encoded, shard_size)
-    return ShardJob(encoded, shards, w2)
+    budget = (
+        None if max_error is None
+        else error_budget(max_error, sse_max(encoded, weights))
+    )
+    return ShardJob(encoded, shards, w2, budget)
 
 
 def shard_payloads(
@@ -196,21 +209,17 @@ def shard_payloads(
 
 
 def reduce_shard(payload: ShardPayload) -> ShardTrajectory:
-    """Reducer task: complete merge schedule plus ``SSE_max`` of one shard.
+    """Reducer task: the complete merge schedule of one shard.
 
-    The schedule runs down to the shard's ``cmin``, so by Proposition 2
-    its keys add up to the shard's ``SSE_max``: the third element of the
-    returned :data:`ShardTrajectory` is their sum.  This is the unit of
+    The schedule runs down to the shard's ``cmin``, whatever the budget:
+    the coordinator decides how much of it to take.  This is the unit of
     work for both the threaded engine and the cluster tier's reducer
     workers (:mod:`repro.cluster.worker`).
     """
     failpoints.fail("parallel.worker")
     starts, ends, values, groups, w2 = payload
     with span("shard_reduce"):
-        boundaries, keys, heads, rows = greedy_merge_trajectory(
-            starts, ends, values, groups, w2
-        )
-    return boundaries, keys, float(keys.sum()), heads, rows
+        return greedy_merge_trajectory(starts, ends, values, groups, w2)
 
 
 # A second name the layer benchmark (``perfbench/layers.py``) wraps; it
@@ -223,9 +232,12 @@ def assemble_result(
     shards: Sequence[Tuple[int, int]],
     trajectories: Sequence[ShardTrajectory],
     size: int | None,
-    max_error: float | None,
+    budget: float | None,
 ) -> GreedyResult:
     """Reconcile shard trajectories under the global budget and rebuild.
+
+    ``size`` is the output size bound and ``budget`` the total error the
+    merges may spend (:attr:`ShardJob.budget`); one of them is ``None``.
 
     The deterministic back half of every sharded reduction: one sort
     decides how many schedule steps each shard takes (:func:`_reconcile`),
@@ -239,11 +251,11 @@ def assemble_result(
     """
     with span("frontier_merge"):
         counts, total_error, merges = _reconcile(
-            trajectories, size, max_error, len(encoded)
+            trajectories, size, budget, len(encoded)
         )
         output: List[AggregateSegment] = []
         for (lo, hi), trajectory, taken in zip(shards, trajectories, counts):
-            boundaries, _, _, heads, rows = trajectory
+            boundaries, _, heads, rows = trajectory
             output.extend(
                 schedule_prefix(encoded[lo:hi], boundaries, heads, rows, taken)
             )
@@ -364,7 +376,7 @@ def run_sharded(
         workers or os.cpu_count() or 1,
     )
     return assemble_result(
-        job.encoded, job.shards, trajectories, size, max_error
+        job.encoded, job.shards, trajectories, size, job.budget
     )
 
 
@@ -374,7 +386,7 @@ def run_sharded(
 def _reconcile(
     trajectories: Sequence[ShardTrajectory],
     size: int | None,
-    max_error: float | None,
+    budget: float | None,
     input_size: int,
 ) -> Tuple[List[int], float, int]:
     """Decide how many schedule steps each shard takes under the budget.
@@ -387,9 +399,8 @@ def _reconcile(
     running maximum, with the steps laid out shard by shard, is that
     order.  The size budget takes the prefix that leaves ``size`` tuples;
     the error budget stops before the first step whose running total
-    exceeds the :func:`~repro.core.errors.error_budget` of the summed
-    shard ``SSE_max`` (additive across shards).  ``np.cumsum`` adds left
-    to right, so the total is the one a loop of ``+=`` would reach.
+    exceeds ``budget``.  ``np.cumsum`` adds left to right, so the total
+    is the one a loop of ``+=`` would reach.
     """
     keys = [trajectory[1] for trajectory in trajectories]
     frontier = np.concatenate(
@@ -400,9 +411,8 @@ def _reconcile(
     taken = len(order)
     if size is not None:
         taken = min(taken, max(input_size - size, 0))
-    if max_error is not None:
-        sse_max = sum(trajectory[2] for trajectory in trajectories)
-        over = np.flatnonzero(totals > error_budget(max_error, sse_max))
+    if budget is not None:
+        over = np.flatnonzero(totals > budget)
         if len(over):
             taken = min(taken, int(over[0]))
     steps = [len(shard_keys) for shard_keys in keys]

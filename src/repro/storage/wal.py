@@ -57,7 +57,9 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Dict, Generator, Iterator, List, Mapping, Optional, Tuple, Union,
+)
 
 import numpy as np
 
@@ -209,48 +211,21 @@ def read_wal(path: PathLike, recover: bool = False) -> List[bytes]:
     contract: a torn final frame is dropped, never served.  With
     ``recover=False`` the same condition raises :class:`WalError`.
     A wrong magic tag or version always raises — recovery must never
-    reinterpret a foreign or future-format file.
+    reinterpret a foreign or future-format file.  The frames are those
+    :func:`iter_wal_frames` yields: both take them from one walk.
     """
-    data = Path(path).read_bytes()
-    if len(data) < _FILE_HEADER.size:
-        raise WalError(
-            f"{path}: too short for a WAL header ({len(data)} bytes)"
-        )
-    magic, version = _FILE_HEADER.unpack_from(data, 0)
-    if magic != WAL_MAGIC:
-        raise WalError(
-            f"{path}: wrong magic tag {magic!r} (expected {WAL_MAGIC!r})"
-        )
-    if version != WAL_VERSION:
-        raise WalError(
-            f"{path}: unsupported WAL version {version}; this reader "
-            f"understands version {WAL_VERSION}"
-        )
+    data = _read_file(path)
     frames: List[bytes] = []
-    offset = _FILE_HEADER.size
-    good_end = offset
-    size = len(data)
-    why = ""
-    while offset < size:
-        if offset + _FRAME_HEADER.size > size:
-            why = f"torn frame header at offset {offset}"
-            break
-        length, crc = _FRAME_HEADER.unpack_from(data, offset)
-        begin = offset + _FRAME_HEADER.size
-        end = begin + length
-        if end > size:
-            why = (
-                f"torn frame payload at offset {offset}: header promises "
-                f"{length} bytes, {size - begin} remain"
-            )
-            break
-        payload = data[begin:end]
-        if zlib.crc32(payload) != crc:
-            why = f"CRC mismatch in the frame at offset {offset}"
+    good_end = _FILE_HEADER.size
+    walk = _walk(data, good_end)
+    while True:
+        try:
+            good_end, payload = next(walk)
+        except StopIteration as stop:
+            why = stop.value
             break
         frames.append(payload)
-        offset = good_end = end
-    if good_end != size:
+    if why:
         if not recover:
             raise WalError(f"{path}: {why}")
         with open(path, "r+b") as file:
@@ -276,6 +251,17 @@ def iter_wal_frames(
     Wrong magic/version still raise :class:`WalError` — tailing a
     foreign file is never recoverable.
     """
+    data = _read_file(path)
+    position = _FILE_HEADER.size if offset is None else offset
+    if position < _FILE_HEADER.size:
+        raise WalError(
+            f"{path}: offset {position} is inside the file header"
+        )
+    yield from _walk(data, position)
+
+
+def _read_file(path: PathLike) -> bytes:
+    """The bytes of a WAL file whose header has the magic and version."""
     data = Path(path).read_bytes()
     if len(data) < _FILE_HEADER.size:
         raise WalError(
@@ -291,25 +277,38 @@ def iter_wal_frames(
             f"{path}: unsupported WAL version {version}; this reader "
             f"understands version {WAL_VERSION}"
         )
-    position = _FILE_HEADER.size if offset is None else offset
-    if position < _FILE_HEADER.size:
-        raise WalError(
-            f"{path}: offset {position} is inside the file header"
-        )
+    return data
+
+
+def _walk(
+    data: bytes, position: int
+) -> Generator[Tuple[int, bytes], None, str]:
+    """Yield ``(next_offset, payload)`` for every intact frame from
+    ``position`` on; return why the walk stopped short of the end, or
+    ``""`` if it reached it.
+
+    The walk stops at the first frame whose header or payload runs past
+    the end (torn: the writer may be mid-append, or crashed there) or
+    whose CRC does not match.
+    """
     size = len(data)
     while position < size:
         if position + _FRAME_HEADER.size > size:
-            return  # torn header: the writer may still be appending
+            return f"torn frame header at offset {position}"
         length, crc = _FRAME_HEADER.unpack_from(data, position)
         begin = position + _FRAME_HEADER.size
         end = begin + length
         if end > size:
-            return  # torn payload
+            return (
+                f"torn frame payload at offset {position}: header promises "
+                f"{length} bytes, {size - begin} remain"
+            )
         payload = data[begin:end]
         if zlib.crc32(payload) != crc:
-            return  # corrupt tail: recovery (not tailing) truncates it
+            return f"CRC mismatch in the frame at offset {position}"
         position = end
         yield position, payload
+    return ""
 
 
 # ----------------------------------------------------------------------

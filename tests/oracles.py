@@ -15,9 +15,9 @@ the oracle the parity suites hold the kernel to, bit for bit:
 * :func:`dp_fill_next_row` — one row of the exact DP's error matrix on the
   numpy backend, one :func:`best_split` per cell
   (``tests/test_native_dp.py``);
-* :func:`sse_fold` and :func:`max_error` — gPTAε's ``SSE_max``, the
-  streaming tracker of :class:`repro.core.greedy.OnlineReducer` and
-  :func:`repro.core.errors.max_error` (``tests/test_native_sse.py``).
+* :func:`sse_fold` — the ``SSE_max`` of every error budget, the fold of
+  :func:`repro.core.errors.max_error` and of the streaming tracker of
+  :class:`repro.core.greedy.OnlineReducer` (``tests/test_native_sse.py``).
 
 None of them runs in the package: each compiled loop is its only
 product path.
@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.dp import _ErrorMatrix
-from repro.core.errors import Weights, merge_key, squared_weights, sse_of_run
+from repro.core.errors import Weights, merge_key, squared_weights
 from repro.core.kernels import (
     DeltaLog,
     NumpyMergeHeap,
@@ -45,7 +45,7 @@ from repro.core.kernels import (
     adjacent_pair_mask,
     interval_lengths,
 )
-from repro.core.merge import AggregateSegment, adjacent, maximal_runs, merged_row
+from repro.core.merge import AggregateSegment, adjacent, merged_row
 
 
 # ----------------------------------------------------------------------
@@ -575,14 +575,14 @@ def dp_fill_next_row(matrix: _ErrorMatrix):
 
 
 # ----------------------------------------------------------------------
-# gPTAε's SSE_max (_sse.c)
+# SSE_max (_sse.c)
 # ----------------------------------------------------------------------
 def sse_fold(
     segments: Sequence[AggregateSegment], weights: Weights | None = None
 ) -> Tuple[float, float, Tuple[float, ...]]:
-    """The streaming ``SSE_max`` tracker of
-    :class:`repro.core.greedy.OnlineReducer` in Python, one tuple at a
-    time: a tuple adjacent to the previous one adds the
+    """The ``SSE_max`` fold of :func:`repro.core.errors.max_error` and
+    of :class:`repro.core.greedy.OnlineReducer`'s tracker in Python, one
+    tuple at a time: a tuple adjacent to the previous one adds the
     :func:`~repro.core.errors.merge_key` of the carried run and itself
     and replaces the run by their :func:`~repro.core.merge.merged_row`;
     any other tuple starts a new run.  Returns ``(total, run_length,
@@ -607,14 +607,3 @@ def sse_fold(
         previous = segment
     return total, length, tuple(row)
 
-
-def max_error(
-    segments: Sequence[AggregateSegment], weights: Weights | None = None
-) -> float:
-    """:func:`repro.core.errors.max_error` in Python: the
-    :func:`~repro.core.errors.sse_of_run` of every maximal run, added
-    left to right."""
-    total = 0.0
-    for run in maximal_runs(segments):
-        total += sse_of_run([segments[i] for i in run], weights)
-    return total

@@ -189,18 +189,17 @@ class TestEnvelope:
 
 
 def _trajectory(steps=3, dims=2):
-    """A well-formed ``(boundaries, keys, sse_max, heads, rows)`` answer."""
+    """A well-formed ``(boundaries, keys, heads, rows)`` answer."""
     return (
         np.arange(1, steps + 1, dtype=np.int64),
         np.linspace(0.5, 9.75, steps),
-        42.5,
         np.zeros(steps, dtype=np.int64),
         np.arange(steps * dims, dtype=np.float64).reshape(steps, dims),
     )
 
 
 def _ptat(version=None, **columns):
-    """A ``PTAT`` v2 payload with some columns replaced (or dropped: None)."""
+    """A ``PTAT`` payload with some columns replaced (or dropped: None)."""
     from repro.cluster.transport import (
         TRAJECTORY_COLUMNS,
         TRAJECTORY_MAGIC,
@@ -208,11 +207,8 @@ def _ptat(version=None, **columns):
     )
     from repro.storage.columns import pack_columns
 
-    boundaries, keys, sse_max, heads, rows = _trajectory()
-    arrays = dict(
-        boundaries=boundaries, keys=keys, sse_max=np.array([sse_max]),
-        heads=heads, rows=rows,
-    )
+    boundaries, keys, heads, rows = _trajectory()
+    arrays = dict(boundaries=boundaries, keys=keys, heads=heads, rows=rows)
     arrays.update(columns)
     return pack_columns(
         {
@@ -224,14 +220,31 @@ def _ptat(version=None, **columns):
     )
 
 
+def _ptat_v2(trajectory, sse_max=42.5, version=2):
+    """A version-2 worker's answer: ``sse_max`` between ``keys`` and
+    ``heads``."""
+    from repro.cluster.transport import TRAJECTORY_MAGIC
+    from repro.storage.columns import pack_columns
+
+    boundaries, keys, heads, rows = trajectory
+    return pack_columns(
+        {
+            "boundaries": boundaries, "keys": keys,
+            "sse_max": np.array([sse_max]), "heads": heads, "rows": rows,
+        },
+        TRAJECTORY_MAGIC,
+        version,
+    )
+
+
 class TestTrajectoryCodec:
     def test_trajectory_roundtrip(self):
         trajectory = _trajectory()
         blob = encode_trajectory(trajectory)
         restored = decode_trajectory(blob)
+        assert len(restored) == len(trajectory)
         for got, want in zip(restored, trajectory):
             np.testing.assert_array_equal(got, want)
-        assert restored[2] == 42.5
         assert encode_trajectory(restored) == blob
 
     def test_missing_column_raises(self):
@@ -239,14 +252,14 @@ class TestTrajectoryCodec:
             decode_trajectory(_ptat(heads=None))
 
     def test_mismatched_columns_raise(self):
-        boundaries, keys, sse_max, heads, rows = _trajectory()
-        blob = encode_trajectory((boundaries, keys[:2], sse_max, heads, rows))
+        boundaries, keys, heads, rows = _trajectory()
+        blob = encode_trajectory((boundaries, keys[:2], heads, rows))
         with pytest.raises(TransportError, match="malformed"):
             decode_trajectory(blob)
 
     @pytest.mark.parametrize("column", ["heads", "rows"])
     def test_new_column_of_another_length_raises(self, column):
-        boundaries, keys, sse_max, heads, rows = _trajectory()
+        boundaries, keys, heads, rows = _trajectory()
         short = {"heads": heads[:2], "rows": rows[:2]}
         blob = _ptat(**{column: short[column]})
         with pytest.raises(TransportError, match="malformed"):
@@ -280,6 +293,14 @@ class TestTrajectoryCodec:
     def test_version_one_payload_raises(self):
         with pytest.raises(TransportError, match="version 1"):
             decode_trajectory(_ptat(version=1))
+
+    def test_version_two_payload_raises(self):
+        with pytest.raises(TransportError, match="version 2"):
+            decode_trajectory(_ptat_v2(_trajectory()))
+
+    def test_sse_max_column_under_version_three_raises(self):
+        with pytest.raises(TransportError, match="expected"):
+            decode_trajectory(_ptat_v2(_trajectory(), version=3))
 
 
 class TestParseAddress:
@@ -401,15 +422,25 @@ def _assert_same(result, oracle):
     assert result.input_size == oracle.input_size
 
 
+def _fallbacks():
+    return _metrics.value("repro_shard_fallbacks_total", tier="cluster")
+
+
 class TestClusterReduction:
+    """Healthy workers reduce every shard themselves: a shard that falls
+    back in-process gives the same bits, so the tests count fallbacks
+    too."""
+
     def test_bit_identical_to_sharded_size_budget(self, workers):
         addresses = workers(2)
         stream = _stream()
         oracle = run_sharded(stream, size=120, workers=1, shard_size=256)
+        before = _fallbacks()
         result = reduce_cluster(
             stream, size=120, cluster=addresses, shard_size=256
         )
         _assert_same(result, oracle)
+        assert _fallbacks() == before
 
     def test_bit_identical_to_sharded_error_budget(self, workers):
         addresses = workers(2)
@@ -417,10 +448,12 @@ class TestClusterReduction:
         oracle = run_sharded(
             stream, max_error=0.05, workers=1, shard_size=256
         )
+        before = _fallbacks()
         result = reduce_cluster(
             stream, max_error=0.05, cluster=addresses, shard_size=256
         )
         _assert_same(result, oracle)
+        assert _fallbacks() == before
 
     def test_worker_count_does_not_change_the_answer(self, workers):
         addresses = workers(3)
@@ -492,7 +525,7 @@ class TestClusterReduction:
             )
 
 
-def _corrupt(boundaries, keys, sse_max, heads, rows, rule):
+def _corrupt(boundaries, keys, heads, rows, rule):
     """One worker answer broken in exactly one way (``rule``)."""
     if rule == "boundary_past_end":
         boundaries = boundaries.copy()
@@ -510,7 +543,7 @@ def _corrupt(boundaries, keys, sse_max, heads, rows, rule):
         rows = rows[:, :1]
     elif rule == "rows_too_wide":
         rows = np.hstack([rows, rows])
-    return encode_trajectory((boundaries, keys, sse_max, heads, rows))
+    return encode_trajectory((boundaries, keys, heads, rows))
 
 
 class TestGarbageAnswers:
@@ -520,19 +553,21 @@ class TestGarbageAnswers:
 
     SHARD_SIZE = 256
 
-    def _reduce_with_answers(self, workers, monkeypatch, encode):
+    def _reduce_with_answers(self, workers, monkeypatch, encode,
+                             budget=None):
         import repro.cluster.worker as worker_module
 
+        budget = budget or {"size": 90}
         monkeypatch.setattr(worker_module, "encode_trajectory", encode)
         addresses = workers(1)
         stream = synthetic_grouped_segments(4, 300, dimensions=2, seed=3)
         oracle = run_sharded(
-            stream, size=90, workers=1, shard_size=self.SHARD_SIZE
+            stream, workers=1, shard_size=self.SHARD_SIZE, **budget
         )
         before = _metrics.value("repro_shard_fallbacks_total", tier="cluster")
         result = reduce_cluster(
-            stream, size=90, cluster=addresses, shard_size=self.SHARD_SIZE,
-            shard_retries=0, retry_backoff=0.0,
+            stream, cluster=addresses, shard_size=self.SHARD_SIZE,
+            shard_retries=0, retry_backoff=0.0, **budget
         )
         _assert_same(result, oracle)
         fallbacks = _metrics.value(
@@ -567,6 +602,20 @@ class TestGarbageAnswers:
         self._reduce_with_answers(
             workers, monkeypatch,
             lambda trajectory: _ptat(version=1, heads=None, rows=None),
+        )
+
+    @pytest.mark.parametrize(
+        "budget", [{"size": 90}, {"max_error": 0.05}], ids=["size", "error"]
+    )
+    def test_version_two_worker_falls_back(self, workers, monkeypatch,
+                                           budget):
+        """A version-2 worker's schedule is right, but its answer carries
+        an ``SSE_max`` (here a huge one, which would let every merge
+        through): it is refused, and each shard runs in-process."""
+        self._reduce_with_answers(
+            workers, monkeypatch,
+            lambda trajectory: _ptat_v2(trajectory, sse_max=1e300),
+            budget,
         )
 
     def test_check_names_the_fault(self):

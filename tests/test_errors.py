@@ -17,7 +17,7 @@ from repro.core import (
     sse_between,
     sse_of_run,
 )
-from repro.core.errors import resolve_weights
+from repro.core.errors import collapse_error, resolve_weights
 from repro.core.merge import merge_run
 from conftest import make_segment
 
@@ -119,15 +119,24 @@ def two_long_runs():
 
 
 class TestSameBitsOnEveryPython:
-    """The sums behind ``SSE_max`` (every error budget) and ``merge_run``
-    are left-to-right loops, so these bits hold on every Python minor.  A
-    builtin ``sum()``, compensated from 3.12 on, gives
-    ``0x1.7a7ae41371d44p+49`` there."""
+    """``SSE_max`` (every error budget) is one compiled fold whose carry
+    is doubles, and the sums of ``collapse_error`` and ``merge_run`` are
+    left-to-right loops, so these bits hold on every Python minor.  With
+    builtin ``sum()``, compensated from 3.12 on, ``collapse_error`` would
+    read ``0x1.7a7ae41371d44p+49`` there."""
 
     def test_max_error(self):
         segments = two_long_runs()
-        assert max_error(segments).hex() == "0x1.7a7ae41371d43p+49"
-        assert max_error(segments, (0.5, 3.0)).hex() == "0x1.a9ca24be1e37cp+52"
+        assert max_error(segments).hex() == "0x1.7a7ae41371d49p+49"
+        assert max_error(segments, (0.5, 3.0)).hex() == "0x1.a9ca24be1e377p+52"
+
+    def test_collapse_error(self):
+        segments = two_long_runs()
+        assert collapse_error(segments).hex() == "0x1.7a7ae41371d43p+49"
+        assert (
+            collapse_error(segments, (0.5, 3.0)).hex()
+            == "0x1.a9ca24be1e37cp+52"
+        )
 
     def test_merge_run(self):
         merged = merge_run(two_long_runs()[:2500])

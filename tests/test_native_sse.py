@@ -1,10 +1,10 @@
-"""The compiled ``SSE_max`` loops against their Python oracles.
+"""The compiled ``SSE_max`` fold against its Python oracle.
 
-gPTAε needs ``SSE_max`` (Definition 7) twice: :func:`repro.core.errors.max_error`
-sums it in one ``KERNEL.sse_max`` pass, and
-:class:`repro.core.greedy.OnlineReducer` folds it chunk by chunk with
-``KERNEL.sse_fold``.  :func:`oracles.max_error` and :func:`oracles.sse_fold`
-are the Python loops they were written from.  The properties draw streams
+Every error budget reads one ``SSE_max`` (Definition 7), the
+``KERNEL.sse_fold`` fold: :func:`repro.core.errors.max_error` makes one
+call over the whole input, and :class:`repro.core.greedy.OnlineReducer`
+one call per chunk.  :func:`oracles.sse_fold` is the Python loop it was
+written from.  The properties draw streams
 with gaps and group changes (also at chunk boundaries), weights,
 ``p`` in {1, 2, 5}, offsets of ±1e6 and magnitudes up to 1e150, cut into
 random chunks, and require the same bits (``float.hex``) from the kernels,
@@ -104,7 +104,7 @@ def budget(segments, weights):
 
 
 # ----------------------------------------------------------------------
-# Parity of the two kernels
+# Parity of the fold
 # ----------------------------------------------------------------------
 @settings(max_examples=300, deadline=None)
 @given(streams())
@@ -121,11 +121,13 @@ def test_fold_is_the_oracles_fold(drawn):
 
 @settings(max_examples=300, deadline=None)
 @given(streams())
-def test_max_error_is_the_oracles(drawn):
-    segments, weights, _ = drawn
+def test_max_error_is_every_chunkings_fold(drawn):
+    """``max_error`` folds the whole input in one call; the tracker's
+    total over the drawn chunks has the same bits."""
+    segments, weights, cuts = drawn
     assert hexes(max_error(segments, weights)) == hexes(
-        oracles.max_error(segments, weights)
-    )
+        oracles.sse_fold(segments, weights)[0],
+    ) == hexes(fold(segments, weights, cuts).total())
 
 
 def test_the_draws_reach_what_they_should():
@@ -308,7 +310,9 @@ def test_kernels_take_lengths_past_int64():
     ]
     whole = [AggregateSegment((), (3.0, 4.0), Interval(-(2**63), 2**63 - 1))]
     for segments in (halves, whole, halves[:1], halves[1:]):
-        assert hexes(max_error(segments)) == hexes(oracles.max_error(segments))
+        assert hexes(max_error(segments)) == hexes(
+            oracles.sse_fold(segments)[0]
+        )
         for cuts in ([], [1]):
             tracker = fold(segments, (2.0, 0.5), cuts[: len(segments) - 1])
             total, length, row = oracles.sse_fold(segments, (2.0, 0.5))
@@ -367,7 +371,6 @@ def fold_call(*buffers, row=None):
     return native.KERNEL.sse_fold(*buffers, False, 0.0, row, 0.0)
 
 
-@pytest.mark.parametrize("call", [native.KERNEL.sse_max, fold_call])
 @pytest.mark.parametrize("position, bad, error", [
     (0, np.arange(3, dtype=np.int32), TypeError),
     (1, np.arange(3, dtype=np.float64), TypeError),
@@ -378,11 +381,11 @@ def fold_call(*buffers, row=None):
     (4, [1.0, 1.0], TypeError),
     (1, np.array([0, 0, 2]), ValueError),  # row 1 ends before it starts
 ])
-def test_buffer_checks(call, position, bad, error):
+def test_buffer_checks(position, bad, error):
     buffers = columns()
     buffers[position] = bad
     with pytest.raises(error):
-        call(*buffers)
+        fold_call(*buffers)
 
 
 def test_fold_checks_the_carried_row():
@@ -396,7 +399,6 @@ def test_fold_checks_the_carried_row():
 
 def test_empty_columns():
     empty = columns(count=0)
-    assert native.KERNEL.sse_max(*empty) == 0.0
     row = np.full(2, 7.0)
     assert fold_call(*empty, row=row) == (0.0, 0.0)
     assert row.tolist() == [7.0, 7.0]

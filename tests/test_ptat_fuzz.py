@@ -2,7 +2,7 @@
 
 A remote worker's answer is peer-controlled bytes, and a ``PTAT``
 payload that survives its frame's CRC can still be garbage (a buggy or
-hostile worker, another version).  Hypothesis takes valid version-2
+hostile worker, another version).  Hypothesis takes valid version-3
 payloads and mutates them: bit flips, truncation, inflated length fields
 and a swapped magic or version.  :func:`decode_trajectory` must either
 return a trajectory that re-encodes to exactly the mutated bytes, or
@@ -39,7 +39,9 @@ _FIELDS = {
 #: Mutations, bit flips weighted up: many of them keep a payload
 #: decodable, while every magic or version swap is a rejection.
 _MUTATIONS = ["flip"] * 4 + ["truncate", "inflate", "magic", "version"]
-_OTHER_VERSIONS = [v for v in (0, 1, 3, 0xFFFF) if v != TRAJECTORY_VERSION]
+_OTHER_VERSIONS = [
+    v for v in (0, 1, 2, 3, 0xFFFF) if v != TRAJECTORY_VERSION
+]
 
 
 def layout(blob: bytes) -> List[Tuple[str, int, int]]:
@@ -78,7 +80,6 @@ def trajectories(draw):
                  dtype=np.int64),
         np.array(draw(st.lists(floats, min_size=steps, max_size=steps)),
                  dtype=np.float64),
-        draw(floats),
         np.array(draw(st.lists(indices, min_size=steps, max_size=steps)),
                  dtype=np.int64),
         np.array(
@@ -132,7 +133,6 @@ def test_valid_payloads_roundtrip_byte_for_byte():
         (
             np.array([1, 2], dtype=np.int64),
             np.array([0.5, 2.0]),
-            2.5,
             np.array([0, 0], dtype=np.int64),
             np.array([[1.0, 2.0], [3.0, 4.0]]),
         )

@@ -8,7 +8,9 @@ consumed until ``size`` tuples remain or the next key would take the
 running total past the error budget.  Both must agree on the per-shard
 counts, the merge count and the bits of the total error, for either
 budget, on non-monotone keys, exact ties inside and across shards, and
-empty shards.
+empty shards.  The error budget is an absolute total, as
+:func:`repro.parallel.plan_job` derives it from the whole input: a
+shard's schedule carries only its steps.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.parallel import _reconcile
 def heap_reconcile(
     trajectories: Sequence[tuple],
     size: Optional[int],
-    max_error: Optional[float],
+    budget: Optional[float],
     input_size: int,
 ) -> Tuple[List[int], float, int]:
     """The k-way heap merge over the shard frontiers (the oracle)."""
@@ -41,10 +43,6 @@ def heap_reconcile(
     counts = [0] * len(trajectories)
     total_error = 0.0
     merges = 0
-    budget: Optional[float] = None
-    if max_error is not None:
-        sse_max = sum(trajectory[2] for trajectory in trajectories)
-        budget = error_budget(max_error, sse_max)
     while frontier and (size is None or input_size - merges > size):
         key, shard, step = frontier[0]
         if budget is not None and total_error + key > budget:
@@ -60,26 +58,24 @@ def heap_reconcile(
     return counts, total_error, merges
 
 
-def _trajectories(key_lists, sse=None):
+def _trajectories(key_lists):
     """Shard trajectories carrying only what the frontier merge reads."""
-    result = []
-    for index, keys in enumerate(key_lists):
-        keys = np.asarray(keys, dtype=np.float64)
-        sse_max = float(keys.sum()) if sse is None else sse[index]
-        result.append((None, keys, sse_max, None, None))
-    return result
+    return [
+        (None, np.asarray(keys, dtype=np.float64), None, None)
+        for keys in key_lists
+    ]
 
 
 def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
-def _assert_agree(trajectories, size, max_error, input_size):
+def _assert_agree(trajectories, size, budget, input_size):
     counts, total, merges = _reconcile(
-        trajectories, size, max_error, input_size
+        trajectories, size, budget, input_size
     )
     want_counts, want_total, want_merges = heap_reconcile(
-        trajectories, size, max_error, input_size
+        trajectories, size, budget, input_size
     )
     assert list(counts) == want_counts
     assert merges == want_merges
@@ -95,19 +91,20 @@ _KEYS = st.one_of(_LEVELS, st.floats(0.0, 1e3))
 
 @st.composite
 def schedules(draw):
-    """Several shards of non-monotone keys, some of them empty."""
+    """Several shards of non-monotone keys, some of them empty, and an
+    ``SSE_max``: the keys' sum, or another number."""
     key_lists = draw(
         st.lists(st.lists(_KEYS, max_size=30), min_size=1, max_size=7)
     )
-    sse = None
-    if draw(st.booleans()):  # shard SSE_max not the sum of its keys
-        sse = draw(
-            st.lists(st.floats(0.0, 1e4), min_size=len(key_lists),
-                     max_size=len(key_lists))
-        )
+    sse_max = 0.0
+    for keys in key_lists:
+        for key in keys:
+            sse_max += key
+    if draw(st.booleans()):  # SSE_max not the sum of the keys
+        sse_max = draw(st.floats(0.0, 1e4))
     steps = sum(len(keys) for keys in key_lists)
     input_size = steps + len(key_lists) + draw(st.integers(0, 4))
-    return _trajectories(key_lists, sse), input_size
+    return _trajectories(key_lists), input_size, sse_max
 
 
 @settings(max_examples=400, deadline=None)
@@ -116,7 +113,7 @@ def schedules(draw):
     fraction=st.floats(0.0, 1.05),
 )
 def test_size_budget_matches_heap_merge(schedule, fraction):
-    trajectories, input_size = schedule
+    trajectories, input_size, _ = schedule
     _assert_agree(trajectories, int(fraction * input_size), None, input_size)
 
 
@@ -128,8 +125,10 @@ def test_size_budget_matches_heap_merge(schedule, fraction):
     ),
 )
 def test_error_budget_matches_heap_merge(schedule, epsilon):
-    trajectories, input_size = schedule
-    _assert_agree(trajectories, None, epsilon, input_size)
+    trajectories, input_size, sse_max = schedule
+    _assert_agree(
+        trajectories, None, error_budget(epsilon, sse_max), input_size
+    )
 
 
 class TestNamedCases:
@@ -137,10 +136,8 @@ class TestNamedCases:
         # The running total may equal the budget: the stop is strictly
         # past it, so the step that lands exactly on it is consumed.
         budget = error_budget(0.5, 10.0)
-        trajectories = _trajectories(
-            [[budget], [budget + 1.0]], sse=[7.0, 3.0]
-        )
-        counts, total, merges = _assert_agree(trajectories, None, 0.5, 4)
+        trajectories = _trajectories([[budget], [budget + 1.0]])
+        counts, total, merges = _assert_agree(trajectories, None, budget, 4)
         assert (list(counts), merges) == ([1, 0], 1)
         assert total == budget
 
